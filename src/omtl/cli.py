@@ -195,12 +195,12 @@ def cmd_cv(args) -> int:
     variants = args.variants.split(",")
     if len(variants) == 1:
         cfg.variant = variants[0]
-        result = run_cv(graph, data, cfg, k=args.k, jobs=args.jobs)
+        result = run_cv(graph, data, cfg, k=args.k)
         obj = result.to_json_obj()
         scores = {v: result for v in variants}
     else:
         results, comparisons = compare_variants(graph, data, cfg, variants,
-                                                k=args.k, jobs=args.jobs)
+                                                k=args.k)
         obj = {"variants": {v: r.to_json_obj() for v, r in results.items()},
                "comparisons": comparisons}
         scores = results
@@ -266,17 +266,20 @@ def cmd_gradcheck(args) -> int:
     spec = ModelSpec(variant="omtl", num_experts=2, feature_dim=7, repr_dim=3,
                      dropout=0.0)
     model = build_model(spec, graph, seed=args.seed)
-    rec = Record(id="r0", features=rng.normal(size=7),
-                 concepts=ancestor_closure(graph, ["c"]),
-                 labels={"event": 1})
+    # one record per anchor, the b-anchored one unlabeled: node b's rows mix
+    # labeled and unlabeled records and c gathers a subset of b's rows
+    batch = [Record(id=f"r_{anchor}", features=rng.normal(size=7),
+                    concepts=ancestor_closure(graph, [anchor]), labels=labels)
+             for anchor, labels in (("a", {"event": 0}), ("b", {}),
+                                    ("c", {"event": 1}))]
 
     def loss_value() -> float:
-        result = forward(model, graph, rec, mode="train", dropout_rng=None)
-        return masked_loss(result, rec, graph, lam=0.1).total
+        result = forward(model, graph, batch, mode="train", dropout_rng=None)
+        return masked_loss(result, batch, graph, lam=0.1).total
 
     with Tape() as tape:
-        result = forward(model, graph, rec, mode="train", dropout_rng=None)
-        breakdown = masked_loss(result, rec, graph, lam=0.1)
+        result = forward(model, graph, batch, mode="train", dropout_rng=None)
+        breakdown = masked_loss(result, batch, graph, lam=0.1)
     tape.backward(breakdown.loss)
     grads = tape.gradients(model.params)
 
@@ -361,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default="omtl")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", required=True)
     p.add_argument("--scores-out", default=None)
     p.set_defaults(handler=cmd_cv)
@@ -369,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="DeLong-test two score files")
     p.add_argument("--reports", default=None,
                    help="comma-separated display names for the two models")
-    p.add_argument("--delong", action="store_true")
     p.add_argument("--scores-a", required=True)
     p.add_argument("--scores-b", required=True)
     p.add_argument("--out", required=True)

@@ -40,9 +40,6 @@ class Dataset:
     def labeled_records(self) -> list[Record]:
         return [r for r in self.records if r.labeled]
 
-    def by_id(self) -> dict[str, Record]:
-        return {r.id: r for r in self.records}
-
 
 @dataclass
 class FoldPlan:

@@ -51,16 +51,13 @@ def _midranks(x: np.ndarray) -> np.ndarray:
     order = np.argsort(x, kind="mergesort")
     z = x[order]
     n = len(x)
-    ranks = np.zeros(n)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and z[j] == z[i]:
-            j += 1
-        ranks[i:j] = 0.5 * (i + j - 1) + 1
-        i = j
+    new_block = np.empty(n, dtype=bool)
+    new_block[:1] = True
+    np.not_equal(z[1:], z[:-1], out=new_block[1:])
+    starts = np.flatnonzero(new_block)
+    sizes = np.diff(np.append(starts, n))
     out = np.empty(n)
-    out[order] = ranks
+    out[order] = np.repeat(0.5 * (2 * starts + sizes - 1) + 1, sizes)
     return out
 
 

@@ -7,9 +7,13 @@ is enabled, a parent gate (softmax over its graph parents) that mixes the
 parents' representations into its own input. Outcome heads hang off the
 representation of their node and emit sigmoid probabilities.
 
-Routing follows the record: a forward pass visits only the nodes in the
-record's (ancestor-closed) concept set, in nondecreasing level order, so
-parent representations always exist before a child consumes them.
+Routing is node-major: a forward pass runs the experts once over the
+whole batch, then visits each node that some record expresses once, in
+nondecreasing level order, over exactly the rows that express it. Concept
+sets are ancestor-closed, so a child's rows are a subset of each parent's
+rows and the parent representations it consumes are a row gather of
+representations already computed; a record is never routed through a
+node outside its own concept set.
 """
 
 from __future__ import annotations
@@ -154,15 +158,17 @@ def reinit_parent_gates(model: OmtlModel, seed: int) -> None:
 
 @dataclass
 class ForwardResult:
-    """Per expressed node: representation and reconstruction; per computed
-    (node, outcome): the pre-sigmoid logit tensor and sigmoid prediction.
-    inputs keeps the stacked feature rows (the reconstruction target)."""
+    """Per expressed node: the batch rows that express it (ascending indices
+    into the forwarded records), and over those rows its representation and
+    reconstruction; per computed (node, outcome): the pre-sigmoid logit
+    tensor over the node's rows. inputs keeps the stacked feature rows of
+    the whole batch (the reconstruction targets)."""
 
-    record_ids: tuple[str, ...]
+    rows: dict[str, np.ndarray]
     representations: dict[str, Tensor]
     reconstructions: dict[str, Tensor]
     outcome_logits: dict[tuple[str, str], Tensor]
-    inputs: np.ndarray | None = None
+    inputs: np.ndarray
 
     def predictions(self) -> dict[tuple[str, str], np.ndarray]:
         """Sigmoid of each logit column, clipped into open (0, 1)."""
@@ -244,65 +250,76 @@ def node_representation(model: OmtlModel, node_id: str, x,
     return _node_repr(model, node_id, xt, mixed, reprs)
 
 
-def forward(model: OmtlModel, graph: OntologyGraph, record: Record,
+def _parent_rows(graph: OntologyGraph, nid: str, idx: np.ndarray,
+                 rows: dict[str, np.ndarray],
+                 reprs: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Each parent's representation gathered onto the rows idx of nid.
+
+    A parent is left out unless its rows cover every row in idx, so a
+    record whose concept set lacks the parent surfaces as a missing parent
+    even when other records in the batch express it.
+    """
+    out = {}
+    for p in graph.parents[nid]:
+        prow = rows.get(p)
+        if prow is None:
+            continue
+        pos = np.searchsorted(prow, idx)
+        if pos[-1] < prow.size and np.array_equal(prow[pos], idx):
+            out[p] = reprs[p] if prow.size == idx.size else T.take_rows(reprs[p], pos)
+    return out
+
+
+def forward(model: OmtlModel, graph: OntologyGraph, records,
             mode: str = "eval", dropout_rng=None) -> ForwardResult:
-    """Route one record through its expressed nodes in level order."""
-    return forward_group(model, graph, [record], mode, dropout_rng)
+    """Route a batch of records (or one record) through the graph.
 
-
-def forward_group(model: OmtlModel, graph: OntologyGraph, records: list[Record],
-                  mode: str = "eval", dropout_rng=None) -> ForwardResult:
-    """Forward a group of records sharing one concept-and-label signature.
-
-    Rows are stacked into a single matrix so the whole group pays for one
-    pass over the expressed nodes. In train mode heads are computed only
-    for outcomes labeled on the records; in eval mode, unconditionally.
+    The experts run once over every row. Then each expressed node runs
+    once, in level order, over the rows that express it, reading its
+    parents' representations by row gather. In train mode a head is
+    computed only when some row of its node labels its outcome; in eval
+    mode, unconditionally.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"unknown forward mode {mode!r}")
-    first = records[0]
-    concepts = first.concepts
-    label_keys = frozenset(first.labels)
-    for rec in records[1:]:
-        if rec.concepts != concepts or frozenset(rec.labels) != label_keys:
-            raise ValidationError("records in one forward group must share "
-                                  "concepts and label keys")
-    x = Tensor(np.vstack([rec.features for rec in records]), const=True)
+    recs = [records] if isinstance(records, Record) else list(records)
+    x = Tensor(np.vstack([rec.features for rec in recs]), const=True)
     if x.shape[1] != model.spec.feature_dim:
         raise ValidationError(
             f"record feature dim {x.shape[1]} != model dim {model.spec.feature_dim}")
     expert_outs = _expert_outputs(model, x, mode, dropout_rng)
-    return forward_prepared(model, graph, records, x, expert_outs, mode)
-
-
-def forward_prepared(model: OmtlModel, graph: OntologyGraph,
-                     records: list[Record], x: Tensor,
-                     expert_outs: list[Tensor], mode: str) -> ForwardResult:
-    """Node loop of forward_group with the input stack and expert outputs
-    already built; lets a trainer share one expert pass across the groups
-    of a batch via row selection."""
-    concepts = records[0].concepts
-    label_keys = frozenset(records[0].labels)
+    members: dict[str, list[int]] = {}
+    for i, rec in enumerate(recs):
+        for nid in rec.concepts:
+            members.setdefault(nid, []).append(i)
+    rows: dict[str, np.ndarray] = {}
     reprs: dict[str, Tensor] = {}
     recons: dict[str, Tensor] = {}
     logits: dict[tuple[str, str], Tensor] = {}
     for nid in graph.ordered_ids:
-        if nid not in concepts:
+        if nid not in members:
             continue
-        mixed = _mix(model, nid, x, expert_outs)
-        rep = _node_repr(model, nid, x, mixed, reprs)
-        reprs[nid] = rep
+        idx = rows[nid] = np.asarray(members[nid])
+        if idx.size == len(recs):
+            x_n, experts_n = x, expert_outs
+        else:
+            x_n = T.take_rows(x, idx)
+            experts_n = [T.take_rows(h, idx) for h in expert_outs]
+        parents = {}
+        if model.hierarchy_enabled and graph.parents[nid]:
+            parents = _parent_rows(graph, nid, idx, rows, reprs)
+        rep = reprs[nid] = _node_repr(model, nid, x_n,
+                                      _mix(model, nid, x_n, experts_n), parents)
         recons[nid] = T.relu_affine(rep, model.param(f"recon.{nid}.w"),
                                     model.param(f"recon.{nid}.b"))
         for o in model.outcome_map.get(nid, ()):
-            if mode == "train" and o not in label_keys:
+            if mode == "train" and not any(o in recs[i].labels for i in idx):
                 continue
             logits[(nid, o)] = T.affine(rep, model.param(f"head.{nid}.{o}.w"),
                                         model.param(f"head.{nid}.{o}.b"))
-    return ForwardResult(
-        record_ids=tuple(rec.id for rec in records),
-        representations=reprs, reconstructions=recons, outcome_logits=logits,
-        inputs=x.values)
+    return ForwardResult(rows=rows, representations=reprs,
+                         reconstructions=recons, outcome_logits=logits,
+                         inputs=x.values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ where L1 sums binary cross-entropy over (expressed core node, labeled
 outcome) pairs and L2 sums squared reconstruction error over every
 expressed node, so unlabeled records still shape the representations.
 Reward shaping replaces L1's index set with all expressed nodes and
-multiplies each node's term by a level-dependent weight.
+multiplies each node's term by a level-dependent weight. A batch's loss
+is the mean of its records' losses.
 
 Cross-entropy is evaluated from the head logits as softplus(z) - y*z,
 which equals -[y*log(p) + (1-y)*log(1-p)] for p = sigmoid(z) but stays
@@ -35,10 +36,6 @@ class LossBreakdown:
     per_outcome: dict[tuple[str, str], float]
     per_node_recon: dict[str, float]
     loss: Tensor  # differentiable handle for the total
-
-    @property
-    def n_supervised_terms(self) -> int:
-        return len(self.per_outcome)
 
 
 @dataclass(frozen=True)
@@ -70,36 +67,41 @@ def make_reward_scheme(graph: OntologyGraph, f: float, outcome: str) -> RewardSc
                         weights=reward_weights(graph, f))
 
 
-def _bce_sum(logits: Tensor, records: list[Record], outcome: str) -> Tensor | None:
-    """Sum of per-row cross-entropy, with unlabeled rows masked to exact 0."""
-    y = np.zeros((len(records), 1))
-    mask = np.zeros((len(records), 1))
-    for i, rec in enumerate(records):
-        if outcome in rec.labels:
-            y[i, 0] = rec.labels[outcome]
-            mask[i, 0] = 1.0
+def _bce_sum(logits: Tensor, rows: np.ndarray, records: list[Record],
+             outcome: str) -> Tensor | None:
+    """Sum of cross-entropy over the given rows of the batch, with rows
+    that do not label outcome masked to exact 0."""
+    y = np.zeros((rows.size, 1))
+    mask = np.zeros((rows.size, 1))
+    for j, i in enumerate(rows):
+        labels = records[i].labels
+        if outcome in labels:
+            y[j, 0] = labels[outcome]
+            mask[j, 0] = 1.0
     if not mask.any():
         return None
     return T.bce_with_logits_sum(logits, y, None if mask.all() else mask)
 
 
-def _recon_terms(result, records: list[Record]) -> dict[str, Tensor]:
-    x = result.inputs
-    if x is None:
-        x = np.vstack([rec.features for rec in records])
-    return {nid: T.squared_error_sum(result.reconstructions[nid], x)
+def _recon_terms(result) -> dict[str, Tensor]:
+    return {nid: T.squared_error_sum(result.reconstructions[nid],
+                                     result.inputs[result.rows[nid]])
             for nid in sorted(result.reconstructions)}
 
 
-def _assemble(l1_terms: dict, l2_terms: dict[str, Tensor], lam: float) -> LossBreakdown:
+def _assemble(l1_terms: dict, l2_terms: dict[str, Tensor], lam: float,
+              n_records: int) -> LossBreakdown:
+    """Per-record means of the summed terms, so a batch of one record
+    gives that record's loss."""
+    inv = 1.0 / n_records
     zero = Tensor(np.zeros((1, 1)), const=True)
-    per_outcome = {key: l1_terms[key].item() for key in sorted(l1_terms)}
-    per_node = {nid: l2_terms[nid].item() for nid in sorted(l2_terms)}
+    per_outcome = {key: l1_terms[key].item() * inv for key in sorted(l1_terms)}
+    per_node = {nid: l2_terms[nid].item() * inv for nid in sorted(l2_terms)}
     l1_t = T.sum_tensors([l1_terms[k] for k in sorted(l1_terms)]) if l1_terms else zero
     l2_t = T.sum_tensors([l2_terms[k] for k in sorted(l2_terms)]) if l2_terms else zero
-    total_t = T.add(l1_t, T.scale(l2_t, lam))
-    l1 = l1_t.item()
-    l2 = l2_t.item()
+    total_t = T.scale(T.add(l1_t, T.scale(l2_t, lam)), inv)
+    l1 = l1_t.item() * inv
+    l2 = l2_t.item() * inv
     return LossBreakdown(l1=l1, l2=l2, lam=lam, total=l1 + lam * l2,
                          per_outcome=per_outcome, per_node_recon=per_node,
                          loss=total_t)
@@ -111,7 +113,8 @@ def _as_records(records) -> list[Record]:
 
 def masked_loss(result, records, graph: OntologyGraph, lam: float) -> LossBreakdown:
     """L1 over expressed core nodes with labeled outcomes, L2 over all
-    expressed nodes; a fully unlabeled record contributes L2 only."""
+    expressed nodes, averaged over the records; a fully unlabeled record
+    contributes L2 only."""
     if lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
     recs = _as_records(records)
@@ -121,10 +124,10 @@ def masked_loss(result, records, graph: OntologyGraph, lam: float) -> LossBreakd
             continue
         if outcome not in graph.nodes[nid].outcomes:
             continue
-        term = _bce_sum(logits, recs, outcome)
+        term = _bce_sum(logits, result.rows[nid], recs, outcome)
         if term is not None:
             l1_terms[(nid, outcome)] = term
-    return _assemble(l1_terms, _recon_terms(result, recs), lam)
+    return _assemble(l1_terms, _recon_terms(result), lam, len(recs))
 
 
 def shaped_loss(result, records, graph: OntologyGraph, lam: float,
@@ -135,16 +138,16 @@ def shaped_loss(result, records, graph: OntologyGraph, lam: float,
         raise ValidationError(f"lambda must be >= 0, got {lam}")
     recs = _as_records(records)
     o = scheme.outcome
-    labeled = any(o in rec.labels for rec in recs)
     l1_terms: dict[tuple[str, str], Tensor] = {}
     for nid in sorted(result.representations):
+        rows = result.rows[nid]
         if (nid, o) not in result.outcome_logits:
-            if labeled:
+            if any(o in recs[i].labels for i in rows):
                 raise ValidationError(
                     f"reward scheme is active but node {nid!r} has no head for "
                     f"outcome {o!r}")
             continue
-        term = _bce_sum(result.outcome_logits[(nid, o)], recs, o)
+        term = _bce_sum(result.outcome_logits[(nid, o)], rows, recs, o)
         if term is not None:
             l1_terms[(nid, o)] = T.scale(term, scheme.weights[nid])
-    return _assemble(l1_terms, _recon_terms(result, recs), lam)
+    return _assemble(l1_terms, _recon_terms(result), lam, len(recs))

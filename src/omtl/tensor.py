@@ -4,17 +4,16 @@ Everything is a (rows, cols) matrix; scalars are (1, 1). Primitives record
 a backward closure on the active Tape, and Tape.backward replays them in
 strict reverse order, accumulating gradients in per-tape buffers. The op
 set is the minimum needed for one-layer feed-forward blocks, softmax
-gates, and the losses: matmul, bias add, elementwise add/sub/mul, constant
+gates, and the losses: matmul, elementwise add/sub/mul, constant
 scaling, LeakyReLU, ReLU, Softplus, sigmoid, log, softmax over the last
-axis, inverted dropout, concat, and full reductions (sum, mean).
+axis, inverted dropout, concat, row selection, full reductions (sum,
+mean), and fused affine forms of the activations and gates.
 
 Tensors flagged const (record features, labels, masks) never receive
 gradients, which keeps the backward pass off paths nothing can learn from.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -200,21 +199,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 t._accum(a, g)
             if not b.const:
                 t._accum(b, g)
-        t._record(out, backward)
-    return out
-
-
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a (1, m) bias row to every row of x."""
-    if b.shape[0] != 1 or b.shape[1] != x.shape[1]:
-        raise ShapeMismatch("add_bias", x.shape, b.shape)
-    out = _fresh(x.values + b.values)
-    t = _tape()
-    if t is not None:
-        def backward(g, t=t, x=x, b=b):
-            if not x.const:
-                t._accum(x, g)
-            t._accum(b, g.sum(axis=0, keepdims=True), own=True)
         t._record(out, backward)
     return out
 
@@ -536,50 +520,10 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization and Adam
+# parameter initialization
 
 
 def fan_in_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init; fan_in = rows."""
     bound = 1.0 / np.sqrt(max(rows, 1))
     return Tensor(rng.uniform(-bound, bound, size=(rows, cols)))
-
-
-@dataclass
-class AdamState:
-    """First/second moment buffers plus the shared step counter."""
-
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def adam_step(state: AdamState, params: dict[str, Tensor],
-              grads: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """One bias-corrected Adam update, in place on the parameter tensors."""
-    state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
-    step = state.lr / c1
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
-        if g.shape != p.values.shape:
-            raise ShapeMismatch("adam_step", p.values.shape, g.shape)
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.values)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p.values)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.values -= step * m / (np.sqrt(v / c2) + state.eps)
-    return params

@@ -18,21 +18,23 @@ import numpy as np
 from .datastore import Dataset, FoldPlan, Record, make_folds
 from .errors import NumericalError, ValidationError
 from .metrics import (EvalReport, ScoredSet, compare_scored_sets, score_metrics)
-from .model import (ModelSpec, OmtlModel, _expert_outputs, build_model,
-                    forward_group, forward_prepared, reinit_parent_gates)
+from .model import (ModelSpec, OmtlModel, build_model, forward,
+                    reinit_parent_gates)
 from .objective import (LossBreakdown, RewardScheme, make_reward_scheme,
                         masked_loss, shaped_loss)
 from .ontology import OntologyGraph
 from .rng import substream
-from .tensor import Tape, Tensor, scale
-from . import tensor as T
+from .tensor import Tape, Tensor
 
 FROZEN_IN_PHASE2 = ("expert.", "expert_gate.")
+# records per forward pass when scoring; bounds the memory a pass holds
+SCORE_CHUNK = 1024
 
 
 class _FlatAdam:
     """Bias-corrected Adam over one flat buffer spanning all trainable
-    parameters; per-element arithmetic identical to tensor.adam_step."""
+    parameters, reading each step's gradients from a backward-replayed
+    Tape."""
 
     def __init__(self, params: dict[str, Tensor], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -121,71 +123,19 @@ class TrainLog:
     train_record_ids: set[str] = field(default_factory=set)
     final_param_hash: str = ""
 
-    def phase_entries(self, phase: str) -> list[dict]:
-        return [e for e in self.entries if e["phase"] == phase]
-
     def to_json_obj(self) -> dict:
         # wall clock deliberately excluded: log files must be reproducible
         return {"entries": self.entries, "final_param_hash": self.final_param_hash}
 
 
-def _signature(rec: Record) -> tuple:
-    return (rec.concepts, frozenset(rec.labels))
-
-
-def group_records(records: list[Record]) -> list[list[Record]]:
-    """Split records into forward groups sharing concepts and label keys."""
-    groups: dict[tuple, list[Record]] = {}
-    for rec in records:
-        groups.setdefault(_signature(rec), []).append(rec)
-    return list(groups.values())
-
-
 def _batch_loss(model: OmtlModel, graph: OntologyGraph, batch: list[Record],
                 cfg: TrainConfig, scheme: RewardScheme | None,
                 mode: str, dropout_rng) -> LossBreakdown:
-    """Mean-per-record loss over one batch of (possibly mixed) records.
-
-    The expert pass runs once on the whole batch; each signature group then
-    selects its rows, so mixed batches stay cheap.
-    """
-    groups: dict[tuple, tuple[list[Record], list[int]]] = {}
-    for i, rec in enumerate(batch):
-        recs, idx = groups.setdefault(_signature(rec), ([], []))
-        recs.append(rec)
-        idx.append(i)
-    x_all = Tensor(np.vstack([r.features for r in batch]), const=True)
-    if x_all.shape[1] != model.spec.feature_dim:
-        raise ValidationError(f"record feature dim {x_all.shape[1]} != "
-                              f"model dim {model.spec.feature_dim}")
-    experts_all = _expert_outputs(model, x_all, mode, dropout_rng)
-    parts: list[LossBreakdown] = []
-    for recs, idx in groups.values():
-        if len(recs) == len(batch):
-            x_g, experts_g = x_all, experts_all
-        else:
-            rows = np.asarray(idx)
-            x_g = T.take_rows(x_all, rows)
-            experts_g = [T.take_rows(h, rows) for h in experts_all]
-        result = forward_prepared(model, graph, recs, x_g, experts_g, mode)
-        if scheme is None:
-            parts.append(masked_loss(result, recs, graph, cfg.lam))
-        else:
-            parts.append(shaped_loss(result, recs, graph, cfg.lam, scheme))
-    inv = 1.0 / len(batch)
-    loss_t = scale(T.sum_tensors([p.loss for p in parts]), inv)
-    l1 = sum(p.l1 for p in parts) * inv
-    l2 = sum(p.l2 for p in parts) * inv
-    per_outcome: dict[tuple[str, str], float] = {}
-    per_node: dict[str, float] = {}
-    for part in parts:
-        for key, v in part.per_outcome.items():
-            per_outcome[key] = per_outcome.get(key, 0.0) + v * inv
-        for nid, v in part.per_node_recon.items():
-            per_node[nid] = per_node.get(nid, 0.0) + v * inv
-    return LossBreakdown(l1=l1, l2=l2, lam=cfg.lam, total=l1 + cfg.lam * l2,
-                         per_outcome=per_outcome, per_node_recon=per_node,
-                         loss=loss_t)
+    """Mean-per-record loss over one batch of (possibly mixed) records."""
+    result = forward(model, graph, batch, mode, dropout_rng)
+    if scheme is None:
+        return masked_loss(result, batch, graph, cfg.lam)
+    return shaped_loss(result, batch, graph, cfg.lam, scheme)
 
 
 def evaluate_loss(model: OmtlModel, graph: OntologyGraph, records: list[Record],
@@ -412,16 +362,17 @@ def score_holdout(model: OmtlModel, graph: OntologyGraph,
     """Eval-mode predictions for every labeled (core node, outcome) pair the
     held-out records express; returns (record id, label, score) triples."""
     collected: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
-    for group in group_records(records):
-        result = forward_group(model, graph, group, "eval", None)
-        preds = result.predictions()
-        for (nid, o), p in preds.items():
+    for start in range(0, len(records), SCORE_CHUNK):
+        chunk = records[start:start + SCORE_CHUNK]
+        result = forward(model, graph, chunk, "eval", None)
+        for (nid, o), p in result.predictions().items():
             if not graph.nodes[nid].core or o not in graph.nodes[nid].outcomes:
                 continue
-            for i, rec in enumerate(group):
+            triples = collected.setdefault((nid, o), [])
+            for i, score in zip(result.rows[nid], p):
+                rec = chunk[i]
                 if o in rec.labels:
-                    collected.setdefault((nid, o), []).append(
-                        (rec.id, rec.labels[o], float(p[i])))
+                    triples.append((rec.id, rec.labels[o], float(score)))
     return collected
 
 
@@ -435,7 +386,7 @@ def _scored_set(key: tuple[str, str],
 
 
 def run_cv(graph: OntologyGraph, data: Dataset, cfg: TrainConfig, k: int = 5,
-           plan: FoldPlan | None = None, jobs: int = 1) -> CvResult:
+           plan: FoldPlan | None = None) -> CvResult:
     """Train and score cfg.variant across k folds of one shared plan."""
     cfg.validate()
     if plan is None:
@@ -448,7 +399,10 @@ def run_cv(graph: OntologyGraph, data: Dataset, cfg: TrainConfig, k: int = 5,
             f"fold plan does not cover {len(missing)} records "
             f"(first: {missing[0]!r})")
 
-    def one_fold(fold: int):
+    fold_reports: list[EvalReport] = []
+    logs: list[TrainLog] = []
+    pooled_triples: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
+    for fold in range(k):
         train_recs = [r for r in data.records if plan.fold_of(r.id) != fold]
         test_recs = [r for r in data.records if plan.fold_of(r.id) == fold]
         fold_data = Dataset(records=train_recs, feature_dim=data.feature_dim,
@@ -458,19 +412,7 @@ def run_cv(graph: OntologyGraph, data: Dataset, cfg: TrainConfig, k: int = 5,
         if leaked:
             raise NumericalError(f"fold {fold}: test records leaked into "
                                  f"training: {sorted(leaked)[:3]}")
-        return score_holdout(model, graph, test_recs), log
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one_fold, range(k)))
-    else:
-        outcomes = [one_fold(fold) for fold in range(k)]
-
-    fold_reports: list[EvalReport] = []
-    logs: list[TrainLog] = []
-    pooled_triples: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
-    for fold, (collected, log) in enumerate(outcomes):
+        collected = score_holdout(model, graph, test_recs)
         logs.append(log)
         per_target = {}
         for key, triples in sorted(collected.items()):
@@ -491,13 +433,12 @@ def run_cv(graph: OntologyGraph, data: Dataset, cfg: TrainConfig, k: int = 5,
 
 
 def compare_variants(graph: OntologyGraph, data: Dataset, cfg: TrainConfig,
-                     variants: list[str], k: int = 5,
-                     jobs: int = 1) -> tuple[dict[str, CvResult], list[dict]]:
+                     variants: list[str],
+                     k: int = 5) -> tuple[dict[str, CvResult], list[dict]]:
     """Run several variants on exactly the same folds and DeLong-test every
     pair on the pooled out-of-fold scores."""
     plan = make_folds(data, graph, k=k, seed=cfg.seed)
-    results = {v: run_cv(graph, data, _with_variant(cfg, v), k=k, plan=plan,
-                         jobs=jobs)
+    results = {v: run_cv(graph, data, _with_variant(cfg, v), k=k, plan=plan)
                for v in variants}
     comparisons: list[dict] = []
     for i, va in enumerate(variants):

@@ -102,6 +102,26 @@ def threshold_sweep_ap(scores, labels) -> float:
     return ap
 
 
+def midranks_loop(x) -> np.ndarray:
+    """1-based ranks, each run of equal sorted values sharing its average
+    rank; NaN equals nothing, so every NaN ranks alone."""
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="mergesort")
+    z = x[order]
+    n = len(x)
+    ranks = np.zeros(n)
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and z[j] == z[i]:
+            j += 1
+        ranks[i:j] = 0.5 * (i + j - 1) + 1
+        i = j
+    out = np.empty(n)
+    out[order] = ranks
+    return out
+
+
 def rank_auc_rows(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mann-Whitney AUC per row of a (runs, n) score matrix (with ties)."""
     n = scores.shape[1]

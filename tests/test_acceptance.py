@@ -19,8 +19,9 @@ from omtl.metrics import ScoredSet, auc_roc, average_precision, delong_test
 from omtl.model import ModelSpec, build_model, forward
 from omtl.objective import make_reward_scheme, masked_loss, reward_weights, shaped_loss
 from omtl.ontology import ConceptNode, OntologyGraph
-from omtl.tensor import AdamState, Tape, Tensor, adam_step
-from omtl.trainer import TrainConfig, compare_variants, train_phase1, train_phase2
+from omtl.tensor import Tape, Tensor
+from omtl.trainer import (TrainConfig, _FlatAdam, compare_variants,
+                          train_phase1, train_phase2)
 
 from conftest import chain_graph, diamond_graph, make_record, random_dag, tiny_model
 from oracles import (ReferenceAdam, finite_difference_gradients,
@@ -104,12 +105,12 @@ def test_criterion_2_gate_normalization():
     for _ in range(1000):
         x = Tensor(rng.normal(scale=4.0, size=(1, 7)))
         for nid in graph.ordered_ids:
-            gates = [T.softmax(T.affine(x, model.param(f"expert_gate.{nid}.w"),
-                                        model.param(f"expert_gate.{nid}.b")))]
+            gates = [T.softmax_affine(x, model.param(f"expert_gate.{nid}.w"),
+                                      model.param(f"expert_gate.{nid}.b"))]
             if graph.parents[nid]:
-                gates.append(T.softmax(T.affine(
+                gates.append(T.softmax_affine(
                     x, model.param(f"parent_gate.{nid}.w"),
-                    model.param(f"parent_gate.{nid}.b"))))
+                    model.param(f"parent_gate.{nid}.b")))
             for gate in gates:
                 ok = ok and (gate.values >= 0).all()
                 worst = max(worst, abs(float(gate.values.sum()) - 1.0))
@@ -242,16 +243,19 @@ def test_criterion_6_reward_shaping():
 
 
 def test_criterion_7_adam_against_reference():
-    p = {"w": Tensor([[1.0]])}
-    state = AdamState(lr=0.001)
+    # the optimizer training runs, fed by the tape: loss w^2, gradient 2w
+    w = Tensor([[1.0]])
+    adam = _FlatAdam({"w": w}, lr=0.001)
     ref = ReferenceAdam(lr=0.001)
     w_ref = np.array([[1.0]])
     worst = 0.0
     for _ in range(20):
-        g = 2.0 * p["w"].values  # d/dw of w^2
-        adam_step(state, p, {"w": g.copy()})
+        with Tape() as tape:
+            loss = T.squared_error_sum(w, np.zeros((1, 1)))
+        tape.backward(loss)
+        adam.step(tape)
         w_ref = ref.step(w_ref, 2.0 * w_ref)
-        worst = max(worst, abs(p["w"].item() - w_ref[0, 0]))
+        worst = max(worst, abs(w.item() - w_ref[0, 0]))
     criterion(7, f"20 Adam steps on w^2: max deviation from hand-coded "
                  f"reference {worst:.1e} (< 1e-12)", worst < 1e-12)
 

@@ -127,7 +127,7 @@ def test_compare_runs_delong_on_score_files(tmp_path):
     pa.write_text(json.dumps(a))
     pb.write_text(json.dumps(b))
     out = tmp_path / "cmp.json"
-    rc = dispatch(["compare", "--reports", "omtl,mmoe", "--delong",
+    rc = dispatch(["compare", "--reports", "omtl,mmoe",
                    "--scores-a", str(pa), "--scores-b", str(pb),
                    "--out", str(out)])
     assert rc == 0

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from omtl.errors import ValidationError
-from omtl.metrics import (ScoredSet, auc_roc, average_precision,
+from omtl.metrics import (ScoredSet, _midranks, auc_roc, average_precision,
                           compare_scored_sets, delong_test, roc_points)
 
-from oracles import pairwise_auc, permutation_delong_p, threshold_sweep_ap
+from oracles import (midranks_loop, pairwise_auc, permutation_delong_p,
+                     threshold_sweep_ap)
 
 
 def random_scored(rng, n, tie_fraction=0.0, prevalence=0.4):
@@ -23,6 +24,27 @@ def random_scored(rng, n, tie_fraction=0.0, prevalence=0.4):
         mask = rng.random(n) < tie_fraction
         scores = np.where(mask, quantized, scores)
     return ScoredSet(scores=scores, labels=labels)
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("values", [
+        [], [0.3], [0.3, 0.3], [0.5, 0.1, 0.9, 0.2],
+        [1.0, 0.0, 1.0, 1.0, 0.0, 2.0, 1.0],
+        [np.nan, 0.2, np.nan, 0.2, 0.1], [np.nan], [np.inf, -np.inf, np.inf],
+    ])
+    def test_matches_loop_oracle_on_edge_cases(self, values):
+        x = np.asarray(values, dtype=float)
+        assert np.array_equal(_midranks(x), midranks_loop(x))
+
+    def test_matches_loop_oracle_random_tied_and_untied(self, rng):
+        for trial in range(300):
+            n = int(rng.integers(0, 60))
+            x = rng.random(n)
+            if trial % 3 == 1:
+                x = np.round(x * 4) / 4  # heavy ties
+            elif trial % 3 == 2:
+                x[rng.random(n) < 0.2] = np.nan
+            assert np.array_equal(_midranks(x), midranks_loop(x))
 
 
 class TestAuc:

@@ -3,13 +3,14 @@ import pytest
 
 from omtl import tensor as T
 from omtl.errors import ValidationError
+from omtl.datastore import Record
 from omtl.model import (ForwardResult, ModelSpec, build_model, forward,
-                        forward_group, load_model, mix_experts,
-                        model_from_json_obj, model_to_json_obj,
-                        node_representation, reinit_parent_gates, save_model)
+                        load_model, mix_experts, model_from_json_obj,
+                        model_to_json_obj, node_representation,
+                        reinit_parent_gates, save_model)
 from omtl.objective import masked_loss
 from omtl.ontology import ConceptNode, OntologyGraph, ancestor_closure
-from omtl.tensor import Tape, Tensor, softmax, affine
+from omtl.tensor import Tape, Tensor, softmax_affine
 
 from conftest import chain_graph, diamond_graph, make_record, random_dag, tiny_model
 
@@ -227,36 +228,56 @@ class TestForward:
         for _ in range(100):
             x = Tensor(rng.normal(scale=3.0, size=(1, 7)))
             for nid in g.nodes:
-                gate = softmax(affine(x, model.param(f"expert_gate.{nid}.w"),
-                                      model.param(f"expert_gate.{nid}.b")))
+                gate = softmax_affine(x, model.param(f"expert_gate.{nid}.w"),
+                                      model.param(f"expert_gate.{nid}.b"))
                 assert (gate.values >= 0).all()
                 assert abs(gate.values.sum() - 1.0) < 1e-9
                 if g.parents[nid]:
-                    h = softmax(affine(x, model.param(f"parent_gate.{nid}.w"),
-                                       model.param(f"parent_gate.{nid}.b")))
+                    h = softmax_affine(x, model.param(f"parent_gate.{nid}.w"),
+                                       model.param(f"parent_gate.{nid}.b"))
                     assert (h.values >= 0).all()
                     assert abs(h.values.sum() - 1.0) < 1e-9
 
     def test_group_forward_matches_single_records(self, rng):
+        # a mixed batch: every anchor, labeled and unlabeled records
         g = diamond_graph()
         model = tiny_model(g, "omtl", d=7, de=3, experts=2)
-        recs = [make_record(g, rng, d=7, anchor="d", label=1, rid=f"r{i}")
-                for i in range(4)]
-        grouped = forward_group(model, g, recs, mode="eval")
+        recs = [make_record(g, rng, d=7, anchor=anchor, label=label,
+                            rid=f"r{i}")
+                for i, (anchor, label) in enumerate(
+                    [("d", 1), ("a", None), ("b", 0), ("d", None),
+                     ("c", 1), ("d", 0), ("b", None)])]
+        batch = forward(model, g, recs, mode="eval")
         for i, rec in enumerate(recs):
             single = forward(model, g, rec, mode="eval")
+            expressed = {nid for nid, rows in batch.rows.items() if i in rows}
+            assert expressed == set(single.representations) == set(rec.concepts)
             for nid in single.representations:
-                assert np.allclose(single.representations[nid].values,
-                                   grouped.representations[nid].values[i:i + 1],
-                                   atol=1e-12)
+                row = int(np.searchsorted(batch.rows[nid], i))
+                for got, want in ((batch.representations[nid],
+                                   single.representations[nid]),
+                                  (batch.reconstructions[nid],
+                                   single.reconstructions[nid])):
+                    assert np.abs(got.values[row] - want.values[0]).max() <= 1e-12
+            for (nid, o), z in single.outcome_logits.items():
+                row = int(np.searchsorted(batch.rows[nid], i))
+                got = batch.outcome_logits[(nid, o)].values[row]
+                assert np.abs(got - z.values[0]).max() <= 1e-12
 
-    def test_group_forward_rejects_mixed_signatures(self, rng):
-        g = chain_graph(3)
+    def test_unclosed_record_raises_even_when_batch_expresses_parent(self, rng):
+        g = diamond_graph()
         model = tiny_model(g, "omtl")
-        recs = [make_record(g, rng, d=7, anchor="c", rid="x"),
-                make_record(g, rng, d=7, anchor="a", rid="y")]
-        with pytest.raises(ValidationError, match="group"):
-            forward_group(model, g, recs)
+        closed_d = make_record(g, rng, d=7, anchor="d", label=1, rid="full")
+        closed_b = make_record(g, rng, d=7, anchor="b", rid="b")
+        broken = Record(id="broken", features=rng.normal(size=7),
+                        concepts=frozenset({"a", "d"}), labels={"event": 1})
+        # rows of b are {full, b} and rows of d are {full, broken}: the same
+        # count, so only a checked gather can tell they do not line up
+        for batch in ([closed_d, broken, closed_b], [broken, closed_b, closed_d]):
+            with pytest.raises(ValidationError, match="missing parent"):
+                forward(model, g, batch)
+        model.hierarchy_enabled = False
+        forward(model, g, [closed_d, broken, closed_b])
 
 
 class TestMmoeReduction:

@@ -191,3 +191,19 @@ class TestShapedLoss:
         breakdown = shaped_loss(result, rec, g, lam=0.5, scheme=scheme)
         assert breakdown.l1 == 0.0
         assert breakdown.l2 > 0.0
+
+    def test_node_with_only_unlabeled_rows_beside_labeled_node(self, rng):
+        g = diamond_graph()
+        model = tiny_model(g, "omtl", shared_outcome="event")
+        scheme = make_reward_scheme(g, 1.0, "event")
+        labeled = make_record(g, rng, d=7, anchor="b", rid="lab")
+        labeled.labels["event"] = 1
+        unlabeled = make_record(g, rng, d=7, anchor="c", rid="unlab")
+        batch = [labeled, unlabeled]
+        result = forward(model, g, batch, mode="train")
+        assert ("c", "event") not in result.outcome_logits
+        breakdown = shaped_loss(result, batch, g, lam=0.2, scheme=scheme)
+        assert set(breakdown.per_outcome) == {("a", "event"), ("b", "event")}
+        singles = [shaped_loss(forward(model, g, rec, mode="train"), rec, g,
+                               lam=0.2, scheme=scheme).total for rec in batch]
+        assert breakdown.total == pytest.approx(np.mean(singles), abs=1e-12)

@@ -5,7 +5,8 @@ import pytest
 
 from omtl import tensor as T
 from omtl.errors import NumericalError, ShapeMismatch
-from omtl.tensor import AdamState, Tape, Tensor, adam_step
+from omtl.tensor import Tape, Tensor
+from omtl.trainer import _FlatAdam
 
 from oracles import ReferenceAdam, finite_difference_gradients, max_relative_error
 
@@ -161,33 +162,45 @@ class TestBackward:
         assert (g1 == g2).all()
 
 
+def adam_on(adam: _FlatAdam, loss_fn) -> None:
+    """One optimizer step on the gradients of loss_fn() through a Tape."""
+    with Tape() as tape:
+        loss = loss_fn()
+    tape.backward(loss)
+    adam.step(tape)
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         p = {"w": Tensor([[1.5, -2.0]])}
+        other = Tensor([[0.3]])
         before = p["w"].values.copy()
-        adam_step(AdamState(), p, {"w": np.zeros((1, 2))})
+        adam_on(_FlatAdam(p, lr=0.001),
+                lambda: T.squared_error_sum(other, np.zeros((1, 1))))
         assert (p["w"].values == before).all()
 
     def test_first_step_unit_normalized(self):
         p = {"w": Tensor([[1.0]])}
-        state = AdamState(lr=0.001)
-        adam_step(state, p, {"w": np.ones((1, 1))})
+        # (w - (w - 0.5))^2 has gradient exactly 1 at any w
+        adam_on(_FlatAdam(p, lr=0.001),
+                lambda: T.squared_error_sum(p["w"], np.array([[0.5]])))
         # off from 1 - lr only by the eps guard in the denominator
         assert p["w"].item() == pytest.approx(1.0 - 0.001, abs=1e-10)
 
     def test_non_finite_gradient_names_parameter(self):
+        p = {"head.weights": Tensor([[1.0]])}
         with pytest.raises(NumericalError, match="head.weights"):
-            adam_step(AdamState(), {"head.weights": Tensor([[1.0]])},
-                      {"head.weights": np.array([[np.nan]])})
+            adam_on(_FlatAdam(p, lr=0.001),
+                    lambda: T.squared_error_sum(p["head.weights"],
+                                                np.array([[np.nan]])))
 
     def test_twenty_steps_match_reference_on_quadratic(self):
         # f(w) = w^2, gradient 2w, from w0 = 1
         p = {"w": Tensor([[1.0]])}
-        state = AdamState(lr=0.001)
+        adam = _FlatAdam(p, lr=0.001)
         ref = ReferenceAdam(lr=0.001)
         w_ref = np.array([[1.0]])
         for _ in range(20):
-            g = 2.0 * p["w"].values
-            adam_step(state, p, {"w": g.copy()})
+            adam_on(adam, lambda: T.squared_error_sum(p["w"], np.zeros((1, 1))))
             w_ref = ref.step(w_ref, 2.0 * w_ref)
             assert abs(p["w"].item() - w_ref[0, 0]) < 1e-12

@@ -6,11 +6,12 @@ from omtl.errors import ValidationError
 from omtl.model import build_model, forward
 from omtl.objective import masked_loss
 from omtl.ontology import ConceptNode, OntologyGraph
-from omtl.trainer import (TrainConfig, TrainLog, evaluate_loss, group_records,
-                          run_cv, train_baseline, train_phase1, train_phase2,
-                          train_variant)
+from omtl.tensor import Tape
+from omtl.trainer import (SCORE_CHUNK, TrainConfig, TrainLog, evaluate_loss,
+                          run_cv, score_holdout, train_baseline, train_phase1,
+                          train_phase2, train_variant)
 
-from conftest import chain_graph, make_record, tiny_model
+from conftest import chain_graph, diamond_graph, make_record, tiny_model
 
 
 def small_benchmark(seed=0, records=40, d=10):
@@ -251,10 +252,45 @@ class TestCv:
                         if f == fold}
             assert not (log.train_record_ids & test_ids)
 
-    def test_group_records_splits_by_signature(self, rng):
-        graph = chain_graph(3)
-        recs = [make_record(graph, rng, d=5, anchor="a", rid="r1"),
-                make_record(graph, rng, d=5, anchor="a", rid="r2"),
-                make_record(graph, rng, d=5, anchor="c", rid="r3")]
-        groups = group_records(recs)
-        assert sorted(len(g) for g in groups) == [1, 2]
+    def test_score_holdout_beyond_one_chunk_matches_single_records(self):
+        graph, data = small_benchmark(records=400, d=6)
+        assert len(data.records) > SCORE_CHUNK
+        model = tiny_model(graph, "omtl", d=6, de=3, experts=2, seed=2)
+        chunked = score_holdout(model, graph, data.records)
+        alone: dict = {}
+        for rec in data.records:
+            for key, triples in score_holdout(model, graph, [rec]).items():
+                alone.setdefault(key, []).extend(triples)
+        assert sorted(chunked) == sorted(alone)
+        for key in alone:
+            got, want = sorted(chunked[key]), sorted(alone[key])
+            assert [t[:2] for t in got] == [t[:2] for t in want]
+            assert max(abs(a[2] - b[2]) for a, b in zip(got, want)) <= 1e-12
+
+
+class TestMixedBatchLoss:
+    def test_evaluate_loss_is_mean_of_single_record_losses(self, rng):
+        g = diamond_graph()
+        model = tiny_model(g, "omtl", d=7, de=3, experts=2, seed=3)
+        cfg = tiny_config(lam=0.3)
+        batch = [make_record(g, rng, d=7, anchor=anchor, label=label,
+                             rid=f"r{i}")
+                 for i, (anchor, label) in enumerate(
+                     [("d", 1), ("a", None), ("b", 0), ("d", None),
+                      ("c", 1), ("d", 0)])]
+        with Tape() as tape:
+            mixed = evaluate_loss(model, g, batch, cfg, None)
+        tape.backward(mixed.loss)
+        total = 0.0
+        grads = {n: np.zeros_like(p.values) for n, p in model.params.items()}
+        for rec in batch:
+            with Tape() as single_tape:
+                single = masked_loss(forward(model, g, rec), rec, g, cfg.lam)
+            single_tape.backward(single.loss)
+            total += single.total / len(batch)
+            for name, p in model.params.items():
+                grads[name] += single_tape.gradient(p) / len(batch)
+        assert abs(mixed.total - total) <= 1e-12
+        assert abs(mixed.loss.item() - total) <= 1e-12
+        for name, p in model.params.items():
+            assert np.abs(tape.gradient(p) - grads[name]).max() <= 1e-12, name
