@@ -16,10 +16,8 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .datastore import (FoldPlan, SynthConfig, generate_synthetic,
+from .datastore import (SynthConfig, generate_synthetic, json_field,
                         load_dataset, make_folds, save_dataset)
 from .errors import OmtlError, ValidationError
 from .metrics import ScoredSet, compare_scored_sets, score_metrics
@@ -28,7 +26,7 @@ from .ontology import GrowthConfig, grow_from_core, load_graph, save_graph
 from .rng import substream
 from .tensor import Tape
 from .trainer import (TrainConfig, compare_variants, run_cv, score_holdout,
-                      train_variant)
+                      scored_set, train_variant)
 
 
 def _file_hash(path: str | None) -> str | None:
@@ -158,18 +156,11 @@ def cmd_eval(args) -> int:
     data = load_dataset(args.data, graph)
     model = load_model(args.model, graph)
     collected = score_holdout(model, graph, data.records)
+    sets = {key: scored_set(key, collected[key]) for key in sorted(collected)}
     per_target = {}
-    scores_obj = {}
     roc_obj = {}
-    for key in sorted(collected):
-        triples = sorted(collected[key])
-        s = ScoredSet(scores=np.array([t[2] for t in triples]),
-                      labels=np.array([t[1] for t in triples]),
-                      node=key[0], outcome=key[1],
-                      ids=tuple(t[0] for t in triples))
+    for key, s in sets.items():
         name = "|".join(key)
-        scores_obj[name] = {"ids": list(s.ids), "labels": s.labels.tolist(),
-                            "scores": s.scores.tolist()}
         if 0 < s.n_pos < s.n:
             tm = score_metrics(s)
             per_target[name] = tm.to_json_obj()
@@ -182,7 +173,7 @@ def cmd_eval(args) -> int:
         _write_json(args.roc_out, roc_obj)
         outputs.append(args.roc_out)
     if args.scores_out:
-        _write_json(args.scores_out, scores_obj)
+        _write_json(args.scores_out, _scores_obj(sets))
         outputs.append(args.scores_out)
     _emit_manifest(args.report, args, outputs)
     return 0
@@ -207,16 +198,18 @@ def cmd_cv(args) -> int:
     _write_json(args.report, obj)
     outputs = [args.report]
     if args.scores_out:
-        scores_obj = {
-            v: {"|".join(key): {"ids": list(s.ids),
-                                "labels": s.labels.tolist(),
-                                "scores": s.scores.tolist()}
-                for key, s in r.pooled.items()}
-            for v, r in scores.items()}
-        _write_json(args.scores_out, scores_obj)
+        _write_json(args.scores_out,
+                    {v: _scores_obj(r.pooled) for v, r in scores.items()})
         outputs.append(args.scores_out)
     _emit_manifest(args.report, args, outputs)
     return 0
+
+
+def _scores_obj(sets: dict[tuple[str, str], ScoredSet]) -> dict:
+    """Score-file form of scored sets: {"node|outcome": {ids, labels, scores}}."""
+    return {"|".join(key): {"ids": list(s.ids), "labels": s.labels.tolist(),
+                            "scores": s.scores.tolist()}
+            for key, s in sets.items()}
 
 
 def _load_scores_file(path: str) -> dict[str, ScoredSet]:
@@ -225,13 +218,17 @@ def _load_scores_file(path: str) -> dict[str, ScoredSet]:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read scores {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"scores {path} must be a JSON object")
     out = {}
     for name, entry in obj.items():
+        where = f"scores {path}: target {name!r}"
+        ids = json_field(entry, "ids", "list[str]", where, default=None)
         node, _, outcome = name.partition("|")
-        out[name] = ScoredSet(scores=np.array(entry["scores"], dtype=float),
-                              labels=np.array(entry["labels"]),
+        out[name] = ScoredSet(scores=json_field(entry, "scores", "list[float]", where),
+                              labels=json_field(entry, "labels", "list[int]", where),
                               node=node, outcome=outcome,
-                              ids=tuple(entry["ids"]) if "ids" in entry else None)
+                              ids=None if ids is None else tuple(ids))
     return out
 
 

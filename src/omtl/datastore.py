@@ -1,4 +1,4 @@
-"""Records, dataset IO, stratified folds, and the synthetic cohort generator.
+"""Records, dataset IO, typed JSON fields, folds, and synthetic cohorts.
 
 Record files are JSONL, one object per line:
     {"id": str, "features": [float x d], "concepts": [str, ...],
@@ -10,13 +10,65 @@ concept always expresses all of its ancestors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .ontology import ConceptNode, OntologyGraph, ancestor_closure
 from .rng import substream
+
+
+# Python types json.load produces for each JSON kind a field may declare
+_JSON_KINDS = {"int": {int}, "float": {int, float}, "bool": {bool},
+               "str": {str}, "dict": {dict}}
+
+
+def _json_type_ok(value, kind: str) -> bool:
+    """Whether a parsed JSON value has the type a field annotation names:
+    a key of _JSON_KINDS, X | None, or list[X] / tuple[X, ...] (both JSON
+    arrays) of such an X."""
+    if kind.endswith(" | None"):
+        return value is None or _json_type_ok(value, kind[:-len(" | None")])
+    if kind.startswith(("list[", "tuple[")):
+        allowed = _JSON_KINDS[kind[kind.index("[") + 1:-1].removesuffix(", ...")]
+        return type(value) is list and all(type(v) in allowed for v in value)
+    return type(value) in _JSON_KINDS[kind]
+
+
+def json_field(obj, key: str, kind: str, where: str, default=MISSING):
+    """obj[key] from a parsed JSON object, checked against kind (see
+    `_json_type_ok`); default, when given, stands in for a missing key."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    if key not in obj:
+        if default is not MISSING:
+            return default
+        raise ValidationError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if not _json_type_ok(value, kind):
+        raise ValidationError(f"{where}: field {key!r} must be {kind}, "
+                              f"got {json.dumps(value)[:40]}")
+    return value
+
+
+def config_fields(cls, obj, where: str) -> dict:
+    """Keyword arguments for the dataclass cls from a JSON object: every
+    key must name a field, every value must have the field's declared
+    type, and fields without a default must be present. Arrays become
+    tuples."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    fields = cls.__dataclass_fields__
+    for key in obj:
+        if key not in fields:
+            raise ValidationError(f"unknown {where} field {key!r}")
+    out = {}
+    for name, f in fields.items():
+        if name in obj or (f.default is MISSING and f.default_factory is MISSING):
+            value = json_field(obj, name, f.type, where)
+            out[name] = tuple(value) if isinstance(value, list) else value
+    return out
 
 
 @dataclass
@@ -65,7 +117,11 @@ def load_dataset(path: str, graph: OntologyGraph) -> Dataset:
     records: list[Record] = []
     feature_dim: int | None = None
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read records {path}: {exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -102,16 +158,22 @@ def _record_from_obj(raw, graph: OntologyGraph, known_outcomes: set[str],
         concepts = raw["concepts"]
     except KeyError as exc:
         raise ValidationError(f"{where}: missing field {exc}") from exc
-    feats = np.asarray(features, dtype=np.float64)
+    labels_obj = raw.get("labels") or {}
+    if not isinstance(concepts, list) or not isinstance(labels_obj, dict):
+        raise ValidationError(f"{where}: concepts must be a list and labels an object")
+    try:
+        feats = np.asarray(features, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: features must be a list of numbers") from exc
     if feats.ndim != 1 or not np.all(np.isfinite(feats)):
         raise ValidationError(f"{where}: features must be a flat list of finite numbers")
     if not concepts:
         raise ValidationError(f"{where}: concepts must be nonempty")
     for cid in concepts:
-        if cid not in graph.nodes:
+        if not isinstance(cid, str) or cid not in graph.nodes:
             raise ValidationError(f"{where}: unknown concept id {cid!r}")
     labels = {}
-    for name, value in (raw.get("labels") or {}).items():
+    for name, value in labels_obj.items():
         if name not in known_outcomes:
             raise ValidationError(f"{where}: unknown outcome name {name!r}")
         if value not in (0, 1):
@@ -284,20 +346,15 @@ class SynthConfig:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "SynthConfig":
-        cfg = SynthConfig()
-        fields = set(cfg.__dataclass_fields__)
-        for key, value in obj.items():
-            if key not in fields:
-                raise ValidationError(f"unknown synth config field {key!r}")
-            if key == "outcomes":
-                value = tuple(value)
-            setattr(cfg, key, value)
+        cfg = SynthConfig(**config_fields(SynthConfig, obj, "synth config"))
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
         if self.levels < 1 or self.branching < 1:
             raise ValidationError("levels and branching must be >= 1")
+        if self.records_per_node < 1 or self.feature_dim < 1:
+            raise ValidationError("records_per_node and feature_dim must be >= 1")
         if not 0.0 <= self.rho <= 1.0:
             raise ValidationError(f"rho must be in [0, 1], got {self.rho}")
         if not 0.0 < self.prevalence < 1.0:

@@ -110,21 +110,23 @@ def roc_points(s: ScoredSet) -> list[tuple[float, float]]:
 
 
 def _delong_components(s: ScoredSet) -> tuple[float, np.ndarray, np.ndarray]:
-    """AUC plus the positive (v01) and negative (v10) structural components."""
+    """AUC, computed exactly as auc_roc does, plus the positive (v01) and
+    negative (v10) structural components."""
     m, n = _require_both_classes(s)
     pos = s.scores[s.labels == 1]
     neg = s.scores[s.labels == 0]
     tx = _midranks(pos)
     ty = _midranks(neg)
     tz = _midranks(np.concatenate([pos, neg]))
-    auc = (tz[:m].sum() / m - (m + 1) / 2.0) / n
+    auc = (tz[:m].sum() - m * (m + 1) / 2.0) / (m * n)
     v01 = (tz[:m] - tx) / n
     v10 = 1.0 - (tz[m:] - ty) / m
     return auc, v01, v10
 
 
-def delong_test(a: ScoredSet, b: ScoredSet) -> tuple[float, float, float]:
-    """Two-sided DeLong test for paired AUCs; returns (delta_auc, z, p).
+def delong_test(a: ScoredSet, b: ScoredSet) -> tuple[float, float, float, float, float]:
+    """Two-sided DeLong test for paired AUCs; returns
+    (auc_a, auc_b, delta_auc, z, p), where delta_auc is exactly auc_a - auc_b.
 
     Both sets must score the same records: identical label vectors and,
     when ids are present on both, identical ids.
@@ -147,11 +149,11 @@ def delong_test(a: ScoredSet, b: ScoredSet) -> tuple[float, float, float]:
         var += d10.var(ddof=1) / n
     if var <= 0.0:
         if delta == 0.0:
-            return 0.0, 0.0, 1.0
-        return delta, math.copysign(math.inf, delta), 0.0
+            return auc_a, auc_b, 0.0, 0.0, 1.0
+        return auc_a, auc_b, delta, math.copysign(math.inf, delta), 0.0
     z = delta / math.sqrt(var)
     p = math.erfc(abs(z) / math.sqrt(2.0))
-    return delta, z, p
+    return auc_a, auc_b, delta, z, p
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +196,12 @@ def score_metrics(s: ScoredSet, with_roc: bool = True) -> TargetMetrics:
         roc=roc_points(s) if with_roc else [])
 
 
-def compare_scored_sets(a: ScoredSet, b: ScoredSet, name_a: str, name_b: str,
-                        alpha: float = 0.05) -> dict:
-    delta, z, p = delong_test(a, b)
+def compare_scored_sets(a: ScoredSet, b: ScoredSet, name_a: str, name_b: str) -> dict:
+    auc_a, auc_b, delta, z, p = delong_test(a, b)
     return {
         "model_a": name_a, "model_b": name_b,
         "node": a.node, "outcome": a.outcome,
-        "auc_a": auc_roc(a), "auc_b": auc_roc(b),
+        "auc_a": auc_a, "auc_b": auc_b,
         "delta_auc": delta, "z": z if math.isfinite(z) else None, "p_value": p,
-        "significant_at_0.05": bool(p < alpha),
+        "significant_at_0.05": bool(p < 0.05),
     }

@@ -26,7 +26,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ValidationError
 from .ontology import OntologyGraph
-from .datastore import Record
+from .datastore import Record, config_fields, json_field
 from .rng import substream
 from .tensor import Tensor
 
@@ -67,7 +67,7 @@ class ModelSpec:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ModelSpec":
-        return ModelSpec(**obj)
+        return ModelSpec(**config_fields(ModelSpec, obj, "model spec"))
 
 
 class OmtlModel:
@@ -108,8 +108,6 @@ def _alloc(params: dict[str, Tensor], rng, name: str, rows: int, cols: int) -> N
     params[name + ".w"] = T.fan_in_uniform(rng, rows, cols)
     bound = 1.0 / np.sqrt(max(rows, 1))
     params[name + ".b"] = Tensor(rng.uniform(-bound, bound, size=(1, cols)))
-    params[name + ".w"].name = name + ".w"
-    params[name + ".b"].name = name + ".b"
 
 
 def build_model(spec: ModelSpec, graph: OntologyGraph, seed: int = 0,
@@ -195,6 +193,8 @@ def _expert_outputs(model: OmtlModel, x: Tensor, mode: str,
 
 
 def _mix(model: OmtlModel, nid: str, x: Tensor, expert_outs: list[Tensor]) -> Tensor:
+    """Node nid's expert mixture: sb passes its one expert through, moe takes
+    the unweighted mean, mmoe and omtl weight by the node's expert gate."""
     variant = model.spec.variant
     if variant == "sb":
         return expert_outs[0]
@@ -224,30 +224,6 @@ def _node_repr(model: OmtlModel, nid: str, x: Tensor, mixed: Tensor,
         pre = T.add(mixed, mixed_parents)
     return T.softplus_affine(pre, model.param(f"repr.{nid}.w"),
                              model.param(f"repr.{nid}.b"))
-
-
-def mix_experts(model: OmtlModel, node_id: str, x, mode: str = "eval",
-                dropout_rng=None) -> Tensor:
-    """Gate-weighted expert mixture for one node (the M input to its
-    representation layer). SB passes its single expert through; MOE is the
-    unweighted mean."""
-    if node_id not in model.graph.nodes:
-        raise ValidationError(f"unknown node {node_id!r}")
-    xt = x if isinstance(x, Tensor) else Tensor(x, const=True)
-    return _mix(model, node_id, xt, _expert_outputs(model, xt, mode, dropout_rng))
-
-
-def node_representation(model: OmtlModel, node_id: str, x,
-                        parent_reprs: dict[str, Tensor] | None = None,
-                        mode: str = "eval", dropout_rng=None) -> Tensor:
-    """Representation of one node given its parents' representations."""
-    if node_id not in model.graph.nodes:
-        raise ValidationError(f"unknown node {node_id!r}")
-    xt = x if isinstance(x, Tensor) else Tensor(x, const=True)
-    mixed = _mix(model, node_id, xt, _expert_outputs(model, xt, mode, dropout_rng))
-    reprs = {k: v if isinstance(v, Tensor) else Tensor(v)
-             for k, v in (parent_reprs or {}).items()}
-    return _node_repr(model, node_id, xt, mixed, reprs)
 
 
 def _parent_rows(graph: OntologyGraph, nid: str, idx: np.ndarray,
@@ -340,18 +316,27 @@ def model_to_json_obj(model: OmtlModel) -> dict:
 
 
 def model_from_json_obj(obj: dict, graph: OntologyGraph) -> OmtlModel:
-    spec = ModelSpec.from_json_obj(obj["spec"])
-    if obj["graph_hash"] != graph.graph_hash():
+    where = "model file"
+    spec = ModelSpec.from_json_obj(json_field(obj, "spec", "dict", where))
+    graph_hash = json_field(obj, "graph_hash", "str", where)
+    if graph_hash != graph.graph_hash():
         raise ValidationError("model was built against a different graph "
-                              f"(hash {obj['graph_hash'][:12]}...)")
+                              f"(hash {graph_hash[:12]}...)")
     params = {}
-    for name, entry in obj["params"].items():
-        values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        params[name] = Tensor(values, name=name)
-    outcome_map = {nid: tuple(v) for nid, v in obj["outcome_map"].items()}
+    for name, entry in json_field(obj, "params", "dict", where).items():
+        at = f"{where}: parameter {name!r}"
+        shape = json_field(entry, "shape", "list[int]", at)
+        values = json_field(entry, "values", "list[float]", at)
+        if len(shape) != 2 or shape[0] * shape[1] != len(values):
+            raise ValidationError(f"{at}: {len(values)} values do not fill "
+                                  f"a matrix of shape {shape}")
+        params[name] = Tensor(np.array(values, dtype=np.float64).reshape(shape))
+    outcomes = json_field(obj, "outcome_map", "dict", where)
+    outcome_map = {nid: tuple(json_field(outcomes, nid, "list[str]", where))
+                   for nid in outcomes}
     model = OmtlModel(spec, graph, params, outcome_map)
-    model.hierarchy_enabled = bool(obj.get("hierarchy_enabled",
-                                           spec.has_parent_gates))
+    model.hierarchy_enabled = json_field(obj, "hierarchy_enabled", "bool", where,
+                                         default=spec.has_parent_gates)
     return model
 
 

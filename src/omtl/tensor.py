@@ -3,14 +3,19 @@
 Everything is a (rows, cols) matrix; scalars are (1, 1). Primitives record
 a backward closure on the active Tape, and Tape.backward replays them in
 strict reverse order, accumulating gradients in per-tape buffers. The op
-set is the minimum needed for one-layer feed-forward blocks, softmax
-gates, and the losses: matmul, elementwise add/sub/mul, constant
-scaling, LeakyReLU, ReLU, Softplus, sigmoid, log, softmax over the last
-axis, inverted dropout, concat, row selection, full reductions (sum,
-mean), and fused affine forms of the activations and gates.
+set is exactly what the model and its losses run: the fused affine forms
+(affine, softmax_affine for the gates, softplus_affine for representation
+layers, relu_affine for reconstructions), LeakyReLU, inverted dropout,
+row selection (take_rows), gate mixing (weighted_sum), elementwise sums
+(add, sum_tensors), constant scaling, and the two summed losses
+(bce_with_logits_sum, squared_error_sum).
 
-Tensors flagged const (record features, labels, masks) never receive
-gradients, which keeps the backward pass off paths nothing can learn from.
+Constness decides gradient flow, in one place (`_result`): an op whose
+inputs are all const has a const output and records nothing, and a tape
+never accumulates into a const tensor. Record features, labels and masks
+are const, and so are parameters frozen for a training phase, so the tape
+does no gradient work on paths nothing can learn from. Beyond that rule,
+an op skips only the matmul that would produce a const input's gradient.
 """
 
 from __future__ import annotations
@@ -23,11 +28,11 @@ _ACTIVE_TAPE: list["Tape"] = []
 
 
 class Tensor:
-    """A (rows, cols) matrix of float64 values, optionally named."""
+    """A (rows, cols) matrix of float64 values."""
 
-    __slots__ = ("values", "name", "const")
+    __slots__ = ("values", "const")
 
-    def __init__(self, values, name: str | None = None, const: bool = False):
+    def __init__(self, values, const: bool = False):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -36,7 +41,6 @@ class Tensor:
         elif arr.ndim != 2:
             raise ShapeMismatch("tensor", arr.shape)
         self.values = arr
-        self.name = name
         self.const = const
 
     @property
@@ -48,21 +52,8 @@ class Tensor:
             raise ShapeMismatch("item", self.shape)
         return float(self.values[0, 0])
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.values.copy(), name=self.name, const=self.const)
-
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag})"
-
-
-def _fresh(arr: np.ndarray) -> Tensor:
-    """Internal constructor for op outputs: arr is already 2-D float64."""
-    t = Tensor.__new__(Tensor)
-    t.values = arr
-    t.name = None
-    t.const = False
-    return t
+        return f"Tensor(shape={self.shape}, const={self.const})"
 
 
 class Tape:
@@ -80,12 +71,11 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _ACTIVE_TAPE.pop()
 
-    def _record(self, out: Tensor, backward) -> None:
-        self._ops.append((out, backward))
-
     def _accum(self, t: Tensor, g: np.ndarray, own: bool = False) -> None:
-        """Add g to t's gradient buffer. own=True promises g is a fresh
-        array the tape may keep and mutate."""
+        """Add g to t's gradient buffer unless t is const. own=True
+        promises g is a fresh array the tape may keep and mutate."""
+        if t.const:
+            return
         key = id(t)
         buf = self._grads.get(key)
         if buf is None:
@@ -119,42 +109,42 @@ class Tape:
         return {name: self.gradient(p) for name, p in params.items()}
 
 
-def _tape() -> Tape | None:
-    return _ACTIVE_TAPE[-1] if _ACTIVE_TAPE else None
+def _result(arr: np.ndarray, *inputs: Tensor) -> tuple[Tensor, Tape | None]:
+    """Wrap an op's output arr (already 2-D float64) and return the tape
+    its backward goes on: None when no tape is active, or when every input
+    is const, which also makes the output const."""
+    out = Tensor.__new__(Tensor)
+    out.values = arr
+    for x in inputs:
+        if not x.const:
+            out.const = False
+            return out, _ACTIVE_TAPE[-1] if _ACTIVE_TAPE else None
+    out.const = True
+    return out, None
 
 
 # ---------------------------------------------------------------------------
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch("matmul", a.shape, b.shape)
-    out = _fresh(a.values @ b.values)
-    t = _tape()
-    if t is not None:
-        def backward(g, t=t, a=a, b=b):
-            if not a.const:
-                t._accum(a, g @ b.values.T, own=True)
-            if not b.const:
-                t._accum(b, a.values.T @ g, own=True)
-        t._record(out, backward)
-    return out
+def _affine_grads(t: Tape, x: Tensor, w: Tensor, b: Tensor, gz: np.ndarray) -> None:
+    """Accumulate the gradients of z = x @ w + b given gz = d(loss)/dz; the
+    matmul for x's gradient is skipped when x is const."""
+    if not x.const:
+        t._accum(x, gz @ w.values.T, own=True)
+    t._accum(w, x.values.T @ gz, own=True)
+    t._accum(b, gz.sum(axis=0, keepdims=True), own=True)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b with a (1, m) bias row, recorded as one op."""
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeMismatch("affine", x.shape, w.shape, b.shape)
-    out = _fresh(x.values @ w.values + b.values)
-    t = _tape()
+    out, t = _result(x.values @ w.values + b.values, x, w, b)
     if t is not None:
         def backward(g, t=t, x=x, w=w, b=b):
-            if not x.const:
-                t._accum(x, g @ w.values.T, own=True)
-            t._accum(w, x.values.T @ g, own=True)
-            t._accum(b, g.sum(axis=0, keepdims=True), own=True)
-        t._record(out, backward)
+            _affine_grads(t, x, w, b, g)
+        t._ops.append((out, backward))
     return out
 
 
@@ -173,17 +163,15 @@ def weighted_sum(weights: Tensor, parts: list[Tensor]) -> Tensor:
     acc = weights.values[:, 0:1] * parts[0].values
     for j in range(1, k):
         acc += weights.values[:, j:j + 1] * parts[j].values
-    out = _fresh(acc)
-    t = _tape()
+    out, t = _result(acc, weights, *parts)
     if t is not None:
         def backward(g, t=t, weights=weights, parts=parts):
             wg = np.empty_like(weights.values)
             for j, p in enumerate(parts):
-                if not p.const:
-                    t._accum(p, g * weights.values[:, j:j + 1], own=True)
+                t._accum(p, g * weights.values[:, j:j + 1], own=True)
                 wg[:, j] = (g * p.values).sum(axis=1)
             t._accum(weights, wg, own=True)
-        t._record(out, backward)
+        t._ops.append((out, backward))
     return out
 
 
@@ -191,92 +179,33 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeMismatch("add", a.shape, b.shape)
-    out = _fresh(a.values + b.values)
-    t = _tape()
+    out, t = _result(a.values + b.values, a, b)
     if t is not None:
         def backward(g, t=t, a=a, b=b):
-            if not a.const:
-                t._accum(a, g)
-            if not b.const:
-                t._accum(b, g)
-        t._record(out, backward)
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch("sub", a.shape, b.shape)
-    out = _fresh(a.values - b.values)
-    t = _tape()
-    if t is not None:
-        def backward(g, t=t, a=a, b=b):
-            if not a.const:
-                t._accum(a, g)
-            if not b.const:
-                t._accum(b, -g, own=True)
-        t._record(out, backward)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product."""
-    if a.shape != b.shape:
-        raise ShapeMismatch("mul", a.shape, b.shape)
-    out = _fresh(a.values * b.values)
-    t = _tape()
-    if t is not None:
-        def backward(g, t=t, a=a, b=b):
-            if not a.const:
-                t._accum(a, g * b.values, own=True)
-            if not b.const:
-                t._accum(b, g * a.values, own=True)
-        t._record(out, backward)
+            t._accum(a, g)
+            t._accum(b, g)
+        t._ops.append((out, backward))
     return out
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python-float constant (not differentiated through)."""
     c = float(c)
-    out = _fresh(x.values * c)
-    t = _tape()
-    if t is not None and not x.const:
+    out, t = _result(x.values * c, x)
+    if t is not None:
         def backward(g, t=t, x=x, c=c):
             t._accum(x, g * c, own=True)
-        t._record(out, backward)
+        t._ops.append((out, backward))
     return out
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     pos = x.values > 0
-    out = _fresh(np.where(pos, x.values, slope * x.values))
-    t = _tape()
-    if t is not None and not x.const:
+    out, t = _result(np.where(pos, x.values, slope * x.values), x)
+    if t is not None:
         def backward(g, t=t, x=x, pos=pos, slope=slope):
             t._accum(x, g * np.where(pos, 1.0, slope), own=True)
-        t._record(out, backward)
-    return out
-
-
-def relu(x: Tensor) -> Tensor:
-    pos = x.values > 0
-    out = _fresh(np.where(pos, x.values, 0.0))
-    t = _tape()
-    if t is not None and not x.const:
-        def backward(g, t=t, x=x, pos=pos):
-            t._accum(x, g * pos, own=True)
-        t._record(out, backward)
-    return out
-
-
-def softplus(x: Tensor) -> Tensor:
-    # logaddexp(0, x) = log(1 + e^x) without overflow for large |x|
-    out = _fresh(np.logaddexp(0.0, x.values))
-    t = _tape()
-    if t is not None and not x.const:
-        sig = _sigmoid_values(x.values)
-        def backward(g, t=t, x=x, sig=sig):
-            t._accum(x, g * sig, own=True)
-        t._record(out, backward)
+        t._ops.append((out, backward))
     return out
 
 
@@ -286,42 +215,6 @@ def _sigmoid_values(v: np.ndarray) -> np.ndarray:
     out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid_values(x.values)
-    out = _fresh(s)
-    t = _tape()
-    if t is not None and not x.const:
-        def backward(g, t=t, x=x, s=s):
-            t._accum(x, g * s * (1.0 - s), own=True)
-        t._record(out, backward)
-    return out
-
-
-def log(x: Tensor) -> Tensor:
-    out = _fresh(np.log(x.values))
-    t = _tape()
-    if t is not None and not x.const:
-        def backward(g, t=t, x=x):
-            t._accum(x, g / x.values, own=True)
-        t._record(out, backward)
-    return out
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis; each output row sums to 1."""
-    shifted = x.values - x.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = _fresh(s)
-    t = _tape()
-    if t is not None and not x.const:
-        def backward(g, t=t, x=x, s=s):
-            dot = (g * s).sum(axis=1, keepdims=True)
-            t._accum(x, s * (g - dot), own=True)
-        t._record(out, backward)
     return out
 
 
@@ -336,31 +229,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Te
         return x
     keep = 1.0 - rate
     mask = (rng.random(x.shape) >= rate) / keep
-    out = _fresh(x.values * mask)
-    t = _tape()
-    if t is not None and not x.const:
+    out, t = _result(x.values * mask, x)
+    if t is not None:
         def backward(g, t=t, x=x, mask=mask):
             t._accum(x, g * mask, own=True)
-        t._record(out, backward)
-    return out
-
-
-def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
-    if axis not in (0, 1):
-        raise ShapeMismatch("concat axis", axis)
-    other = 1 - axis
-    sizes = [p.shape[axis] for p in parts]
-    if len({p.shape[other] for p in parts}) != 1:
-        raise ShapeMismatch("concat", *[p.shape for p in parts])
-    out = _fresh(np.concatenate([p.values for p in parts], axis=axis))
-    t = _tape()
-    if t is not None:
-        offsets = np.cumsum([0] + sizes)
-        def backward(g, t=t, parts=parts, offsets=offsets, axis=axis):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                if not p.const:
-                    t._accum(p, g[lo:hi, :] if axis == 0 else g[:, lo:hi])
-        t._record(out, backward)
+        t._ops.append((out, backward))
     return out
 
 
@@ -372,16 +245,12 @@ def softmax_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
-    out = _fresh(z)
-    t = _tape()
+    out, t = _result(z, x, w, b)
     if t is not None:
         def backward(g, t=t, x=x, w=w, b=b, s=z):
             gz = s * (g - (g * s).sum(axis=1, keepdims=True))
-            if not x.const:
-                t._accum(x, gz @ w.values.T, own=True)
-            t._accum(w, x.values.T @ gz, own=True)
-            t._accum(b, gz.sum(axis=0, keepdims=True), own=True)
-        t._record(out, backward)
+            _affine_grads(t, x, w, b, gz)
+        t._ops.append((out, backward))
     return out
 
 
@@ -390,17 +259,13 @@ def softplus_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeMismatch("softplus_affine", x.shape, w.shape, b.shape)
     z = x.values @ w.values + b.values
-    sp = np.logaddexp(0.0, z)
-    out = _fresh(sp)
-    t = _tape()
+    sp = np.logaddexp(0.0, z)  # log(1 + e^z) without overflow
+    out, t = _result(sp, x, w, b)
     if t is not None:
         def backward(g, t=t, x=x, w=w, b=b, z=z, sp=sp):
             gz = g * np.exp(z - sp)  # sigmoid(z), stable since z - sp <= 0
-            if not x.const:
-                t._accum(x, gz @ w.values.T, own=True)
-            t._accum(w, x.values.T @ gz, own=True)
-            t._accum(b, gz.sum(axis=0, keepdims=True), own=True)
-        t._record(out, backward)
+            _affine_grads(t, x, w, b, gz)
+        t._ops.append((out, backward))
     return out
 
 
@@ -410,30 +275,24 @@ def relu_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch("relu_affine", x.shape, w.shape, b.shape)
     z = x.values @ w.values + b.values
     pos = z > 0
-    out = _fresh(np.where(pos, z, 0.0))
-    t = _tape()
+    out, t = _result(np.where(pos, z, 0.0), x, w, b)
     if t is not None:
         def backward(g, t=t, x=x, w=w, b=b, pos=pos):
             gz = g * pos
-            if not x.const:
-                t._accum(x, gz @ w.values.T, own=True)
-            t._accum(w, x.values.T @ gz, own=True)
-            t._accum(b, gz.sum(axis=0, keepdims=True), own=True)
-        t._record(out, backward)
+            _affine_grads(t, x, w, b, gz)
+        t._ops.append((out, backward))
     return out
 
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Select rows of x by a unique index vector (gradient scatters back)."""
-    out = _fresh(x.values[idx])
-    out.const = x.const
-    t = _tape()
-    if t is not None and not x.const:
+    out, t = _result(x.values[idx], x)
+    if t is not None:
         def backward(g, t=t, x=x, idx=idx):
             buf = np.zeros_like(x.values)
             buf[idx] = g
             t._accum(x, buf, own=True)
-        t._record(out, backward)
+        t._ops.append((out, backward))
     return out
 
 
@@ -446,14 +305,12 @@ def sum_tensors(parts: list[Tensor]) -> Tensor:
     acc = parts[0].values.copy()
     for p in parts[1:]:
         acc += p.values
-    out = _fresh(acc)
-    t = _tape()
+    out, t = _result(acc, *parts)
     if t is not None:
         def backward(g, t=t, parts=parts):
             for p in parts:
-                if not p.const:
-                    t._accum(p, g)
-        t._record(out, backward)
+                t._accum(p, g)
+        t._ops.append((out, backward))
     return out
 
 
@@ -472,15 +329,14 @@ def bce_with_logits_sum(logits: Tensor, y: np.ndarray,
     terms = sp - y * z
     if mask is not None:
         terms = terms * mask
-    out = _fresh(np.array([[terms.sum()]]))
-    t = _tape()
-    if t is not None and not logits.const:
+    out, t = _result(np.array([[terms.sum()]]), logits)
+    if t is not None:
         def backward(g, t=t, logits=logits, y=y, mask=mask, z=z, sp=sp):
             dz = np.exp(z - sp) - y
             if mask is not None:
                 dz *= mask
             t._accum(logits, dz * g[0, 0], own=True)
-        t._record(out, backward)
+        t._ops.append((out, backward))
     return out
 
 
@@ -489,33 +345,11 @@ def squared_error_sum(a: Tensor, target: np.ndarray) -> Tensor:
     if target.shape != a.shape:
         raise ShapeMismatch("squared_error_sum", a.shape, target.shape)
     resid = a.values - target
-    out = _fresh(np.array([[(resid * resid).sum()]]))
-    t = _tape()
-    if t is not None and not a.const:
+    out, t = _result(np.array([[(resid * resid).sum()]]), a)
+    if t is not None:
         def backward(g, t=t, a=a, resid=resid):
             t._accum(a, (2.0 * g[0, 0]) * resid, own=True)
-        t._record(out, backward)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = _fresh(np.array([[x.values.sum()]]))
-    t = _tape()
-    if t is not None and not x.const:
-        def backward(g, t=t, x=x):
-            t._accum(x, np.full(x.shape, g[0, 0]), own=True)
-        t._record(out, backward)
-    return out
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.values.size
-    out = _fresh(np.array([[x.values.sum() / n]]))
-    t = _tape()
-    if t is not None and not x.const:
-        def backward(g, t=t, x=x, n=n):
-            t._accum(x, np.full(x.shape, g[0, 0] / n), own=True)
-        t._record(out, backward)
+        t._ops.append((out, backward))
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datastore import Dataset, FoldPlan, Record, make_folds
+from .datastore import Dataset, FoldPlan, Record, config_fields, make_folds
 from .errors import NumericalError, ValidationError
 from .metrics import (EvalReport, ScoredSet, compare_scored_sets, score_metrics)
 from .model import (ModelSpec, OmtlModel, build_model, forward,
@@ -91,6 +91,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
+        if not self.lr > 0:
+            raise ValidationError(f"lr must be > 0, got {self.lr}")
         if self.lam < 0:
             raise ValidationError("lambda must be >= 0")
         if self.max_epochs < 0 or self.patience < 0:
@@ -100,12 +102,7 @@ class TrainConfig:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "TrainConfig":
-        cfg = TrainConfig()
-        known = set(cfg.__dataclass_fields__)
-        for key, value in obj.items():
-            if key not in known:
-                raise ValidationError(f"unknown train config field {key!r}")
-            setattr(cfg, key, value)
+        cfg = TrainConfig(**config_fields(TrainConfig, obj, "train config"))
         cfg.validate()
         return cfg
 
@@ -179,54 +176,56 @@ def train_loop(model: OmtlModel, graph: OntologyGraph, records: list[Record],
             p.const = True  # tape skips gradient work for frozen parameters
         else:
             trainable[name] = p
-    train_recs, val_recs = _split_validation(records, graph, cfg,
-                                             stream=f"valsplit.{stage}")
-    shuffle_rng = substream(cfg.seed, f"shuffle.{stage}")
-    dropout_rng = substream(cfg.seed, f"dropout.{stage}")
-    adam = _FlatAdam(trainable, lr=cfg.lr)
+    try:
+        train_recs, val_recs = _split_validation(records, graph, cfg,
+                                                 stream=f"valsplit.{stage}")
+        shuffle_rng = substream(cfg.seed, f"shuffle.{stage}")
+        dropout_rng = substream(cfg.seed, f"dropout.{stage}")
+        adam = _FlatAdam(trainable, lr=cfg.lr)
 
-    best = model.snapshot()
-    best_loss = float("inf")
-    strikes = 0
-    order = list(train_recs)
-    for epoch in range(cfg.max_epochs):
-        shuffle_rng.shuffle(order)
-        epoch_l1 = epoch_l2 = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            with Tape() as tape:
-                breakdown = _batch_loss(model, graph, batch, cfg, scheme,
-                                        "train", dropout_rng)
-            if not np.isfinite(breakdown.total):
-                raise NumericalError(
-                    f"non-finite loss in phase {phase!r}, epoch {epoch}, "
-                    f"batch starting at record {batch[0].id!r}")
-            tape.backward(breakdown.loss)
-            adam.step(tape)
-            log.train_record_ids.update(r.id for r in batch)
-            w = len(batch) / max(len(order), 1)
-            epoch_l1 += breakdown.l1 * w
-            epoch_l2 += breakdown.l2 * w
-        monitor_recs = val_recs if val_recs else order
-        monitored = evaluate_loss(model, graph, monitor_recs, cfg, scheme)
-        log.entries.append({
-            "phase": phase, "epoch": epoch,
-            "train_l1": epoch_l1, "train_l2": epoch_l2,
-            "train_total": epoch_l1 + cfg.lam * epoch_l2,
-            "val_total": monitored.total,
-            "val_l1": monitored.l1, "val_l2": monitored.l2,
-        })
-        if monitored.total < best_loss:
-            best_loss = monitored.total
-            best = model.snapshot()
-            strikes = 0
-        else:
-            strikes += 1
-            if strikes >= cfg.patience:
-                break
-    model.restore(best)
-    for p in frozen:
-        p.const = False
+        best = model.snapshot()
+        best_loss = float("inf")
+        strikes = 0
+        order = list(train_recs)
+        for epoch in range(cfg.max_epochs):
+            shuffle_rng.shuffle(order)
+            epoch_l1 = epoch_l2 = 0.0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                with Tape() as tape:
+                    breakdown = _batch_loss(model, graph, batch, cfg, scheme,
+                                            "train", dropout_rng)
+                if not np.isfinite(breakdown.total):
+                    raise NumericalError(
+                        f"non-finite loss in phase {phase!r}, epoch {epoch}, "
+                        f"batch starting at record {batch[0].id!r}")
+                tape.backward(breakdown.loss)
+                adam.step(tape)
+                log.train_record_ids.update(r.id for r in batch)
+                w = len(batch) / max(len(order), 1)
+                epoch_l1 += breakdown.l1 * w
+                epoch_l2 += breakdown.l2 * w
+            monitor_recs = val_recs if val_recs else order
+            monitored = evaluate_loss(model, graph, monitor_recs, cfg, scheme)
+            log.entries.append({
+                "phase": phase, "epoch": epoch,
+                "train_l1": epoch_l1, "train_l2": epoch_l2,
+                "train_total": epoch_l1 + cfg.lam * epoch_l2,
+                "val_total": monitored.total,
+                "val_l1": monitored.l1, "val_l2": monitored.l2,
+            })
+            if monitored.total < best_loss:
+                best_loss = monitored.total
+                best = model.snapshot()
+                strikes = 0
+            else:
+                strikes += 1
+                if strikes >= cfg.patience:
+                    break
+        model.restore(best)
+    finally:
+        for p in frozen:
+            p.const = False
     log.wall_clock_s += time.perf_counter() - started
     return model
 
@@ -376,7 +375,7 @@ def score_holdout(model: OmtlModel, graph: OntologyGraph,
     return collected
 
 
-def _scored_set(key: tuple[str, str],
+def scored_set(key: tuple[str, str],
                 triples: list[tuple[str, int, float]]) -> ScoredSet:
     triples = sorted(triples)  # record-id order aligns sets across models
     return ScoredSet(
@@ -417,12 +416,12 @@ def run_cv(graph: OntologyGraph, data: Dataset, cfg: TrainConfig, k: int = 5,
         per_target = {}
         for key, triples in sorted(collected.items()):
             pooled_triples.setdefault(key, []).extend(triples)
-            s = _scored_set(key, triples)
+            s = scored_set(key, triples)
             if 0 < s.n_pos < s.n:
                 per_target[key] = score_metrics(s, with_roc=False)
         fold_reports.append(EvalReport(per_target=per_target,
                                        metadata={"fold": fold}))
-    pooled = {key: _scored_set(key, triples)
+    pooled = {key: scored_set(key, triples)
               for key, triples in sorted(pooled_triples.items())}
     pooled_report = EvalReport(
         per_target={key: score_metrics(s) for key, s in pooled.items()},

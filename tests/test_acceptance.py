@@ -203,11 +203,11 @@ def test_criterion_5_metrics_oracles():
     latent = rng.normal(size=n)
     sa = latent + 0.8 * labels + rng.normal(scale=0.9, size=n)
     sb = latent + 0.6 * labels + rng.normal(scale=0.9, size=n)
-    _, _, p = delong_test(ScoredSet(scores=sa, labels=labels),
+    *_, p = delong_test(ScoredSet(scores=sa, labels=labels),
                           ScoredSet(scores=sb, labels=labels))
     p_perm = permutation_delong_p(sa, sb, labels, n_resamples=10_000, seed=5)
     self_set = ScoredSet(scores=sa, labels=labels)
-    _, _, p_self = delong_test(self_set, self_set)
+    *_, p_self = delong_test(self_set, self_set)
     criterion(5, f"auc vs pair counting {worst_auc:.1e}, aps vs sweep "
                  f"{worst_aps:.1e} (both < 1e-12); delong p {p:.3f} within "
                  f"0.05 of permutation {p_perm:.3f}; delong(a,a) p = {p_self}",

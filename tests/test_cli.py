@@ -161,3 +161,102 @@ def test_cv_multi_variant_report(tmp_path):
 
 def test_gradcheck_exit_zero():
     assert dispatch(["gradcheck", "--seed", "7"]) == 0
+
+
+def _without(obj: dict, key: str) -> dict:
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _bad_train_config(workdir, cfg: dict) -> list[str]:
+    path = workdir / "bad_train.json"
+    path.write_text(json.dumps(cfg))
+    return ["train", "--graph", str(workdir / "graph.json"),
+            "--data", str(workdir / "data.jsonl"), "--config", str(path),
+            "--out", str(workdir / "m.json")]
+
+
+def _bad_synth_config(workdir, cfg: dict) -> list[str]:
+    path = workdir / "bad_synth.json"
+    path.write_text(json.dumps(cfg))
+    return ["synth", "--config", str(path), "--out-graph", str(workdir / "g2.json"),
+            "--out-data", str(workdir / "d2.jsonl")]
+
+
+def _bad_model_file(workdir, edit) -> list[str]:
+    good = workdir / "good_model.json"
+    cfg = workdir / "train.json"
+    cfg.write_text(json.dumps({"max_epochs": 0, "num_experts": 2, "repr_dim": 2}))
+    assert dispatch(["train", "--graph", str(workdir / "graph.json"),
+                     "--data", str(workdir / "data.jsonl"), "--config", str(cfg),
+                     "--out", str(good)]) == 0
+    bad = workdir / "bad_model.json"
+    bad.write_text(json.dumps(edit(json.loads(good.read_text()))))
+    return ["eval", "--model", str(bad), "--graph", str(workdir / "graph.json"),
+            "--data", str(workdir / "data.jsonl"), "--report", str(workdir / "r.json")]
+
+
+def _bad_scores_file(workdir, entry: dict) -> list[str]:
+    good = {"ids": ["r0", "r1"], "labels": [0, 1], "scores": [0.2, 0.7]}
+    pa, pb = workdir / "a.json", workdir / "b.json"
+    pa.write_text(json.dumps({"leaf|event": good}))
+    pb.write_text(json.dumps({"leaf|event": entry}))
+    return ["compare", "--scores-a", str(pa), "--scores-b", str(pb),
+            "--out", str(workdir / "cmp.json")]
+
+
+def _folds_on(workdir, path) -> list[str]:
+    return ["folds", "--data", str(path), "--graph", str(workdir / "graph.json"),
+            "--out", str(workdir / "f.json")]
+
+
+def _bad_records_file(workdir, line: str) -> list[str]:
+    path = workdir / "bad.jsonl"
+    path.write_text(line + "\n")
+    return _folds_on(workdir, path)
+
+
+def _set_param_values(obj: dict, values) -> dict:
+    obj["params"]["expert.00.b"]["values"] = values
+    return obj
+
+
+BAD_INPUTS = {
+    "train batch_size as string": lambda w: _bad_train_config(w, {"batch_size": "64"}),
+    "train negative lr": lambda w: _bad_train_config(w, {"lr": -1}),
+    "train bool for int": lambda w: _bad_train_config(w, {"max_epochs": True}),
+    "train config not an object": lambda w: _bad_train_config(w, [1, 2]),
+    "synth zero records per node": lambda w: _bad_synth_config(w, {"records_per_node": 0}),
+    "synth zero feature dim": lambda w: _bad_synth_config(w, {"feature_dim": 0}),
+    "synth outcomes not strings": lambda w: _bad_synth_config(w, {"outcomes": [1]}),
+    "model without graph_hash": lambda w: _bad_model_file(w, lambda o: _without(o, "graph_hash")),
+    "model without params": lambda w: _bad_model_file(w, lambda o: _without(o, "params")),
+    "model spec field mistyped": lambda w: _bad_model_file(
+        w, lambda o: {**o, "spec": {**o["spec"], "num_experts": "2"}}),
+    "model values of wrong size": lambda w: _bad_model_file(
+        w, lambda o: _set_param_values(o, [0.0])),
+    "model values not numbers": lambda w: _bad_model_file(
+        w, lambda o: _set_param_values(o, ["x", "y"])),
+    "records file missing": lambda w: _folds_on(w, w / "missing.jsonl"),
+    "record features not numbers": lambda w: _bad_records_file(
+        w, '{"id": "x", "features": "abc", "concepts": ["n0_0"]}'),
+    "record concepts not a list": lambda w: _bad_records_file(
+        w, '{"id": "x", "features": [1.0], "concepts": 5}'),
+    "record labels not an object": lambda w: _bad_records_file(
+        w, '{"id": "x", "features": [1.0], "concepts": ["n0_0"], "labels": [1]}'),
+    "scores without scores": lambda w: _bad_scores_file(
+        w, {"ids": ["r0", "r1"], "labels": [0, 1]}),
+    "scores labels not ints": lambda w: _bad_scores_file(
+        w, {"ids": ["r0", "r1"], "labels": ["0", "1"], "scores": [0.1, 0.9]}),
+    "scores entry not an object": lambda w: _bad_scores_file(w, [0.1, 0.9]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_with_one_line(workdir, capsys, case):
+    argv = BAD_INPUTS[case](workdir)
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err

@@ -130,7 +130,7 @@ class TestRocPoints:
 class TestDeLong:
     def test_self_comparison_p_one(self, rng):
         s = random_scored(rng, 40)
-        delta, z, p = delong_test(s, s)
+        _, _, delta, z, p = delong_test(s, s)
         assert delta == 0.0
         assert p == 1.0
 
@@ -138,7 +138,7 @@ class TestDeLong:
         labels = [1, 0]
         a = ScoredSet(scores=[0.9, 0.1], labels=labels)
         b = ScoredSet(scores=[0.1, 0.9], labels=labels)
-        delta, z, p = delong_test(a, b)
+        _, _, delta, z, p = delong_test(a, b)
         assert delta == 1.0  # AUCs are 1 and 0
 
     def test_label_mismatch_rejected(self, rng):
@@ -152,8 +152,8 @@ class TestDeLong:
         labels[0], labels[1] = 0, 1
         a = ScoredSet(scores=rng.random(60), labels=labels)
         b = ScoredSet(scores=rng.random(60), labels=labels)
-        d_ab, z_ab, p_ab = delong_test(a, b)
-        d_ba, z_ba, p_ba = delong_test(b, a)
+        _, _, d_ab, z_ab, p_ab = delong_test(a, b)
+        _, _, d_ba, z_ba, p_ba = delong_test(b, a)
         assert d_ab == -d_ba
         assert z_ab == pytest.approx(-z_ba, rel=1e-12)
         assert p_ab == pytest.approx(p_ba, rel=1e-12)
@@ -167,7 +167,7 @@ class TestDeLong:
         scores_b = latent + 0.7 * labels + rng.normal(scale=0.8, size=n)
         a = ScoredSet(scores=scores_a, labels=labels)
         b = ScoredSet(scores=scores_b, labels=labels)
-        _, _, p = delong_test(a, b)
+        *_, p = delong_test(a, b)
         p_perm = permutation_delong_p(scores_a, scores_b, labels,
                                       n_resamples=10_000, seed=42)
         assert abs(p - p_perm) <= 0.05
@@ -183,3 +183,15 @@ class TestDeLong:
         assert row["model_a"] == "omtl"
         assert 0.0 <= row["p_value"] <= 1.0
         assert row["significant_at_0.05"] == (row["p_value"] < 0.05)
+
+    @pytest.mark.parametrize("tie_fraction", [0.0, 0.5])
+    def test_comparison_aucs_are_auc_roc_exactly(self, rng, tie_fraction):
+        # the DeLong AUCs are the ones auc_roc reports, so the delta the
+        # record carries is exactly the difference of its two AUCs
+        for _ in range(50):
+            a = random_scored(rng, 60, tie_fraction=tie_fraction)
+            b = ScoredSet(scores=rng.permutation(a.scores), labels=a.labels)
+            row = compare_scored_sets(a, b, "a", "b")
+            assert row["auc_a"] == auc_roc(a)
+            assert row["auc_b"] == auc_roc(b)
+            assert row["delta_auc"] == row["auc_a"] - row["auc_b"]

@@ -5,8 +5,7 @@ from omtl import tensor as T
 from omtl.errors import ValidationError
 from omtl.datastore import Record
 from omtl.model import (ForwardResult, ModelSpec, build_model, forward,
-                        load_model, mix_experts, model_from_json_obj,
-                        model_to_json_obj, node_representation,
+                        load_model, model_from_json_obj, model_to_json_obj,
                         reinit_parent_gates, save_model)
 from omtl.objective import masked_loss
 from omtl.ontology import ConceptNode, OntologyGraph, ancestor_closure
@@ -24,6 +23,34 @@ def eval_experts(model, x):
         h = x @ w + b
         outs.append(np.where(h > 0, h, model.spec.leaky_slope * h))
     return outs
+
+
+def eval_mix(model, nid, x):
+    """Loop-based re-computation of node nid's expert mixture (eval mode)."""
+    experts = eval_experts(model, x)
+    if model.spec.variant == "sb":
+        return experts[0]
+    z = x @ model.param(f"expert_gate.{nid}.w").values \
+        + model.param(f"expert_gate.{nid}.b").values
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    gate = e / e.sum(axis=1, keepdims=True)
+    out = np.zeros_like(experts[0])
+    for k, h in enumerate(experts):
+        out += gate[:, k:k + 1] * h
+    return out
+
+
+def repr_layer(model, nid, pre):
+    """Node nid's Softplus representation layer applied to its input pre."""
+    return np.logaddexp(0.0, pre @ model.param(f"repr.{nid}.w").values
+                        + model.param(f"repr.{nid}.b").values)
+
+
+def records_at(graph, x, anchor):
+    """One unlabeled record per row of x, each expressing anchor's closure."""
+    return [Record(id=f"r{i}", features=row,
+                   concepts=ancestor_closure(graph, [anchor]), labels={})
+            for i, row in enumerate(x)]
 
 
 class TestSpec:
@@ -86,8 +113,9 @@ class TestMixExperts:
         g = chain_graph(2)
         model = tiny_model(g, "sb", d=5, de=3)
         x = rng.normal(size=(1, 5))
-        out = mix_experts(model, "a", x)
-        assert np.array_equal(out.values, eval_experts(model, x)[0])
+        rep = forward(model, g, records_at(g, x, "a")).representations["a"]
+        assert np.array_equal(rep.values,
+                              repr_layer(model, "a", eval_experts(model, x)[0]))
 
     def test_uniform_gate_equals_mean(self, rng):
         g = chain_graph(2)
@@ -95,15 +123,15 @@ class TestMixExperts:
         model.param("expert_gate.a.w").values[:] = 0.0
         model.param("expert_gate.a.b").values[:] = 0.0
         x = rng.normal(size=(1, 5))
-        out = mix_experts(model, "a", x)
+        rep = forward(model, g, records_at(g, x, "a")).representations["a"]
         mean = np.mean(eval_experts(model, x), axis=0)
-        assert np.allclose(out.values, mean, atol=1e-15)
+        assert np.allclose(rep.values, repr_layer(model, "a", mean), atol=1e-15)
 
     def test_three_expert_mixture_matches_explicit_loop(self, rng):
         g = chain_graph(2)
         model = tiny_model(g, "mmoe", d=6, de=4, experts=3)
         x = rng.normal(size=(2, 6))
-        out = mix_experts(model, "b", x)
+        rep = forward(model, g, records_at(g, x, "b")).representations["b"]
         experts = eval_experts(model, x)
         logits = x @ model.param("expert_gate.b.w").values \
             + model.param("expert_gate.b.b").values
@@ -113,7 +141,7 @@ class TestMixExperts:
         for row in range(2):
             for k in range(3):
                 expect[row] += gate[row, k] * experts[k][row]
-        assert np.allclose(out.values, expect, atol=1e-12)
+        assert np.allclose(rep.values, repr_layer(model, "b", expect), atol=1e-12)
 
 
 class TestNodeRepresentation:
@@ -121,26 +149,28 @@ class TestNodeRepresentation:
         g = chain_graph(2)
         model = tiny_model(g, "omtl", d=5, de=3, experts=2)
         x = rng.normal(size=(1, 5))
-        parent = Tensor(rng.normal(size=(1, 3)))
-        with_h = node_representation(model, "b", x, {"a": parent})
+        recs = records_at(g, x, "b")
+        with_h = forward(model, g, recs).representations["b"]
         model.hierarchy_enabled = False
-        without = node_representation(model, "b", x, {})
+        without = forward(model, g, recs).representations["b"]
         assert not np.allclose(with_h.values, without.values)
+        assert np.array_equal(without.values,
+                              repr_layer(model, "b", eval_mix(model, "b", x)))
         # and the disabled path never needs the parent at all
-        again = node_representation(model, "b", x, {"a": parent})
+        alone = Record(id="alone", features=x[0], concepts=frozenset({"b"}),
+                       labels={})
+        again = forward(model, g, alone).representations["b"]
         assert np.array_equal(again.values, without.values)
 
     def test_single_parent_softmax_is_identity_mix(self, rng):
         g = chain_graph(2)
         model = tiny_model(g, "omtl", d=5, de=3, experts=2)
         x = rng.normal(size=(1, 5))
-        parent = rng.normal(size=(1, 3))
-        mixed = mix_experts(model, "b", x)
-        rep = node_representation(model, "b", x, {"a": Tensor(parent)})
-        pre = mixed.values + parent  # softmax over one entry is exactly 1
-        w = model.param("repr.b.w").values
-        b = model.param("repr.b.b").values
-        assert np.allclose(rep.values, np.logaddexp(0.0, pre @ w + b), atol=1e-12)
+        result = forward(model, g, records_at(g, x, "b"))
+        # softmax over one entry is exactly 1
+        pre = eval_mix(model, "b", x) + result.representations["a"].values
+        assert np.allclose(result.representations["b"].values,
+                           repr_layer(model, "b", pre), atol=1e-12)
 
     def test_two_parent_extreme_gate_picks_first(self, rng):
         g = diamond_graph()
@@ -148,23 +178,22 @@ class TestNodeRepresentation:
         model.param("parent_gate.d.w").values[:] = 0.0
         model.param("parent_gate.d.b").values[:] = np.array([[10.0, -10.0]])
         x = rng.normal(size=(1, 7))
-        p_b = rng.normal(size=(1, 3))
-        p_c = rng.normal(size=(1, 3))
-        mixed = mix_experts(model, "d", x)
-        rep = node_representation(model, "d", x,
-                                  {"b": Tensor(p_b), "c": Tensor(p_c)})
+        result = forward(model, g, records_at(g, x, "d"))
+        p_b = result.representations["b"].values
+        p_c = result.representations["c"].values
         # gate weight on parent b is 1/(1+e^-20); recompute by loop
         wb = 1.0 / (1.0 + np.exp(-20.0))
-        pre = mixed.values + wb * p_b + (1 - wb) * p_c
-        w = model.param("repr.d.w").values
-        bias = model.param("repr.d.b").values
-        assert np.allclose(rep.values, np.logaddexp(0.0, pre @ w + bias), atol=1e-12)
+        pre = eval_mix(model, "d", x) + wb * p_b + (1 - wb) * p_c
+        assert np.allclose(result.representations["d"].values,
+                           repr_layer(model, "d", pre), atol=1e-12)
 
     def test_missing_parent_representation_raises(self, rng):
         g = diamond_graph()
         model = tiny_model(g, "omtl")
+        rec = Record(id="r", features=rng.normal(size=7),
+                     concepts=frozenset({"a", "d"}), labels={})
         with pytest.raises(ValidationError, match="missing parent"):
-            node_representation(model, "d", rng.normal(size=(1, 7)), {})
+            forward(model, g, rec)
 
 
 class TestForward:
@@ -181,12 +210,12 @@ class TestForward:
         model = tiny_model(g, "omtl", d=7, de=3, experts=2)
         rec = make_record(g, rng, d=7, anchor="c", label=1)
         result = forward(model, g, rec, mode="eval")
-        # recompute c's representation from the emitted parent outputs
+        # recompute c's representation from the emitted parent output; the
+        # gate over c's single parent is exactly 1
         x = rec.features.reshape(1, -1)
-        mixed = mix_experts(model, "c", x)
-        rep = node_representation(model, "c", x,
-                                  {"b": result.representations["b"]})
-        assert np.array_equal(rep.values, result.representations["c"].values)
+        pre = eval_mix(model, "c", x) + result.representations["b"].values
+        assert np.array_equal(repr_layer(model, "c", pre),
+                              result.representations["c"].values)
 
     def test_computed_set_equals_closure_random(self, rng):
         for _ in range(20):

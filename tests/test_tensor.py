@@ -11,15 +11,21 @@ from omtl.trainer import _FlatAdam
 from oracles import ReferenceAdam, finite_difference_gradients, max_relative_error
 
 
+def identity_softmax(x: Tensor) -> Tensor:
+    """Row-wise softmax of x through the gate op, with an identity weight."""
+    m = x.shape[1]
+    return T.softmax_affine(x, Tensor(np.eye(m)), Tensor(np.zeros((1, m))))
+
+
 class TestPrimitives:
     def test_softmax_symmetry(self):
-        out = T.softmax(Tensor([[0.0, 0.0, 0.0]]))
+        out = identity_softmax(Tensor([[0.0, 0.0, 0.0]]))
         assert np.allclose(out.values, 1.0 / 3.0)
 
     def test_softmax_rows_sum_to_one(self, rng):
         for _ in range(50):
             x = Tensor(rng.normal(scale=5.0, size=(4, 6)))
-            s = T.softmax(x).values
+            s = identity_softmax(x).values
             assert (s >= 0).all()
             assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -29,31 +35,64 @@ class TestPrimitives:
         assert out.values[0, 1] == 2.0
 
     def test_softplus_at_zero(self):
-        assert T.softplus(Tensor([[0.0]])).item() == pytest.approx(math.log(2), abs=1e-15)
+        out = T.softplus_affine(Tensor([[0.0]]), Tensor([[1.0]]), Tensor([[0.0]]))
+        assert out.item() == pytest.approx(math.log(2), abs=1e-15)
 
-    def test_matmul_shape_error_names_primitive(self):
-        with pytest.raises(ShapeMismatch, match="matmul.*(2, 3).*(4, 2)"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-
-    def test_concat_splits_gradient(self, rng):
-        a = Tensor(rng.normal(size=(2, 3)))
-        b = Tensor(rng.normal(size=(2, 2)))
-        with Tape() as tape:
-            out = T.sum_all(T.mul(T.concat([a, b]), T.concat([a, b])))
-        tape.backward(out)
-        assert np.allclose(tape.gradient(a), 2 * a.values)
-        assert np.allclose(tape.gradient(b), 2 * b.values)
-
-    def test_mean_matches_numpy(self, rng):
-        x = rng.normal(size=(3, 5))
-        assert T.mean_all(Tensor(x)).item() == pytest.approx(x.mean())
+    def test_affine_shape_error_names_primitive(self):
+        with pytest.raises(ShapeMismatch, match="affine.*(2, 3).*(4, 2)"):
+            T.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))),
+                     Tensor(np.zeros((1, 2))))
 
     def test_weighted_sum_matches_loop(self, rng):
-        w = T.softmax(Tensor(rng.normal(size=(4, 3))))
+        w = identity_softmax(Tensor(rng.normal(size=(4, 3))))
         parts = [Tensor(rng.normal(size=(4, 5))) for _ in range(3)]
         out = T.weighted_sum(w, parts)
         expect = sum(w.values[:, k:k + 1] * parts[k].values for k in range(3))
         assert np.allclose(out.values, expect, atol=1e-15)
+
+
+AFFINE_OPS = [T.affine, T.softmax_affine, T.softplus_affine, T.relu_affine]
+
+
+class TestConstness:
+    @pytest.mark.parametrize("op", AFFINE_OPS, ids=lambda op: op.__name__)
+    def test_all_const_inputs_record_nothing(self, rng, op):
+        x = Tensor(rng.normal(size=(4, 3)), const=True)
+        w = Tensor(rng.normal(size=(3, 2)), const=True)
+        b = Tensor(rng.normal(size=(1, 2)), const=True)
+        free = Tensor(rng.normal(size=(4, 2)))
+        with Tape() as tape:
+            out = op(x, w, b)
+            assert out.const
+            assert tape._ops == []
+            loss = T.squared_error_sum(T.add(out, free), np.zeros((4, 2)))
+        tape.backward(loss)
+        assert len(tape._ops) == 2
+        for t in (x, w, b, out):
+            assert id(t) not in tape._grads
+        assert np.array_equal(tape.gradient(w), np.zeros((3, 2)))
+        assert np.array_equal(tape.gradient(free), 2.0 * (out.values + free.values))
+
+    @pytest.mark.parametrize("op", AFFINE_OPS, ids=lambda op: op.__name__)
+    def test_const_weights_under_trainable_input(self, rng, op):
+        # a frozen layer still carries the gradient back to its input
+        x = Tensor(rng.normal(size=(4, 3)))
+        w = Tensor(rng.normal(size=(3, 2)), const=True)
+        b = Tensor(rng.normal(size=(1, 2)), const=True)
+        with Tape() as tape:
+            out = op(x, w, b)
+            loss = T.squared_error_sum(out, np.zeros((4, 2)))
+        tape.backward(loss)
+        assert not out.const
+        assert id(w) not in tape._grads and id(b) not in tape._grads
+        assert np.abs(tape.gradient(x)).max() > 0.0
+
+    def test_take_rows_of_const_is_const(self, rng):
+        x = Tensor(rng.normal(size=(4, 3)), const=True)
+        with Tape() as tape:
+            out = T.take_rows(x, np.array([0, 2]))
+        assert out.const
+        assert tape._ops == []
 
 
 class TestDropout:
@@ -83,20 +122,23 @@ class TestDropout:
 
 class TestBackward:
     def test_linear_map_gradient(self, rng):
-        w = Tensor(rng.normal(size=(3, 4)))
-        x = Tensor(rng.normal(size=(4, 2)))
+        x = Tensor(rng.normal(size=(2, 4)), const=True)
+        w = Tensor(rng.normal(size=(4, 3)))
+        b = Tensor(rng.normal(size=(1, 3)))
+        target = rng.normal(size=(2, 3))
         with Tape() as tape:
-            loss = T.sum_all(T.matmul(w, x))
+            loss = T.squared_error_sum(T.affine(x, w, b), target)
         tape.backward(loss)
-        # d sum(Wx) / dW = outer-product structure: row sums of x broadcast
-        expect = np.tile(x.values.sum(axis=1), (3, 1))
-        assert np.allclose(tape.gradient(w), expect, atol=1e-15)
+        resid = 2.0 * (x.values @ w.values + b.values - target)
+        assert np.allclose(tape.gradient(w), x.values.T @ resid, atol=1e-14)
+        assert np.allclose(tape.gradient(b), resid.sum(axis=0, keepdims=True),
+                           atol=1e-14)
 
     def test_unused_parameter_gets_exact_zeros(self, rng):
         w = Tensor(rng.normal(size=(3, 3)))
         other = Tensor(rng.normal(size=(2, 2)))
         with Tape() as tape:
-            loss = T.sum_all(other)
+            loss = T.squared_error_sum(other, np.zeros((2, 2)))
         tape.backward(loss)
         assert (tape.gradient(w) == 0.0).all()
         assert tape.gradient(w).shape == (3, 3)
@@ -104,14 +146,14 @@ class TestBackward:
     def test_loss_must_be_scalar(self, rng):
         x = Tensor(rng.normal(size=(2, 2)))
         with Tape() as tape:
-            y = T.relu(x)
+            y = T.leaky_relu(x)
         with pytest.raises(ShapeMismatch):
             tape.backward(y)
 
     def test_tape_single_use(self, rng):
         x = Tensor(rng.normal(size=(2, 2)))
         with Tape() as tape:
-            loss = T.sum_all(x)
+            loss = T.squared_error_sum(x, np.zeros((2, 2)))
         tape.backward(loss)
         with pytest.raises(NumericalError, match="consumed"):
             tape.backward(loss)
@@ -120,22 +162,37 @@ class TestBackward:
         # random small composite of every differentiable primitive
         for trial in range(6):
             params = {
+                "x": Tensor(rng.normal(size=(4, 5))),
                 "w1": Tensor(rng.normal(size=(5, 4))),
                 "b1": Tensor(rng.normal(size=(1, 4))),
                 "w2": Tensor(rng.normal(size=(4, 3))),
                 "b2": Tensor(rng.normal(size=(1, 3))),
+                "w3": Tensor(rng.normal(size=(3, 3))),
+                "b3": Tensor(rng.normal(size=(1, 3))),
                 "gate_w": Tensor(rng.normal(size=(5, 3))),
+                "gate_b": Tensor(rng.normal(size=(1, 3))),
+                "head_w": Tensor(rng.normal(size=(3, 1))),
+                "head_b": Tensor(rng.normal(size=(1, 1))),
             }
-            x = Tensor(rng.normal(size=(2, 5)))
+            p = params
+            rows = np.array([0, 2, 3])
+            y = np.array([[1.0], [0.0], [1.0]])
+            mask = np.array([[1.0], [0.0], [1.0]])
+            target = rng.normal(size=(3, 3))
 
             def forward() -> Tensor:
-                h = T.softplus(T.affine(x, params["w1"], params["b1"]))
-                h2 = T.leaky_relu(T.affine(h, params["w2"], params["b2"]))
-                gate = T.softmax(T.matmul(x, params["gate_w"]))
-                mix = T.weighted_sum(gate, [h2, T.relu(h2), T.sigmoid(h2)])
-                resid = T.sub(mix, T.scale(h2, 0.5))
-                return T.add(T.sum_all(T.mul(resid, resid)),
-                             T.mean_all(T.log(T.softplus(mix))))
+                h = T.softplus_affine(p["x"], p["w1"], p["b1"])
+                h2 = T.leaky_relu(T.affine(h, p["w2"], p["b2"]))
+                kept = T.dropout(h2, 0.3, np.random.default_rng(trial), train=True)
+                gate = T.softmax_affine(p["x"], p["gate_w"], p["gate_b"])
+                mix = T.weighted_sum(gate, [h2, kept,
+                                            T.relu_affine(h2, p["w3"], p["b3"])])
+                sel = T.take_rows(mix, rows)
+                logits = T.affine(sel, p["head_w"], p["head_b"])
+                resid = T.add(sel, T.scale(T.take_rows(h2, rows), 0.5))
+                return T.sum_tensors([T.bce_with_logits_sum(logits, y, mask),
+                                      T.scale(T.squared_error_sum(resid, target),
+                                              0.1)])
 
             with Tape() as tape:
                 loss = forward()
@@ -149,10 +206,11 @@ class TestBackward:
             rng = np.random.default_rng(99)
             x = Tensor(rng.normal(size=(3, 3)))
             w = Tensor(rng.normal(size=(3, 3)))
+            b = Tensor(rng.normal(size=(1, 3)))
             with Tape() as tape:
-                h = T.dropout(T.softmax(T.matmul(x, w)), 0.4,
+                h = T.dropout(T.softmax_affine(x, w, b), 0.4,
                               np.random.default_rng(5), train=True)
-                loss = T.sum_all(h)
+                loss = T.squared_error_sum(h, np.zeros((3, 3)))
             tape.backward(loss)
             return loss.item(), tape.gradient(w).copy()
 

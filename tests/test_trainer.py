@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from omtl import trainer
 from omtl.datastore import Dataset, SynthConfig, generate_synthetic, make_folds
 from omtl.errors import ValidationError
-from omtl.model import build_model, forward
-from omtl.objective import masked_loss
+from omtl.model import build_model, forward, reinit_parent_gates
+from omtl.objective import make_reward_scheme, masked_loss
 from omtl.ontology import ConceptNode, OntologyGraph
 from omtl.tensor import Tape
-from omtl.trainer import (SCORE_CHUNK, TrainConfig, TrainLog, evaluate_loss,
-                          run_cv, score_holdout, train_baseline, train_phase1,
-                          train_phase2, train_variant)
+from omtl.trainer import (FROZEN_IN_PHASE2, SCORE_CHUNK, TrainConfig, TrainLog,
+                          evaluate_loss, run_cv, score_holdout, train_baseline,
+                          train_loop, train_phase1, train_phase2, train_variant)
 
 from conftest import chain_graph, diamond_graph, make_record, tiny_model
 
@@ -46,6 +47,9 @@ class TestConfig:
             TrainConfig(batch_size=0).validate()
         with pytest.raises(ValidationError):
             TrainConfig(lam=-0.1).validate()
+        for lr in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValidationError, match="lr"):
+                TrainConfig(lr=lr).validate()
 
 
 class TestPhase1:
@@ -123,6 +127,44 @@ class TestPhase2:
         changed = any(not np.array_equal(model.param(n).values, v)
                       for n, v in reprs_before.items())
         assert changed
+
+    def test_frozen_step_gradients_match_unfrozen_step(self, monkeypatch):
+        # one phase-2 step through train_loop, with and without the freeze
+        graph, data = small_benchmark()
+        tapes = []
+
+        class KeptTape(Tape):
+            def backward(self, loss):
+                super().backward(loss)
+                tapes.append(self)
+
+        monkeypatch.setattr(trainer, "Tape", KeptTape)
+        cfg = tiny_config(max_epochs=1, batch_size=len(data.records))
+        models = []
+        for prefixes in (FROZEN_IN_PHASE2, ()):
+            model = tiny_model(graph, "omtl", d=10, de=3, experts=2, dropout=0.2)
+            reinit_parent_gates(model, cfg.seed)
+            train_loop(model, graph, data.records, cfg, prefixes, None,
+                       "phase2", TrainLog(), stage=1)
+            models.append(model)
+        frozen_tape, free_tape = tapes
+        for (name, p), q in zip(models[0].params.items(),
+                                models[1].params.values()):
+            if name.startswith(FROZEN_IN_PHASE2):
+                assert id(p) not in frozen_tape._grads, name
+            else:
+                assert np.array_equal(frozen_tape.gradient(p),
+                                      free_tape.gradient(q)), name
+        assert len(frozen_tape._ops) < len(free_tape._ops)
+
+    def test_failed_phase_leaves_no_parameter_const(self):
+        graph, data = small_benchmark()
+        model = tiny_model(graph, "omtl", d=10, de=3, experts=2)
+        scheme = make_reward_scheme(graph, 0.5, "mortality")
+        # built without shared heads, so inner nodes lack the scheme's head
+        with pytest.raises(ValidationError, match="no head"):
+            train_phase2(model, data, tiny_config(), graph, scheme=scheme)
+        assert [n for n, p in model.params.items() if p.const] == []
 
     def test_phase2_reinitializes_parent_gates(self):
         graph, data = small_benchmark()
@@ -206,9 +248,10 @@ class TestEarlyStopping:
     def test_patience_stops_early(self):
         graph, data = small_benchmark(records=30)
         cfg = tiny_config(variant="sb", max_epochs=50, patience=2,
-                          val_fraction=0.2, seed=1, lr=0.0)
+                          val_fraction=0.2, seed=1, lr=1e-300)
         model, log = train_variant(graph, data, cfg)
-        # zero learning rate: no improvement after the first epoch
+        # steps of ~1e-300 leave every parameter as it was: no improvement
+        # after the first epoch
         assert len(log.entries) <= 4
 
 
