@@ -271,12 +271,12 @@ def cmd_gradcheck(args) -> int:
                                     ("c", {"event": 1}))]
 
     def loss_value() -> float:
-        result = forward(model, graph, batch, mode="train", dropout_rng=None)
-        return masked_loss(result, batch, graph, lam=0.1).total
+        result = forward(model, batch, mode="train", dropout_rng=None)
+        return masked_loss(result, lam=0.1).total
 
     with Tape() as tape:
-        result = forward(model, graph, batch, mode="train", dropout_rng=None)
-        breakdown = masked_loss(result, batch, graph, lam=0.1)
+        result = forward(model, batch, mode="train", dropout_rng=None)
+        breakdown = masked_loss(result, lam=0.1)
     tape.backward(breakdown.loss)
     grads = tape.gradients(model.params)
 

@@ -7,19 +7,29 @@ is enabled, a parent gate (softmax over its graph parents) that mixes the
 parents' representations into its own input. Outcome heads hang off the
 representation of their node and emit sigmoid probabilities.
 
-Routing is node-major: a forward pass runs the experts once over the
-whole batch, then visits each node that some record expresses once, in
-nondecreasing level order, over exactly the rows that express it. Concept
-sets are ancestor-closed, so a child's rows are a subset of each parent's
-rows and the parent representations it consumes are a row gather of
-representations already computed; a record is never routed through a
-node outside its own concept set.
+All parameters live in one `tensor.Arena`, laid out by freeze group and,
+within a group, level by level: the experts and expert gates, then the
+representation, reconstruction and head layers, then the parent gates.
+So phase 1 trains a prefix of the arena and phase 2 a suffix, and the
+nodes of one level hold each kind of layer as one stacked view (`Level`).
+
+Routing is level-major: a forward pass runs the experts once over the
+whole batch, then visits each ontology level once, in order, and runs one
+op per stage over all (row, node) pairs of the level, a record
+contributing one pair per node of its concept set on that level. Concept
+sets are ancestor-closed, so every parent representation a pair consumes
+was computed on an earlier level for the same record; a record is never
+routed through a node outside its own concept set. A node with a single
+parent takes that parent with weight exactly 1, as the softmax over one
+logit would.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +38,7 @@ from .errors import ValidationError
 from .ontology import OntologyGraph
 from .datastore import Record, config_fields, json_field
 from .rng import substream
-from .tensor import Tensor
+from .tensor import Arena, Segments, Tensor
 
 VARIANTS = ("sb", "moe", "mmoe", "omtl")
 
@@ -49,6 +59,9 @@ class ModelSpec:
             raise ValidationError("sb uses exactly one expert")
         if self.variant in ("moe", "mmoe", "omtl") and self.num_experts < 2:
             raise ValidationError(f"{self.variant} needs more than one expert")
+        if self.feature_dim < 1 or self.repr_dim < 1:
+            raise ValidationError("feature_dim and repr_dim must be >= 1, got "
+                                  f"{self.feature_dim} and {self.repr_dim}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -70,44 +83,182 @@ class ModelSpec:
         return ModelSpec(**config_fields(ModelSpec, obj, "model spec"))
 
 
+def _graph_levels(graph: OntologyGraph) -> list[tuple[str, ...]]:
+    """The node ids of each level, in routing order."""
+    return [tuple(ids) for _, ids in
+            itertools.groupby(graph.ordered_ids, key=graph.levels.__getitem__)]
+
+
+# the freeze groups at the ends of the arena, as parameter-name prefixes:
+# the shared experts and expert gates, frozen in phase 2, come first, and
+# the parent gates, frozen in phase 1, come last; every other parameter
+# trains in both phases and sits between them
+FROZEN_IN_PHASE2 = ("expert.", "expert_gate.")
+FROZEN_IN_PHASE1 = ("parent_gate.",)
+
+
+def _freeze_group(name: str) -> int:
+    return 0 if name.startswith(FROZEN_IN_PHASE2) else \
+        2 if name.startswith(FROZEN_IN_PHASE1) else 1
+
+
+def param_layout(spec: ModelSpec, graph: OntologyGraph,
+                 outcome_map: dict[str, tuple[str, ...]]) -> list[tuple[str, tuple[int, int]]]:
+    """Every parameter's name and shape, in arena order.
+
+    Parameters are ordered by freeze group (`_freeze_group`), so each
+    phase trains one contiguous span. Within a group, levels come in
+    order, and within a level each kind of layer holds all its nodes'
+    weights and then all their biases.
+    """
+    d, de, n_exp = spec.feature_dim, spec.repr_dim, spec.num_experts
+    shapes: list[tuple[str, tuple[int, int]]] = []
+
+    def stack(kind: str, owners, rows: int, cols) -> None:
+        shapes.extend((f"{kind}.{o}.w", (rows, cols(o))) for o in owners)
+        shapes.extend((f"{kind}.{o}.b", (1, cols(o))) for o in owners)
+
+    for e in range(n_exp):
+        shapes += [(f"expert.{e:02d}.w", (d, de)), (f"expert.{e:02d}.b", (1, de))]
+    for nodes in _graph_levels(graph):
+        if spec.has_expert_gates:
+            stack("expert_gate", nodes, d, lambda _: n_exp)
+        stack("repr", nodes, de, lambda _: de)
+        stack("recon", nodes, de, lambda _: d)
+        stack("head", [f"{n}.{o}" for n in nodes for o in outcome_map.get(n, ())],
+              de, lambda _: 1)
+        if spec.has_parent_gates:
+            stack("parent_gate", [n for n in nodes if graph.parents[n]], d,
+                  lambda n: len(graph.parents[n]))
+    return sorted(shapes, key=lambda item: _freeze_group(item[0]))
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of range(starts[i], starts[i] + counts[i])."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts,
+                                                               counts)
+
+
+class Level:
+    """One ontology level's layers as stacks over its nodes.
+
+    Nodes are indexed locally (0..L-1, in routing order) and globally (lo +
+    local). Heads are the level's (node, outcome) heads in node order.
+    Parent routing: `parents` holds each node's parents' global indices,
+    padded with -1 to the level's largest in-degree; nodes with two or
+    more parents own row `gate_row` of the padded parent-gate stacks.
+    """
+
+    def __init__(self, model: "OmtlModel", nodes: tuple[str, ...]):
+        graph, arena = model.graph, model.arena
+
+        def stack(kind: str, owners):
+            if not owners:
+                return None, None
+            return (arena.block([f"{kind}.{o}.w" for o in owners]),
+                    arena.block([f"{kind}.{o}.b" for o in owners]))
+
+        self.lo, self.nodes = model.node_col[nodes[0]], nodes
+        self.gate_w, self.gate_b = stack("expert_gate", nodes) \
+            if model.spec.has_expert_gates else (None, None)
+        self.repr_w, self.repr_b = stack("repr", nodes)
+        self.recon_w, self.recon_b = stack("recon", nodes)
+        self.head_keys = [(n, o) for n in nodes for o in model.outcome_map.get(n, ())]
+        self.head_w, self.head_b = stack("head", [f"{n}.{o}" for n, o in self.head_keys])
+        local = {n: j for j, n in enumerate(nodes)}
+        self.head_node = np.array([local[n] for n, _ in self.head_keys], dtype=np.intp)
+        self.head_outcome = np.array([model.outcome_col[o] for _, o in self.head_keys],
+                                     dtype=np.intp)
+        self.head_count = np.bincount(self.head_node, minlength=len(nodes))
+        self.head_start = np.cumsum(self.head_count) - self.head_count
+        self.has_head = np.zeros((len(nodes), len(model.outcomes)), dtype=bool)
+        self.has_head[self.head_node, self.head_outcome] = True
+        # masked loss: a head counts at a core node, for that node's own outcomes
+        self.head_masked = np.array(
+            [1.0 if graph.nodes[n].core and o in graph.nodes[n].outcomes else 0.0
+             for n, o in self.head_keys])
+
+        in_deg = [len(graph.parents[n]) for n in nodes]
+        self.parents = None
+        if max(in_deg):
+            self.parents = np.full((len(nodes), max(in_deg)), -1, dtype=np.intp)
+            for j, n in enumerate(nodes):
+                self.parents[j, :in_deg[j]] = [model.node_col[p] for p in graph.parents[n]]
+        self.parent_levels = sorted({graph.levels[p] for n in nodes
+                                     for p in graph.parents[n]})
+        self.n_parents = np.array(in_deg, dtype=np.intp)
+        gated = [n for n, k in zip(nodes, in_deg) if k >= 2]
+        self.gate_row = np.full(len(nodes), -1, dtype=np.intp)
+        self.gate_row[[local[n] for n in gated]] = np.arange(len(gated))
+        self.pgate_w = self.pgate_b = None
+        if gated and model.spec.has_parent_gates:
+            self.pgate_w = arena.padded_block([f"parent_gate.{n}.w" for n in gated], 0.0)
+            self.pgate_b = arena.padded_block([f"parent_gate.{n}.b" for n in gated],
+                                              -np.inf)
+
+    def head_pairs(self, seg: Segments) -> tuple[np.ndarray, np.ndarray]:
+        """Every (pair, head) combination of seg's pairs with the heads of
+        their node, as pair and head index arrays grouped by head."""
+        counts = self.head_count[seg.members]
+        heads = _ranges(self.head_start[seg.members], counts)
+        run_len = np.repeat(seg.ends - seg.starts, counts)
+        return _ranges(np.repeat(seg.starts, counts), run_len), np.repeat(heads, run_len)
+
+
 class OmtlModel:
-    """Parameter container bound to one graph, with a runtime routing toggle.
+    """Parameters of one graph in an arena, with a runtime routing toggle.
 
     hierarchy_enabled controls whether forward uses the parent-gate path;
     an omtl model with it switched off computes exactly what an mmoe model
     with the same non-parent-gate parameters would.
     """
 
-    def __init__(self, spec: ModelSpec, graph: OntologyGraph,
-                 params: dict[str, Tensor], outcome_map: dict[str, tuple[str, ...]]):
+    def __init__(self, spec: ModelSpec, graph: OntologyGraph, arena: Arena,
+                 outcome_map: dict[str, tuple[str, ...]]):
         self.spec = spec
         self.graph = graph
-        self.params = params
+        self.arena = arena
+        self.params = arena.params
         self.outcome_map = outcome_map
         self.hierarchy_enabled = spec.has_parent_gates
         self.graph_hash = graph.graph_hash()
+        outcomes = list(graph.outcome_names())
+        for nid in graph.ordered_ids:
+            outcomes += [o for o in outcome_map.get(nid, ()) if o not in outcomes]
+        self.outcomes = tuple(outcomes)
+        self.outcome_col = {o: k for k, o in enumerate(outcomes)}
+        self.node_col = {nid: i for i, nid in enumerate(graph.ordered_ids)}
+        self.level_of = np.array([graph.levels[n] for n in graph.ordered_ids],
+                                 dtype=np.intp)
+        self.levels = [Level(self, nodes) for nodes in _graph_levels(graph)]
 
     def param(self, name: str) -> Tensor:
         return self.params[name]
 
     def param_count(self) -> int:
-        return sum(p.values.size for p in self.params.values())
+        return self.arena.size
 
     def parameter_names(self, prefix: str = "") -> list[str]:
         return sorted(n for n in self.params if n.startswith(prefix))
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {n: p.values.copy() for n, p in self.params.items()}
+        """Every parameter's values, by name, as views of one arena copy."""
+        return self.arena.views(self.arena.values.copy())
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
+        """Write a snapshot's values back into the arena, in place."""
         for n, values in snap.items():
-            self.params[n].values = values.copy()
+            self.params[n].values[...] = values
 
 
-def _alloc(params: dict[str, Tensor], rng, name: str, rows: int, cols: int) -> None:
-    params[name + ".w"] = T.fan_in_uniform(rng, rows, cols)
-    bound = 1.0 / np.sqrt(max(rows, 1))
-    params[name + ".b"] = Tensor(rng.uniform(-bound, bound, size=(1, cols)))
+def _draw(params, rng, name: str) -> None:
+    """Fan-in uniform draw, U(-1/sqrt(rows), 1/sqrt(rows)), of name.w and
+    then name.b, written into their arena views."""
+    w, b = params[name + ".w"].values, params[name + ".b"].values
+    bound = 1.0 / np.sqrt(max(w.shape[0], 1))
+    w[...] = rng.uniform(-bound, bound, size=w.shape)
+    b[...] = rng.uniform(-bound, bound, size=b.shape)
 
 
 def build_model(spec: ModelSpec, graph: OntologyGraph, seed: int = 0,
@@ -118,55 +269,121 @@ def build_model(spec: ModelSpec, graph: OntologyGraph, seed: int = 0,
     (the reward-shaping setup); otherwise heads exist only where the graph
     associates outcomes, i.e. at core nodes.
     """
-    rng = substream(seed, "init")
-    d, de, e_cnt = spec.feature_dim, spec.repr_dim, spec.num_experts
-    params: dict[str, Tensor] = {}
     outcome_map: dict[str, tuple[str, ...]] = {}
-
-    for e in range(e_cnt):
-        _alloc(params, rng, f"expert.{e:02d}", d, de)
     for nid in graph.ordered_ids:
-        if spec.has_expert_gates:
-            _alloc(params, rng, f"expert_gate.{nid}", d, e_cnt)
-        if spec.has_parent_gates and graph.parents[nid]:
-            _alloc(params, rng, f"parent_gate.{nid}", d, len(graph.parents[nid]))
-        _alloc(params, rng, f"repr.{nid}", de, de)
-        _alloc(params, rng, f"recon.{nid}", de, d)
         outcomes = list(graph.nodes[nid].outcomes)
         if shared_outcome and shared_outcome not in outcomes:
             outcomes.append(shared_outcome)
         outcome_map[nid] = tuple(outcomes)
-        for o in outcomes:
-            _alloc(params, rng, f"head.{nid}.{o}", de, 1)
-    return OmtlModel(spec, graph, params, outcome_map)
+    arena = Arena(param_layout(spec, graph, outcome_map))
+    # draws come in the order of the per-node layout that predates the
+    # arena, so a seed keeps giving the same initial values
+    rng = substream(seed, "init")
+    params = arena.params
+    for e in range(spec.num_experts):
+        _draw(params, rng, f"expert.{e:02d}")
+    for nid in graph.ordered_ids:
+        if spec.has_expert_gates:
+            _draw(params, rng, f"expert_gate.{nid}")
+        if spec.has_parent_gates and graph.parents[nid]:
+            _draw(params, rng, f"parent_gate.{nid}")
+        _draw(params, rng, f"repr.{nid}")
+        _draw(params, rng, f"recon.{nid}")
+        for o in outcome_map[nid]:
+            _draw(params, rng, f"head.{nid}.{o}")
+    return OmtlModel(spec, graph, arena, outcome_map)
 
 
 def reinit_parent_gates(model: OmtlModel, seed: int) -> None:
     """Fresh fan-in-uniform draw for every parent gate (start of phase 2)."""
     rng = substream(seed, "h_init")
+    bound = 1.0 / np.sqrt(model.spec.feature_dim)
     for nid in model.graph.ordered_ids:
-        n_par = len(model.graph.parents[nid])
-        if model.spec.has_parent_gates and n_par:
-            bound_w = 1.0 / np.sqrt(model.spec.feature_dim)
-            model.params[f"parent_gate.{nid}.w"].values = rng.uniform(
-                -bound_w, bound_w, size=(model.spec.feature_dim, n_par))
-            model.params[f"parent_gate.{nid}.b"].values = rng.uniform(
-                -bound_w, bound_w, size=(1, n_par))
+        if model.spec.has_parent_gates and model.graph.parents[nid]:
+            for part in ("w", "b"):
+                values = model.params[f"parent_gate.{nid}.{part}"].values
+                values[...] = rng.uniform(-bound, bound, size=values.shape)
 
 
 @dataclass
-class ForwardResult:
-    """Per expressed node: the batch rows that express it (ascending indices
-    into the forwarded records), and over those rows its representation and
-    reconstruction; per computed (node, outcome): the pre-sigmoid logit
-    tensor over the node's rows. inputs keeps the stacked feature rows of
-    the whole batch (the reconstruction targets)."""
+class LevelPass:
+    """One level of a forward pass: the batch row and local node of each
+    (row, node) pair, node-major (`seg.of` is the node), and the pairs'
+    representations."""
 
-    rows: dict[str, np.ndarray]
-    representations: dict[str, Tensor]
-    reconstructions: dict[str, Tensor]
-    outcome_logits: dict[tuple[str, str], Tensor]
-    inputs: np.ndarray
+    level: Level
+    rows: np.ndarray
+    seg: Segments
+    rep: Tensor
+
+
+class ForwardResult:
+    """A forward pass over a batch: per level, the (row, node) pairs and
+    their representations, plus the stacked feature rows of the whole batch
+    (the reconstruction targets).
+
+    The per-node views (rows, representations, outcome logits) are built
+    on first use. A node's rows are ascending indices into the forwarded
+    records. In train mode a head appears in outcome_logits only when some
+    row of its node labels its outcome; in eval mode, always.
+    """
+
+    def __init__(self, model: OmtlModel, records: list[Record],
+                 passes: list[LevelPass], inputs: np.ndarray, mode: str):
+        self.model, self.records, self.passes = model, records, passes
+        self.inputs, self.mode = inputs, mode
+
+    def _per_node(self, values_of) -> dict:
+        out = {}
+        for p in self.passes:
+            values = values_of(p)
+            for m, s, e in p.seg.runs():
+                out[p.level.nodes[m]] = values[s:e]
+        return out
+
+    @cached_property
+    def rows(self) -> dict[str, np.ndarray]:
+        return self._per_node(lambda p: p.rows)
+
+    @cached_property
+    def representations(self) -> dict[str, Tensor]:
+        return {n: Tensor(v, const=True)
+                for n, v in self._per_node(lambda p: p.rep.values).items()}
+
+    @cached_property
+    def outcome_logits(self) -> dict[tuple[str, str], Tensor]:
+        logits = {}
+        labeled = self.label_arrays[1] if self.mode == "train" else None
+        for p in self.passes:
+            lv = p.level
+            if lv.head_w is None:
+                continue
+            pair, head = lv.head_pairs(p.seg)
+            if not pair.size:
+                continue
+            hseg = Segments(head)
+            z, _ = T.rowwise_affine(p.rep.values[pair], lv.head_w.values,
+                                    lv.head_b.values, hseg)
+            for h, s, e in hseg.runs():
+                if labeled is None or labeled[p.rows[pair[s:e]],
+                                              lv.head_outcome[h]].any():
+                    logits[lv.head_keys[h]] = Tensor(z[s:e], const=True)
+        return logits
+
+    @cached_property
+    def label_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, labeled): (records, model outcomes) arrays holding each
+        record's label and a 1 where it has one."""
+        col = self.model.outcome_col
+        labels = np.zeros((len(self.records), len(col)))
+        labeled = np.zeros_like(labels)
+        entries = [(i, col[o], v) for i, rec in enumerate(self.records)
+                   for o, v in rec.labels.items() if o in col]
+        if entries:
+            i, k, v = np.array(entries, dtype=np.intp).T
+            labels[i, k] = v
+            labeled[i, k] = 1.0
+        return labels, labeled
 
     def predictions(self) -> dict[tuple[str, str], np.ndarray]:
         """Sigmoid of each logit column, clipped into open (0, 1)."""
@@ -192,110 +409,76 @@ def _expert_outputs(model: OmtlModel, x: Tensor, mode: str,
     return outs
 
 
-def _mix(model: OmtlModel, nid: str, x: Tensor, expert_outs: list[Tensor]) -> Tensor:
-    """Node nid's expert mixture: sb passes its one expert through, moe takes
-    the unweighted mean, mmoe and omtl weight by the node's expert gate."""
-    variant = model.spec.variant
-    if variant == "sb":
-        return expert_outs[0]
-    if variant == "moe":
-        acc = expert_outs[0]
-        for h in expert_outs[1:]:
-            acc = T.add(acc, h)
-        return T.scale(acc, 1.0 / len(expert_outs))
-    gate = T.softmax_affine(x, model.param(f"expert_gate.{nid}.w"),
-                            model.param(f"expert_gate.{nid}.b"))
-    return T.weighted_sum(gate, expert_outs)
+def _route_parents(model: OmtlModel, lv: Level, mix: Tensor, x: Tensor,
+                   rows: np.ndarray, node: np.ndarray, pos: np.ndarray,
+                   reps: list[Tensor | None]) -> tuple[Tensor, np.ndarray]:
+    """The parent_mix op for one level's pairs. pos[row, node] is the pair
+    index of (row, node) on its own level, -1 where the row does not
+    express the node."""
+    par = lv.parents[node]
+    valid = par >= 0
+    src = np.where(valid, pos[rows[:, None], par], 0)
+    missing = valid & (src < 0)
+    if missing.any():
+        p = int(np.flatnonzero(missing.any(axis=1))[0])
+        ids = model.graph.ordered_ids
+        raise ValidationError(
+            f"node {lv.nodes[node[p]]!r} is missing parent representations "
+            f"{[ids[g] for g in par[p][missing[p]]]}; concept sets must be "
+            f"ancestor-closed")
+    src_level = np.where(valid, model.level_of[par], -1)
+    sources = []
+    for depth in lv.parent_levels:
+        dst = np.flatnonzero(src_level == depth)
+        if dst.size:
+            sources.append((reps[depth], dst, src.reshape(-1)[dst]))
+    single = np.flatnonzero(lv.n_parents[node] == 1)
+    gate_row = lv.gate_row[node]
+    gated = np.flatnonzero(gate_row >= 0)
+    if not gated.size or lv.pgate_w is None:
+        return T.parent_mix(mix, sources, par.shape[1], single)
+    return T.parent_mix(mix, sources, par.shape[1], single, gated,
+                        x.values[rows[gated]], Segments(gate_row[gated]),
+                        lv.pgate_w, lv.pgate_b)
 
 
-def _node_repr(model: OmtlModel, nid: str, x: Tensor, mixed: Tensor,
-               parent_reprs: dict[str, Tensor]) -> Tensor:
-    parents = model.graph.parents[nid]
-    pre = mixed
-    if model.hierarchy_enabled and parents:
-        missing = [p for p in parents if p not in parent_reprs]
-        if missing:
-            raise ValidationError(
-                f"node {nid!r} is missing parent representations {missing}; "
-                f"concept sets must be ancestor-closed")
-        gate = T.softmax_affine(x, model.param(f"parent_gate.{nid}.w"),
-                                model.param(f"parent_gate.{nid}.b"))
-        mixed_parents = T.weighted_sum(gate, [parent_reprs[p] for p in parents])
-        pre = T.add(mixed, mixed_parents)
-    return T.softplus_affine(pre, model.param(f"repr.{nid}.w"),
-                             model.param(f"repr.{nid}.b"))
+def forward(model: OmtlModel, records, mode: str = "eval",
+            dropout_rng=None) -> ForwardResult:
+    """Route a batch of records (or one record) through the model's graph.
 
-
-def _parent_rows(graph: OntologyGraph, nid: str, idx: np.ndarray,
-                 rows: dict[str, np.ndarray],
-                 reprs: dict[str, Tensor]) -> dict[str, Tensor]:
-    """Each parent's representation gathered onto the rows idx of nid.
-
-    A parent is left out unless its rows cover every row in idx, so a
-    record whose concept set lacks the parent surfaces as a missing parent
-    even when other records in the batch express it.
-    """
-    out = {}
-    for p in graph.parents[nid]:
-        prow = rows.get(p)
-        if prow is None:
-            continue
-        pos = np.searchsorted(prow, idx)
-        if pos[-1] < prow.size and np.array_equal(prow[pos], idx):
-            out[p] = reprs[p] if prow.size == idx.size else T.take_rows(reprs[p], pos)
-    return out
-
-
-def forward(model: OmtlModel, graph: OntologyGraph, records,
-            mode: str = "eval", dropout_rng=None) -> ForwardResult:
-    """Route a batch of records (or one record) through the graph.
-
-    The experts run once over every row. Then each expressed node runs
-    once, in level order, over the rows that express it, reading its
-    parents' representations by row gather. In train mode a head is
-    computed only when some row of its node labels its outcome; in eval
-    mode, unconditionally.
+    The experts run once over every row. Then each level runs once, in
+    order, over the (row, node) pairs its nodes' rows form, reading parent
+    representations from earlier levels by row.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"unknown forward mode {mode!r}")
     recs = [records] if isinstance(records, Record) else list(records)
-    x = Tensor(np.vstack([rec.features for rec in recs]), const=True)
+    x = Tensor(np.array([rec.features for rec in recs], dtype=np.float64), const=True)
     if x.shape[1] != model.spec.feature_dim:
         raise ValidationError(
             f"record feature dim {x.shape[1]} != model dim {model.spec.feature_dim}")
-    expert_outs = _expert_outputs(model, x, mode, dropout_rng)
-    members: dict[str, list[int]] = {}
-    for i, rec in enumerate(recs):
-        for nid in rec.concepts:
-            members.setdefault(nid, []).append(i)
-    rows: dict[str, np.ndarray] = {}
-    reprs: dict[str, Tensor] = {}
-    recons: dict[str, Tensor] = {}
-    logits: dict[tuple[str, str], Tensor] = {}
-    for nid in graph.ordered_ids:
-        if nid not in members:
+    col, width = model.node_col, len(model.node_col)
+    member = np.zeros((len(recs), width), dtype=bool)
+    member.reshape(-1)[[i * width + col[c] for i, rec in enumerate(recs)
+                        for c in rec.concepts]] = True
+    experts = _expert_outputs(model, x, mode, dropout_rng)
+    pos = np.full(member.shape, -1, dtype=np.intp)
+    reps: list[Tensor | None] = []
+    passes = []
+    for lv in model.levels:
+        node, rows = np.nonzero(member[:, lv.lo:lv.lo + len(lv.nodes)].T)
+        if not rows.size:
+            reps.append(None)
             continue
-        idx = rows[nid] = np.asarray(members[nid])
-        if idx.size == len(recs):
-            x_n, experts_n = x, expert_outs
-        else:
-            x_n = T.take_rows(x, idx)
-            experts_n = [T.take_rows(h, idx) for h in expert_outs]
-        parents = {}
-        if model.hierarchy_enabled and graph.parents[nid]:
-            parents = _parent_rows(graph, nid, idx, rows, reprs)
-        rep = reprs[nid] = _node_repr(model, nid, x_n,
-                                      _mix(model, nid, x_n, experts_n), parents)
-        recons[nid] = T.relu_affine(rep, model.param(f"recon.{nid}.w"),
-                                    model.param(f"recon.{nid}.b"))
-        for o in model.outcome_map.get(nid, ()):
-            if mode == "train" and not any(o in recs[i].labels for i in idx):
-                continue
-            logits[(nid, o)] = T.affine(rep, model.param(f"head.{nid}.{o}.w"),
-                                        model.param(f"head.{nid}.{o}.b"))
-    return ForwardResult(rows=rows, representations=reprs,
-                         reconstructions=recons, outcome_logits=logits,
-                         inputs=x.values)
+        pos[rows, lv.lo + node] = np.arange(rows.size)
+        seg = Segments(node)
+        mixed, _ = T.expert_mix(x, experts, rows, seg, lv.gate_w, lv.gate_b)
+        if model.hierarchy_enabled and lv.parents is not None:
+            mixed, _ = _route_parents(model, lv, mixed, x, rows, node, pos, reps)
+        rep = T.softplus_affine(mixed, lv.repr_w, lv.repr_b, seg)
+        reps.append(rep)
+        passes.append(LevelPass(lv, rows, seg, rep))
+    return ForwardResult(model, recs, passes, x.values, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +505,42 @@ def model_from_json_obj(obj: dict, graph: OntologyGraph) -> OmtlModel:
     if graph_hash != graph.graph_hash():
         raise ValidationError("model was built against a different graph "
                               f"(hash {graph_hash[:12]}...)")
-    params = {}
-    for name, entry in json_field(obj, "params", "dict", where).items():
+    outcomes = json_field(obj, "outcome_map", "dict", where)
+    outcome_map = {}
+    for nid in outcomes:
+        names = json_field(outcomes, nid, "list[str]", f"{where}: outcome_map")
+        if nid not in graph.nodes:
+            raise ValidationError(f"{where}: outcome_map names unknown node {nid!r}")
+        if len(set(names)) != len(names):
+            raise ValidationError(f"{where}: outcome_map repeats an outcome of {nid!r}")
+        outcome_map[nid] = tuple(names)
+    shapes = dict(param_layout(spec, graph, outcome_map))
+    entries = json_field(obj, "params", "dict", where)
+    missing = [n for n in shapes if n not in entries]
+    if missing:
+        raise ValidationError(f"{where}: missing parameter {missing[0]!r} "
+                              f"({len(missing)} missing in all)")
+    extra = sorted(n for n in entries if n not in shapes)
+    if extra:
+        raise ValidationError(f"{where}: unexpected parameter {extra[0]!r}")
+    arena = Arena(shapes.items())
+    for name, entry in entries.items():
         at = f"{where}: parameter {name!r}"
         shape = json_field(entry, "shape", "list[int]", at)
         values = json_field(entry, "values", "list[float]", at)
         if len(shape) != 2 or shape[0] * shape[1] != len(values):
             raise ValidationError(f"{at}: {len(values)} values do not fill "
                                   f"a matrix of shape {shape}")
-        params[name] = Tensor(np.array(values, dtype=np.float64).reshape(shape))
-    outcomes = json_field(obj, "outcome_map", "dict", where)
-    outcome_map = {nid: tuple(json_field(outcomes, nid, "list[str]", where))
-                   for nid in outcomes}
-    model = OmtlModel(spec, graph, params, outcome_map)
+        if tuple(shape) != shapes[name]:
+            raise ValidationError(f"{at}: shape {shape}, the model needs "
+                                  f"{list(shapes[name])}")
+        arena.params[name].values[...] = np.array(values, dtype=np.float64).reshape(shape)
+    model = OmtlModel(spec, graph, arena, outcome_map)
     model.hierarchy_enabled = json_field(obj, "hierarchy_enabled", "bool", where,
                                          default=spec.has_parent_gates)
+    if model.hierarchy_enabled and not spec.has_parent_gates:
+        raise ValidationError(f"{where}: hierarchy_enabled needs the parent gates "
+                              f"of the omtl variant, not {spec.variant!r}")
     return model
 
 

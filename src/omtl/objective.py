@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .datastore import Record
 from .errors import ValidationError
 from .ontology import OntologyGraph
 from .tensor import Tensor
@@ -67,38 +66,41 @@ def make_reward_scheme(graph: OntologyGraph, f: float, outcome: str) -> RewardSc
                         weights=reward_weights(graph, f))
 
 
-def _bce_sum(logits: Tensor, rows: np.ndarray, records: list[Record],
-             outcome: str) -> Tensor | None:
-    """Sum of cross-entropy over the given rows of the batch, with rows
-    that do not label outcome masked to exact 0."""
-    y = np.zeros((rows.size, 1))
-    mask = np.zeros((rows.size, 1))
-    for j, i in enumerate(rows):
-        labels = records[i].labels
-        if outcome in labels:
-            y[j, 0] = labels[outcome]
-            mask[j, 0] = 1.0
-    if not mask.any():
-        return None
-    return T.bce_with_logits_sum(logits, y, None if mask.all() else mask)
-
-
-def _recon_terms(result) -> dict[str, Tensor]:
-    return {nid: T.squared_error_sum(result.reconstructions[nid],
-                                     result.inputs[result.rows[nid]])
-            for nid in sorted(result.reconstructions)}
-
-
-def _assemble(l1_terms: dict, l2_terms: dict[str, Tensor], lam: float,
-              n_records: int) -> LossBreakdown:
-    """Per-record means of the summed terms, so a batch of one record
-    gives that record's loss."""
-    inv = 1.0 / n_records
+def _level_loss(result, lam: float, head_weight) -> LossBreakdown:
+    """Mean-per-record loss of a forward pass, one reconstruction op and at
+    most one head op per level. head_weight(level) gives each of the
+    level's heads its weight in L1 (0 leaves it out); a (row, head) term
+    counts only where the row labels the head's outcome."""
+    labels, labeled = result.label_arrays
+    inv = 1.0 / result.inputs.shape[0]
+    l1_terms: list[Tensor] = []
+    l2_terms: list[Tensor] = []
+    per_outcome: dict[tuple[str, str], float] = {}
+    per_node: dict[str, float] = {}
+    for p in result.passes:
+        lv, seg = p.level, p.seg
+        term, sums = T.recon_error(p.rep, lv.recon_w, lv.recon_b, seg,
+                                   result.inputs[p.rows])
+        l2_terms.append(term)
+        per_node.update(zip([lv.nodes[m] for m in seg.members.tolist()],
+                            (sums * inv).tolist()))
+        if lv.head_w is None:
+            continue
+        pair, head = lv.head_pairs(seg)
+        rows, outcome = p.rows[pair], lv.head_outcome[head]
+        weight = labeled[rows, outcome] * head_weight(lv)[head]
+        keep = np.flatnonzero(weight)
+        if not keep.size:
+            continue
+        hseg = T.Segments(head[keep])
+        term, sums = T.head_bce(p.rep, pair[keep], lv.head_w, lv.head_b, hseg,
+                                labels[rows[keep], outcome[keep]], weight[keep])
+        l1_terms.append(term)
+        per_outcome.update(zip([lv.head_keys[h] for h in hseg.members.tolist()],
+                               (sums * inv).tolist()))
     zero = Tensor(np.zeros((1, 1)), const=True)
-    per_outcome = {key: l1_terms[key].item() * inv for key in sorted(l1_terms)}
-    per_node = {nid: l2_terms[nid].item() * inv for nid in sorted(l2_terms)}
-    l1_t = T.sum_tensors([l1_terms[k] for k in sorted(l1_terms)]) if l1_terms else zero
-    l2_t = T.sum_tensors([l2_terms[k] for k in sorted(l2_terms)]) if l2_terms else zero
+    l1_t = T.sum_tensors(l1_terms) if l1_terms else zero
+    l2_t = T.sum_tensors(l2_terms) if l2_terms else zero
     total_t = T.scale(T.add(l1_t, T.scale(l2_t, lam)), inv)
     l1 = l1_t.item() * inv
     l2 = l2_t.item() * inv
@@ -107,47 +109,33 @@ def _assemble(l1_terms: dict, l2_terms: dict[str, Tensor], lam: float,
                          loss=total_t)
 
 
-def _as_records(records) -> list[Record]:
-    return [records] if isinstance(records, Record) else list(records)
-
-
-def masked_loss(result, records, graph: OntologyGraph, lam: float) -> LossBreakdown:
+def masked_loss(result, lam: float) -> LossBreakdown:
     """L1 over expressed core nodes with labeled outcomes, L2 over all
-    expressed nodes, averaged over the records; a fully unlabeled record
-    contributes L2 only."""
+    expressed nodes, averaged over the forwarded records; a fully unlabeled
+    record contributes L2 only."""
     if lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
-    recs = _as_records(records)
-    l1_terms: dict[tuple[str, str], Tensor] = {}
-    for (nid, outcome), logits in result.outcome_logits.items():
-        if not graph.nodes[nid].core:
-            continue
-        if outcome not in graph.nodes[nid].outcomes:
-            continue
-        term = _bce_sum(logits, result.rows[nid], recs, outcome)
-        if term is not None:
-            l1_terms[(nid, outcome)] = term
-    return _assemble(l1_terms, _recon_terms(result), lam, len(recs))
+    return _level_loss(result, lam, lambda lv: lv.head_masked)
 
 
-def shaped_loss(result, records, graph: OntologyGraph, lam: float,
-                scheme: RewardScheme) -> LossBreakdown:
+def shaped_loss(result, lam: float, scheme: RewardScheme) -> LossBreakdown:
     """Reward-shaped variant: supervised loss at every expressed node for
     the scheme's shared outcome, each node weighted by its level weight."""
     if lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
-    recs = _as_records(records)
-    o = scheme.outcome
-    l1_terms: dict[tuple[str, str], Tensor] = {}
-    for nid in sorted(result.representations):
-        rows = result.rows[nid]
-        if (nid, o) not in result.outcome_logits:
-            if any(o in recs[i].labels for i in rows):
+    k = result.model.outcome_col.get(scheme.outcome)
+    if k is not None:
+        labeled = result.label_arrays[1]
+        for p in result.passes:
+            bad = np.flatnonzero((labeled[p.rows, k] > 0)
+                                 & ~p.level.has_head[p.seg.of, k])
+            if bad.size:
                 raise ValidationError(
-                    f"reward scheme is active but node {nid!r} has no head for "
-                    f"outcome {o!r}")
-            continue
-        term = _bce_sum(result.outcome_logits[(nid, o)], rows, recs, o)
-        if term is not None:
-            l1_terms[(nid, o)] = T.scale(term, scheme.weights[nid])
-    return _assemble(l1_terms, _recon_terms(result), lam, len(recs))
+                    f"reward scheme is active but node "
+                    f"{p.level.nodes[p.seg.of[bad[0]]]!r} has no head for "
+                    f"outcome {scheme.outcome!r}")
+
+    def head_weight(lv):
+        node_w = np.array([scheme.weights[n] for n in lv.nodes])
+        return np.where(lv.head_outcome == k, node_w[lv.head_node], 0.0)
+    return _level_loss(result, lam, head_weight)

@@ -70,10 +70,7 @@ class OntologyGraph:
         self.levels = compute_levels(self)
         self.depth = 1 + max(self.levels.values()) if self.levels else 0
         self.ordered_ids = sorted(self.nodes, key=lambda nid: (self.levels[nid], nid))
-
-    @property
-    def core_ids(self) -> tuple[str, ...]:
-        return tuple(nid for nid in self.ordered_ids if self.nodes[nid].core)
+        self.core_ids = tuple(nid for nid in self.ordered_ids if self.nodes[nid].core)
 
     def outcome_names(self) -> tuple[str, ...]:
         names: list[str] = []

@@ -1,21 +1,34 @@
-"""Dense 2-D float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float64 tensors, a parameter arena, and tape-based reverse-mode
+differentiation.
 
-Everything is a (rows, cols) matrix; scalars are (1, 1). Primitives record
-a backward closure on the active Tape, and Tape.backward replays them in
-strict reverse order, accumulating gradients in per-tape buffers. The op
-set is exactly what the model and its losses run: the fused affine forms
-(affine, softmax_affine for the gates, softplus_affine for representation
-layers, relu_affine for reconstructions), LeakyReLU, inverted dropout,
-row selection (take_rows), gate mixing (weighted_sum), elementwise sums
-(add, sum_tensors), constant scaling, and the two summed losses
-(bce_with_logits_sum, squared_error_sum).
+Activations are (rows, cols) matrices; scalars are (1, 1). Every trainable
+parameter is a `Parameter`: its values are a view into its `Arena`'s one
+flat float64 buffer, and a tape accumulates its gradient into one flat
+buffer laid out like the arena. An ontology level's parameters of one kind
+sit next to each other in the arena, so a `Block` views them as one
+(L, rows, cols) stack without copying; a `PaddedBlock` gathers parent
+gates, whose widths differ per node, into a stack padded to the widest.
+
+Primitives record a backward closure on the active Tape, and
+Tape.backward replays them in strict reverse order. The op set is exactly
+what the model and its losses run:
+- per batch: `affine`, `leaky_relu` and inverted `dropout` for the
+  experts, and `add`, `scale` and `sum_tensors` to assemble the loss;
+- per ontology level, one op per stage, each over all (row, node) pairs of
+  the level: `expert_mix` (expert gate softmax and mixture), `parent_mix`
+  (parent gate softmax, parent mixture and the skip add), `softplus_affine`
+  (representation layers), `recon_error` (ReLU reconstructions and their
+  squared error) and `head_bce` (outcome heads and their masked binary
+  cross-entropy). A level op reads each row's weights from the stack at the
+  row's node; `Segments` groups the rows by node.
 
 Constness decides gradient flow, in one place (`_result`): an op whose
 inputs are all const has a const output and records nothing, and a tape
 never accumulates into a const tensor. Record features, labels and masks
-are const, and so are parameters frozen for a training phase, so the tape
-does no gradient work on paths nothing can learn from. Beyond that rule,
-an op skips only the matmul that would produce a const input's gradient.
+are const, and so are parameters frozen for a training phase (a block is
+const when all its members are), so the tape does no gradient work on
+paths nothing can learn from. Beyond that rule, an op skips only the
+products that would produce a const input's gradient.
 """
 
 from __future__ import annotations
@@ -25,6 +38,13 @@ import numpy as np
 from .errors import NumericalError, ShapeMismatch
 
 _ACTIVE_TAPE: list["Tape"] = []
+
+# A level op's batched product reads a copy of each row's weights, rows *
+# r * c floats in all; once that exceeds this many floats per member, one
+# BLAS product per member is cheaper. Timed per layer shape of the model
+# on one core, the per-member products overtake the batched product at
+# 600-2,500 floats per member.
+_GATHER_PER_MEMBER = 1024
 
 
 class Tensor:
@@ -56,12 +76,157 @@ class Tensor:
         return f"Tensor(shape={self.shape}, const={self.const})"
 
 
+class Parameter(Tensor):
+    """A tensor whose values are the span `span` of its arena's buffer."""
+
+    __slots__ = ("arena", "span")
+
+
+class Arena:
+    """All parameters of a model as views into one flat float64 buffer.
+
+    Parameters are laid out in the order given, each row-major, so a run
+    of same-shape parameters is one (L, rows, cols) array and a run of
+    parameters is one contiguous slice. `values` is the buffer; a tape
+    keeps each parameter's gradient at the same offset of a buffer of the
+    same size.
+    """
+
+    def __init__(self, shapes):
+        shapes = list(shapes)
+        self.values = np.zeros(sum(rows * cols for _, (rows, cols) in shapes))
+        self.params: dict[str, Parameter] = {}
+        offset = 0
+        for name, (rows, cols) in shapes:
+            if name in self.params:
+                raise ValueError(f"parameter {name!r} laid out twice")
+            p = self.params[name] = Parameter.__new__(Parameter)
+            p.span = slice(offset, offset + rows * cols)
+            p.values = self.values[p.span].reshape(rows, cols)
+            p.const = False
+            p.arena = self
+            offset = p.span.stop
+
+    @property
+    def size(self) -> int:
+        return self.values.size
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's view into a buffer laid out like the arena."""
+        return {name: flat[p.span].reshape(p.values.shape)
+                for name, p in self.params.items()}
+
+    def span(self, names) -> slice:
+        """The one contiguous slice that holds exactly the named
+        parameters, which must be consecutive in the layout."""
+        spans = [self.params[n].span for n in names]
+        for a, b in zip(spans, spans[1:]):
+            if a.stop != b.start:
+                raise ValueError("parameters are not consecutive in the arena")
+        return slice(spans[0].start, spans[-1].stop) if spans else slice(0, 0)
+
+    def block(self, names) -> "Block":
+        """Consecutive same-shape parameters as one (L, rows, cols) stack."""
+        members = [self.params[n] for n in names]
+        shape = members[0].values.shape
+        if any(p.values.shape != shape for p in members):
+            raise ValueError("a block needs parameters of one shape")
+        span = self.span(names)
+        return Block(self, members, span, (len(members), *shape))
+
+    def padded_block(self, names, fill: float) -> "PaddedBlock":
+        """Parameters of one row count and differing column counts as a
+        (L, rows, widest) stack whose missing columns read `fill`."""
+        members = [self.params[n] for n in names]
+        rows = members[0].values.shape[0]
+        width = max(p.values.shape[1] for p in members)
+        src, dst = [], []
+        for j, p in enumerate(members):
+            cols = p.values.shape[1]
+            r, c = np.divmod(np.arange(rows * cols), cols)
+            src.append(p.span.start + np.arange(rows * cols))
+            dst.append((j * rows + r) * width + c)
+        return PaddedBlock(self, members, (len(members), rows, width),
+                           np.concatenate(src), np.concatenate(dst), fill)
+
+
+class Block:
+    """Same-shape parameters of one ontology level stacked (L, rows, cols);
+    `values` is a view of the arena."""
+
+    __slots__ = ("arena", "members", "span", "shape", "values")
+
+    def __init__(self, arena: Arena, members: list[Parameter], span: slice,
+                 shape: tuple[int, int, int]):
+        self.arena, self.members, self.span, self.shape = arena, members, span, shape
+        self.values = arena.values[span].reshape(shape)
+
+    @property
+    def const(self) -> bool:
+        for p in self.members:
+            if not p.const:
+                return False
+        return True
+
+    def add_grad(self, buf: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+        """Add g (len(idx), rows, cols) to members idx (ascending) in buf."""
+        view = buf[self.span].reshape(self.shape)
+        if idx.size == self.shape[0]:
+            view += g
+        else:
+            view[idx] += g
+
+
+class PaddedBlock:
+    """Parameters of differing widths gathered into a padded stack: entry
+    src[i] of the arena is entry dst[i] of the flattened stack."""
+
+    __slots__ = ("arena", "members", "shape", "src", "dst", "fill")
+
+    def __init__(self, arena, members, shape, src, dst, fill):
+        self.arena, self.members, self.shape = arena, members, shape
+        self.src, self.dst, self.fill = src, dst, fill
+
+    const = Block.const
+
+    @property
+    def values(self) -> np.ndarray:
+        out = np.full(self.shape, self.fill)
+        out.reshape(-1)[self.dst] = self.arena.values[self.src]
+        return out
+
+    def add_grad(self, buf: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+        full = np.zeros(self.shape)
+        full[idx] = g
+        buf[self.src] += full.reshape(-1)[self.dst]
+
+
+class Segments:
+    """Rows grouped into runs by the block member whose weights they use:
+    row p uses member `of[p]`, which never decreases; member `members[i]`
+    owns rows starts[i]:ends[i]."""
+
+    __slots__ = ("of", "members", "starts", "ends")
+
+    def __init__(self, of: np.ndarray):
+        first = np.ones(of.size, dtype=bool)
+        np.not_equal(of[1:], of[:-1], out=first[1:])
+        self.of = of
+        self.starts = np.flatnonzero(first)
+        self.ends = np.append(self.starts[1:], of.size)
+        self.members = of[self.starts]
+
+    def runs(self):
+        return zip(self.members.tolist(), self.starts.tolist(), self.ends.tolist())
+
+
 class Tape:
     """Records primitive ops in execution order for one backward replay."""
 
     def __init__(self):
         self._ops: list[tuple[Tensor, object]] = []
         self._grads: dict[int, np.ndarray] = {}
+        self._arena_grads: dict[Arena, np.ndarray] = {}
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -71,10 +236,21 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _ACTIVE_TAPE.pop()
 
+    def arena_grads(self, arena: Arena) -> np.ndarray:
+        """This tape's gradient buffer for arena's parameters (zeros until
+        an op accumulates into it)."""
+        buf = self._arena_grads.get(arena)
+        if buf is None:
+            buf = self._arena_grads[arena] = np.zeros(arena.size)
+        return buf
+
     def _accum(self, t: Tensor, g: np.ndarray, own: bool = False) -> None:
         """Add g to t's gradient buffer unless t is const. own=True
         promises g is a fresh array the tape may keep and mutate."""
         if t.const:
+            return
+        if type(t) is Parameter:
+            self.arena_grads(t.arena)[t.span] += g.reshape(-1)
             return
         key = id(t)
         buf = self._grads.get(key)
@@ -82,6 +258,11 @@ class Tape:
             self._grads[key] = g if own else g.copy()
         else:
             buf += g
+
+    def _accum_block(self, block, idx: np.ndarray, g: np.ndarray) -> None:
+        """Add g to the gradients of block members idx unless block is const."""
+        if not block.const:
+            block.add_grad(self.arena_grads(block.arena), idx, g)
 
     def backward(self, loss: Tensor) -> None:
         """Seed d(loss)/d(loss) = 1 and replay the tape in reverse."""
@@ -100,6 +281,10 @@ class Tape:
 
     def gradient(self, t: Tensor) -> np.ndarray:
         """Gradient of the loss w.r.t. t; exact zeros if t never reached it."""
+        if type(t) is Parameter:
+            buf = self._arena_grads.get(t.arena)
+            return np.zeros_like(t.values) if buf is None \
+                else buf[t.span].reshape(t.values.shape)
         g = self._grads.get(id(t))
         if g is None:
             return np.zeros_like(t.values)
@@ -109,10 +294,10 @@ class Tape:
         return {name: self.gradient(p) for name, p in params.items()}
 
 
-def _result(arr: np.ndarray, *inputs: Tensor) -> tuple[Tensor, Tape | None]:
+def _result(arr: np.ndarray, *inputs) -> tuple[Tensor, Tape | None]:
     """Wrap an op's output arr (already 2-D float64) and return the tape
     its backward goes on: None when no tape is active, or when every input
-    is const, which also makes the output const."""
+    (tensor or block) is const, which also makes the output const."""
     out = Tensor.__new__(Tensor)
     out.values = arr
     for x in inputs:
@@ -124,7 +309,7 @@ def _result(arr: np.ndarray, *inputs: Tensor) -> tuple[Tensor, Tape | None]:
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# batch primitives
 
 
 def _affine_grads(t: Tape, x: Tensor, w: Tensor, b: Tensor, gz: np.ndarray) -> None:
@@ -144,33 +329,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if t is not None:
         def backward(g, t=t, x=x, w=w, b=b):
             _affine_grads(t, x, w, b, g)
-        t._ops.append((out, backward))
-    return out
-
-
-def weighted_sum(weights: Tensor, parts: list[Tensor]) -> Tensor:
-    """Row-wise mixture: out[i] = sum_k weights[i, k] * parts[k][i].
-
-    weights is (g, K) and every part is (g, m); this is the gate-mixing
-    step shared by expert gates and parent gates.
-    """
-    g_rows, k = weights.shape
-    if k != len(parts):
-        raise ShapeMismatch("weighted_sum", weights.shape, len(parts))
-    for p in parts:
-        if p.shape[0] != g_rows:
-            raise ShapeMismatch("weighted_sum", weights.shape, p.shape)
-    acc = weights.values[:, 0:1] * parts[0].values
-    for j in range(1, k):
-        acc += weights.values[:, j:j + 1] * parts[j].values
-    out, t = _result(acc, weights, *parts)
-    if t is not None:
-        def backward(g, t=t, weights=weights, parts=parts):
-            wg = np.empty_like(weights.values)
-            for j, p in enumerate(parts):
-                t._accum(p, g * weights.values[:, j:j + 1], own=True)
-                wg[:, j] = (g * p.values).sum(axis=1)
-            t._accum(weights, wg, own=True)
         t._ops.append((out, backward))
     return out
 
@@ -237,65 +395,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Te
     return out
 
 
-def softmax_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """softmax(x @ w + b) over the last axis, recorded as one op."""
-    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
-        raise ShapeMismatch("softmax_affine", x.shape, w.shape, b.shape)
-    z = x.values @ w.values + b.values
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    out, t = _result(z, x, w, b)
-    if t is not None:
-        def backward(g, t=t, x=x, w=w, b=b, s=z):
-            gz = s * (g - (g * s).sum(axis=1, keepdims=True))
-            _affine_grads(t, x, w, b, gz)
-        t._ops.append((out, backward))
-    return out
-
-
-def softplus_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """softplus(x @ w + b), recorded as one op."""
-    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
-        raise ShapeMismatch("softplus_affine", x.shape, w.shape, b.shape)
-    z = x.values @ w.values + b.values
-    sp = np.logaddexp(0.0, z)  # log(1 + e^z) without overflow
-    out, t = _result(sp, x, w, b)
-    if t is not None:
-        def backward(g, t=t, x=x, w=w, b=b, z=z, sp=sp):
-            gz = g * np.exp(z - sp)  # sigmoid(z), stable since z - sp <= 0
-            _affine_grads(t, x, w, b, gz)
-        t._ops.append((out, backward))
-    return out
-
-
-def relu_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """relu(x @ w + b), recorded as one op."""
-    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
-        raise ShapeMismatch("relu_affine", x.shape, w.shape, b.shape)
-    z = x.values @ w.values + b.values
-    pos = z > 0
-    out, t = _result(np.where(pos, z, 0.0), x, w, b)
-    if t is not None:
-        def backward(g, t=t, x=x, w=w, b=b, pos=pos):
-            gz = g * pos
-            _affine_grads(t, x, w, b, gz)
-        t._ops.append((out, backward))
-    return out
-
-
-def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows of x by a unique index vector (gradient scatters back)."""
-    out, t = _result(x.values[idx], x)
-    if t is not None:
-        def backward(g, t=t, x=x, idx=idx):
-            buf = np.zeros_like(x.values)
-            buf[idx] = g
-            t._accum(x, buf, own=True)
-        t._ops.append((out, backward))
-    return out
-
-
 def sum_tensors(parts: list[Tensor]) -> Tensor:
     """Elementwise sum of any number of same-shape tensors."""
     shape = parts[0].shape
@@ -314,50 +413,215 @@ def sum_tensors(parts: list[Tensor]) -> Tensor:
     return out
 
 
-def bce_with_logits_sum(logits: Tensor, y: np.ndarray,
-                        mask: np.ndarray | None = None) -> Tensor:
-    """Sum of binary cross-entropy terms evaluated from logits.
-
-    Each entry contributes softplus(z) - y*z, which equals
-    -[y log p + (1-y) log(1-p)] for p = sigmoid(z) and stays finite for
-    any logit. mask entries of 0 silence a term (and its gradient) exactly.
-    """
-    if y.shape != logits.shape or (mask is not None and mask.shape != y.shape):
-        raise ShapeMismatch("bce_with_logits_sum", logits.shape, y.shape)
-    z = logits.values
-    sp = np.logaddexp(0.0, z)
-    terms = sp - y * z
-    if mask is not None:
-        terms = terms * mask
-    out, t = _result(np.array([[terms.sum()]]), logits)
-    if t is not None:
-        def backward(g, t=t, logits=logits, y=y, mask=mask, z=z, sp=sp):
-            dz = np.exp(z - sp) - y
-            if mask is not None:
-                dz *= mask
-            t._accum(logits, dz * g[0, 0], own=True)
-        t._ops.append((out, backward))
-    return out
-
-
-def squared_error_sum(a: Tensor, target: np.ndarray) -> Tensor:
-    """sum((a - target)^2) against a constant target."""
-    if target.shape != a.shape:
-        raise ShapeMismatch("squared_error_sum", a.shape, target.shape)
-    resid = a.values - target
-    out, t = _result(np.array([[(resid * resid).sum()]]), a)
-    if t is not None:
-        def backward(g, t=t, a=a, resid=resid):
-            t._accum(a, (2.0 * g[0, 0]) * resid, own=True)
-        t._ops.append((out, backward))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# parameter initialization
+# level ops: one op per stage for all (row, node) pairs of an ontology level
 
 
-def fan_in_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) init; fan_in = rows."""
-    bound = 1.0 / np.sqrt(max(rows, 1))
-    return Tensor(rng.uniform(-bound, bound, size=(rows, cols)))
+def rowwise_affine(h: np.ndarray, w: np.ndarray, b: np.ndarray,
+                   seg: Segments) -> tuple[np.ndarray, np.ndarray | None]:
+    """z[p] = h[p] @ w[m] + b[m] for each row p and its member m = seg.of[p],
+    from stacks w (L, r, c) and b (L, 1, c).
+
+    Returns z and the per-row copies of the weights it gathered, or None
+    when those copies would be large (`_GATHER_PER_MEMBER`) and it ran one
+    BLAS product per member instead.
+    """
+    if h.shape[0] * w.shape[1] * w.shape[2] >= _GATHER_PER_MEMBER * seg.members.size:
+        z = np.empty((h.shape[0], w.shape[2]))
+        for m, s, e in seg.runs():
+            z[s:e] = h[s:e] @ w[m] + b[m]
+        return z, None
+    wg = w[seg.of]
+    return (np.matmul(h[:, None, :], wg) + b[seg.of])[:, 0, :], wg
+
+
+def _scatter_rows(n: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """An (n, cols) array holding the sum of rows[i] at row idx[i]."""
+    out = np.zeros((n, rows.shape[1]))
+    np.add.at(out, idx, rows)
+    return out
+
+
+def _rowwise_grads(t: Tape, h: Tensor | None, hv: np.ndarray, src, w, wv: np.ndarray,
+                   b, seg: Segments, gz: np.ndarray, wg: np.ndarray | None) -> None:
+    """Accumulate the gradients of z = rowwise_affine(hv, wv, b.values, seg)
+    given gz. hv holds rows src of tensor h (all of h, in order, when src is
+    None); h=None or const h skips its gradient."""
+    if h is not None and not h.const:
+        if wg is None:
+            gh = np.empty_like(hv)
+            for m, s, e in seg.runs():
+                gh[s:e] = gz[s:e] @ wv[m].T
+        else:
+            gh = np.matmul(gz[:, None, :], wg.transpose(0, 2, 1))[:, 0, :]
+        t._accum(h, gh if src is None else _scatter_rows(h.shape[0], src, gh),
+                 own=True)
+    if not w.const:
+        if wg is None:
+            gw = np.empty((seg.members.size, hv.shape[1], gz.shape[1]))
+            for i, (_, s, e) in enumerate(seg.runs()):
+                np.matmul(hv[s:e].T, gz[s:e], out=gw[i])
+        else:
+            gw = np.add.reduceat(hv[:, :, None] * gz[:, None, :], seg.starts, axis=0)
+        t._accum_block(w, seg.members, gw)
+    t._accum_block(b, seg.members,
+                   np.add.reduceat(gz, seg.starts, axis=0)[:, None, :])
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, in place; entries of -inf get weight exactly 0."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def _softmax_grad(s: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    return s * (gs - (gs * s).sum(axis=1, keepdims=True))
+
+
+def expert_mix(x: Tensor, experts: list[Tensor], rows: np.ndarray, seg: Segments,
+               w: Block | None = None,
+               b: Block | None = None) -> tuple[Tensor, np.ndarray]:
+    """Each pair's gated mixture of the expert outputs at its row:
+
+        out[p] = sum_e s[p, e] * experts[e][rows[p]],
+        s[p] = softmax(x[rows[p]] @ w[m] + b[m]),  m = seg.of[p].
+
+    Without a gate (w None) every weight is 1/E: sb's single expert passes
+    through, moe takes the mean. Returns the output and the weights s.
+    """
+    n_exp = len(experts)
+    hs = [h.values[rows] for h in experts]
+    if w is None:
+        s, xr, wg = np.full((rows.size, n_exp), 1.0 / n_exp), None, None
+    else:
+        xr = x.values[rows]
+        z, wg = rowwise_affine(xr, w.values, b.values, seg)
+        s = _softmax_rows(z)
+    acc = s[:, 0:1] * hs[0]
+    for e in range(1, n_exp):
+        acc += s[:, e:e + 1] * hs[e]
+    out, t = _result(acc, x, *experts, *((w, b) if w is not None else ()))
+    if t is not None:
+        def backward(g, t=t, x=x, experts=experts, rows=rows, seg=seg, w=w, b=b,
+                     hs=hs, s=s, xr=xr, wg=wg):
+            for e, h in enumerate(experts):
+                if not h.const:
+                    t._accum(h, _scatter_rows(h.shape[0], rows, g * s[:, e:e + 1]),
+                             own=True)
+            if w is not None and not (x.const and w.const and b.const):
+                gs = np.empty_like(s)
+                for e, he in enumerate(hs):
+                    gs[:, e] = np.einsum("ij,ij->i", g, he)
+                _rowwise_grads(t, x, xr, rows, w, w.values, b, seg,
+                               _softmax_grad(s, gs), wg)
+        t._ops.append((out, backward))
+    return out, s
+
+
+def parent_mix(mix: Tensor, sources: list[tuple[Tensor, np.ndarray, np.ndarray]],
+               width: int, single: np.ndarray, gated: np.ndarray | None = None,
+               xg: np.ndarray | None = None, gseg: Segments | None = None,
+               w: PaddedBlock | None = None,
+               b: PaddedBlock | None = None) -> tuple[Tensor, np.ndarray]:
+    """mix plus each pair's gated mixture of its parents' representations.
+
+    Pair p's k-th parent representation is read from an earlier level:
+    each (rep, dst, src) of sources copies rep rows src to the flat
+    (pair, parent) slots dst = p * width + k. Pairs in `single` have one
+    parent and take it with weight exactly 1 (a softmax over one logit).
+    Pairs in `gated` weigh their parents by softmax(xg @ w[m] + b[m]),
+    m = gseg.of, over gate stacks padded to `width` with zero weight
+    columns and -inf biases, which the softmax maps to weight exactly 0.
+    Returns the output and the (pairs, width) parent weights.
+    """
+    n, dim = mix.shape
+    pv = np.zeros((n * width, dim))
+    for rep, dst, src in sources:
+        pv[dst] = rep.values[src]
+    pv = pv.reshape(n, width, dim)
+    s = np.zeros((n, width))
+    s[single, 0] = 1.0
+    wv = wg = None
+    if w is not None:
+        wv = w.values
+        z, wg = rowwise_affine(xg, wv, b.values, gseg)
+        s[gated] = _softmax_rows(z)
+    parents = s[:, 0:1] * pv[:, 0]
+    for k in range(1, width):
+        parents += s[:, k:k + 1] * pv[:, k]
+    out, t = _result(mix.values + parents, mix, *(rep for rep, _, _ in sources),
+                     *((w, b) if w is not None else ()))
+    if t is not None:
+        def backward(g, t=t, mix=mix, sources=sources, gated=gated, xg=xg,
+                     gseg=gseg, w=w, b=b, wv=wv, wg=wg, pv=pv, s=s):
+            t._accum(mix, g)
+            gpv = (s[:, :, None] * g[:, None, :]).reshape(-1, g.shape[1])
+            for rep, dst, src in sources:
+                if not rep.const:
+                    t._accum(rep, _scatter_rows(rep.shape[0], src, gpv[dst]), own=True)
+            if w is not None and not (w.const and b.const):
+                gs = (g[gated][:, None, :] * pv[gated]).sum(axis=2)
+                _rowwise_grads(t, None, xg, None, w, wv, b, gseg,
+                               _softmax_grad(s[gated], gs), wg)
+        t._ops.append((out, backward))
+    return out, s
+
+
+def softplus_affine(x: Tensor, w: Block, b: Block, seg: Segments) -> Tensor:
+    """softplus(x[p] @ w[m] + b[m]), m = seg.of[p], for every row p."""
+    z, wg = rowwise_affine(x.values, w.values, b.values, seg)
+    sp = np.logaddexp(0.0, z)  # log(1 + e^z) without overflow
+    out, t = _result(sp, x, w, b)
+    if t is not None:
+        def backward(g, t=t, x=x, w=w, b=b, seg=seg, z=z, sp=sp, wg=wg):
+            gz = g * np.exp(z - sp)  # sigmoid(z), stable since z - sp <= 0
+            _rowwise_grads(t, x, x.values, None, w, w.values, b, seg, gz, wg)
+        t._ops.append((out, backward))
+    return out
+
+
+def recon_error(x: Tensor, w: Block, b: Block, seg: Segments,
+                target: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """sum_p ||relu(x[p] @ w[m] + b[m]) - target[p]||^2, m = seg.of[p],
+    against a constant target. Returns the (1, 1) loss and its per-member
+    sums."""
+    if target.shape != (x.shape[0], w.shape[2]):
+        raise ShapeMismatch("recon_error", x.shape, w.shape, target.shape)
+    z, wg = rowwise_affine(x.values, w.values, b.values, seg)
+    pos = z > 0
+    resid = np.where(pos, z, 0.0) - target
+    sq = (resid * resid).sum(axis=1)
+    out, t = _result(np.array([[sq.sum()]]), x, w, b)
+    if t is not None:
+        def backward(g, t=t, x=x, w=w, b=b, seg=seg, pos=pos, resid=resid, wg=wg):
+            gz = (2.0 * g[0, 0]) * resid * pos
+            _rowwise_grads(t, x, x.values, None, w, w.values, b, seg, gz, wg)
+        t._ops.append((out, backward))
+    return out, np.add.reduceat(sq, seg.starts)
+
+
+def head_bce(x: Tensor, src: np.ndarray, w: Block, b: Block, seg: Segments,
+             y: np.ndarray, weight: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Weighted binary cross-entropy of head logits.
+
+    Term i is weight[i] * (softplus(z) - y[i] * z) for the logit
+    z = x[src[i]] @ w[m] + b[m], m = seg.of[i]. That equals
+    -weight * [y log p + (1-y) log(1-p)] for p = sigmoid(z) and stays
+    finite for any logit; weight 0 silences a term and its gradient
+    exactly. Returns the (1, 1) sum and its per-member sums.
+    """
+    h = x.values[src]
+    z, wg = rowwise_affine(h, w.values, b.values, seg)
+    z = z[:, 0]
+    sp = np.logaddexp(0.0, z)
+    terms = weight * (sp - y * z)
+    out, t = _result(np.array([[terms.sum()]]), x, w, b)
+    if t is not None:
+        def backward(g, t=t, x=x, src=src, w=w, b=b, seg=seg, h=h, z=z, sp=sp,
+                     y=y, weight=weight, wg=wg):
+            gz = (weight * (np.exp(z - sp) - y) * g[0, 0])[:, None]
+            _rowwise_grads(t, x, h, src, w, w.values, b, seg, gz, wg)
+        t._ops.append((out, backward))
+    return out, np.add.reduceat(terms, seg.starts)

@@ -18,45 +18,42 @@ import numpy as np
 from .datastore import Dataset, FoldPlan, Record, config_fields, make_folds
 from .errors import NumericalError, ValidationError
 from .metrics import (EvalReport, ScoredSet, compare_scored_sets, score_metrics)
-from .model import (ModelSpec, OmtlModel, build_model, forward,
-                    reinit_parent_gates)
+from .model import (FROZEN_IN_PHASE1, FROZEN_IN_PHASE2, ModelSpec, OmtlModel,
+                    build_model, forward, reinit_parent_gates)
 from .objective import (LossBreakdown, RewardScheme, make_reward_scheme,
                         masked_loss, shaped_loss)
 from .ontology import OntologyGraph
 from .rng import substream
-from .tensor import Tape, Tensor
+from .tensor import Parameter, Tape
 
-FROZEN_IN_PHASE2 = ("expert.", "expert_gate.")
 # records per forward pass when scoring; bounds the memory a pass holds
 SCORE_CHUNK = 1024
 
 
 class _FlatAdam:
-    """Bias-corrected Adam over one flat buffer spanning all trainable
-    parameters, reading each step's gradients from a backward-replayed
-    Tape."""
+    """Bias-corrected Adam over the trainable parameters, which must fill
+    one contiguous span of their arena: each step reads that span of the
+    gradients a backward-replayed Tape accumulated and updates the
+    arena's values in place."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
+    def __init__(self, params: dict[str, Parameter], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.items = []
-        offset = 0
-        for name, p in params.items():
-            n = p.values.size
-            self.items.append((name, p, slice(offset, offset + n), p.values.shape))
-            offset += n
-        self.m = np.zeros(offset)
-        self.v = np.zeros(offset)
-        self.g = np.empty(offset)
+        self.params = params
+        self.arena = next((p.arena for p in params.values()), None)
+        self.span = self.arena.span(params) if params else slice(0, 0)
+        size = self.span.stop - self.span.start
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
 
     def step(self, tape: Tape) -> None:
-        g = self.g
-        for _, p, sl, _ in self.items:
-            g[sl] = tape.gradient(p).ravel()
+        if self.arena is None:  # nothing to train
+            return
+        g = tape.arena_grads(self.arena)[self.span]
         if not np.all(np.isfinite(g)):
-            for name, _, sl, _ in self.items:
-                if not np.all(np.isfinite(g[sl])):
+            for name, p in self.params.items():
+                if not np.all(np.isfinite(tape.gradient(p))):
                     raise NumericalError(
                         f"non-finite gradient for parameter {name!r}")
         self.t += 1
@@ -67,8 +64,7 @@ class _FlatAdam:
         step = self.lr / (1.0 - self.beta1 ** self.t)
         upd = step * self.m / (np.sqrt(self.v / (1.0 - self.beta2 ** self.t))
                                + self.eps)
-        for _, p, sl, shape in self.items:
-            p.values -= upd[sl].reshape(shape)
+        self.arena.values[self.span] -= upd
 
 
 @dataclass
@@ -125,20 +121,22 @@ class TrainLog:
         return {"entries": self.entries, "final_param_hash": self.final_param_hash}
 
 
-def _batch_loss(model: OmtlModel, graph: OntologyGraph, batch: list[Record],
-                cfg: TrainConfig, scheme: RewardScheme | None,
-                mode: str, dropout_rng) -> LossBreakdown:
+def _batch_loss(model: OmtlModel, batch: list[Record], cfg: TrainConfig,
+                scheme: RewardScheme | None, mode: str, dropout_rng) -> LossBreakdown:
     """Mean-per-record loss over one batch of (possibly mixed) records."""
-    result = forward(model, graph, batch, mode, dropout_rng)
+    result = forward(model, batch, mode, dropout_rng)
     if scheme is None:
-        return masked_loss(result, batch, graph, cfg.lam)
-    return shaped_loss(result, batch, graph, cfg.lam, scheme)
+        return masked_loss(result, cfg.lam)
+    return shaped_loss(result, cfg.lam, scheme)
 
 
 def evaluate_loss(model: OmtlModel, graph: OntologyGraph, records: list[Record],
                   cfg: TrainConfig, scheme: RewardScheme | None) -> LossBreakdown:
-    """Eval-mode (dropout-free) loss over a record list."""
-    return _batch_loss(model, graph, records, cfg, scheme, "eval", None)
+    """Eval-mode (dropout-free) loss over a record list; graph must be the
+    graph the model was built on."""
+    if graph is not model.graph and graph.graph_hash() != model.graph_hash:
+        raise ValidationError("evaluate_loss: graph is not the model's graph")
+    return _batch_loss(model, records, cfg, scheme, "eval", None)
 
 
 def _split_validation(records: list[Record], graph: OntologyGraph,
@@ -193,8 +191,8 @@ def train_loop(model: OmtlModel, graph: OntologyGraph, records: list[Record],
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
                 with Tape() as tape:
-                    breakdown = _batch_loss(model, graph, batch, cfg, scheme,
-                                            "train", dropout_rng)
+                    breakdown = _batch_loss(model, batch, cfg, scheme, "train",
+                                            dropout_rng)
                 if not np.isfinite(breakdown.total):
                     raise NumericalError(
                         f"non-finite loss in phase {phase!r}, epoch {epoch}, "
@@ -240,7 +238,7 @@ def train_phase1(model: OmtlModel, data: Dataset, cfg: TrainConfig,
     log = log if log is not None else TrainLog()
     model.hierarchy_enabled = False
     return train_loop(model, graph, data.records, cfg,
-                      frozen_prefixes=("parent_gate.",),
+                      frozen_prefixes=FROZEN_IN_PHASE1,
                       scheme=None, phase="phase1", log=log, stage=0)
 
 
@@ -363,7 +361,7 @@ def score_holdout(model: OmtlModel, graph: OntologyGraph,
     collected: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
     for start in range(0, len(records), SCORE_CHUNK):
         chunk = records[start:start + SCORE_CHUNK]
-        result = forward(model, graph, chunk, "eval", None)
+        result = forward(model, chunk, "eval", None)
         for (nid, o), p in result.predictions().items():
             if not graph.nodes[nid].core or o not in graph.nodes[nid].outcomes:
                 continue

@@ -6,9 +6,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
+from omtl import tensor as T
 from omtl.datastore import Record
 from omtl.model import ModelSpec, build_model
 from omtl.ontology import ConceptNode, OntologyGraph, ancestor_closure
+from omtl.tensor import Arena, Parameter, Segments, Tensor
 
 
 def diamond_graph(core_outcomes=("event",)) -> OntologyGraph:
@@ -64,6 +66,57 @@ def tiny_model(graph, variant="omtl", d=7, de=3, experts=2, seed=0,
     spec = ModelSpec(variant=variant, num_experts=1 if variant == "sb" else experts,
                      feature_dim=d, repr_dim=de, dropout=dropout)
     return build_model(spec, graph, seed=seed, shared_outcome=shared_outcome)
+
+
+def gate_weights(model, x: np.ndarray) -> dict[tuple[str, str], np.ndarray]:
+    """The weights every gate the forward pass runs puts on the rows of x,
+    by (node, "expert" or "parent"): computed by the level ops from the
+    model's level stacks. Parent gates run only for nodes with two or more
+    parents (a single parent takes weight exactly 1); their rows keep the
+    padding columns of the level's widest gate, each of weight 0."""
+    n = x.shape[0]
+    xt = Tensor(x, const=True)
+    gates = {}
+    for lv in model.levels:
+        if lv.gate_w is not None:
+            count = lv.gate_w.shape[0]
+            _, s = T.expert_mix(xt, [xt] * model.spec.num_experts,
+                                np.tile(np.arange(n), count),
+                                Segments(np.repeat(np.arange(count), n)),
+                                lv.gate_w, lv.gate_b)
+            gates.update(((nid, "expert"), s[j * n:(j + 1) * n])
+                         for j, nid in enumerate(lv.nodes))
+        if lv.pgate_w is not None:
+            count, _, width = lv.pgate_w.shape
+            _, s = T.parent_mix(Tensor(np.zeros((count * n, 1)), const=True), [],
+                                width, np.empty(0, dtype=np.intp),
+                                np.arange(count * n), np.tile(x, (count, 1)),
+                                Segments(np.repeat(np.arange(count), n)),
+                                lv.pgate_w, lv.pgate_b)
+            gated = [nid for nid, row in zip(lv.nodes, lv.gate_row) if row >= 0]
+            gates.update(((nid, "parent"), s[j * n:(j + 1) * n])
+                         for j, nid in enumerate(gated))
+    return gates
+
+
+def arena_params(values: dict) -> dict[str, Parameter]:
+    """Parameters holding the given 2-D values, laid out in one new arena
+    in the order given."""
+    arrays = {n: np.array(v, dtype=np.float64, ndmin=2) for n, v in values.items()}
+    arena = Arena([(n, a.shape) for n, a in arrays.items()])
+    for n, a in arrays.items():
+        arena.params[n].values[...] = a
+    return arena.params
+
+
+def sq_loss(x: Tensor, target) -> Tensor:
+    """sum((x - target)^2) recorded as one tape op: a scalar loss for tests
+    of the tape and the optimizer (the model's own losses are level ops)."""
+    resid = x.values - target
+    out, t = T._result(np.array([[(resid * resid).sum()]]), x)
+    if t is not None:
+        t._ops.append((out, lambda g: t._accum(x, (2.0 * g[0, 0]) * resid, own=True)))
+    return out
 
 
 @pytest.fixture

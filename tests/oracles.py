@@ -162,6 +162,56 @@ def permutation_delong_p(scores_a, scores_b, labels, n_resamples: int = 10_000,
     return float(np.mean(np.abs(deltas) >= abs(observed) - 1e-12))
 
 
+def _softmax(z):
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def node_block_forward(p: dict, variant: str, num_experts: int, slope: float,
+                       parents: dict, order, outcome_map: dict, routed: bool,
+                       x, concepts) -> tuple[dict, dict, dict]:
+    """One record's eval-mode forward pass, node by node, from the model's
+    equations (p maps parameter names to value arrays):
+
+        h_e  = leaky_relu(x W_e + b_e)
+        m_n  = sum_e softmax(x G_n + g_n)_e h_e      mmoe, omtl
+             = h_0 (sb),  mean_e h_e (moe)
+        m_n += sum_k softmax(x P_n + q_n)_k r_k      routed, over n's parents
+        r_n  = softplus(m_n R_n + s_n)
+        c_n  = relu(r_n C_n + d_n)
+        z_no = r_n W_no + b_no
+
+    Returns the representations, reconstructions and logits by node (and
+    outcome) over the expressed nodes, visited in `order`.
+    """
+    x = np.asarray(x, dtype=float)
+    experts = []
+    for e in range(num_experts):
+        z = x @ p[f"expert.{e:02d}.w"] + p[f"expert.{e:02d}.b"][0]
+        experts.append(np.where(z > 0, z, slope * z))
+    reps, recons, logits = {}, {}, {}
+    for nid in order:
+        if nid not in concepts:
+            continue
+        if variant == "sb":
+            m = experts[0]
+        elif variant == "moe":
+            m = sum(experts) / num_experts
+        else:
+            gate = _softmax(x @ p[f"expert_gate.{nid}.w"] + p[f"expert_gate.{nid}.b"][0])
+            m = sum(g * h for g, h in zip(gate, experts))
+        if routed and parents[nid]:
+            gate = _softmax(x @ p[f"parent_gate.{nid}.w"] + p[f"parent_gate.{nid}.b"][0])
+            m = m + sum(g * reps[q] for g, q in zip(gate, parents[nid]))
+        reps[nid] = np.logaddexp(0.0, m @ p[f"repr.{nid}.w"] + p[f"repr.{nid}.b"][0])
+        recons[nid] = np.maximum(reps[nid] @ p[f"recon.{nid}.w"]
+                                 + p[f"recon.{nid}.b"][0], 0.0)
+        for o in outcome_map.get(nid, ()):
+            logits[(nid, o)] = float(reps[nid] @ p[f"head.{nid}.{o}.w"][:, 0]
+                                     + p[f"head.{nid}.{o}.b"][0, 0])
+    return reps, recons, logits
+
+
 class ReferenceAdam:
     """Hand-coded scalar/array Adam, written independently of the package."""
 

@@ -13,17 +13,17 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from omtl import tensor as T
 from omtl.datastore import Dataset, SynthConfig, generate_synthetic, make_folds
 from omtl.metrics import ScoredSet, auc_roc, average_precision, delong_test
 from omtl.model import ModelSpec, build_model, forward
 from omtl.objective import make_reward_scheme, masked_loss, reward_weights, shaped_loss
 from omtl.ontology import ConceptNode, OntologyGraph
-from omtl.tensor import Tape, Tensor
+from omtl.tensor import Tape
 from omtl.trainer import (TrainConfig, _FlatAdam, compare_variants,
                           train_phase1, train_phase2)
 
-from conftest import chain_graph, diamond_graph, make_record, random_dag, tiny_model
+from conftest import (arena_params, chain_graph, diamond_graph, gate_weights,
+                      make_record, random_dag, sq_loss, tiny_model)
 from oracles import (ReferenceAdam, finite_difference_gradients,
                      max_relative_error, pairwise_auc, permutation_delong_p,
                      threshold_sweep_ap)
@@ -80,12 +80,12 @@ def test_criterion_1_gradient_correctness():
         rec = make_record(graph, rng, d=7, anchor=anchor, label=1)
 
         def loss_value() -> float:
-            result = forward(model, graph, rec, mode="train")
-            return masked_loss(result, rec, graph, lam=0.1).total
+            result = forward(model, rec, mode="train")
+            return masked_loss(result, lam=0.1).total
 
         with Tape() as tape:
-            result = forward(model, graph, rec, mode="train")
-            breakdown = masked_loss(result, rec, graph, lam=0.1)
+            result = forward(model, rec, mode="train")
+            breakdown = masked_loss(result, lam=0.1)
         tape.backward(breakdown.loss)
         analytic = tape.gradients(model.params)
         numeric = finite_difference_gradients(loss_value, model.params, h=1e-5)
@@ -100,20 +100,14 @@ def test_criterion_2_gate_normalization():
     graph = diamond_graph()
     model = tiny_model(graph, "omtl", d=7, de=3, experts=3)
     rng = np.random.default_rng(2)
+    gates = gate_weights(model, rng.normal(scale=4.0, size=(1000, 7)))
+    # every node's expert gate, and a parent gate wherever a node has two
+    # or more parents (one parent takes weight exactly 1)
+    ok = set(gates) == {(n, "expert") for n in graph.nodes} | {("d", "parent")}
     worst = 0.0
-    ok = True
-    for _ in range(1000):
-        x = Tensor(rng.normal(scale=4.0, size=(1, 7)))
-        for nid in graph.ordered_ids:
-            gates = [T.softmax_affine(x, model.param(f"expert_gate.{nid}.w"),
-                                      model.param(f"expert_gate.{nid}.b"))]
-            if graph.parents[nid]:
-                gates.append(T.softmax_affine(
-                    x, model.param(f"parent_gate.{nid}.w"),
-                    model.param(f"parent_gate.{nid}.b")))
-            for gate in gates:
-                ok = ok and (gate.values >= 0).all()
-                worst = max(worst, abs(float(gate.values.sum()) - 1.0))
+    for gate in gates.values():
+        ok = ok and (gate >= 0).all()
+        worst = max(worst, float(np.abs(gate.sum(axis=1) - 1.0).max()))
     criterion(2, f"1000 inputs: every gate row sums to 1 (worst dev "
                  f"{worst:.1e} < 1e-9) with nonnegative entries",
               ok and worst < 1e-9)
@@ -124,14 +118,14 @@ def test_criterion_3_mmoe_reduction():
     omtl = tiny_model(graph, "omtl", d=7, de=3, experts=3, seed=3)
     mmoe = tiny_model(graph, "mmoe", d=7, de=3, experts=3, seed=99)
     for name in mmoe.params:
-        mmoe.param(name).values = omtl.param(name).values.copy()
+        mmoe.param(name).values[:] = omtl.param(name).values
     omtl.hierarchy_enabled = False
     rng = np.random.default_rng(3)
     worst = 0.0
     for i in range(1000):
         rec = make_record(graph, rng, d=7, label=1, rid=f"r{i}")
-        ra = forward(omtl, graph, rec, mode="eval")
-        rb = forward(mmoe, graph, rec, mode="eval")
+        ra = forward(omtl, rec, mode="eval")
+        rb = forward(mmoe, rec, mode="eval")
         for nid in ra.representations:
             worst = max(worst, np.abs(ra.representations[nid].values
                                       - rb.representations[nid].values).max())
@@ -154,8 +148,8 @@ def test_criterion_4_routing_and_masking():
         rec = make_record(graph, rng, d=7, anchor=anchor,
                           label=1 if labeled else None, rid=f"r{i}")
         with Tape() as tape:
-            result = forward(model, graph, rec, mode="train")
-            breakdown = masked_loss(result, rec, graph, lam=0.2)
+            result = forward(model, rec, mode="train")
+            breakdown = masked_loss(result, lam=0.2)
         tape.backward(breakdown.loss)
         grads = tape.gradients(model.params)
 
@@ -227,9 +221,9 @@ def test_criterion_6_reward_shaping():
     for i in range(20):
         rec = make_record(all_core, rng, d=7, anchor="c", label=int(rng.integers(2)),
                           rid=f"r{i}")
-        result = forward(model, all_core, rec, mode="train")
-        a = masked_loss(result, rec, all_core, lam=0.3)
-        b = shaped_loss(result, rec, all_core, lam=0.3, scheme=scheme0)
+        result = forward(model, rec, mode="train")
+        a = masked_loss(result, lam=0.3)
+        b = shaped_loss(result, lam=0.3, scheme=scheme0)
         exact = exact and a.total == b.total and a.l1 == b.l1
 
     chain = chain_graph(3)
@@ -244,14 +238,14 @@ def test_criterion_6_reward_shaping():
 
 def test_criterion_7_adam_against_reference():
     # the optimizer training runs, fed by the tape: loss w^2, gradient 2w
-    w = Tensor([[1.0]])
+    w = arena_params({"w": [[1.0]]})["w"]
     adam = _FlatAdam({"w": w}, lr=0.001)
     ref = ReferenceAdam(lr=0.001)
     w_ref = np.array([[1.0]])
     worst = 0.0
     for _ in range(20):
         with Tape() as tape:
-            loss = T.squared_error_sum(w, np.zeros((1, 1)))
+            loss = sq_loss(w, np.zeros((1, 1)))
         tape.backward(loss)
         adam.step(tape)
         w_ref = ref.step(w_ref, 2.0 * w_ref)

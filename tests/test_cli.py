@@ -220,11 +220,26 @@ def _set_param_values(obj: dict, values) -> dict:
     return obj
 
 
+def _edit_params(obj: dict, edit) -> dict:
+    params = dict(obj["params"])
+    edit(params)
+    return {**obj, "params": params}
+
+
+def _routed_mmoe(obj: dict) -> dict:
+    """An omtl model file relabelled mmoe, without its parent gates but
+    with routing still on."""
+    params = {n: e for n, e in obj["params"].items() if not n.startswith("parent_gate.")}
+    return {**obj, "spec": {**obj["spec"], "variant": "mmoe"}, "params": params,
+            "hierarchy_enabled": True}
+
+
 BAD_INPUTS = {
     "train batch_size as string": lambda w: _bad_train_config(w, {"batch_size": "64"}),
     "train negative lr": lambda w: _bad_train_config(w, {"lr": -1}),
     "train bool for int": lambda w: _bad_train_config(w, {"max_epochs": True}),
     "train config not an object": lambda w: _bad_train_config(w, [1, 2]),
+    "train zero repr_dim": lambda w: _bad_train_config(w, {"repr_dim": 0}),
     "synth zero records per node": lambda w: _bad_synth_config(w, {"records_per_node": 0}),
     "synth zero feature dim": lambda w: _bad_synth_config(w, {"feature_dim": 0}),
     "synth outcomes not strings": lambda w: _bad_synth_config(w, {"outcomes": [1]}),
@@ -236,6 +251,20 @@ BAD_INPUTS = {
         w, lambda o: _set_param_values(o, [0.0])),
     "model values not numbers": lambda w: _bad_model_file(
         w, lambda o: _set_param_values(o, ["x", "y"])),
+    "model zero repr_dim": lambda w: _bad_model_file(
+        w, lambda o: {**o, "spec": {**o["spec"], "repr_dim": 0}}),
+    "model without a repr weight": lambda w: _bad_model_file(
+        w, lambda o: _edit_params(o, lambda p: p.pop("repr.n0_0.w"))),
+    "model outcome without head": lambda w: _bad_model_file(
+        w, lambda o: {**o, "outcome_map": {**o["outcome_map"], "n0_0": ["mortality"]}}),
+    "model parameter misshaped": lambda w: _bad_model_file(
+        w, lambda o: _edit_params(o, lambda p: p.update(
+            {"expert.00.b": {"shape": [2, 1], "values": [0.0, 0.0]}}))),
+    "model routed without parent gates": lambda w: _bad_model_file(
+        w, _routed_mmoe),
+    "model unexpected parameter": lambda w: _bad_model_file(
+        w, lambda o: _edit_params(o, lambda p: p.update(
+            {"extra.w": {"shape": [1, 1], "values": [0.0]}}))),
     "records file missing": lambda w: _folds_on(w, w / "missing.jsonl"),
     "record features not numbers": lambda w: _bad_records_file(
         w, '{"id": "x", "features": "abc", "concepts": ["n0_0"]}'),

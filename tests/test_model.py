@@ -9,9 +9,12 @@ from omtl.model import (ForwardResult, ModelSpec, build_model, forward,
                         reinit_parent_gates, save_model)
 from omtl.objective import masked_loss
 from omtl.ontology import ConceptNode, OntologyGraph, ancestor_closure
-from omtl.tensor import Tape, Tensor, softmax_affine
+from omtl.tensor import Tape
 
-from conftest import chain_graph, diamond_graph, make_record, random_dag, tiny_model
+from conftest import (chain_graph, diamond_graph, gate_weights, make_record,
+                      random_dag, tiny_model)
+from oracles import (finite_difference_gradients, max_relative_error,
+                     node_block_forward)
 
 
 def eval_experts(model, x):
@@ -46,6 +49,14 @@ def repr_layer(model, nid, pre):
                         + model.param(f"repr.{nid}.b").values)
 
 
+def recon_sums(result) -> dict[str, float]:
+    """Each expressed node's squared reconstruction error summed over its
+    rows, as the loss computes it."""
+    n = result.inputs.shape[0]
+    return {nid: err * n
+            for nid, err in masked_loss(result, lam=1.0).per_node_recon.items()}
+
+
 def records_at(graph, x, anchor):
     """One unlabeled record per row of x, each expressing anchor's closure."""
     return [Record(id=f"r{i}", features=row,
@@ -65,6 +76,11 @@ class TestSpec:
     def test_unknown_variant(self):
         with pytest.raises(ValidationError, match="variant"):
             ModelSpec(variant="fancy")
+
+    @pytest.mark.parametrize("dims", [dict(repr_dim=0), dict(feature_dim=0)])
+    def test_empty_layers_rejected(self, dims):
+        with pytest.raises(ValidationError, match=">= 1"):
+            ModelSpec(variant="mmoe", **dims)
 
 
 class TestBuild:
@@ -113,7 +129,7 @@ class TestMixExperts:
         g = chain_graph(2)
         model = tiny_model(g, "sb", d=5, de=3)
         x = rng.normal(size=(1, 5))
-        rep = forward(model, g, records_at(g, x, "a")).representations["a"]
+        rep = forward(model, records_at(g, x, "a")).representations["a"]
         assert np.array_equal(rep.values,
                               repr_layer(model, "a", eval_experts(model, x)[0]))
 
@@ -123,7 +139,7 @@ class TestMixExperts:
         model.param("expert_gate.a.w").values[:] = 0.0
         model.param("expert_gate.a.b").values[:] = 0.0
         x = rng.normal(size=(1, 5))
-        rep = forward(model, g, records_at(g, x, "a")).representations["a"]
+        rep = forward(model, records_at(g, x, "a")).representations["a"]
         mean = np.mean(eval_experts(model, x), axis=0)
         assert np.allclose(rep.values, repr_layer(model, "a", mean), atol=1e-15)
 
@@ -131,7 +147,7 @@ class TestMixExperts:
         g = chain_graph(2)
         model = tiny_model(g, "mmoe", d=6, de=4, experts=3)
         x = rng.normal(size=(2, 6))
-        rep = forward(model, g, records_at(g, x, "b")).representations["b"]
+        rep = forward(model, records_at(g, x, "b")).representations["b"]
         experts = eval_experts(model, x)
         logits = x @ model.param("expert_gate.b.w").values \
             + model.param("expert_gate.b.b").values
@@ -150,23 +166,23 @@ class TestNodeRepresentation:
         model = tiny_model(g, "omtl", d=5, de=3, experts=2)
         x = rng.normal(size=(1, 5))
         recs = records_at(g, x, "b")
-        with_h = forward(model, g, recs).representations["b"]
+        with_h = forward(model, recs).representations["b"]
         model.hierarchy_enabled = False
-        without = forward(model, g, recs).representations["b"]
+        without = forward(model, recs).representations["b"]
         assert not np.allclose(with_h.values, without.values)
         assert np.array_equal(without.values,
                               repr_layer(model, "b", eval_mix(model, "b", x)))
         # and the disabled path never needs the parent at all
         alone = Record(id="alone", features=x[0], concepts=frozenset({"b"}),
                        labels={})
-        again = forward(model, g, alone).representations["b"]
+        again = forward(model, alone).representations["b"]
         assert np.array_equal(again.values, without.values)
 
     def test_single_parent_softmax_is_identity_mix(self, rng):
         g = chain_graph(2)
         model = tiny_model(g, "omtl", d=5, de=3, experts=2)
         x = rng.normal(size=(1, 5))
-        result = forward(model, g, records_at(g, x, "b"))
+        result = forward(model, records_at(g, x, "b"))
         # softmax over one entry is exactly 1
         pre = eval_mix(model, "b", x) + result.representations["a"].values
         assert np.allclose(result.representations["b"].values,
@@ -178,7 +194,7 @@ class TestNodeRepresentation:
         model.param("parent_gate.d.w").values[:] = 0.0
         model.param("parent_gate.d.b").values[:] = np.array([[10.0, -10.0]])
         x = rng.normal(size=(1, 7))
-        result = forward(model, g, records_at(g, x, "d"))
+        result = forward(model, records_at(g, x, "d"))
         p_b = result.representations["b"].values
         p_c = result.representations["c"].values
         # gate weight on parent b is 1/(1+e^-20); recompute by loop
@@ -193,7 +209,7 @@ class TestNodeRepresentation:
         rec = Record(id="r", features=rng.normal(size=7),
                      concepts=frozenset({"a", "d"}), labels={})
         with pytest.raises(ValidationError, match="missing parent"):
-            forward(model, g, rec)
+            forward(model, rec)
 
 
 class TestForward:
@@ -201,15 +217,15 @@ class TestForward:
         g = chain_graph(3)
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="a")
-        result = forward(model, g, rec)
+        result = forward(model, rec)
         assert set(result.representations) == {"a"}
-        assert set(result.reconstructions) == {"a"}
+        assert set(masked_loss(result, lam=1.0).per_node_recon) == {"a"}
 
     def test_chain_routing_child_consumes_parent(self, rng):
         g = chain_graph(3)
         model = tiny_model(g, "omtl", d=7, de=3, experts=2)
         rec = make_record(g, rng, d=7, anchor="c", label=1)
-        result = forward(model, g, rec, mode="eval")
+        result = forward(model, rec, mode="eval")
         # recompute c's representation from the emitted parent output; the
         # gate over c's single parent is exactly 1
         x = rec.features.reshape(1, -1)
@@ -222,9 +238,9 @@ class TestForward:
             g = random_dag(rng, int(rng.integers(2, 15)))
             model = tiny_model(g, "omtl")
             rec = make_record(g, rng, d=7)
-            result = forward(model, g, rec)
+            result = forward(model, rec)
             assert set(result.representations) == set(rec.concepts)
-            assert set(result.reconstructions) == set(rec.concepts)
+            assert set(masked_loss(result, lam=1.0).per_node_recon) == set(rec.concepts)
             # dependency order respected: every expressed parent of an
             # expressed node is available, by closure
             for nid in result.representations:
@@ -235,9 +251,9 @@ class TestForward:
         model = tiny_model(g, "omtl")
         unlabeled = make_record(g, rng, d=7, anchor="c", label=None)
         labeled = make_record(g, rng, d=7, anchor="c", label=1)
-        r_unlab = forward(model, g, unlabeled, mode="train")
-        r_lab = forward(model, g, labeled, mode="train")
-        r_eval = forward(model, g, unlabeled, mode="eval")
+        r_unlab = forward(model, unlabeled, mode="train")
+        r_lab = forward(model, labeled, mode="train")
+        r_eval = forward(model, unlabeled, mode="eval")
         assert r_unlab.outcome_logits == {}
         assert set(r_lab.outcome_logits) == {("c", "event")}
         assert set(r_eval.outcome_logits) == {("c", "event")}
@@ -247,25 +263,18 @@ class TestForward:
         model = tiny_model(g, "omtl", shared_outcome="event")
         model.param("head.b.event.b").values[:] = 500.0  # saturate sigmoid
         rec = make_record(g, rng, d=7, anchor="b", label=1)
-        preds = forward(model, g, rec).predictions()
+        preds = forward(model, rec).predictions()
         for p in preds.values():
             assert (0.0 < p).all() and (p < 1.0).all()
 
     def test_gate_outputs_normalized(self, rng):
         g = diamond_graph()
         model = tiny_model(g, "omtl", d=7, de=3, experts=3)
-        for _ in range(100):
-            x = Tensor(rng.normal(scale=3.0, size=(1, 7)))
-            for nid in g.nodes:
-                gate = softmax_affine(x, model.param(f"expert_gate.{nid}.w"),
-                                      model.param(f"expert_gate.{nid}.b"))
-                assert (gate.values >= 0).all()
-                assert abs(gate.values.sum() - 1.0) < 1e-9
-                if g.parents[nid]:
-                    h = softmax_affine(x, model.param(f"parent_gate.{nid}.w"),
-                                       model.param(f"parent_gate.{nid}.b"))
-                    assert (h.values >= 0).all()
-                    assert abs(h.values.sum() - 1.0) < 1e-9
+        gates = gate_weights(model, rng.normal(scale=3.0, size=(100, 7)))
+        assert len(gates) == 4 + 1
+        for gate in gates.values():
+            assert (gate >= 0).all()
+            assert np.abs(gate.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_group_forward_matches_single_records(self, rng):
         # a mixed batch: every anchor, labeled and unlabeled records
@@ -276,22 +285,26 @@ class TestForward:
                 for i, (anchor, label) in enumerate(
                     [("d", 1), ("a", None), ("b", 0), ("d", None),
                      ("c", 1), ("d", 0), ("b", None)])]
-        batch = forward(model, g, recs, mode="eval")
+        batch = forward(model, recs, mode="eval")
+        single_recon = dict.fromkeys(g.nodes, 0.0)
         for i, rec in enumerate(recs):
-            single = forward(model, g, rec, mode="eval")
+            single = forward(model, rec, mode="eval")
             expressed = {nid for nid, rows in batch.rows.items() if i in rows}
             assert expressed == set(single.representations) == set(rec.concepts)
             for nid in single.representations:
                 row = int(np.searchsorted(batch.rows[nid], i))
-                for got, want in ((batch.representations[nid],
-                                   single.representations[nid]),
-                                  (batch.reconstructions[nid],
-                                   single.reconstructions[nid])):
-                    assert np.abs(got.values[row] - want.values[0]).max() <= 1e-12
+                got = batch.representations[nid].values[row]
+                want = single.representations[nid].values[0]
+                assert np.abs(got - want).max() <= 1e-12
             for (nid, o), z in single.outcome_logits.items():
                 row = int(np.searchsorted(batch.rows[nid], i))
                 got = batch.outcome_logits[(nid, o)].values[row]
                 assert np.abs(got - z.values[0]).max() <= 1e-12
+            for nid, err in recon_sums(single).items():
+                single_recon[nid] += err
+        # each node's reconstruction error, summed over its rows
+        for nid, err in recon_sums(batch).items():
+            assert abs(err - single_recon[nid]) <= 1e-12
 
     def test_unclosed_record_raises_even_when_batch_expresses_parent(self, rng):
         g = diamond_graph()
@@ -304,9 +317,9 @@ class TestForward:
         # count, so only a checked gather can tell they do not line up
         for batch in ([closed_d, broken, closed_b], [broken, closed_b, closed_d]):
             with pytest.raises(ValidationError, match="missing parent"):
-                forward(model, g, batch)
+                forward(model, batch)
         model.hierarchy_enabled = False
-        forward(model, g, [closed_d, broken, closed_b])
+        forward(model, [closed_d, broken, closed_b])
 
 
 class TestMmoeReduction:
@@ -316,12 +329,12 @@ class TestMmoeReduction:
         mmoe = tiny_model(g, "mmoe", d=7, de=3, experts=2, seed=999)
         # share every non-parent-gate parameter
         for name in mmoe.params:
-            mmoe.param(name).values = omtl.param(name).values.copy()
+            mmoe.param(name).values[:] = omtl.param(name).values
         omtl.hierarchy_enabled = False
         for i in range(50):
             rec = make_record(g, rng, d=7, label=1, rid=f"r{i}")
-            ra = forward(omtl, g, rec, mode="eval")
-            rb = forward(mmoe, g, rec, mode="eval")
+            ra = forward(omtl, rec, mode="eval")
+            rb = forward(mmoe, rec, mode="eval")
             for nid in ra.representations:
                 assert np.array_equal(ra.representations[nid].values,
                                       rb.representations[nid].values)
@@ -336,8 +349,8 @@ class TestRoutingGradientSparsity:
         model = tiny_model(g, "omtl", d=7, de=3, experts=2)
         rec = make_record(g, rng, d=7, anchor="b", label=1)  # expresses a, b
         with Tape() as tape:
-            result = forward(model, g, rec, mode="train")
-            breakdown = masked_loss(result, rec, g, lam=0.5)
+            result = forward(model, rec, mode="train")
+            breakdown = masked_loss(result, lam=0.5)
         tape.backward(breakdown.loss)
         grads = tape.gradients(model.params)
         for name, grad in grads.items():
@@ -376,3 +389,137 @@ class TestSerialization:
                 assert not np.array_equal(values, before[name])
             else:
                 assert np.array_equal(values, before[name])
+
+
+def ragged_dags(rng, count: int) -> list[OntologyGraph]:
+    """Random DAGs with a level that holds a node of two or more parents
+    beside a node of another in-degree."""
+    graphs = []
+    while len(graphs) < count:
+        g = random_dag(rng, int(rng.integers(5, 11)), edge_prob=0.4)
+        degrees: dict[int, set] = {}
+        for nid in g.nodes:
+            degrees.setdefault(g.levels[nid], set()).add(len(g.parents[nid]))
+        if any(max(d) >= 2 and len(d) >= 2 for d in degrees.values()):
+            graphs.append(g)
+    return graphs
+
+
+def mixed_batch(graph, rng, n: int, d: int) -> list[Record]:
+    return [make_record(graph, rng, d=d, label=[None, 0, 1][int(rng.integers(3))],
+                        rid=f"r{j}") for j in range(n)]
+
+
+def check_against_oracle(model, g, recs) -> None:
+    """forward on the batch recs within 1e-12 of the per-node oracle, one
+    record at a time; reconstructions through the loss, per record in a
+    batch of one and summed over a node's rows in larger batches."""
+    result = forward(model, recs)
+    values = {n: q.values for n, q in model.params.items()}
+    oracle_recon = dict.fromkeys(g.nodes, 0.0)
+    for j, rec in enumerate(recs):
+        reps, recons, logits = node_block_forward(
+            values, model.spec.variant, model.spec.num_experts,
+            model.spec.leaky_slope, g.parents, g.ordered_ids, model.outcome_map,
+            model.hierarchy_enabled, rec.features, rec.concepts)
+        assert set(reps) == {n for n, rows in result.rows.items() if j in rows}
+        for nid in reps:
+            row = int(np.searchsorted(result.rows[nid], j))
+            got = result.representations[nid].values[row]
+            assert np.abs(got - reps[nid]).max() <= 1e-12
+            oracle_recon[nid] += float(((recons[nid] - rec.features) ** 2).sum())
+        for (nid, o), z in logits.items():
+            row = int(np.searchsorted(result.rows[nid], j))
+            assert abs(result.outcome_logits[(nid, o)].values[row, 0] - z) <= 1e-12
+    for nid, err in recon_sums(result).items():
+        assert abs(err - oracle_recon[nid]) <= 1e-12 * max(1.0, oracle_recon[nid])
+
+
+def padded_gate_dags(rng, count: int) -> list[OntologyGraph]:
+    """Random DAGs with a level whose gated nodes differ in width, so the
+    narrower parent gates are padded with -inf logits."""
+    padded = []
+    for g in ragged_dags(rng, 40 * count):
+        widths: dict[int, set] = {}
+        for nid in g.nodes:
+            if len(g.parents[nid]) >= 2:
+                widths.setdefault(g.levels[nid], set()).add(len(g.parents[nid]))
+        if any(len(w) >= 2 for w in widths.values()):
+            padded.append(g)
+            if len(padded) == count:
+                return padded
+    raise AssertionError(f"only {len(padded)} of {count} padded-gate graphs")
+
+
+def expressing_batch(g, rng, d: int) -> list[Record]:
+    """A mixed batch of 12 records plus one anchored at every node."""
+    recs = mixed_batch(g, rng, 12, d=d)
+    for j, nid in enumerate(g.ordered_ids):
+        recs.append(make_record(g, rng, d=d, anchor=nid, label=j % 2, rid=f"a{j}"))
+    return recs
+
+
+def check_parent_gate_gradients(model, g, recs) -> None:
+    """Tape gradients of the gates over two or more parents within 1e-4
+    (relative) of finite differences, and none of them all zero."""
+    gates = {n: q for n, q in model.params.items()
+             if n.startswith("parent_gate.") and len(g.parents[n.split(".")[1]]) >= 2}
+
+    def loss() -> float:
+        return masked_loss(forward(model, recs, mode="train"), lam=0.3).total
+
+    with Tape() as tape:
+        breakdown = masked_loss(forward(model, recs, mode="train"), lam=0.3)
+    tape.backward(breakdown.loss)
+    analytic = tape.gradients(gates)
+    assert all(np.abs(a).max() > 0 for a in analytic.values())
+    numeric = finite_difference_gradients(loss, gates)
+    assert max_relative_error(analytic, numeric) < 1e-4
+
+
+class TestLevelBatching:
+    def test_forward_matches_node_by_node_oracle(self, rng):
+        # batches of 1, 7 and 60 records: short and long runs of rows per node
+        for i, g in enumerate(ragged_dags(rng, 100)):
+            variant = ("omtl", "omtl", "mmoe", "sb", "moe")[i % 5]
+            model = tiny_model(g, variant, d=6, de=3, experts=3, seed=i,
+                               shared_outcome="event" if i % 3 == 0 else None)
+            if i % 10 == 5:
+                model.hierarchy_enabled = False
+            check_against_oracle(model, g, mixed_batch(g, rng, (1, 7, 60)[i % 3], d=6))
+
+    def test_parent_gate_gradients_match_finite_differences(self, rng):
+        for i, g in enumerate(padded_gate_dags(rng, 5)):
+            model = tiny_model(g, "omtl", d=5, de=3, experts=2, seed=i)
+            check_parent_gate_gradients(model, g, expressing_batch(g, rng, d=5))
+
+    def test_both_product_paths(self, rng, monkeypatch):
+        # every level op forced onto one product per node, then onto the
+        # batched product, whatever the lengths of its runs
+        graphs = padded_gate_dags(rng, 3)
+        for limit in (0, 1 << 62):
+            monkeypatch.setattr(T, "_GATHER_PER_MEMBER", limit)
+            for i, g in enumerate(graphs):
+                model = tiny_model(g, "omtl", d=5, de=3, experts=2, seed=i,
+                                   shared_outcome="event")
+                recs = expressing_batch(g, rng, d=5)
+                check_against_oracle(model, g, recs)
+                check_parent_gate_gradients(model, g, recs)
+
+    def test_non_expressed_nodes_get_exact_zero_slices(self, rng):
+        for i, g in enumerate(ragged_dags(rng, 30)):
+            model = tiny_model(g, "omtl", d=5, de=3, experts=2, seed=i,
+                               shared_outcome="event")
+            anchors = rng.choice(g.ordered_ids, size=2)
+            recs = [make_record(g, rng, d=5, anchor=str(a), label=j % 2, rid=f"r{j}")
+                    for j, a in enumerate(np.repeat(anchors, 3))]
+            expressed = set().union(*(r.concepts for r in recs))
+            with Tape() as tape:
+                breakdown = masked_loss(forward(model, recs, mode="train"), lam=0.3)
+            tape.backward(breakdown.loss)
+            grads = tape.arena_grads(model.arena)
+            for name, q in model.params.items():
+                nid = name.split(".")[1]
+                single_gate = name.startswith("parent_gate.") and len(g.parents[nid]) == 1
+                if nid in g.nodes and (nid not in expressed or single_gate):
+                    assert (grads[q.span] == 0.0).all(), name

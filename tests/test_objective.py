@@ -8,7 +8,7 @@ from omtl.model import forward
 from omtl.objective import (make_reward_scheme, masked_loss, reward_weights,
                             shaped_loss)
 from omtl.ontology import ConceptNode, OntologyGraph
-from omtl.tensor import Tape, Tensor
+from omtl.tensor import Tape
 
 from conftest import chain_graph, diamond_graph, make_record, tiny_model
 
@@ -25,8 +25,8 @@ class TestMaskedLoss:
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="c", label=None)
         with Tape() as tape:
-            result = forward(model, g, rec, mode="train")
-            breakdown = masked_loss(result, rec, g, lam=0.3)
+            result = forward(model, rec, mode="train")
+            breakdown = masked_loss(result, lam=0.3)
         tape.backward(breakdown.loss)
         assert breakdown.l1 == 0.0
         assert breakdown.l2 > 0.0
@@ -38,28 +38,31 @@ class TestMaskedLoss:
         g = chain_graph(2)
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="a")
-        result = forward(model, g, rec, mode="train")
-        # overwrite the reconstruction with the input itself
-        result.reconstructions["a"] = Tensor(rec.features.reshape(1, -1))
-        breakdown = masked_loss(result, rec, g, lam=1.0)
+        rec.features = np.abs(rec.features)
+        # a reconstruction layer that outputs the (nonnegative) input itself
+        model.param("recon.a.w").values[:] = 0.0
+        model.param("recon.a.b").values[:] = rec.features
+        result = forward(model, rec, mode="train")
+        breakdown = masked_loss(result, lam=1.0)
         assert breakdown.per_node_recon["a"] == 0.0
 
     def test_two_core_nodes_at_half_probability(self, rng):
         g = all_core_chain(2)
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="b", label=1)
-        result = forward(model, g, rec, mode="train")
-        for key in result.outcome_logits:
-            result.outcome_logits[key] = Tensor([[0.0]])  # sigmoid -> 0.5
-        breakdown = masked_loss(result, rec, g, lam=0.0)
+        for name in model.parameter_names("head."):
+            model.param(name).values[:] = 0.0  # logit 0, sigmoid 0.5
+        result = forward(model, rec, mode="train")
+        assert len(result.outcome_logits) == 2
+        breakdown = masked_loss(result, lam=0.0)
         assert breakdown.l1 == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_additivity_exact(self, rng):
         g = chain_graph(3)
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="c", label=0)
-        result = forward(model, g, rec, mode="train")
-        breakdown = masked_loss(result, rec, g, lam=0.37)
+        result = forward(model, rec, mode="train")
+        breakdown = masked_loss(result, lam=0.37)
         assert breakdown.total == breakdown.l1 + 0.37 * breakdown.l2
         assert breakdown.total == breakdown.loss.item()
         assert breakdown.l1 >= 0 and breakdown.l2 >= 0
@@ -68,17 +71,17 @@ class TestMaskedLoss:
         g = chain_graph(2)
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="a")
-        result = forward(model, g, rec, mode="train")
+        result = forward(model, rec, mode="train")
         with pytest.raises(ValidationError, match="lambda"):
-            masked_loss(result, rec, g, lam=-1.0)
+            masked_loss(result, lam=-1.0)
 
     def test_lambda_scales_only_l2(self, rng):
         g = chain_graph(3)
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="c", label=1)
-        result = forward(model, g, rec, mode="train")
-        b1 = masked_loss(result, rec, g, lam=0.2)
-        b2 = masked_loss(result, rec, g, lam=0.6)
+        result = forward(model, rec, mode="train")
+        b1 = masked_loss(result, lam=0.2)
+        b2 = masked_loss(result, lam=0.6)
         assert b2.l1 == b1.l1
         assert b2.l2 == b1.l2
         assert (b2.total - b2.l1) == pytest.approx(3 * (b1.total - b1.l1), rel=1e-12)
@@ -88,11 +91,11 @@ class TestMaskedLoss:
         model = tiny_model(g, "omtl")
         for label in (0, 1):
             rec = make_record(g, rng, d=7, anchor="b", label=label)
-            result = forward(model, g, rec, mode="train")
+            result = forward(model, rec, mode="train")
             z = result.outcome_logits[("b", "event")].item()
             p = 1.0 / (1.0 + math.exp(-z))
             expect = -(label * math.log(p) + (1 - label) * math.log(1 - p))
-            got = masked_loss(result, rec, g, lam=0.0).l1
+            got = masked_loss(result, lam=0.0).l1
             assert got == pytest.approx(expect, rel=1e-10)
 
 
@@ -138,9 +141,9 @@ class TestShapedLoss:
         model = tiny_model(g, "omtl")
         scheme = make_reward_scheme(g, 0.0, "event")
         rec = make_record(g, rng, d=7, anchor="c", label=1)
-        result = forward(model, g, rec, mode="train")
-        a = masked_loss(result, rec, g, lam=0.25)
-        b = shaped_loss(result, rec, g, lam=0.25, scheme=scheme)
+        result = forward(model, rec, mode="train")
+        a = masked_loss(result, lam=0.25)
+        b = shaped_loss(result, lam=0.25, scheme=scheme)
         assert a.total == b.total
         assert a.l1 == b.l1
         assert a.per_outcome == b.per_outcome
@@ -151,8 +154,8 @@ class TestShapedLoss:
         scheme = make_reward_scheme(g, 1.0, "event")
         rec = make_record(g, rng, d=7, anchor="a")
         rec.labels["event"] = 1
-        result = forward(model, g, rec, mode="train")
-        breakdown = shaped_loss(result, rec, g, lam=0.0, scheme=scheme)
+        result = forward(model, rec, mode="train")
+        breakdown = shaped_loss(result, lam=0.0, scheme=scheme)
         assert set(breakdown.per_outcome) == {("a", "event")}
         z = result.outcome_logits[("a", "event")].item()
         bce = math.log1p(math.exp(z)) - z
@@ -164,10 +167,11 @@ class TestShapedLoss:
         scheme = make_reward_scheme(g, 1.0, "event")
         rec = make_record(g, rng, d=7, anchor="b")
         rec.labels["event"] = 0
-        result = forward(model, g, rec, mode="train")
-        result.outcome_logits[("a", "event")] = Tensor([[0.4]])
-        result.outcome_logits[("b", "event")] = Tensor([[-1.1]])
-        breakdown = shaped_loss(result, rec, g, lam=0.0, scheme=scheme)
+        for nid, z in (("a", 0.4), ("b", -1.1)):  # logits z at any representation
+            model.param(f"head.{nid}.event.w").values[:] = 0.0
+            model.param(f"head.{nid}.event.b").values[:] = z
+        result = forward(model, rec, mode="train")
+        breakdown = shaped_loss(result, lam=0.0, scheme=scheme)
         # label 0: term = softplus(z); weights (1/2)/(3/4), 1/(3/4)
         expect = (scheme.weights["a"] * math.log1p(math.exp(0.4))
                   + scheme.weights["b"] * math.log1p(math.exp(-1.1)))
@@ -178,17 +182,17 @@ class TestShapedLoss:
         model = tiny_model(g, "omtl")  # heads at core leaf only
         scheme = make_reward_scheme(g, 1.0, "event")
         rec = make_record(g, rng, d=7, anchor="c", label=1)
-        result = forward(model, g, rec, mode="train")
+        result = forward(model, rec, mode="train")
         with pytest.raises(ValidationError, match="no head"):
-            shaped_loss(result, rec, g, lam=0.0, scheme=scheme)
+            shaped_loss(result, lam=0.0, scheme=scheme)
 
     def test_unlabeled_record_contributes_l2_only(self, rng):
         g = chain_graph(3)
         model = tiny_model(g, "omtl", shared_outcome="event")
         scheme = make_reward_scheme(g, 1.0, "event")
         rec = make_record(g, rng, d=7, anchor="c", label=None)
-        result = forward(model, g, rec, mode="train")
-        breakdown = shaped_loss(result, rec, g, lam=0.5, scheme=scheme)
+        result = forward(model, rec, mode="train")
+        breakdown = shaped_loss(result, lam=0.5, scheme=scheme)
         assert breakdown.l1 == 0.0
         assert breakdown.l2 > 0.0
 
@@ -200,10 +204,10 @@ class TestShapedLoss:
         labeled.labels["event"] = 1
         unlabeled = make_record(g, rng, d=7, anchor="c", rid="unlab")
         batch = [labeled, unlabeled]
-        result = forward(model, g, batch, mode="train")
+        result = forward(model, batch, mode="train")
         assert ("c", "event") not in result.outcome_logits
-        breakdown = shaped_loss(result, batch, g, lam=0.2, scheme=scheme)
+        breakdown = shaped_loss(result, lam=0.2, scheme=scheme)
         assert set(breakdown.per_outcome) == {("a", "event"), ("b", "event")}
-        singles = [shaped_loss(forward(model, g, rec, mode="train"), rec, g,
-                               lam=0.2, scheme=scheme).total for rec in batch]
+        singles = [shaped_loss(forward(model, rec, mode="train"), lam=0.2,
+                               scheme=scheme).total for rec in batch]
         assert breakdown.total == pytest.approx(np.mean(singles), abs=1e-12)

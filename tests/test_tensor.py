@@ -5,27 +5,46 @@ import pytest
 
 from omtl import tensor as T
 from omtl.errors import NumericalError, ShapeMismatch
-from omtl.tensor import Tape, Tensor
+from omtl.tensor import Segments, Tape, Tensor
 from omtl.trainer import _FlatAdam
 
+from conftest import arena_params, sq_loss
 from oracles import ReferenceAdam, finite_difference_gradients, max_relative_error
 
 
-def identity_softmax(x: Tensor) -> Tensor:
-    """Row-wise softmax of x through the gate op, with an identity weight."""
-    m = x.shape[1]
-    return T.softmax_affine(x, Tensor(np.eye(m)), Tensor(np.zeros((1, m))))
+def one_run(n: int) -> Segments:
+    """n rows that all use member 0 of a block."""
+    return Segments(np.zeros(n, dtype=np.intp))
+
+
+def stacked(*arrays, const=False):
+    """A block whose members hold the given same-shape arrays."""
+    names = [f"m{i}" for i in range(len(arrays))]
+    params = arena_params(dict(zip(names, arrays)))
+    for p in params.values():
+        p.const = const
+    return next(iter(params.values())).arena.block(names)
+
+
+def identity_softmax(x: Tensor) -> np.ndarray:
+    """Row-wise softmax of x: the weights of an expert gate with an
+    identity weight and zero bias."""
+    n, m = x.shape
+    experts = [Tensor(np.zeros((n, 1))) for _ in range(m)]
+    _, s = T.expert_mix(x, experts, np.arange(n), one_run(n),
+                        stacked(np.eye(m)), stacked(np.zeros((1, m))))
+    return s
 
 
 class TestPrimitives:
     def test_softmax_symmetry(self):
         out = identity_softmax(Tensor([[0.0, 0.0, 0.0]]))
-        assert np.allclose(out.values, 1.0 / 3.0)
+        assert np.allclose(out, 1.0 / 3.0)
 
     def test_softmax_rows_sum_to_one(self, rng):
         for _ in range(50):
             x = Tensor(rng.normal(scale=5.0, size=(4, 6)))
-            s = identity_softmax(x).values
+            s = identity_softmax(x)
             assert (s >= 0).all()
             assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -35,7 +54,8 @@ class TestPrimitives:
         assert out.values[0, 1] == 2.0
 
     def test_softplus_at_zero(self):
-        out = T.softplus_affine(Tensor([[0.0]]), Tensor([[1.0]]), Tensor([[0.0]]))
+        out = T.softplus_affine(Tensor([[0.0]]), stacked([[1.0]]), stacked([[0.0]]),
+                                one_run(1))
         assert out.item() == pytest.approx(math.log(2), abs=1e-15)
 
     def test_affine_shape_error_names_primitive(self):
@@ -44,53 +64,110 @@ class TestPrimitives:
                      Tensor(np.zeros((1, 2))))
 
     def test_weighted_sum_matches_loop(self, rng):
-        w = identity_softmax(Tensor(rng.normal(size=(4, 3))))
+        # the expert mixture: each row's gate-weighted sum of the parts
+        x = Tensor(rng.normal(size=(4, 5)))
         parts = [Tensor(rng.normal(size=(4, 5))) for _ in range(3)]
-        out = T.weighted_sum(w, parts)
-        expect = sum(w.values[:, k:k + 1] * parts[k].values for k in range(3))
+        seg = Segments(np.array([0, 0, 1, 1]))
+        out, w = T.expert_mix(x, parts, np.arange(4), seg,
+                              stacked(*rng.normal(size=(2, 5, 3))),
+                              stacked(*rng.normal(size=(2, 1, 3))))
+        expect = sum(w[:, k:k + 1] * parts[k].values for k in range(3))
         assert np.allclose(out.values, expect, atol=1e-15)
 
+    def test_level_ops_use_each_rows_node_weights(self, rng, monkeypatch):
+        # rows of three nodes, in short and long runs, through the batched
+        # product and through one product per node, against a plain
+        # per-row loop
+        for run in (2, 40):
+            node = np.repeat([0, 1, 2], run)
+            x = rng.normal(size=(node.size, 4))
+            w, b = rng.normal(size=(3, 4, 2)), rng.normal(size=(3, 1, 2))
+            loop = np.array([x[p] @ w[node[p]] + b[node[p], 0]
+                             for p in range(node.size)])
+            for limit, gathers in ((1 << 62, True), (0, False)):
+                monkeypatch.setattr(T, "_GATHER_PER_MEMBER", limit)
+                z, wg = T.rowwise_affine(x, w, b, Segments(node))
+                assert (wg is not None) == gathers
+                assert np.abs(z - loop).max() <= 1e-12
 
-AFFINE_OPS = [T.affine, T.softmax_affine, T.softplus_affine, T.relu_affine]
+
+def level_case(name: str, cols: int, run):
+    """A constness case: run(x, w, b) applies an op to an input x and the
+    (3, cols) weight and (1, cols) bias parameters w and b."""
+    return pytest.param(cols, run, id=name)
+
+
+def _block(p, fill=None):
+    names = [n for n, q in p.arena.params.items() if q is p]
+    if fill is None:
+        return p.arena.block(names)
+    return p.arena.padded_block(names, fill)
+
+
+# four rows, each with two parents read from x itself, gated by w and b
+_PARENT_SOURCES = np.arange(8), np.repeat(np.arange(4), 2)
+
+LEVEL_CASES = [
+    level_case("affine", 2, lambda x, w, b: T.affine(x, w, b)),
+    level_case("softplus_affine", 2, lambda x, w, b: T.softplus_affine(
+        x, _block(w), _block(b), one_run(4))),
+    level_case("expert_mix", 2, lambda x, w, b: T.expert_mix(
+        x, [x, x], np.arange(4), one_run(4), _block(w), _block(b))[0]),
+    level_case("parent_mix", 2, lambda x, w, b: T.parent_mix(
+        x, [(x, *_PARENT_SOURCES)], 2, np.zeros(0, dtype=np.intp), np.arange(4),
+        x.values, one_run(4), _block(w, 0.0), _block(b, -np.inf))[0]),
+    level_case("recon_error", 2, lambda x, w, b: T.recon_error(
+        x, _block(w), _block(b), one_run(4), np.ones((4, 2)))[0]),
+    level_case("head_bce", 1, lambda x, w, b: T.head_bce(
+        x, np.arange(4), _block(w), _block(b), one_run(4),
+        np.array([1.0, 0.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0, 1.0]))[0]),
+]
+
+
+def weights(rng, cols: int, const: bool):
+    p = arena_params({"w": rng.normal(size=(3, cols)), "b": rng.normal(size=(1, cols))})
+    for q in p.values():
+        q.const = const
+    return p["w"], p["b"]
 
 
 class TestConstness:
-    @pytest.mark.parametrize("op", AFFINE_OPS, ids=lambda op: op.__name__)
-    def test_all_const_inputs_record_nothing(self, rng, op):
+    @pytest.mark.parametrize("cols, op", LEVEL_CASES)
+    def test_all_const_inputs_record_nothing(self, rng, cols, op):
         x = Tensor(rng.normal(size=(4, 3)), const=True)
-        w = Tensor(rng.normal(size=(3, 2)), const=True)
-        b = Tensor(rng.normal(size=(1, 2)), const=True)
-        free = Tensor(rng.normal(size=(4, 2)))
+        w, b = weights(rng, cols, const=True)
         with Tape() as tape:
             out = op(x, w, b)
             assert out.const
             assert tape._ops == []
-            loss = T.squared_error_sum(T.add(out, free), np.zeros((4, 2)))
+            free = Tensor(rng.normal(size=out.shape))
+            loss = sq_loss(T.add(out, free), np.zeros(out.shape))
         tape.backward(loss)
         assert len(tape._ops) == 2
-        for t in (x, w, b, out):
-            assert id(t) not in tape._grads
-        assert np.array_equal(tape.gradient(w), np.zeros((3, 2)))
+        assert id(x) not in tape._grads and id(out) not in tape._grads
+        assert w.arena not in tape._arena_grads
+        assert np.array_equal(tape.gradient(w), np.zeros(w.shape))
         assert np.array_equal(tape.gradient(free), 2.0 * (out.values + free.values))
 
-    @pytest.mark.parametrize("op", AFFINE_OPS, ids=lambda op: op.__name__)
-    def test_const_weights_under_trainable_input(self, rng, op):
+    @pytest.mark.parametrize("cols, op", LEVEL_CASES)
+    def test_const_weights_under_trainable_input(self, rng, cols, op):
         # a frozen layer still carries the gradient back to its input
         x = Tensor(rng.normal(size=(4, 3)))
-        w = Tensor(rng.normal(size=(3, 2)), const=True)
-        b = Tensor(rng.normal(size=(1, 2)), const=True)
+        w, b = weights(rng, cols, const=True)
         with Tape() as tape:
             out = op(x, w, b)
-            loss = T.squared_error_sum(out, np.zeros((4, 2)))
+            loss = sq_loss(out, np.zeros(out.shape))
         tape.backward(loss)
         assert not out.const
-        assert id(w) not in tape._grads and id(b) not in tape._grads
+        assert w.arena not in tape._arena_grads
         assert np.abs(tape.gradient(x)).max() > 0.0
 
     def test_take_rows_of_const_is_const(self, rng):
+        # an ungated mixture only takes rows of its experts
+        experts = [Tensor(rng.normal(size=(4, 3)), const=True) for _ in range(2)]
         x = Tensor(rng.normal(size=(4, 3)), const=True)
         with Tape() as tape:
-            out = T.take_rows(x, np.array([0, 2]))
+            out, _ = T.expert_mix(x, experts, np.array([0, 2]), one_run(2))
         assert out.const
         assert tape._ops == []
 
@@ -120,14 +197,70 @@ class TestDropout:
         assert (a.values == b.values).all()
 
 
+def composed_graph_check(rng) -> None:
+    """Finite differences against the tape on a random small composite of
+    every differentiable primitive, over a two-level toy: 4 rows on level 0
+    (one node), 5 (row, node) pairs on level 1 (nodes 0 and 1, row 2 in
+    both), node 1 gated over two parents, one head per level-1 node."""
+    rows1 = np.array([0, 2, 1, 2, 3])
+    seg1 = Segments(np.array([0, 0, 1, 1, 1]))
+    for trial in range(6):
+        shapes = {"x": (4, 5), "ew": (5, 3), "eb": (1, 3),
+                  "g0w": (5, 2), "g1w": (5, 2), "g0b": (1, 2), "g1b": (1, 2),
+                  "pw": (5, 2), "pb": (1, 2),
+                  "r0w": (3, 3), "r1w": (3, 3), "r0b": (1, 3), "r1b": (1, 3),
+                  "c0w": (3, 5), "c1w": (3, 5), "c0b": (1, 5), "c1b": (1, 5),
+                  "h0w": (3, 1), "h1w": (3, 1), "h0b": (1, 1), "h1b": (1, 1)}
+        params = arena_params({n: rng.normal(size=s) for n, s in shapes.items()})
+        arena = params["x"].arena
+        blk = lambda *names: arena.block(names)  # noqa: E731
+        y = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        weight = np.array([1.0, 0.0, 1.0, 0.5, 1.0])
+        target = rng.normal(size=(5, 5))
+        gate_in = rng.normal(size=(3, 5))  # parent gates read const features
+
+        def forward() -> Tensor:
+            x = params["x"]
+            h = T.leaky_relu(T.affine(x, params["ew"], params["eb"]))
+            kept = T.dropout(h, 0.3, np.random.default_rng(trial), train=True)
+            mix0, _ = T.expert_mix(x, [h, kept, h], np.arange(4), one_run(4),
+                                   stacked(np.eye(5)[:, :3] * 0.5),
+                                   stacked(np.zeros((1, 3))))
+            rep0 = T.softplus_affine(mix0, blk("r0w"), blk("r0b"), one_run(4))
+            mix1, _ = T.expert_mix(x, [h, kept], rows1, seg1,
+                                   blk("g0w", "g1w"), blk("g0b", "g1b"))
+            pre = T.parent_mix(
+                mix1, [(rep0, np.array([0, 2, 4, 6, 7, 8, 9]),
+                        np.array([0, 2, 1, 1, 2, 3, 3])),
+                       (mix0, np.array([5]), np.array([2]))],
+                2, np.array([0, 1]), np.array([2, 3, 4]),
+                gate_in, one_run(3),
+                arena.padded_block(["pw"], 0.0),
+                arena.padded_block(["pb"], -np.inf))[0]
+            rep1 = T.softplus_affine(pre, blk("r0w", "r1w"), blk("r0b", "r1b"),
+                                     seg1)
+            l2, _ = T.recon_error(rep1, blk("c0w", "c1w"), blk("c0b", "c1b"),
+                                  seg1, target)
+            l1, _ = T.head_bce(rep1, np.arange(5), blk("h0w", "h1w"),
+                               blk("h0b", "h1b"), seg1, y, weight)
+            return T.sum_tensors([l1, T.scale(T.add(l2, l2), 0.05)])
+
+        with Tape() as tape:
+            loss = forward()
+        tape.backward(loss)
+        analytic = tape.gradients(params)
+        numeric = finite_difference_gradients(lambda: forward().item(), params)
+        assert max_relative_error(analytic, numeric) < 1e-4
+
+
 class TestBackward:
     def test_linear_map_gradient(self, rng):
         x = Tensor(rng.normal(size=(2, 4)), const=True)
-        w = Tensor(rng.normal(size=(4, 3)))
-        b = Tensor(rng.normal(size=(1, 3)))
+        p = arena_params({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3))})
+        w, b = p["w"], p["b"]
         target = rng.normal(size=(2, 3))
         with Tape() as tape:
-            loss = T.squared_error_sum(T.affine(x, w, b), target)
+            loss = sq_loss(T.affine(x, w, b), target)
         tape.backward(loss)
         resid = 2.0 * (x.values @ w.values + b.values - target)
         assert np.allclose(tape.gradient(w), x.values.T @ resid, atol=1e-14)
@@ -135,10 +268,10 @@ class TestBackward:
                            atol=1e-14)
 
     def test_unused_parameter_gets_exact_zeros(self, rng):
-        w = Tensor(rng.normal(size=(3, 3)))
+        w = arena_params({"w": rng.normal(size=(3, 3))})["w"]
         other = Tensor(rng.normal(size=(2, 2)))
         with Tape() as tape:
-            loss = T.squared_error_sum(other, np.zeros((2, 2)))
+            loss = sq_loss(other, np.zeros((2, 2)))
         tape.backward(loss)
         assert (tape.gradient(w) == 0.0).all()
         assert tape.gradient(w).shape == (3, 3)
@@ -153,66 +286,31 @@ class TestBackward:
     def test_tape_single_use(self, rng):
         x = Tensor(rng.normal(size=(2, 2)))
         with Tape() as tape:
-            loss = T.squared_error_sum(x, np.zeros((2, 2)))
+            loss = sq_loss(x, np.zeros((2, 2)))
         tape.backward(loss)
         with pytest.raises(NumericalError, match="consumed"):
             tape.backward(loss)
 
     def test_composed_graph_matches_finite_differences(self, rng):
-        # random small composite of every differentiable primitive
-        for trial in range(6):
-            params = {
-                "x": Tensor(rng.normal(size=(4, 5))),
-                "w1": Tensor(rng.normal(size=(5, 4))),
-                "b1": Tensor(rng.normal(size=(1, 4))),
-                "w2": Tensor(rng.normal(size=(4, 3))),
-                "b2": Tensor(rng.normal(size=(1, 3))),
-                "w3": Tensor(rng.normal(size=(3, 3))),
-                "b3": Tensor(rng.normal(size=(1, 3))),
-                "gate_w": Tensor(rng.normal(size=(5, 3))),
-                "gate_b": Tensor(rng.normal(size=(1, 3))),
-                "head_w": Tensor(rng.normal(size=(3, 1))),
-                "head_b": Tensor(rng.normal(size=(1, 1))),
-            }
-            p = params
-            rows = np.array([0, 2, 3])
-            y = np.array([[1.0], [0.0], [1.0]])
-            mask = np.array([[1.0], [0.0], [1.0]])
-            target = rng.normal(size=(3, 3))
+        composed_graph_check(rng)
 
-            def forward() -> Tensor:
-                h = T.softplus_affine(p["x"], p["w1"], p["b1"])
-                h2 = T.leaky_relu(T.affine(h, p["w2"], p["b2"]))
-                kept = T.dropout(h2, 0.3, np.random.default_rng(trial), train=True)
-                gate = T.softmax_affine(p["x"], p["gate_w"], p["gate_b"])
-                mix = T.weighted_sum(gate, [h2, kept,
-                                            T.relu_affine(h2, p["w3"], p["b3"])])
-                sel = T.take_rows(mix, rows)
-                logits = T.affine(sel, p["head_w"], p["head_b"])
-                resid = T.add(sel, T.scale(T.take_rows(h2, rows), 0.5))
-                return T.sum_tensors([T.bce_with_logits_sum(logits, y, mask),
-                                      T.scale(T.squared_error_sum(resid, target),
-                                              0.1)])
-
-            with Tape() as tape:
-                loss = forward()
-            tape.backward(loss)
-            analytic = tape.gradients(params)
-            numeric = finite_difference_gradients(lambda: forward().item(), params)
-            assert max_relative_error(analytic, numeric) < 1e-4
+    def test_composed_graph_per_member_products(self, rng, monkeypatch):
+        # the same graph with every level op on one product per member
+        monkeypatch.setattr(T, "_GATHER_PER_MEMBER", 0)
+        composed_graph_check(rng)
 
     def test_determinism_bit_identical(self):
         def run():
             rng = np.random.default_rng(99)
             x = Tensor(rng.normal(size=(3, 3)))
-            w = Tensor(rng.normal(size=(3, 3)))
-            b = Tensor(rng.normal(size=(1, 3)))
+            w = stacked(rng.normal(size=(3, 3)))
+            b = stacked(rng.normal(size=(1, 3)))
             with Tape() as tape:
-                h = T.dropout(T.softmax_affine(x, w, b), 0.4,
+                h = T.dropout(T.softplus_affine(x, w, b, one_run(3)), 0.4,
                               np.random.default_rng(5), train=True)
-                loss = T.squared_error_sum(h, np.zeros((3, 3)))
+                loss = sq_loss(h, np.zeros((3, 3)))
             tape.backward(loss)
-            return loss.item(), tape.gradient(w).copy()
+            return loss.item(), tape.gradient(w.members[0]).copy()
 
         l1, g1 = run()
         l2, g2 = run()
@@ -230,35 +328,39 @@ def adam_on(adam: _FlatAdam, loss_fn) -> None:
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        p = {"w": Tensor([[1.5, -2.0]])}
+        p = arena_params({"w": [[1.5, -2.0]]})
         other = Tensor([[0.3]])
         before = p["w"].values.copy()
         adam_on(_FlatAdam(p, lr=0.001),
-                lambda: T.squared_error_sum(other, np.zeros((1, 1))))
+                lambda: sq_loss(other, np.zeros((1, 1))))
         assert (p["w"].values == before).all()
 
+    def test_nothing_trainable_is_a_no_op(self):
+        p = arena_params({"w": [[1.0]]})
+        adam_on(_FlatAdam({}, lr=0.001), lambda: sq_loss(p["w"], np.zeros((1, 1))))
+        assert p["w"].item() == 1.0
+
     def test_first_step_unit_normalized(self):
-        p = {"w": Tensor([[1.0]])}
+        p = arena_params({"w": [[1.0]]})
         # (w - (w - 0.5))^2 has gradient exactly 1 at any w
         adam_on(_FlatAdam(p, lr=0.001),
-                lambda: T.squared_error_sum(p["w"], np.array([[0.5]])))
+                lambda: sq_loss(p["w"], np.array([[0.5]])))
         # off from 1 - lr only by the eps guard in the denominator
         assert p["w"].item() == pytest.approx(1.0 - 0.001, abs=1e-10)
 
     def test_non_finite_gradient_names_parameter(self):
-        p = {"head.weights": Tensor([[1.0]])}
+        p = arena_params({"head.bias": [[0.0]], "head.weights": [[1.0]]})
         with pytest.raises(NumericalError, match="head.weights"):
             adam_on(_FlatAdam(p, lr=0.001),
-                    lambda: T.squared_error_sum(p["head.weights"],
-                                                np.array([[np.nan]])))
+                    lambda: sq_loss(p["head.weights"], np.array([[np.nan]])))
 
     def test_twenty_steps_match_reference_on_quadratic(self):
         # f(w) = w^2, gradient 2w, from w0 = 1
-        p = {"w": Tensor([[1.0]])}
+        p = arena_params({"w": [[1.0]]})
         adam = _FlatAdam(p, lr=0.001)
         ref = ReferenceAdam(lr=0.001)
         w_ref = np.array([[1.0]])
         for _ in range(20):
-            adam_on(adam, lambda: T.squared_error_sum(p["w"], np.zeros((1, 1))))
+            adam_on(adam, lambda: sq_loss(p["w"], np.zeros((1, 1))))
             w_ref = ref.step(w_ref, 2.0 * w_ref)
             assert abs(p["w"].item() - w_ref[0, 0]) < 1e-12

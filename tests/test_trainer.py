@@ -4,7 +4,7 @@ import pytest
 from omtl import trainer
 from omtl.datastore import Dataset, SynthConfig, generate_synthetic, make_folds
 from omtl.errors import ValidationError
-from omtl.model import build_model, forward, reinit_parent_gates
+from omtl.model import build_model, forward, load_model, reinit_parent_gates, save_model
 from omtl.objective import make_reward_scheme, masked_loss
 from omtl.ontology import ConceptNode, OntologyGraph
 from omtl.tensor import Tape
@@ -81,8 +81,8 @@ class TestPhase1:
         rec = make_record(graph, rng, d=7, anchor="c", label=1)
         from omtl.tensor import Tape
         with Tape() as tape:
-            result = forward(model, graph, rec, mode="train")
-            breakdown = masked_loss(result, rec, graph, lam=0.0)
+            result = forward(model, rec, mode="train")
+            breakdown = masked_loss(result, lam=0.0)
         tape.backward(breakdown.loss)
         grads = tape.gradients(model.params)
         for name in model.parameter_names("recon."):
@@ -151,7 +151,8 @@ class TestPhase2:
         for (name, p), q in zip(models[0].params.items(),
                                 models[1].params.values()):
             if name.startswith(FROZEN_IN_PHASE2):
-                assert id(p) not in frozen_tape._grads, name
+                assert not frozen_tape.gradient(p).any(), name
+                assert free_tape.gradient(q).any(), name
             else:
                 assert np.array_equal(frozen_tape.gradient(p),
                                       free_tape.gradient(q)), name
@@ -312,6 +313,17 @@ class TestCv:
 
 
 class TestMixedBatchLoss:
+    def test_evaluate_loss_rejects_another_graph(self, rng):
+        g = diamond_graph()
+        model = tiny_model(g, "omtl", d=7, de=3, experts=2)
+        batch = [make_record(g, rng, d=7, anchor="d", label=1)]
+        with pytest.raises(ValidationError, match="model's graph"):
+            evaluate_loss(model, chain_graph(4), batch, tiny_config(), None)
+        equal = OntologyGraph(list(g.nodes.values()),
+                              [(p, c) for c in g.ordered_ids for p in g.parents[c]])
+        assert evaluate_loss(model, equal, batch, tiny_config(), None).total == \
+            evaluate_loss(model, g, batch, tiny_config(), None).total
+
     def test_evaluate_loss_is_mean_of_single_record_losses(self, rng):
         g = diamond_graph()
         model = tiny_model(g, "omtl", d=7, de=3, experts=2, seed=3)
@@ -328,7 +340,7 @@ class TestMixedBatchLoss:
         grads = {n: np.zeros_like(p.values) for n, p in model.params.items()}
         for rec in batch:
             with Tape() as single_tape:
-                single = masked_loss(forward(model, g, rec), rec, g, cfg.lam)
+                single = masked_loss(forward(model, rec), cfg.lam)
             single_tape.backward(single.loss)
             total += single.total / len(batch)
             for name, p in model.params.items():
@@ -337,3 +349,55 @@ class TestMixedBatchLoss:
         assert abs(mixed.loss.item() - total) <= 1e-12
         for name, p in model.params.items():
             assert np.abs(tape.gradient(p) - grads[name]).max() <= 1e-12, name
+
+
+class _FirstStep(Exception):
+    """Stops a training run at its first backward pass."""
+
+
+def first_phase2_step_ops(monkeypatch, **cohort) -> int:
+    """Tape ops of the first phase-2 training step of omtl, default
+    training config, on the seed-0 synthetic cohort with `cohort` fields."""
+    ops = []
+
+    class CountingTape(Tape):
+        def backward(self, loss):
+            ops.append(len(self._ops))
+            raise _FirstStep
+
+    graph, data = generate_synthetic(SynthConfig(seed=0, **cohort))
+    cfg = TrainConfig(seed=0)
+    model = build_model(cfg.model_spec(data.feature_dim), graph, seed=0)
+    monkeypatch.setattr(trainer, "Tape", CountingTape)
+    with pytest.raises(_FirstStep):
+        train_phase2(model, data, cfg, graph)
+    return ops[0]
+
+
+class TestLevelOps:
+    def test_ops_per_step_scale_with_depth_not_width(self, monkeypatch):
+        wide = dict(levels=4, records_per_node=40, low_data_records=20)
+        assert first_phase2_step_ops(monkeypatch) <= 35
+        assert first_phase2_step_ops(monkeypatch, branching=3, **wide) <= 45
+        assert first_phase2_step_ops(monkeypatch, branching=3, **wide) == \
+            first_phase2_step_ops(monkeypatch, branching=2, **wide)
+
+    def test_parameters_stay_views_of_the_arena(self, tmp_path):
+        graph, data = small_benchmark()
+        model = tiny_model(graph, "omtl", d=10, de=3, experts=2)
+
+        def attached(m) -> bool:
+            return all(np.shares_memory(p.values, m.arena.values)
+                       for p in m.params.values())
+
+        assert attached(model)
+        cfg = tiny_config(max_epochs=2)
+        train_phase1(model, data, cfg, graph)
+        assert attached(model)
+        train_phase2(model, data, cfg, graph)
+        assert attached(model)
+        model.restore(model.snapshot())
+        assert attached(model)
+        path = str(tmp_path / "model.json")
+        save_model(model, path)
+        assert attached(load_model(path, graph))
