@@ -17,9 +17,10 @@ import sys
 import time
 
 from . import __version__
-from .datastore import (SynthConfig, generate_synthetic, json_field,
-                        load_dataset, make_folds, save_dataset)
+from .datastore import (SynthConfig, generate_synthetic, load_dataset, make_folds,
+                        save_dataset)
 from .errors import OmtlError, ValidationError
+from .fields import json_field
 from .metrics import ScoredSet, compare_scored_sets, score_metrics
 from .model import build_model, forward, load_model, save_model
 from .ontology import GrowthConfig, grow_from_core, load_graph, save_graph

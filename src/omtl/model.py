@@ -10,11 +10,12 @@ representation of their node and emit sigmoid probabilities.
 All parameters live in one `tensor.Arena`, laid out by freeze group and,
 within a group, level by level: the experts and expert gates, then the
 representation, reconstruction and head layers, then the parent gates.
-So phase 1 trains a prefix of the arena and phase 2 a suffix, and the
-nodes of one level hold each kind of layer as one stacked view (`Level`).
+So phase 1 trains a prefix of the arena and phase 2 a suffix. The experts
+are one stacked view, and the nodes of one level hold each kind of layer
+as one stacked view (`Level`).
 
-Routing is level-major: a forward pass runs the experts once over the
-whole batch, then visits each ontology level once, in order, and runs one
+Routing is level-major: a forward pass runs the experts as one op over
+the whole batch, then visits each ontology level once, in order, and runs one
 op per stage over all (row, node) pairs of the level, a record
 contributing one pair per node of its concept set on that level. Concept
 sets are ancestor-closed, so every parent representation a pair consumes
@@ -36,9 +37,10 @@ import numpy as np
 from . import tensor as T
 from .errors import ValidationError
 from .ontology import OntologyGraph
-from .datastore import Record, config_fields, json_field
+from .datastore import Record
+from .fields import config_fields, json_field
 from .rng import substream
-from .tensor import Arena, Segments, Tensor
+from .tensor import Arena, Block, Segments, Tensor
 
 VARIANTS = ("sb", "moe", "mmoe", "omtl")
 
@@ -108,8 +110,8 @@ def param_layout(spec: ModelSpec, graph: OntologyGraph,
 
     Parameters are ordered by freeze group (`_freeze_group`), so each
     phase trains one contiguous span. Within a group, levels come in
-    order, and within a level each kind of layer holds all its nodes'
-    weights and then all their biases.
+    order. The experts, and within a level each kind of layer, hold all
+    their weights and then all their biases.
     """
     d, de, n_exp = spec.feature_dim, spec.repr_dim, spec.num_experts
     shapes: list[tuple[str, tuple[int, int]]] = []
@@ -118,8 +120,7 @@ def param_layout(spec: ModelSpec, graph: OntologyGraph,
         shapes.extend((f"{kind}.{o}.w", (rows, cols(o))) for o in owners)
         shapes.extend((f"{kind}.{o}.b", (1, cols(o))) for o in owners)
 
-    for e in range(n_exp):
-        shapes += [(f"expert.{e:02d}.w", (d, de)), (f"expert.{e:02d}.b", (1, de))]
+    stack("expert", [f"{e:02d}" for e in range(n_exp)], d, lambda _: de)
     for nodes in _graph_levels(graph):
         if spec.has_expert_gates:
             stack("expert_gate", nodes, d, lambda _: n_exp)
@@ -140,6 +141,14 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
                                                                counts)
 
 
+def _stack(arena: Arena, kind: str, owners) -> tuple[Block, Block] | tuple[None, None]:
+    """The weight and bias blocks of the `kind` layers of owners."""
+    if not owners:
+        return None, None
+    return (arena.block([f"{kind}.{o}.w" for o in owners]),
+            arena.block([f"{kind}.{o}.b" for o in owners]))
+
+
 class Level:
     """One ontology level's layers as stacks over its nodes.
 
@@ -152,20 +161,14 @@ class Level:
 
     def __init__(self, model: "OmtlModel", nodes: tuple[str, ...]):
         graph, arena = model.graph, model.arena
-
-        def stack(kind: str, owners):
-            if not owners:
-                return None, None
-            return (arena.block([f"{kind}.{o}.w" for o in owners]),
-                    arena.block([f"{kind}.{o}.b" for o in owners]))
-
         self.lo, self.nodes = model.node_col[nodes[0]], nodes
-        self.gate_w, self.gate_b = stack("expert_gate", nodes) \
+        self.gate_w, self.gate_b = _stack(arena, "expert_gate", nodes) \
             if model.spec.has_expert_gates else (None, None)
-        self.repr_w, self.repr_b = stack("repr", nodes)
-        self.recon_w, self.recon_b = stack("recon", nodes)
+        self.repr_w, self.repr_b = _stack(arena, "repr", nodes)
+        self.recon_w, self.recon_b = _stack(arena, "recon", nodes)
         self.head_keys = [(n, o) for n in nodes for o in model.outcome_map.get(n, ())]
-        self.head_w, self.head_b = stack("head", [f"{n}.{o}" for n, o in self.head_keys])
+        self.head_w, self.head_b = _stack(arena, "head",
+                                          [f"{n}.{o}" for n, o in self.head_keys])
         local = {n: j for j, n in enumerate(nodes)}
         self.head_node = np.array([local[n] for n, _ in self.head_keys], dtype=np.intp)
         self.head_outcome = np.array([model.outcome_col[o] for _, o in self.head_keys],
@@ -229,6 +232,8 @@ class OmtlModel:
         self.outcomes = tuple(outcomes)
         self.outcome_col = {o: k for k, o in enumerate(outcomes)}
         self.node_col = {nid: i for i, nid in enumerate(graph.ordered_ids)}
+        self.expert_w, self.expert_b = _stack(
+            arena, "expert", [f"{e:02d}" for e in range(spec.num_experts)])
         self.level_of = np.array([graph.levels[n] for n in graph.ordered_ids],
                                  dtype=np.intp)
         self.levels = [Level(self, nodes) for nodes in _graph_levels(graph)]
@@ -394,21 +399,6 @@ class ForwardResult:
         return out
 
 
-def _expert_outputs(model: OmtlModel, x: Tensor, mode: str,
-                    rng: np.random.Generator | None) -> list[Tensor]:
-    outs = []
-    train = mode == "train"
-    if train and model.spec.dropout > 0.0 and rng is None:
-        raise ValidationError("train-mode forward needs a dropout rng")
-    for e in range(model.spec.num_experts):
-        h = T.affine(x, model.param(f"expert.{e:02d}.w"),
-                     model.param(f"expert.{e:02d}.b"))
-        h = T.leaky_relu(h, model.spec.leaky_slope)
-        h = T.dropout(h, model.spec.dropout, rng, train)
-        outs.append(h)
-    return outs
-
-
 def _route_parents(model: OmtlModel, lv: Level, mix: Tensor, x: Tensor,
                    rows: np.ndarray, node: np.ndarray, pos: np.ndarray,
                    reps: list[Tensor | None]) -> tuple[Tensor, np.ndarray]:
@@ -457,11 +447,16 @@ def forward(model: OmtlModel, records, mode: str = "eval",
     if x.shape[1] != model.spec.feature_dim:
         raise ValidationError(
             f"record feature dim {x.shape[1]} != model dim {model.spec.feature_dim}")
+    train = mode == "train"
+    if train and model.spec.dropout > 0.0 and dropout_rng is None:
+        raise ValidationError("train-mode forward needs a dropout rng")
     col, width = model.node_col, len(model.node_col)
     member = np.zeros((len(recs), width), dtype=bool)
     member.reshape(-1)[[i * width + col[c] for i, rec in enumerate(recs)
                         for c in rec.concepts]] = True
-    experts = _expert_outputs(model, x, mode, dropout_rng)
+    spec = model.spec
+    experts = T.expert_layer(x, model.expert_w, model.expert_b, spec.leaky_slope,
+                             spec.dropout, dropout_rng, train)
     pos = np.full(member.shape, -1, dtype=np.intp)
     reps: list[Tensor | None] = []
     passes = []
@@ -472,7 +467,8 @@ def forward(model: OmtlModel, records, mode: str = "eval",
             continue
         pos[rows, lv.lo + node] = np.arange(rows.size)
         seg = Segments(node)
-        mixed, _ = T.expert_mix(x, experts, rows, seg, lv.gate_w, lv.gate_b)
+        mixed, _ = T.expert_mix(x, experts, spec.num_experts, rows, seg,
+                                lv.gate_w, lv.gate_b)
         if model.hierarchy_enabled and lv.parents is not None:
             mixed, _ = _route_parents(model, lv, mixed, x, rows, node, pos, reps)
         rep = T.softplus_affine(mixed, lv.repr_w, lv.repr_b, seg)

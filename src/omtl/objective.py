@@ -67,10 +67,11 @@ def make_reward_scheme(graph: OntologyGraph, f: float, outcome: str) -> RewardSc
 
 
 def _level_loss(result, lam: float, head_weight) -> LossBreakdown:
-    """Mean-per-record loss of a forward pass, one reconstruction op and at
-    most one head op per level. head_weight(level) gives each of the
-    level's heads its weight in L1 (0 leaves it out); a (row, head) term
-    counts only where the row labels the head's outcome."""
+    """Mean-per-record loss of a forward pass: one reconstruction op and at
+    most one head op per level, then one `total_loss` op over their terms.
+    head_weight(level) gives each of the level's heads its weight in L1 (0
+    leaves it out); a (row, head) term counts only where the row labels the
+    head's outcome."""
     labels, labeled = result.label_arrays
     inv = 1.0 / result.inputs.shape[0]
     l1_terms: list[Tensor] = []
@@ -98,15 +99,10 @@ def _level_loss(result, lam: float, head_weight) -> LossBreakdown:
         l1_terms.append(term)
         per_outcome.update(zip([lv.head_keys[h] for h in hseg.members.tolist()],
                                (sums * inv).tolist()))
-    zero = Tensor(np.zeros((1, 1)), const=True)
-    l1_t = T.sum_tensors(l1_terms) if l1_terms else zero
-    l2_t = T.sum_tensors(l2_terms) if l2_terms else zero
-    total_t = T.scale(T.add(l1_t, T.scale(l2_t, lam)), inv)
-    l1 = l1_t.item() * inv
-    l2 = l2_t.item() * inv
-    return LossBreakdown(l1=l1, l2=l2, lam=lam, total=l1 + lam * l2,
+    loss, l1, l2 = T.total_loss(l1_terms, l2_terms, lam, inv)
+    return LossBreakdown(l1=l1, l2=l2, lam=lam, total=loss.item(),
                          per_outcome=per_outcome, per_node_recon=per_node,
-                         loss=total_t)
+                         loss=loss)
 
 
 def masked_loss(result, lam: float) -> LossBreakdown:

@@ -3,6 +3,7 @@
 Graphs are JSON files of the form
     {"nodes": [{"id": str, "concept": str, "core": bool, "outcomes": [str]}],
      "edges": [{"parent": str, "child": str}]}
+where "concept", "core", "outcomes" and "edges" may be left out.
 Levels are longest-path-from-roots, so a child always sits strictly below
 every parent. Iteration order is (level, id), which fixes the routing
 order used by the model's forward pass.
@@ -15,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
+from .fields import json_field
 from .rng import substream
 
 
@@ -155,27 +157,25 @@ def load_graph(path: str) -> OntologyGraph:
 
 
 def graph_from_json_obj(obj) -> OntologyGraph:
-    if not isinstance(obj, dict) or "nodes" not in obj:
-        raise ValidationError("graph JSON must be an object with a 'nodes' list")
+    """A graph from a parsed graph file; every field must have its JSON type."""
+    where = "graph file"
     nodes = []
-    for raw in obj["nodes"]:
-        if not isinstance(raw, dict) or "id" not in raw:
-            raise ValidationError(f"malformed node entry: {raw!r}")
-        outcomes = raw.get("outcomes", [])
-        if not all(isinstance(o, str) and o for o in outcomes):
-            raise ValidationError(
-                f"node {raw['id']!r} has an unknown outcome name: {outcomes!r}")
+    for i, raw in enumerate(json_field(obj, "nodes", "list[dict]", where)):
+        at = f"{where}: node {i}"
+        outcomes = json_field(raw, "outcomes", "list[str]", at, default=[])
+        if not all(outcomes):
+            raise ValidationError(f"{at}: outcome names must not be empty")
         nodes.append(ConceptNode(
-            id=str(raw["id"]),
-            concept=str(raw.get("concept", "")),
-            core=bool(raw.get("core", False)),
+            id=json_field(raw, "id", "str", at),
+            concept=json_field(raw, "concept", "str", at, default=""),
+            core=json_field(raw, "core", "bool", at, default=False),
             outcomes=tuple(outcomes),
         ))
     edges = []
-    for raw in obj.get("edges", []):
-        if not isinstance(raw, dict) or "parent" not in raw or "child" not in raw:
-            raise ValidationError(f"malformed edge entry: {raw!r}")
-        edges.append((str(raw["parent"]), str(raw["child"])))
+    for i, raw in enumerate(json_field(obj, "edges", "list[dict]", where, default=[])):
+        at = f"{where}: edge {i}"
+        edges.append((json_field(raw, "parent", "str", at),
+                      json_field(raw, "child", "str", at)))
     return OntologyGraph(nodes, edges)
 
 

@@ -4,19 +4,21 @@ differentiation.
 Activations are (rows, cols) matrices; scalars are (1, 1). Every trainable
 parameter is a `Parameter`: its values are a view into its `Arena`'s one
 flat float64 buffer, and a tape accumulates its gradient into one flat
-buffer laid out like the arena. An ontology level's parameters of one kind
-sit next to each other in the arena, so a `Block` views them as one
-(L, rows, cols) stack without copying; a `PaddedBlock` gathers parent
-gates, whose widths differ per node, into a stack padded to the widest.
+buffer laid out like the arena. The experts, and an ontology level's
+parameters of one kind, sit next to each other in the arena, so a `Block`
+views them as one (L, rows, cols) stack without copying; a `PaddedBlock`
+gathers parent gates, whose widths differ per node, into a stack padded to
+the widest.
 
-Primitives record a backward closure on the active Tape, and
-Tape.backward replays them in strict reverse order. The op set is exactly
-what the model and its losses run:
-- per batch: `affine`, `leaky_relu` and inverted `dropout` for the
-  experts, and `add`, `scale` and `sum_tensors` to assemble the loss;
-- per ontology level, one op per stage, each over all (row, node) pairs of
-  the level: `expert_mix` (expert gate softmax and mixture), `parent_mix`
-  (parent gate softmax, parent mixture and the skip add), `softplus_affine`
+Ops record a backward closure on the active Tape, and Tape.backward
+replays them in strict reverse order. The op set is exactly the model's
+stages, each one op with a hand-written backward:
+- per batch: `expert_layer` (every expert's affine map, leaky ReLU and
+  inverted dropout over every row) and, last, `total_loss` (the batch's
+  loss L1 + lambda * L2 from its per-level terms);
+- per ontology level, each over all (row, node) pairs of the level:
+  `expert_mix` (expert gate softmax and mixture), `parent_mix` (parent
+  gate softmax, parent mixture and the skip add), `softplus_affine`
   (representation layers), `recon_error` (ReLU reconstructions and their
   squared error) and `head_bce` (outcome heads and their masked binary
   cross-entropy). A level op reads each row's weights from the stack at the
@@ -151,8 +153,9 @@ class Arena:
 
 
 class Block:
-    """Same-shape parameters of one ontology level stacked (L, rows, cols);
-    `values` is a view of the arena."""
+    """Same-shape parameters (the experts, or one kind of layer of one
+    ontology level) stacked (L, rows, cols); `values` is a view of the
+    arena."""
 
     __slots__ = ("arena", "members", "span", "shape", "values")
 
@@ -309,108 +312,70 @@ def _result(arr: np.ndarray, *inputs) -> tuple[Tensor, Tape | None]:
 
 
 # ---------------------------------------------------------------------------
-# batch primitives
+# batch ops: the experts over the whole batch, and the batch's loss
 
 
-def _affine_grads(t: Tape, x: Tensor, w: Tensor, b: Tensor, gz: np.ndarray) -> None:
-    """Accumulate the gradients of z = x @ w + b given gz = d(loss)/dz; the
-    matmul for x's gradient is skipped when x is const."""
-    if not x.const:
-        t._accum(x, gz @ w.values.T, own=True)
-    t._accum(w, x.values.T @ gz, own=True)
-    t._accum(b, gz.sum(axis=0, keepdims=True), own=True)
+def expert_layer(x: Tensor, w: Block, b: Block, slope: float, rate: float,
+                 rng: np.random.Generator | None, train: bool) -> Tensor:
+    """Every expert over every row, as one (rows, E * de) tensor whose
+    columns e*de:(e+1)*de hold expert e's output
 
+        h_e = dropout(leaky_relu(x @ w[e] + b[e], slope), rate).
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with a (1, m) bias row, recorded as one op."""
-    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
-        raise ShapeMismatch("affine", x.shape, w.shape, b.shape)
-    out, t = _result(x.values @ w.values + b.values, x, w, b)
-    if t is not None:
-        def backward(g, t=t, x=x, w=w, b=b):
-            _affine_grads(t, x, w, b, g)
-        t._ops.append((out, backward))
-    return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeMismatch("add", a.shape, b.shape)
-    out, t = _result(a.values + b.values, a, b)
-    if t is not None:
-        def backward(g, t=t, a=a, b=b):
-            t._accum(a, g)
-            t._accum(b, g)
-        t._ops.append((out, backward))
-    return out
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python-float constant (not differentiated through)."""
-    c = float(c)
-    out, t = _result(x.values * c, x)
-    if t is not None:
-        def backward(g, t=t, x=x, c=c):
-            t._accum(x, g * c, own=True)
-        t._ops.append((out, backward))
-    return out
-
-
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    pos = x.values > 0
-    out, t = _result(np.where(pos, x.values, slope * x.values), x)
-    if t is not None:
-        def backward(g, t=t, x=x, pos=pos, slope=slope):
-            t._accum(x, g * np.where(pos, 1.0, slope), own=True)
-        t._ops.append((out, backward))
-    return out
-
-
-def _sigmoid_values(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout: scales kept entries by 1/(1-rate) at train time.
-
-    Eval mode (train=False) is the identity and draws nothing from rng.
+    Inverted dropout scales kept entries by 1/(1-rate). It runs only in
+    train mode with rate > 0, as one (E, rows, de) uniform draw: expert e
+    gets the numbers that E separate (rows, de) draws in expert order would
+    give it. Otherwise nothing is drawn from rng.
     """
+    n_exp, d, de = w.shape
+    if x.shape[1] != d or b.shape != (n_exp, 1, de):
+        raise ShapeMismatch("expert_layer", x.shape, w.shape, b.shape)
     if not 0.0 <= rate < 1.0:
         raise NumericalError(f"dropout rate {rate} outside [0, 1)")
-    if not train or rate == 0.0:
-        return x
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) >= rate) / keep
-    out, t = _result(x.values * mask, x)
+    z = np.matmul(x.values, w.values) + b.values  # (E, rows, de)
+    pos = z > 0
+    h = np.where(pos, z, slope * z)
+    mask = None
+    if train and rate > 0.0:
+        mask = (rng.random(z.shape) >= rate) / (1.0 - rate)
+        h *= mask
+    n = x.shape[0]
+    out, t = _result(h.transpose(1, 0, 2).reshape(n, n_exp * de), x, w, b)
     if t is not None:
-        def backward(g, t=t, x=x, mask=mask):
-            t._accum(x, g * mask, own=True)
+        def backward(g, t=t, x=x, w=w, b=b, pos=pos, mask=mask, slope=slope):
+            gz = np.ascontiguousarray(g.reshape(n, n_exp, de).transpose(1, 0, 2))
+            if mask is not None:
+                gz *= mask
+            gz *= np.where(pos, 1.0, slope)
+            if not x.const:
+                t._accum(x, np.matmul(gz, w.values.transpose(0, 2, 1)).sum(axis=0),
+                         own=True)
+            every = np.arange(n_exp)
+            if not w.const:
+                t._accum_block(w, every, np.matmul(x.values.T, gz))
+            t._accum_block(b, every, gz.sum(axis=1, keepdims=True))
         t._ops.append((out, backward))
     return out
 
 
-def sum_tensors(parts: list[Tensor]) -> Tensor:
-    """Elementwise sum of any number of same-shape tensors."""
-    shape = parts[0].shape
-    for p in parts[1:]:
-        if p.shape != shape:
-            raise ShapeMismatch("sum_tensors", *[p.shape for p in parts])
-    acc = parts[0].values.copy()
-    for p in parts[1:]:
-        acc += p.values
-    out, t = _result(acc, *parts)
+def total_loss(l1_terms: list[Tensor], l2_terms: list[Tensor], lam: float,
+               inv: float) -> tuple[Tensor, float, float]:
+    """The loss l1 + lam * l2 of (1, 1) loss terms, l1 = sum(l1_terms) * inv
+    and l2 = sum(l2_terms) * inv, as one op; returns it with l1 and l2.
+    Each L1 term's gradient is g * inv and each L2 term's (g * inv) * lam."""
+    l1 = sum(p.item() for p in l1_terms) * inv
+    l2 = sum(p.item() for p in l2_terms) * inv
+    out, t = _result(np.array([[l1 + lam * l2]]), *l1_terms, *l2_terms)
     if t is not None:
-        def backward(g, t=t, parts=parts):
-            for p in parts:
-                t._accum(p, g)
+        def backward(g, t=t, l1_terms=l1_terms, l2_terms=l2_terms):
+            g1 = g * inv
+            for p in l1_terms:
+                t._accum(p, g1)
+            g2 = g1 * lam
+            for p in l2_terms:
+                t._accum(p, g2)
         t._ops.append((out, backward))
-    return out
+    return out, l1, l2
 
 
 # ---------------------------------------------------------------------------
@@ -480,40 +445,49 @@ def _softmax_grad(s: np.ndarray, gs: np.ndarray) -> np.ndarray:
     return s * (gs - (gs * s).sum(axis=1, keepdims=True))
 
 
-def expert_mix(x: Tensor, experts: list[Tensor], rows: np.ndarray, seg: Segments,
-               w: Block | None = None,
-               b: Block | None = None) -> tuple[Tensor, np.ndarray]:
-    """Each pair's gated mixture of the expert outputs at its row:
+def _sigmoid_values(v: np.ndarray) -> np.ndarray:
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
 
-        out[p] = sum_e s[p, e] * experts[e][rows[p]],
+
+def expert_mix(x: Tensor, experts: Tensor, n_exp: int, rows: np.ndarray,
+               seg: Segments, w: Block | None = None,
+               b: Block | None = None) -> tuple[Tensor, np.ndarray]:
+    """Each pair's gated mixture of the n_exp expert outputs at its row,
+    read from one (rows, n_exp * de) tensor as `expert_layer` lays it out:
+
+        out[p] = sum_e s[p, e] * h_e[rows[p]],
         s[p] = softmax(x[rows[p]] @ w[m] + b[m]),  m = seg.of[p].
 
     Without a gate (w None) every weight is 1/E: sb's single expert passes
     through, moe takes the mean. Returns the output and the weights s.
     """
-    n_exp = len(experts)
-    hs = [h.values[rows] for h in experts]
+    hr = experts.values[rows].reshape(rows.size, n_exp, -1)
     if w is None:
         s, xr, wg = np.full((rows.size, n_exp), 1.0 / n_exp), None, None
     else:
         xr = x.values[rows]
         z, wg = rowwise_affine(xr, w.values, b.values, seg)
         s = _softmax_rows(z)
-    acc = s[:, 0:1] * hs[0]
+    acc = s[:, 0:1] * hr[:, 0]
     for e in range(1, n_exp):
-        acc += s[:, e:e + 1] * hs[e]
-    out, t = _result(acc, x, *experts, *((w, b) if w is not None else ()))
+        acc += s[:, e:e + 1] * hr[:, e]
+    out, t = _result(acc, x, experts, *((w, b) if w is not None else ()))
     if t is not None:
         def backward(g, t=t, x=x, experts=experts, rows=rows, seg=seg, w=w, b=b,
-                     hs=hs, s=s, xr=xr, wg=wg):
-            for e, h in enumerate(experts):
-                if not h.const:
-                    t._accum(h, _scatter_rows(h.shape[0], rows, g * s[:, e:e + 1]),
-                             own=True)
+                     hr=hr, s=s, xr=xr, wg=wg):
+            if not experts.const:
+                gh = (g[:, None, :] * s[:, :, None]).reshape(rows.size, -1)
+                t._accum(experts, _scatter_rows(experts.shape[0], rows, gh),
+                         own=True)
             if w is not None and not (x.const and w.const and b.const):
                 gs = np.empty_like(s)
-                for e, he in enumerate(hs):
-                    gs[:, e] = np.einsum("ij,ij->i", g, he)
+                for e in range(n_exp):
+                    gs[:, e] = np.einsum("ij,ij->i", g, hr[:, e])
                 _rowwise_grads(t, x, xr, rows, w, w.values, b, seg,
                                _softmax_grad(s, gs), wg)
         t._ops.append((out, backward))

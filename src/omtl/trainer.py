@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datastore import Dataset, FoldPlan, Record, config_fields, make_folds
+from .datastore import Dataset, FoldPlan, Record, make_folds
+from .fields import config_fields
 from .errors import NumericalError, ValidationError
 from .metrics import (EvalReport, ScoredSet, compare_scored_sets, score_metrics)
 from .model import (FROZEN_IN_PHASE1, FROZEN_IN_PHASE2, ModelSpec, OmtlModel,

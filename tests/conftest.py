@@ -1,8 +1,11 @@
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
@@ -11,6 +14,20 @@ from omtl.datastore import Record
 from omtl.model import ModelSpec, build_model
 from omtl.ontology import ConceptNode, OntologyGraph, ancestor_closure
 from omtl.tensor import Arena, Parameter, Segments, Tensor
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    # collecting a property test makes hypothesis cache constants it reads
+    # from the source in its home directory, whatever the test's settings;
+    # keep that cache out of the working tree, for this run only
+    config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="omtl-hypothesis-")
+    set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 def diamond_graph(core_outcomes=("event",)) -> OntologyGraph:
@@ -80,7 +97,8 @@ def gate_weights(model, x: np.ndarray) -> dict[tuple[str, str], np.ndarray]:
     for lv in model.levels:
         if lv.gate_w is not None:
             count = lv.gate_w.shape[0]
-            _, s = T.expert_mix(xt, [xt] * model.spec.num_experts,
+            n_exp = model.spec.num_experts
+            _, s = T.expert_mix(xt, Tensor(np.zeros((n, n_exp)), const=True), n_exp,
                                 np.tile(np.arange(n), count),
                                 Segments(np.repeat(np.arange(count), n)),
                                 lv.gate_w, lv.gate_b)

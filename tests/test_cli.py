@@ -215,6 +215,21 @@ def _bad_records_file(workdir, line: str) -> list[str]:
     return _folds_on(workdir, path)
 
 
+def _bad_graph_file(workdir, edit) -> list[str]:
+    """validate-graph on the work directory's graph file as edited by edit."""
+    path = workdir / "bad_graph.json"
+    path.write_text(json.dumps(edit(json.loads((workdir / "graph.json").read_text()))))
+    return ["validate-graph", "--graph", str(path)]
+
+
+def _edit_core_node(obj: dict, field: str, value) -> dict:
+    """The graph obj with field of its first core node set to value."""
+    nodes = list(obj["nodes"])
+    i = next(i for i, node in enumerate(nodes) if node["core"])
+    nodes[i] = {**nodes[i], field: value}
+    return {**obj, "nodes": nodes}
+
+
 def _set_param_values(obj: dict, values) -> dict:
     obj["params"]["expert.00.b"]["values"] = values
     return obj
@@ -277,6 +292,14 @@ BAD_INPUTS = {
     "scores labels not ints": lambda w: _bad_scores_file(
         w, {"ids": ["r0", "r1"], "labels": ["0", "1"], "scores": [0.1, 0.9]}),
     "scores entry not an object": lambda w: _bad_scores_file(w, [0.1, 0.9]),
+    "graph nodes not a list": lambda w: _bad_graph_file(w, lambda o: {**o, "nodes": 5}),
+    "graph outcomes not a list": lambda w: _bad_graph_file(
+        w, lambda o: _edit_core_node(o, "outcomes", 5)),
+    "graph edges not a list": lambda w: _bad_graph_file(w, lambda o: {**o, "edges": 5}),
+    "graph core as a string": lambda w: _bad_graph_file(
+        w, lambda o: _edit_core_node(o, "core", "false")),
+    "graph outcomes as a string": lambda w: _bad_graph_file(
+        w, lambda o: _edit_core_node(o, "outcomes", "mort")),
 }
 
 

@@ -58,14 +58,17 @@ class TestMaskedLoss:
         assert breakdown.l1 == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_additivity_exact(self, rng):
+        # for batches of 1 to 20 records, the loss the tape differentiates
+        # is the reported total, bit for bit
         g = chain_graph(3)
         model = tiny_model(g, "omtl")
-        rec = make_record(g, rng, d=7, anchor="c", label=0)
-        result = forward(model, rec, mode="train")
-        breakdown = masked_loss(result, lam=0.37)
-        assert breakdown.total == breakdown.l1 + 0.37 * breakdown.l2
-        assert breakdown.total == breakdown.loss.item()
-        assert breakdown.l1 >= 0 and breakdown.l2 >= 0
+        recs = [make_record(g, rng, d=7, anchor="c", label=i % 2, rid=f"r{i}")
+                for i in range(20)]
+        for n in range(1, 21):
+            breakdown = masked_loss(forward(model, recs[:n], mode="train"), lam=0.37)
+            assert breakdown.total == breakdown.l1 + 0.37 * breakdown.l2
+            assert breakdown.total == breakdown.loss.item(), n
+            assert breakdown.l1 >= 0 and breakdown.l2 >= 0
 
     def test_negative_lambda_rejected(self, rng):
         g = chain_graph(2)

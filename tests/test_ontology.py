@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omtl.errors import ValidationError
 from omtl.ontology import (ConceptNode, GrowthConfig, OntologyGraph,
-                           ancestor_closure, grow_from_core, load_graph,
-                           save_graph)
+                           ancestor_closure, graph_from_json_obj, grow_from_core,
+                           load_graph, save_graph)
 
 from conftest import chain_graph, diamond_graph, random_dag
 from oracles import brute_force_levels, predecessor_ball
@@ -190,3 +191,40 @@ class TestGrowth:
         a = grow_from_core(g, cfg)
         b = grow_from_core(g, cfg)
         assert list(a.nodes) == list(b.nodes)
+
+
+# any JSON value json.load can return
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=16)
+
+
+def field(right):
+    """A field's value: one of its right type, or any JSON value."""
+    return right | JSON
+
+
+IDS = st.sampled_from(["a", "b", "c", "d"])
+NODES = st.fixed_dictionaries(
+    {"id": field(IDS)},
+    optional={"concept": field(st.text(max_size=3)), "core": field(st.booleans()),
+              "outcomes": field(st.lists(st.sampled_from(["", "x", "y"]), max_size=3))})
+EDGES = st.fixed_dictionaries({"parent": field(IDS), "child": field(IDS)})
+GRAPH_FILES = JSON | st.fixed_dictionaries(
+    {"nodes": field(st.lists(field(NODES), max_size=5))},
+    optional={"edges": field(st.lists(field(EDGES), max_size=6))})
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(GRAPH_FILES)
+def test_graph_loader_returns_a_graph_or_raises_validation_error(obj):
+    # any parsed JSON, and graph-shaped objects whose fields may have any
+    # JSON type: a graph that saves and reloads unchanged, or ValidationError
+    try:
+        graph = graph_from_json_obj(obj)
+    except ValidationError:
+        return
+    assert isinstance(graph, OntologyGraph)
+    assert graph_from_json_obj(graph.to_json_obj()).graph_hash() == graph.graph_hash()

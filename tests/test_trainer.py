@@ -355,9 +355,10 @@ class _FirstStep(Exception):
     """Stops a training run at its first backward pass."""
 
 
-def first_phase2_step_ops(monkeypatch, **cohort) -> int:
-    """Tape ops of the first phase-2 training step of omtl, default
-    training config, on the seed-0 synthetic cohort with `cohort` fields."""
+def first_step_ops(monkeypatch, variant: str, phase: int = 1, **cohort) -> int:
+    """Tape ops of the first training step of `variant` (of omtl's `phase`),
+    default training config, on the seed-0 synthetic cohort with `cohort`
+    fields."""
     ops = []
 
     class CountingTape(Tape):
@@ -366,21 +367,28 @@ def first_phase2_step_ops(monkeypatch, **cohort) -> int:
             raise _FirstStep
 
     graph, data = generate_synthetic(SynthConfig(seed=0, **cohort))
-    cfg = TrainConfig(seed=0)
-    model = build_model(cfg.model_spec(data.feature_dim), graph, seed=0)
+    cfg = TrainConfig(variant=variant, seed=0)
     monkeypatch.setattr(trainer, "Tape", CountingTape)
     with pytest.raises(_FirstStep):
-        train_phase2(model, data, cfg, graph)
+        if variant != "omtl":
+            train_baseline(variant, data, cfg, graph)
+        else:
+            model = build_model(cfg.model_spec(data.feature_dim), graph, seed=0)
+            (train_phase1 if phase == 1 else train_phase2)(model, data, cfg, graph)
     return ops[0]
 
 
 class TestLevelOps:
     def test_ops_per_step_scale_with_depth_not_width(self, monkeypatch):
+        # one op for the experts, one per stage per level, one for the loss
         wide = dict(levels=4, records_per_node=40, low_data_records=20)
-        assert first_phase2_step_ops(monkeypatch) <= 35
-        assert first_phase2_step_ops(monkeypatch, branching=3, **wide) <= 45
-        assert first_phase2_step_ops(monkeypatch, branching=3, **wide) == \
-            first_phase2_step_ops(monkeypatch, branching=2, **wide)
+        assert first_step_ops(monkeypatch, "omtl", phase=2) <= 10
+        assert first_step_ops(monkeypatch, "omtl", phase=2, branching=3, **wide) <= 13
+        assert first_step_ops(monkeypatch, "omtl", phase=2, branching=3, **wide) == \
+            first_step_ops(monkeypatch, "omtl", phase=2, branching=2, **wide)
+        for variant in ("omtl", "mmoe", "sb"):
+            assert first_step_ops(monkeypatch, variant) <= 12
+            assert first_step_ops(monkeypatch, variant, branching=3, **wide) <= 15
 
     def test_parameters_stay_views_of_the_arena(self, tmp_path):
         graph, data = small_benchmark()
