@@ -20,7 +20,7 @@ from . import __version__
 from .datastore import (SynthConfig, generate_synthetic, load_dataset, make_folds,
                         save_dataset)
 from .errors import OmtlError, ValidationError
-from .fields import json_field
+from .fields import json_field, output_file, read_json
 from .metrics import ScoredSet, compare_scored_sets, score_metrics
 from .model import build_model, forward, load_model, save_model
 from .ontology import GrowthConfig, grow_from_core, load_graph, save_graph
@@ -30,9 +30,7 @@ from .trainer import (TrainConfig, compare_variants, run_cv, score_holdout,
                       scored_set, train_variant)
 
 
-def _file_hash(path: str | None) -> str | None:
-    if path is None:
-        return None
+def _file_hash(path: str) -> str | None:
     try:
         with open(path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
@@ -41,13 +39,17 @@ def _file_hash(path: str | None) -> str | None:
 
 
 def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
-def _emit_manifest(primary_out: str, args: argparse.Namespace,
-                   outputs: list[str]) -> None:
+def _write_outputs(args: argparse.Namespace, outputs: dict, saved=()) -> None:
+    """Write each JSON output whose path was given, then the manifest of
+    saved (files written already) and those outputs, named after the first."""
+    written = [*saved, *(path for path in outputs if path)]
+    for path in written[len(saved):]:
+        _write_json(path, outputs[path])
     manifest = {
         "tool_version": __version__,
         "command": args.command,
@@ -57,26 +59,19 @@ def _emit_manifest(primary_out: str, args: argparse.Namespace,
             for name in ("graph", "data", "config", "model")
             if getattr(args, name, None)
         },
-        "outputs": {path: _file_hash(path) for path in outputs},
+        "outputs": {path: _file_hash(path) for path in written},
     }
-    _write_json(primary_out + ".manifest.json", manifest)
-    _write_json(primary_out + ".manifest.stamp.json",
+    _write_json(written[0] + ".manifest.json", manifest)
+    _write_json(written[0] + ".manifest.stamp.json",
                 {"written_at_unix": time.time()})
 
 
 def _load_train_config(args) -> TrainConfig:
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-        cfg = TrainConfig.from_json_obj(obj)
-    else:
-        cfg = TrainConfig()
+    cfg = TrainConfig.from_json_obj(read_json(args.config, "config")) \
+        if args.config else TrainConfig()
     if getattr(args, "variant", None):
         cfg.variant = args.variant
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
     cfg.validate()
     return cfg
@@ -100,27 +95,21 @@ def cmd_augment(args) -> int:
                        seed=args.seed)
     sub = grow_from_core(g, cfg)
     save_graph(sub, args.out)
-    _emit_manifest(args.out, args, [args.out])
+    _write_outputs(args, {}, saved=[args.out])
     print(f"augmented subgraph: {len(sub.nodes)} nodes "
           f"({len(cfg.core_ids)} core)", file=sys.stderr)
     return 0
 
 
 def cmd_synth(args) -> int:
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                cfg = SynthConfig.from_json_obj(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-    else:
-        cfg = SynthConfig()
+    cfg = SynthConfig.from_json_obj(read_json(args.config, "config")) \
+        if args.config else SynthConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     graph, data = generate_synthetic(cfg)
     save_graph(graph, args.out_graph)
     save_dataset(data, args.out_data)
-    _emit_manifest(args.out_graph, args, [args.out_graph, args.out_data])
+    _write_outputs(args, {}, saved=[args.out_graph, args.out_data])
     labeled = sum(1 for r in data.records if r.labeled)
     print(f"synthetic cohort: {len(data.records)} records "
           f"({labeled} labeled), {len(graph.nodes)} nodes", file=sys.stderr)
@@ -131,8 +120,7 @@ def cmd_folds(args) -> int:
     graph = load_graph(args.graph)
     data = load_dataset(args.data, graph)
     plan = make_folds(data, graph, k=args.k, seed=args.seed)
-    _write_json(args.out, plan.to_json_obj())
-    _emit_manifest(args.out, args, [args.out])
+    _write_outputs(args, {args.out: plan.to_json_obj()})
     return 0
 
 
@@ -142,11 +130,7 @@ def cmd_train(args) -> int:
     cfg = _load_train_config(args)
     model, log = train_variant(graph, data, cfg)
     save_model(model, args.out)
-    outputs = [args.out]
-    if args.log:
-        _write_json(args.log, log.to_json_obj())
-        outputs.append(args.log)
-    _emit_manifest(args.out, args, outputs)
+    _write_outputs(args, {args.log: log.to_json_obj()}, saved=[args.out])
     print(f"trained {cfg.variant}: {model.param_count()} parameters, "
           f"{len(log.entries)} epochs", file=sys.stderr)
     return 0
@@ -168,15 +152,8 @@ def cmd_eval(args) -> int:
             roc_obj[name] = [list(p) for p in tm.roc]
     report = {"per_target": per_target,
               "metadata": {"model": args.model, "n_records": len(data.records)}}
-    _write_json(args.report, report)
-    outputs = [args.report]
-    if args.roc_out:
-        _write_json(args.roc_out, roc_obj)
-        outputs.append(args.roc_out)
-    if args.scores_out:
-        _write_json(args.scores_out, _scores_obj(sets))
-        outputs.append(args.scores_out)
-    _emit_manifest(args.report, args, outputs)
+    _write_outputs(args, {args.report: report, args.roc_out: roc_obj,
+                          args.scores_out: _scores_obj(sets)})
     return 0
 
 
@@ -196,13 +173,8 @@ def cmd_cv(args) -> int:
         obj = {"variants": {v: r.to_json_obj() for v, r in results.items()},
                "comparisons": comparisons}
         scores = results
-    _write_json(args.report, obj)
-    outputs = [args.report]
-    if args.scores_out:
-        _write_json(args.scores_out,
-                    {v: _scores_obj(r.pooled) for v, r in scores.items()})
-        outputs.append(args.scores_out)
-    _emit_manifest(args.report, args, outputs)
+    _write_outputs(args, {args.report: obj, args.scores_out: {
+        v: _scores_obj(r.pooled) for v, r in scores.items()}})
     return 0
 
 
@@ -214,11 +186,7 @@ def _scores_obj(sets: dict[tuple[str, str], ScoredSet]) -> dict:
 
 
 def _load_scores_file(path: str) -> dict[str, ScoredSet]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read scores {path}: {exc}") from exc
+    obj = read_json(path, "scores")
     if not isinstance(obj, dict):
         raise ValidationError(f"scores {path} must be a JSON object")
     out = {}
@@ -244,8 +212,7 @@ def cmd_compare(args) -> int:
         raise ValidationError("the two score files share no (node, outcome) targets")
     comparisons = [compare_scored_sets(sets_a[key], sets_b[key], name_a, name_b)
                    for key in shared]
-    _write_json(args.out, {"comparisons": comparisons})
-    _emit_manifest(args.out, args, [args.out])
+    _write_outputs(args, {args.out: {"comparisons": comparisons}})
     return 0
 
 
@@ -386,12 +353,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OmtlError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 def main() -> None:

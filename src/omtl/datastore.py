@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import config_fields
+from .fields import config_fields, json_field, json_lines, output_file
 from .ontology import ConceptNode, OntologyGraph, ancestor_closure
 from .rng import substream
 
@@ -59,76 +59,62 @@ def load_dataset(path: str, graph: OntologyGraph) -> Dataset:
     """Read a JSONL record file, validating every line against the graph."""
     known_outcomes = set(graph.outcome_names())
     records: list[Record] = []
-    feature_dim: int | None = None
     seen_ids: set[str] = set()
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read records {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            rec = _record_from_obj(raw, graph, known_outcomes,
-                                   where=f"{path}:{lineno}")
-            if feature_dim is None:
-                feature_dim = rec.features.size
-            elif rec.features.size != feature_dim:
-                raise ValidationError(
-                    f"{path}:{lineno}: feature dimension {rec.features.size} "
-                    f"does not match dataset dimension {feature_dim}")
-            if rec.id in seen_ids:
-                raise ValidationError(f"{path}:{lineno}: duplicate record id {rec.id!r}")
-            seen_ids.add(rec.id)
-            records.append(rec)
+    for lineno, raw in json_lines(path, "records"):
+        where = f"{path}:{lineno}"
+        rec = _record_from_obj(raw, graph, known_outcomes, where)
+        if records and rec.features.size != records[0].features.size:
+            raise ValidationError(
+                f"{where}: feature dimension {rec.features.size} does not "
+                f"match dataset dimension {records[0].features.size}")
+        if rec.id in seen_ids:
+            raise ValidationError(f"{where}: duplicate record id {rec.id!r}")
+        seen_ids.add(rec.id)
+        records.append(rec)
     if not records:
         raise ValidationError(f"{path}: no records")
-    return Dataset(records=records, feature_dim=int(feature_dim),
+    _require_finite(records, path)
+    return Dataset(records=records, feature_dim=records[0].features.size,
                    outcomes=graph.outcome_names())
+
+
+def _require_finite(records: list[Record], path: str) -> None:
+    """Raise, naming the first line, if some record loaded from the file at
+    path holds a non-finite feature; one vectorised check covers 1,024
+    records and copies their features."""
+    for start in range(0, len(records), 1024):
+        chunk = [r.features for r in records[start:start + 1024]]
+        if not np.isfinite(np.concatenate(chunk)).all():
+            bad = start + next(i for i, f in enumerate(chunk) if not np.isfinite(f).all())
+            lineno = next(n for i, (n, _) in enumerate(json_lines(path, "records")) if i == bad)
+            raise ValidationError(f"{path}:{lineno}: features must be finite numbers")
 
 
 def _record_from_obj(raw, graph: OntologyGraph, known_outcomes: set[str],
                      where: str) -> Record:
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: record must be a JSON object")
-    try:
-        rid = str(raw["id"])
-        features = raw["features"]
-        concepts = raw["concepts"]
-    except KeyError as exc:
-        raise ValidationError(f"{where}: missing field {exc}") from exc
-    labels_obj = raw.get("labels") or {}
-    if not isinstance(concepts, list) or not isinstance(labels_obj, dict):
-        raise ValidationError(f"{where}: concepts must be a list and labels an object")
-    try:
-        feats = np.asarray(features, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: features must be a list of numbers") from exc
-    if feats.ndim != 1 or not np.all(np.isfinite(feats)):
-        raise ValidationError(f"{where}: features must be a flat list of finite numbers")
+    rid = json_field(raw, "id", "str", where)
+    features = json_field(raw, "features", "list[float]", where)
+    concepts = json_field(raw, "concepts", "list[str]", where)
+    labels = json_field(raw, "labels", "dict", where, default={})
     if not concepts:
         raise ValidationError(f"{where}: concepts must be nonempty")
     for cid in concepts:
-        if not isinstance(cid, str) or cid not in graph.nodes:
+        if cid not in graph.nodes:
             raise ValidationError(f"{where}: unknown concept id {cid!r}")
-    labels = {}
-    for name, value in labels_obj.items():
+    for name in labels:
         if name not in known_outcomes:
             raise ValidationError(f"{where}: unknown outcome name {name!r}")
-        if value not in (0, 1):
-            raise ValidationError(f"{where}: label for {name!r} must be 0 or 1, got {value!r}")
-        labels[name] = int(value)
-    return Record(id=rid, features=feats,
+        if json_field(labels, name, "int", f"{where}: labels") not in (0, 1):
+            raise ValidationError(f"{where}: label for {name!r} must be 0 or 1, "
+                                  f"got {labels[name]!r}")
+    return Record(id=rid, features=features,
                   concepts=ancestor_closure(graph, concepts), labels=labels)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         for r in dataset.records:
             obj = {"id": r.id, "features": [float(v) for v in r.features],
                    "concepts": sorted(r.concepts), "labels": r.labels}

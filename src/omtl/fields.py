@@ -1,14 +1,65 @@
-"""Typed fields of parsed JSON objects: every loader reads its input
-through `json_field`, so a value of the wrong JSON type is a
-`ValidationError` naming the field, never a traceback or a silent
-conversion."""
+"""Reading and writing the program's files. `read_json` (JSON) and
+`json_lines` (JSONL) read every input file: one that cannot be opened,
+read, decoded as UTF-8 or parsed (JSON nested too deeply included) is a
+`ValidationError` naming it, and for JSONL the line. Loaders read every
+field through `json_field`, which rejects a value of the wrong JSON type
+and returns float fields as floats. `output_file` opens every output."""
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import MISSING
+from functools import cache
+
+import numpy as np
 
 from .errors import ValidationError
+
+# raised on bad UTF-8 or JSON and over-long integers, or on deep nesting
+_UNPARSABLE = (ValueError, RecursionError)
+
+
+def read_json(path: str, what: str):
+    """The parsed UTF-8 JSON file at path; what names its kind in errors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, *_UNPARSABLE) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def json_lines(path: str, what: str):
+    """(line number, parsed JSON) of each non-blank line of the UTF-8 JSONL
+    file at path, read one line at a time; what names its kind in errors."""
+    try:
+        # an undecodable byte reads as a lone surrogate, which encode() rejects
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not (line := line.strip()):
+                    continue
+                try:
+                    if not line.isascii():
+                        line.encode("utf-8")
+                    obj = json.loads(line)
+                except UnicodeEncodeError:
+                    raise ValidationError(f"{path}:{lineno}: invalid UTF-8") from None
+                except _UNPARSABLE as exc:
+                    raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                yield lineno, obj
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
+@contextmanager
+def output_file(path: str):
+    """The file at path, open to write UTF-8 text; an OSError while opening,
+    writing or closing it is a ValidationError naming path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # Python types json.load produces for each JSON kind a field may declare
@@ -16,21 +67,20 @@ _JSON_KINDS = {"int": {int}, "float": {int, float}, "bool": {bool},
                "str": {str}, "dict": {dict}}
 
 
-def _json_type_ok(value, kind: str) -> bool:
-    """Whether a parsed JSON value has the type a field annotation names:
-    a key of _JSON_KINDS, X | None, or list[X] / tuple[X, ...] (both JSON
-    arrays) of such an X."""
-    if kind.endswith(" | None"):
-        return value is None or _json_type_ok(value, kind[:-len(" | None")])
-    if kind.startswith(("list[", "tuple[")):
-        allowed = _JSON_KINDS[kind[kind.index("[") + 1:-1].removesuffix(", ...")]
-        return type(value) is list and all(type(v) in allowed for v in value)
-    return type(value) in _JSON_KINDS[kind]
+@cache
+def _parse_kind(kind: str) -> tuple[set, bool, bool]:
+    """(types allowed for the value or its items, is an array, may be None)
+    of an annotation: X, X | None, list[X] or tuple[X, ...], X in _JSON_KINDS."""
+    base = kind.removesuffix(" | None")
+    array = base.startswith(("list[", "tuple["))
+    if array:
+        base = base[base.index("[") + 1:-1].removesuffix(", ...")
+    return _JSON_KINDS[base], array, kind.endswith(" | None")
 
 
 def json_field(obj, key: str, kind: str, where: str, default=MISSING):
-    """obj[key] from a parsed JSON object, checked against kind (see
-    `_json_type_ok`); default, when given, stands in for a missing key."""
+    """obj[key] of a parsed JSON object, checked against kind (`_parse_kind`) and
+    as floats for a float kind; default, when given, stands in for a missing key."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where} must be a JSON object")
     if key not in obj:
@@ -38,10 +88,20 @@ def json_field(obj, key: str, kind: str, where: str, default=MISSING):
             return default
         raise ValidationError(f"{where}: missing field {key!r}")
     value = obj[key]
-    if not _json_type_ok(value, kind):
-        raise ValidationError(f"{where}: field {key!r} must be {kind}, "
-                              f"got {json.dumps(value)[:40]}")
-    return value
+    allowed, array, nullable = _parse_kind(kind)
+    if not (type(value) is list and set(map(type, value)) <= allowed if array
+            else type(value) in allowed or nullable and value is None):
+        try:
+            shown = json.dumps(value)[:40]
+        except RecursionError:
+            shown = f"a {type(value).__name__} nested too deeply to show"
+        raise ValidationError(f"{where}: field {key!r} must be {kind}, got {shown}")
+    if float not in allowed or value is None:
+        return value
+    try:
+        return np.array(value, dtype=np.float64) if array else float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{where}: field {key!r} is too large for a float") from exc
 
 
 def config_fields(cls, obj, where: str) -> dict:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +38,7 @@ from . import tensor as T
 from .errors import ValidationError
 from .ontology import OntologyGraph
 from .datastore import Record
-from .fields import config_fields, json_field
+from .fields import config_fields, json_field, output_file, read_json
 from .rng import substream
 from .tensor import Arena, Block, Segments, Tensor
 
@@ -76,9 +76,7 @@ class ModelSpec:
         return self.variant == "omtl"
 
     def to_json_obj(self) -> dict:
-        return {"variant": self.variant, "num_experts": self.num_experts,
-                "feature_dim": self.feature_dim, "repr_dim": self.repr_dim,
-                "dropout": self.dropout, "leaky_slope": self.leaky_slope}
+        return asdict(self)
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ModelSpec":
@@ -302,12 +300,9 @@ def build_model(spec: ModelSpec, graph: OntologyGraph, seed: int = 0,
 def reinit_parent_gates(model: OmtlModel, seed: int) -> None:
     """Fresh fan-in-uniform draw for every parent gate (start of phase 2)."""
     rng = substream(seed, "h_init")
-    bound = 1.0 / np.sqrt(model.spec.feature_dim)
     for nid in model.graph.ordered_ids:
         if model.spec.has_parent_gates and model.graph.parents[nid]:
-            for part in ("w", "b"):
-                values = model.params[f"parent_gate.{nid}.{part}"].values
-                values[...] = rng.uniform(-bound, bound, size=values.shape)
+            _draw(model.params, rng, f"parent_gate.{nid}")
 
 
 @dataclass
@@ -530,7 +525,7 @@ def model_from_json_obj(obj: dict, graph: OntologyGraph) -> OmtlModel:
         if tuple(shape) != shapes[name]:
             raise ValidationError(f"{at}: shape {shape}, the model needs "
                                   f"{list(shapes[name])}")
-        arena.params[name].values[...] = np.array(values, dtype=np.float64).reshape(shape)
+        arena.params[name].values[...] = values.reshape(shape)
     model = OmtlModel(spec, graph, arena, outcome_map)
     model.hierarchy_enabled = json_field(obj, "hierarchy_enabled", "bool", where,
                                          default=spec.has_parent_gates)
@@ -541,15 +536,10 @@ def model_from_json_obj(obj: dict, graph: OntologyGraph) -> OmtlModel:
 
 
 def save_model(model: OmtlModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         json.dump(model_to_json_obj(model), fh)
         fh.write("\n")
 
 
 def load_model(path: str, graph: OntologyGraph) -> OmtlModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read model file {path}: {exc}") from exc
-    return model_from_json_obj(obj, graph)
+    return model_from_json_obj(read_json(path, "model file"), graph)

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .fields import json_field
+from .fields import json_field, output_file, read_json
 from .rng import substream
 
 
@@ -148,12 +148,7 @@ def _find_cycle(graph: OntologyGraph) -> str:
 
 def load_graph(path: str) -> OntologyGraph:
     """Read and validate a graph JSON file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read graph file {path}: {exc}") from exc
-    return graph_from_json_obj(obj)
+    return graph_from_json_obj(read_json(path, "graph file"))
 
 
 def graph_from_json_obj(obj) -> OntologyGraph:
@@ -180,7 +175,7 @@ def graph_from_json_obj(obj) -> OntologyGraph:
 
 
 def save_graph(graph: OntologyGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         json.dump(graph.to_json_obj(), fh, indent=1, sort_keys=True)
         fh.write("\n")
 

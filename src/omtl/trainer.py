@@ -5,13 +5,14 @@ expert gates, representations, reconstructions, heads). Phase 2 freezes
 the experts and expert gates, draws fresh parent gates, switches routing
 on, and fine-tunes everything else. Baselines train in a single phase.
 Early stopping watches total loss on a held-out slice of the training
-records and always restores the best snapshot seen.
+records, one slice per model that both omtl phases share, and always
+restores the best snapshot seen.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -140,8 +141,15 @@ def evaluate_loss(model: OmtlModel, graph: OntologyGraph, records: list[Record],
     return _batch_loss(model, records, cfg, scheme, "eval", None)
 
 
+# the (training, held-out) records of one model
+Split = tuple[list[Record], list[Record]]
+
+
 def _split_validation(records: list[Record], graph: OntologyGraph,
-                      cfg: TrainConfig, stream: str) -> tuple[list[Record], list[Record]]:
+                      cfg: TrainConfig) -> Split:
+    """One model's split: the held-out records are fold 0 of a
+    1/val_fraction-fold plan seeded from the "valsplit.0" stream, and none
+    when val_fraction is 0 or too few records are labeled."""
     if cfg.val_fraction <= 0.0:
         return records, []
     k = max(2, round(1.0 / cfg.val_fraction))
@@ -150,7 +158,7 @@ def _split_validation(records: list[Record], graph: OntologyGraph,
         return records, []
     ds = Dataset(records=list(records), feature_dim=records[0].features.size,
                  outcomes=graph.outcome_names())
-    seed = int(substream(cfg.seed, stream).integers(2 ** 31))
+    seed = int(substream(cfg.seed, "valsplit.0").integers(2 ** 31))
     plan = make_folds(ds, graph, k=k, seed=seed)
     train = [r for r in records if plan.fold_of(r.id) != 0]
     val = [r for r in records if plan.fold_of(r.id) == 0]
@@ -160,8 +168,9 @@ def _split_validation(records: list[Record], graph: OntologyGraph,
 def train_loop(model: OmtlModel, graph: OntologyGraph, records: list[Record],
                cfg: TrainConfig, frozen_prefixes: tuple[str, ...],
                scheme: RewardScheme | None, phase: str, log: TrainLog,
-               stage: int = 0) -> OmtlModel:
-    """Adam over shuffled mini-batches with patience-based early stopping.
+               stage: int = 0, split: Split | None = None) -> OmtlModel:
+    """Adam over shuffled mini-batches with patience-based early stopping,
+    on split, by default `_split_validation` of records.
 
     stage indexes the rng streams, so omtl phase 1 and a single-phase
     baseline draw identical shuffles and dropout masks for the same seed.
@@ -176,8 +185,7 @@ def train_loop(model: OmtlModel, graph: OntologyGraph, records: list[Record],
         else:
             trainable[name] = p
     try:
-        train_recs, val_recs = _split_validation(records, graph, cfg,
-                                                 stream=f"valsplit.{stage}")
+        train_recs, val_recs = split or _split_validation(records, graph, cfg)
         shuffle_rng = substream(cfg.seed, f"shuffle.{stage}")
         dropout_rng = substream(cfg.seed, f"dropout.{stage}")
         adam = _FlatAdam(trainable, lr=cfg.lr)
@@ -231,7 +239,8 @@ def train_loop(model: OmtlModel, graph: OntologyGraph, records: list[Record],
 
 def train_phase1(model: OmtlModel, data: Dataset, cfg: TrainConfig,
                  graph: OntologyGraph | None = None,
-                 log: TrainLog | None = None) -> OmtlModel:
+                 log: TrainLog | None = None,
+                 split: Split | None = None) -> OmtlModel:
     """Learn experts, expert gates, and node blocks with routing disabled."""
     if model.spec.variant != "omtl":
         raise ValidationError("phase-1 training applies to the omtl variant")
@@ -240,13 +249,14 @@ def train_phase1(model: OmtlModel, data: Dataset, cfg: TrainConfig,
     model.hierarchy_enabled = False
     return train_loop(model, graph, data.records, cfg,
                       frozen_prefixes=FROZEN_IN_PHASE1,
-                      scheme=None, phase="phase1", log=log, stage=0)
+                      scheme=None, phase="phase1", log=log, stage=0, split=split)
 
 
 def train_phase2(model: OmtlModel, data: Dataset, cfg: TrainConfig,
                  graph: OntologyGraph | None = None,
                  log: TrainLog | None = None,
-                 scheme: RewardScheme | None = None) -> OmtlModel:
+                 scheme: RewardScheme | None = None,
+                 split: Split | None = None) -> OmtlModel:
     """Freeze experts and expert gates, admit the hierarchy, fine-tune."""
     if model.spec.variant != "omtl":
         raise ValidationError("phase-2 training applies to the omtl variant")
@@ -256,7 +266,7 @@ def train_phase2(model: OmtlModel, data: Dataset, cfg: TrainConfig,
     model.hierarchy_enabled = True
     return train_loop(model, graph, data.records, cfg,
                       frozen_prefixes=FROZEN_IN_PHASE2,
-                      scheme=scheme, phase="phase2", log=log, stage=1)
+                      scheme=scheme, phase="phase2", log=log, stage=1, split=split)
 
 
 def train_baseline(variant: str, data: Dataset, cfg: TrainConfig,
@@ -265,20 +275,12 @@ def train_baseline(variant: str, data: Dataset, cfg: TrainConfig,
     """Single-phase masked-loss training for sb, moe, or mmoe."""
     if variant == "omtl":
         raise ValidationError("omtl trains in two phases; use train_variant")
-    cfg = _with_variant(cfg, variant)
+    cfg = replace(cfg, variant=variant)
     log = log if log is not None else TrainLog()
     model = build_model(cfg.model_spec(data.feature_dim), graph, seed=cfg.seed)
     return train_loop(model, graph, data.records, cfg,
                       frozen_prefixes=(), scheme=None, phase="single",
                       log=log, stage=0)
-
-
-def _with_variant(cfg: TrainConfig, variant: str) -> TrainConfig:
-    if cfg.variant == variant:
-        return cfg
-    clone = TrainConfig(**{f: getattr(cfg, f) for f in cfg.__dataclass_fields__})
-    clone.variant = variant
-    return clone
 
 
 def _shaping_scheme(cfg: TrainConfig, graph: OntologyGraph) -> RewardScheme | None:
@@ -305,9 +307,10 @@ def train_variant(graph: OntologyGraph, data: Dataset,
     shared = scheme.outcome if scheme else None
     model = build_model(cfg.model_spec(data.feature_dim), graph,
                         seed=cfg.seed, shared_outcome=shared)
-    train_phase1(model, data, cfg, graph, log=log)
+    split = _split_validation(data.records, graph, cfg)
+    train_phase1(model, data, cfg, graph, log=log, split=split)
     if cfg.hierarchy_finetune:
-        train_phase2(model, data, cfg, graph, log=log, scheme=scheme)
+        train_phase2(model, data, cfg, graph, log=log, scheme=scheme, split=split)
     log.final_param_hash = _param_hash(model)
     return model, log
 
@@ -436,7 +439,7 @@ def compare_variants(graph: OntologyGraph, data: Dataset, cfg: TrainConfig,
     """Run several variants on exactly the same folds and DeLong-test every
     pair on the pooled out-of-fold scores."""
     plan = make_folds(data, graph, k=k, seed=cfg.seed)
-    results = {v: run_cv(graph, data, _with_variant(cfg, v), k=k, plan=plan)
+    results = {v: run_cv(graph, data, replace(cfg, variant=v), k=k, plan=plan)
                for v in variants}
     comparisons: list[dict] = []
     for i, va in enumerate(variants):

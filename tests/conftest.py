@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
@@ -28,6 +29,19 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
+
+
+# any JSON value json.load can return, for the loaders' property tests
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=16)
+
+
+def field(right):
+    """A field's value: one of its right type, or any JSON value."""
+    return right | JSON
 
 
 def diamond_graph(core_outcomes=("event",)) -> OntologyGraph:

@@ -167,46 +167,74 @@ def _without(obj: dict, key: str) -> dict:
     return {k: v for k, v in obj.items() if k != key}
 
 
-def _bad_train_config(workdir, cfg: dict) -> list[str]:
-    path = workdir / "bad_train.json"
-    path.write_text(json.dumps(cfg))
+def _json_file(workdir, name: str, obj) -> str:
+    path = workdir / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _quick_config(workdir, max_epochs: int = 1) -> str:
+    return _json_file(workdir, "train.json", {"max_epochs": max_epochs,
+                                              "num_experts": 2, "repr_dim": 2})
+
+
+def _train_on(workdir, config, out="m.json", log=None) -> list[str]:
     return ["train", "--graph", str(workdir / "graph.json"),
-            "--data", str(workdir / "data.jsonl"), "--config", str(path),
-            "--out", str(workdir / "m.json")]
+            "--data", str(workdir / "data.jsonl"), "--config", str(config),
+            "--out", str(workdir / out)] + (["--log", str(workdir / log)] if log else [])
+
+
+def _synth_on(workdir, config, out_data="d2.jsonl") -> list[str]:
+    return ["synth", "--config", str(config), "--out-graph", str(workdir / "g2.json"),
+            "--out-data", str(workdir / out_data)]
+
+
+def _good_model(workdir):
+    good = workdir / "good_model.json"
+    assert dispatch(_train_on(workdir, _quick_config(workdir, max_epochs=0),
+                              out=good.name)) == 0
+    return good
+
+
+def _eval_on(workdir, model, report="r.json", scores_out=None) -> list[str]:
+    return (["eval", "--model", str(model), "--graph", str(workdir / "graph.json"),
+             "--data", str(workdir / "data.jsonl"), "--report", str(workdir / report)]
+            + (["--scores-out", str(workdir / scores_out)] if scores_out else []))
+
+
+def _compare_on(workdir, scores_b, out="cmp.json") -> list[str]:
+    good = {"ids": ["r0", "r1"], "labels": [0, 1], "scores": [0.2, 0.7]}
+    pa = workdir / "a.json"
+    pa.write_text(json.dumps({"leaf|event": good}))
+    return ["compare", "--scores-a", str(pa), "--scores-b", str(scores_b),
+            "--out", str(workdir / out)]
+
+
+def _folds_on(workdir, path, out="f.json") -> list[str]:
+    return ["folds", "--data", str(path), "--graph", str(workdir / "graph.json"),
+            "--out", str(workdir / out)]
+
+
+def _validate_graph_on(workdir, path) -> list[str]:
+    return ["validate-graph", "--graph", str(path)]
+
+
+def _bad_train_config(workdir, cfg: dict) -> list[str]:
+    return _train_on(workdir, _json_file(workdir, "bad_train.json", cfg))
 
 
 def _bad_synth_config(workdir, cfg: dict) -> list[str]:
-    path = workdir / "bad_synth.json"
-    path.write_text(json.dumps(cfg))
-    return ["synth", "--config", str(path), "--out-graph", str(workdir / "g2.json"),
-            "--out-data", str(workdir / "d2.jsonl")]
+    return _synth_on(workdir, _json_file(workdir, "bad_synth.json", cfg))
 
 
 def _bad_model_file(workdir, edit) -> list[str]:
-    good = workdir / "good_model.json"
-    cfg = workdir / "train.json"
-    cfg.write_text(json.dumps({"max_epochs": 0, "num_experts": 2, "repr_dim": 2}))
-    assert dispatch(["train", "--graph", str(workdir / "graph.json"),
-                     "--data", str(workdir / "data.jsonl"), "--config", str(cfg),
-                     "--out", str(good)]) == 0
     bad = workdir / "bad_model.json"
-    bad.write_text(json.dumps(edit(json.loads(good.read_text()))))
-    return ["eval", "--model", str(bad), "--graph", str(workdir / "graph.json"),
-            "--data", str(workdir / "data.jsonl"), "--report", str(workdir / "r.json")]
+    bad.write_text(json.dumps(edit(json.loads(_good_model(workdir).read_text()))))
+    return _eval_on(workdir, bad)
 
 
-def _bad_scores_file(workdir, entry: dict) -> list[str]:
-    good = {"ids": ["r0", "r1"], "labels": [0, 1], "scores": [0.2, 0.7]}
-    pa, pb = workdir / "a.json", workdir / "b.json"
-    pa.write_text(json.dumps({"leaf|event": good}))
-    pb.write_text(json.dumps({"leaf|event": entry}))
-    return ["compare", "--scores-a", str(pa), "--scores-b", str(pb),
-            "--out", str(workdir / "cmp.json")]
-
-
-def _folds_on(workdir, path) -> list[str]:
-    return ["folds", "--data", str(path), "--graph", str(workdir / "graph.json"),
-            "--out", str(workdir / "f.json")]
+def _bad_scores_file(workdir, entry) -> list[str]:
+    return _compare_on(workdir, _json_file(workdir, "b.json", {"leaf|event": entry}))
 
 
 def _bad_records_file(workdir, line: str) -> list[str]:
@@ -215,11 +243,41 @@ def _bad_records_file(workdir, line: str) -> list[str]:
     return _folds_on(workdir, path)
 
 
+def _edit_first_record(workdir, **fields) -> list[str]:
+    """folds on the work directory's records, the first with fields set;
+    every line else is valid, so only the edit can fail."""
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), **fields})
+    path = workdir / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return _folds_on(workdir, path)
+
+
 def _bad_graph_file(workdir, edit) -> list[str]:
     """validate-graph on the work directory's graph file as edited by edit."""
     path = workdir / "bad_graph.json"
     path.write_text(json.dumps(edit(json.loads((workdir / "graph.json").read_text()))))
-    return ["validate-graph", "--graph", str(path)]
+    return _validate_graph_on(workdir, path)
+
+
+# the command that reads each kind of input file, given its path
+READERS = {"graph": _validate_graph_on, "records": _folds_on,
+           "train config": _train_on, "synth config": _synth_on,
+           "model": _eval_on, "scores": _compare_on}
+
+
+def _raw_input(workdir, kind: str, data: bytes) -> list[str]:
+    path = workdir / f"raw_{kind.replace(' ', '_')}"
+    path.write_bytes(data)
+    return READERS[kind](workdir, path)
+
+
+# far deeper than the JSON parser's recursion limit
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+# a 400-digit integer: valid JSON, too large for a float
+HUGE = 10 ** 400
+# an output path in a directory that does not exist
+MISSING_DIR = "no_such_dir/out.json"
 
 
 def _edit_core_node(obj: dict, field: str, value) -> dict:
@@ -300,7 +358,45 @@ BAD_INPUTS = {
         w, lambda o: _edit_core_node(o, "core", "false")),
     "graph outcomes as a string": lambda w: _bad_graph_file(
         w, lambda o: _edit_core_node(o, "outcomes", "mort")),
+    "train lr of 400 digits": lambda w: _bad_train_config(w, {"lr": HUGE}),
+    "synth noise_scale of 400 digits": lambda w: _bad_synth_config(w, {"noise_scale": HUGE}),
+    "model values of 400 digits": lambda w: _bad_model_file(
+        w, lambda o: _set_param_values(o, [HUGE, 0.0])),
+    "scores of 400 digits": lambda w: _bad_scores_file(
+        w, {"ids": ["r0", "r1"], "labels": [0, 1], "scores": [HUGE, 0.5]}),
+    "record features of 400 digits": lambda w: _edit_first_record(w, features=[HUGE] * 8),
+    "record id as a number": lambda w: _edit_first_record(w, id=5),
+    "record id as a list": lambda w: _edit_first_record(w, id=["x"]),
+    "record label true": lambda w: _edit_first_record(w, labels={"mortality": True}),
+    "record label 1.0": lambda w: _edit_first_record(w, labels={"mortality": 1.0}),
+    "record features as booleans": lambda w: _edit_first_record(
+        w, features=[True, False] * 4),
+    "record features as strings": lambda w: _edit_first_record(w, features=["1.5"] * 8),
+    "record labels null": lambda w: _edit_first_record(w, labels=None),
+    "augment out in a missing directory": lambda w: [
+        "augment", "--graph", str(w / "graph.json"), "--core", "n1_0",
+        "--out", str(w / MISSING_DIR)],
+    "synth out-data in a missing directory": lambda w: _synth_on(
+        w, _json_file(w, "synth.json", {"levels": 2, "records_per_node": 5}),
+        out_data=MISSING_DIR),
+    "folds out is a directory": lambda w: _folds_on(w, w / "data.jsonl", out="."),
+    "train log in a missing directory": lambda w: _train_on(
+        w, _quick_config(w), log=MISSING_DIR),
+    "eval scores-out in a missing directory": lambda w: _eval_on(
+        w, _good_model(w), scores_out=MISSING_DIR),
+    "cv report in a missing directory": lambda w: [
+        "cv", "--graph", str(w / "graph.json"), "--data", str(w / "data.jsonl"),
+        "--config", _quick_config(w), "--k", "2", "--report", str(w / MISSING_DIR)],
+    "compare out in a missing directory": lambda w: _compare_on(
+        w, _json_file(w, "b.json", {"leaf|event": {
+            "ids": ["r0", "r1"], "labels": [0, 1], "scores": [0.4, 0.6]}}),
+        out=MISSING_DIR),
 }
+for _kind in READERS:
+    BAD_INPUTS[f"{_kind} not UTF-8"] = \
+        lambda w, kind=_kind: _raw_input(w, kind, b'{"id": "\xff"}')
+    BAD_INPUTS[f"{_kind} nested too deeply"] = \
+        lambda w, kind=_kind: _raw_input(w, kind, DEEP_JSON)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omtl.datastore import (Dataset, Record, SynthConfig, generate_synthetic,
                             load_dataset, make_folds, save_dataset, strata_of)
 from omtl.errors import ValidationError
 from omtl.ontology import ancestor_closure
 
-from conftest import chain_graph, diamond_graph
+from conftest import JSON, chain_graph, diamond_graph, field
 
 
 def write_jsonl(tmp_path, rows, name="data.jsonl"):
@@ -53,6 +54,14 @@ class TestLoad:
         g = chain_graph(3)
         rows = [row("r1", ["a"], d=4), row("r2", ["a"], d=5)]
         with pytest.raises(ValidationError, match=":2:.*dimension"):
+            load_dataset(write_jsonl(tmp_path, rows), g)
+
+    def test_non_finite_feature_named_by_its_line(self, tmp_path):
+        # one bad record among more than one finiteness check's worth
+        g = chain_graph(3)
+        rows = [row(f"r{i}", ["a"]) for i in range(2500)]
+        rows[2100]["features"][1] = float("nan")
+        with pytest.raises(ValidationError, match=":2101:.*finite"):
             load_dataset(write_jsonl(tmp_path, rows), g)
 
     def test_round_trip(self, tmp_path):
@@ -243,3 +252,32 @@ class TestSynthetic:
     def test_unreachable_target_errors(self):
         with pytest.raises(ValidationError):
             SynthConfig(prevalence=1.5).validate()
+
+
+RECORD_LINES = JSON | st.fixed_dictionaries(
+    {"id": field(st.text(max_size=3)),
+     "features": field(st.lists(st.floats(), min_size=2, max_size=2)),
+     "concepts": field(st.lists(st.sampled_from(["a", "b", "c", "z"]), min_size=1,
+                                max_size=3))},
+    optional={"labels": field(st.dictionaries(st.sampled_from(["event", "other"]),
+                                              field(st.sampled_from([0, 1])),
+                                              max_size=2))})
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(RECORD_LINES)
+def test_record_loader_returns_a_record_or_raises_validation_error(tmp_path_factory, obj):
+    # any parsed JSON, and record-shaped objects whose fields may have any
+    # JSON type, as the one line of a record file: a record with the
+    # declared types, or ValidationError
+    g = chain_graph(3)
+    path = tmp_path_factory.getbasetemp() / "record.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    try:
+        (rec,) = load_dataset(str(path), g).records
+    except ValidationError:
+        return
+    assert rec.id == obj["id"] and isinstance(rec.id, str)
+    assert rec.features.dtype == np.float64 and np.isfinite(rec.features).all()
+    assert rec.concepts == ancestor_closure(g, obj["concepts"])
+    assert all(type(v) is int and v in (0, 1) for v in rec.labels.values())

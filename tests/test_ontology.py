@@ -9,7 +9,7 @@ from omtl.ontology import (ConceptNode, GrowthConfig, OntologyGraph,
                            ancestor_closure, graph_from_json_obj, grow_from_core,
                            load_graph, save_graph)
 
-from conftest import chain_graph, diamond_graph, random_dag
+from conftest import JSON, chain_graph, diamond_graph, field, random_dag
 from oracles import brute_force_levels, predecessor_ball
 
 
@@ -191,19 +191,6 @@ class TestGrowth:
         a = grow_from_core(g, cfg)
         b = grow_from_core(g, cfg)
         assert list(a.nodes) == list(b.nodes)
-
-
-# any JSON value json.load can return
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
-    max_leaves=16)
-
-
-def field(right):
-    """A field's value: one of its right type, or any JSON value."""
-    return right | JSON
 
 
 IDS = st.sampled_from(["a", "b", "c", "d"])

@@ -246,6 +246,25 @@ class TestEarlyStopping:
         plan = make_folds(data, graph, k=5, seed=seed)
         return [r for r in data.records if plan.fold_of(r.id) == 0]
 
+    def test_omtl_phases_share_one_held_out_slice(self, monkeypatch):
+        planned = []
+
+        def counted_make_folds(*args, **kwargs):
+            planned.append(args)
+            return make_folds(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "make_folds", counted_make_folds)
+        graph, data = small_benchmark(records=30)
+        cfg = tiny_config(max_epochs=6, patience=3, val_fraction=0.2, seed=3)
+        model, log = train_variant(graph, data, cfg)
+        assert len(planned) == 1
+        # phase 2 monitors, and restores its best epoch on, phase 1's slice
+        vals = [e["val_total"] for e in log.entries if e["phase"] == "phase2"]
+        final = evaluate_loss(
+            model, graph,
+            self._val_records(graph, data, cfg), cfg, None).total
+        assert final == pytest.approx(min(vals), abs=1e-12)
+
     def test_patience_stops_early(self):
         graph, data = small_benchmark(records=30)
         cfg = tiny_config(variant="sb", max_epochs=50, patience=2,
