@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 
@@ -20,7 +19,7 @@ from . import __version__
 from .datastore import (SynthConfig, generate_synthetic, load_dataset, make_folds,
                         save_dataset)
 from .errors import OmtlError, ValidationError
-from .fields import json_field, output_file, read_json
+from .fields import json_field, read_json, write_json
 from .metrics import ScoredSet, compare_scored_sets, score_metrics
 from .model import build_model, forward, load_model, save_model
 from .ontology import GrowthConfig, grow_from_core, load_graph, save_graph
@@ -39,9 +38,7 @@ def _file_hash(path: str) -> str | None:
 
 
 def _write_json(path: str, obj) -> None:
-    with output_file(path) as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, obj, indent=1, sort_keys=True)
 
 
 def _write_outputs(args: argparse.Namespace, outputs: dict, saved=()) -> None:

@@ -1,21 +1,26 @@
-"""Records, dataset IO, folds, and synthetic cohorts.
+"""Records, dataset IO, columns, folds, and synthetic cohorts.
 
 Record files are JSONL, one object per line:
     {"id": str, "features": [float x d], "concepts": [str, ...],
      "labels": {outcome: 0|1, ...}}
 Concept sets are closed upward at load time so a record expressing a
 concept always expresses all of its ancestors.
+
+`Record` lives at the IO edge. Training, fold planning and scoring read a
+cohort as `Columns`, built once from its records, and address records by
+row index.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .fields import config_fields, json_field, json_lines, output_file
+from .fields import MAX_SIZE, config_fields, json_field, json_lines, output_file
 from .ontology import ConceptNode, OntologyGraph, ancestor_closure
 from .rng import substream
 
@@ -32,14 +37,128 @@ class Record:
         return bool(self.labels)
 
 
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """A cohort's records as arrays, one row per record, in record order.
+
+    `member` has one column per graph node, in `graph.ordered_ids` order;
+    `labels` (0 or 1) and `labeled` one per outcome, the graph's outcome
+    names and then any other label name the records carry. `unclosed`
+    marks rows whose concept set lacks a parent of one of its nodes, which
+    the forward pass rejects when it routes through parents.
+    """
+
+    ids: np.ndarray       # (n,) object: record ids
+    X: np.ndarray         # (n, d) features
+    member: np.ndarray    # (n, nodes) bool
+    labels: np.ndarray    # (n, outcomes) float
+    labeled: np.ndarray   # (n, outcomes) bool
+    unclosed: np.ndarray  # (n,) bool
+    nodes: tuple[str, ...]
+    outcomes: tuple[str, ...]
+    graph_hash: str
+
+    @staticmethod
+    def from_records(records: list[Record], graph: OntologyGraph) -> "Columns":
+        nodes = tuple(graph.ordered_ids)
+        node_col = {nid: j for j, nid in enumerate(nodes)}
+        # records share few concept sets: map each distinct one once
+        set_of: dict[frozenset, int] = {}
+        which = [set_of.setdefault(rec.concepts, len(set_of)) for rec in records]
+        sets = np.zeros((len(set_of), len(nodes)), dtype=bool)
+        for i, concepts in enumerate(set_of):
+            unknown = [c for c in concepts if c not in node_col]
+            if unknown:
+                rid = records[which.index(i)].id
+                raise ValidationError(f"record {rid!r}: unknown concept id {unknown[0]!r}")
+            sets[i, [node_col[c] for c in concepts]] = True
+        member = sets[which] if records else np.zeros((0, len(nodes)), dtype=bool)
+        outcomes = tuple(dict.fromkeys(itertools.chain(
+            graph.outcome_names(), *(rec.labels for rec in records))))
+        # a missing label reads as NaN
+        labels = np.array([[rec.labels.get(o) for rec in records] for o in outcomes],
+                          dtype=np.float64).reshape(len(outcomes), len(records)).T.copy()
+        labeled = ~np.isnan(labels)
+        labels[~labeled] = 0.0
+        try:
+            x = np.array([rec.features for rec in records], dtype=np.float64)
+        except ValueError:
+            raise ValidationError("records' features differ in length") from None
+        parent, child = (np.array([node_col[e[j]] for e in graph.edges], dtype=np.intp)
+                         for j in (0, 1))
+        return Columns(
+            ids=np.array([rec.id for rec in records], dtype=object),
+            X=x if records else np.zeros((0, 0)), member=member,
+            labels=labels, labeled=labeled,
+            unclosed=(member[:, child] & ~member[:, parent]).any(axis=1),
+            nodes=nodes, outcomes=outcomes, graph_hash=graph.graph_hash())
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def take(self, rows: np.ndarray) -> "Columns":
+        """The columns of rows, in that order."""
+        return Columns(self.ids[rows], self.X[rows], self.member[rows],
+                       self.labels[rows], self.labeled[rows], self.unclosed[rows],
+                       self.nodes, self.outcomes, self.graph_hash)
+
+    def closure_error(self, rows: np.ndarray, graph: OntologyGraph) -> ValidationError:
+        """The error for rows holding an unclosed one: it names the first
+        node, in routing order, that one of them expresses without all of
+        its parents, and the parents the first such row lacks."""
+        member = self.member[rows]
+        col = {nid: j for j, nid in enumerate(self.nodes)}
+        for j, nid in enumerate(self.nodes):
+            parents = graph.parents[nid]
+            has = member[:, [col[p] for p in parents]]
+            bad = np.flatnonzero(member[:, j] & ~has.all(axis=1))
+            if bad.size:
+                missing = [p for p, ok in zip(parents, has[bad[0]]) if not ok]
+                return ValidationError(
+                    f"node {nid!r} is missing parent representations {missing}; "
+                    f"concept sets must be ancestor-closed")
+        raise AssertionError("no row among rows is unclosed")
+
+
 @dataclass
 class Dataset:
     records: list[Record]
     feature_dim: int
     outcomes: tuple[str, ...]
+    _columns: Columns | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def labeled_records(self) -> list[Record]:
         return [r for r in self.records if r.labeled]
+
+    def columns(self, graph: OntologyGraph, keep: bool = True) -> Columns:
+        """The records as columns over graph, built on first use and kept
+        unless keep is False; the records must not change after that."""
+        if self._columns is not None and self._columns.graph_hash == graph.graph_hash():
+            return self._columns
+        cols = Columns.from_records(self.records, graph)
+        if keep:
+            self._columns = cols
+        return cols
+
+    def take(self, rows: np.ndarray) -> "Dataset":
+        """The records of rows, in that order, with their columns when
+        this dataset has built its own."""
+        sub = Dataset([self.records[i] for i in rows], self.feature_dim, self.outcomes)
+        if self._columns is not None:
+            sub._columns = self._columns.take(rows)
+        return sub
+
+
+def columns_of(data, graph: OntologyGraph, keep: bool = True) -> Columns:
+    """data as columns over graph: `Columns` as given, a `Dataset`'s own
+    (see `Dataset.columns` for keep), or a Record or a sequence of records
+    converted once."""
+    if isinstance(data, Columns):
+        return data
+    if isinstance(data, Dataset):
+        return data.columns(graph, keep)
+    return Columns.from_records([data] if isinstance(data, Record) else list(data), graph)
 
 
 @dataclass
@@ -127,101 +246,133 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 def strata_of(record: Record, graph: OntologyGraph) -> list[tuple[str, str, int]]:
     """(core node, outcome, label) memberships of one record."""
-    out = []
-    for nid in sorted(record.concepts):
-        node = graph.nodes[nid]
-        if not node.core:
-            continue
-        for o in node.outcomes:
-            if o in record.labels:
-                out.append((nid, o, record.labels[o]))
-    return out
+    core = [nid for nid in graph.core_ids if nid in record.concepts]
+    return list(_balanced_sets(core, record.labels, graph)[len(core):])
 
 
-def _balanced_sets(record: Record, graph: OntologyGraph) -> tuple[tuple, ...]:
-    """Counts a fold plan keeps level that include this record: each core
-    node it expresses, as (node,), and each of its strata."""
-    nodes = [(nid,) for nid in graph.core_ids if nid in record.concepts]
-    return tuple(nodes + strata_of(record, graph))
+def _balanced_sets(core: list[str], labels: dict[str, int],
+                   graph: OntologyGraph) -> tuple[tuple, ...]:
+    """Counts a fold plan keeps level that include a labeled record whose
+    core nodes are core, in graph order, and whose labels are labels: each
+    of those nodes, as (node,), and then each of its strata."""
+    return tuple([(nid,) for nid in core]
+                 + [(nid, o, labels[o]) for nid in sorted(core)
+                    for o in graph.nodes[nid].outcomes if o in labels])
 
 
-def _rebalance(labeled: list[Record], assignment: dict[str, int],
-               graph: OntologyGraph, k: int) -> None:
+def _signatures(cols: Columns, rows: np.ndarray,
+                graph: OntologyGraph) -> tuple[np.ndarray, list[tuple]]:
+    """The `_balanced_sets` of rows of cols, as each row's index into the
+    sorted list of the distinct ones. Rows with the same core nodes and
+    labels hold the same sets, so the sets are found once per such pattern."""
+    core = [j for j, nid in enumerate(cols.nodes) if graph.nodes[nid].core]
+    pattern = np.concatenate([cols.member[rows][:, core], cols.labeled[rows],
+                              cols.labels[rows] > 0], axis=1)
+    # group equal patterns: read each as 64-bit words, then sort them
+    packed = np.packbits(pattern, axis=1)
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64).T
+    order = np.lexsort(words[::-1])
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (words[:, order[1:]] != words[:, order[:-1]]).any(axis=0)
+    group = np.empty(rows.size, dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    names, n_out = [cols.nodes[j] for j in core], len(cols.outcomes)
+    keys = []
+    for bits in pattern[order[first]].tolist():
+        labeled, labels = bits[len(core):len(core) + n_out], bits[len(core) + n_out:]
+        keys.append(_balanced_sets(
+            [n for n, b in zip(names, bits) if b],
+            {o: int(v) for o, has, v in zip(cols.outcomes, labeled, labels) if has},
+            graph))
+    distinct = sorted(set(keys))
+    rank = {key: i for i, key in enumerate(distinct)}
+    return np.array([rank[key] for key in keys], dtype=np.intp)[group], distinct
+
+
+def _rebalance(sig_of: np.ndarray, sigs: list[tuple], fold: np.ndarray,
+               k: int) -> None:
     """Swap labeled records between folds while that levels the counts.
 
-    Records with the same `_balanced_sets` are interchangeable. While some
-    set's fold counts differ by two or more, swap a record holding it in
-    its fullest fold against one lacking it in its emptiest fold, picking
-    the pair that lowers the sum of squared fold counts over all sets the
-    most. Stops when no such swap lowers that sum, so it always ends. Fold
-    sizes never change.
+    The record dealt p-th holds the sets sigs[sig_of[p]] and sits in fold
+    fold[p], which this updates in place. Records with the same sets are
+    interchangeable. While some set's fold counts differ by two or more,
+    swap a record holding it in its fullest fold against one lacking it in
+    its emptiest fold, picking the pair that lowers the sum of squared fold
+    counts over all sets the most. Stops when no such swap lowers that
+    sum, so it always ends. Fold sizes never change.
     """
-    folds: dict[tuple, list[list[str]]] = {}
-    for rec in labeled:
-        sig = _balanced_sets(rec, graph)
-        folds.setdefault(sig, [[] for _ in range(k)])[assignment[rec.id]].append(rec.id)
-    members = {sig: frozenset(sig) for sig in folds}
-    counts: dict[tuple, list[int]] = {}
-    for sig, per_fold in folds.items():
-        for s in sig:
-            c = counts.setdefault(s, [0] * k)
-            for f, ids in enumerate(per_fold):
-                c[f] += len(ids)
+    sets = sorted({s for sig in sigs for s in sig})
+    col = {s: j for j, s in enumerate(sets)}
+    # counts as floats, exact at these sizes, so the products run in BLAS
+    holds = np.zeros((len(sigs), len(sets)))
+    for a, sig in enumerate(sigs):
+        holds[a, [col[s] for s in sig]] = 1
+    held_by = holds.T.astype(bool)  # held_by[s, a]: signature a holds set s
+    n_sets = holds.sum(axis=1)
+    # the records of each (signature, fold) group, a stack in deal order
+    group = sig_of * k + fold
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(len(sigs) * k + 1))
+    stacks: dict[int, list[int]] = {}
+
+    def stack(a: int, f: int) -> list[int]:
+        g = a * k + f
+        if g not in stacks:
+            stacks[g] = order[bounds[g]:bounds[g + 1]].tolist()
+        return stacks[g]
+
+    filled = np.diff(bounds).reshape(len(sigs), k).T > 0  # [f, a]: a in fold f
+    counts = holds.T @ np.diff(bounds).reshape(len(sigs), k)
     while True:
-        best_gain, best = 0, None
-        for s in sorted(counts):
-            c = counts[s]
-            hi, lo = c.index(max(c)), c.index(min(c))
-            if c[hi] - c[lo] < 2:
+        best = None
+        for s in np.flatnonzero(counts.max(axis=1) - counts.min(axis=1) >= 2):
+            hi, lo = int(counts[s].argmax()), int(counts[s].argmin())
+            out = np.flatnonzero(held_by[s] & filled[hi])
+            into = np.flatnonzero(~held_by[s] & filled[lo])
+            if not out.size or not into.size:
                 continue
             # gain is half the drop in the sum of squares: moving a record of
             # set t from hi to lo lowers it by 2 * d[t], the reverse move
             # raises it by 2 * (d[t] + 2), and a set both records hold stays
-            d = {t: ct[hi] - ct[lo] - 1 for t, ct in counts.items()}
-            out = [(sum(d[t] for t in a), a) for a in folds
-                   if s in members[a] and folds[a][hi]]
-            into = [(-sum(d[t] + 2 for t in b), b) for b in folds
-                    if s not in members[b] and folds[b][lo]]
-            for gain_a, a in out:
-                for gain_b, b in into:
-                    gain = gain_a + gain_b + 2 * len(members[a] & members[b])
-                    if gain > best_gain:
-                        best_gain, best = gain, (a, b, hi, lo)
-            if best is not None:
+            gain_of = holds @ (counts[:, hi] - counts[:, lo] - 1)
+            gain = ((gain_of[out])[:, None] - (gain_of[into] + 2 * n_sets[into])[None, :]
+                    + 2 * holds[out] @ holds[into].T)
+            i = int(gain.argmax())
+            if gain.flat[i] > 0:
+                best = int(out[i // into.size]), int(into[i % into.size]), hi, lo
                 break
         if best is None:
             return
         a, b, hi, lo = best
-        rid_a, rid_b = folds[a][hi].pop(), folds[b][lo].pop()
-        folds[a][lo].append(rid_a)
-        folds[b][hi].append(rid_b)
-        assignment[rid_a], assignment[rid_b] = lo, hi
-        for s in a:
-            counts[s][hi] -= 1
-            counts[s][lo] += 1
-        for s in b:
-            counts[s][lo] -= 1
-            counts[s][hi] += 1
+        p_a, p_b = stack(a, hi).pop(), stack(b, lo).pop()
+        stack(a, lo).append(p_a)
+        stack(b, hi).append(p_b)
+        fold[p_a], fold[p_b] = lo, hi
+        for g, f in ((a, hi), (a, lo), (b, lo), (b, hi)):
+            filled[f, g] = bool(stack(g, f))
+        counts[:, hi] += holds[b] - holds[a]
+        counts[:, lo] += holds[a] - holds[b]
 
 
-def make_folds(dataset: Dataset, graph: OntologyGraph, k: int = 5,
+def make_folds(dataset, graph: OntologyGraph, k: int = 5,
                seed: int = 0) -> FoldPlan:
     """Stratified fold plan: a round-robin deal, then levelling swaps.
 
-    The counts kept level are each core node's labeled members and each
-    (core node, outcome, label) stratum; see `_balanced_sets`. Labeled
-    records are shuffled, stably sorted by the sets they belong to, and
-    dealt to folds c, c+1, ..., c+k-1, c, ... by one cursor that starts at
-    a random fold c and carries over from one key group to the next. A run
-    of records contiguous in that order lands within one of even across
-    the folds. The runs cover all labeled records, so labeled fold sizes
-    are within one, and, when each labeled record expresses a single core
-    node, that node's members and the strata of its first outcome.
-    `_rebalance` then swaps records between folds to bring every other
-    count within one of even. Its search is local and can stop short of
-    that where records express several overlapping core nodes, carry three
-    or more outcomes per node, or lack some of a node's labels, since
-    their strata can only move together.
+    dataset is a `Dataset` or anything else `columns_of` takes. The counts
+    kept level are each core node's labeled members and each (core node,
+    outcome, label) stratum; see `_balanced_sets`. Labeled records are
+    shuffled, stably sorted by the sets they belong to, and dealt to folds
+    c, c+1, ..., c+k-1, c, ... by one cursor that starts at a random fold c
+    and carries over from one key group to the next. A run of records
+    contiguous in that order lands within one of even across the folds.
+    The runs cover all labeled records, so labeled fold sizes are within
+    one, and, when each labeled record expresses a single core node, that
+    node's members and the strata of its first outcome. `_rebalance` then
+    swaps records between folds to bring every other count within one of
+    even. Its search is local and can stop short of that where records
+    express several overlapping core nodes, carry three or more outcomes
+    per node, or lack some of a node's labels, since their strata can only
+    move together.
 
     Unlabeled records are spread uniformly at random. The plan is a pure
     function of (dataset, graph, k, seed); its randomness comes from the
@@ -229,19 +380,28 @@ def make_folds(dataset: Dataset, graph: OntologyGraph, k: int = 5,
     """
     if k < 2:
         raise ValidationError(f"k must be >= 2, got {k}")
-    labeled = sorted(dataset.labeled_records(), key=lambda r: r.id)
-    if len(labeled) < k:
+    # a plan is made about once per dataset: columns built for it alone
+    # are not kept
+    cols = columns_of(dataset, graph, keep=False)
+    has_labels = cols.labeled.any(axis=1)
+    ids = cols.ids.tolist()
+    labeled = np.array(sorted(np.flatnonzero(has_labels).tolist(), key=ids.__getitem__),
+                       dtype=np.intp)
+    if labeled.size < k:
         raise ValidationError(
-            f"need at least k={k} labeled records, have {len(labeled)}")
+            f"need at least k={k} labeled records, have {labeled.size}")
     rng = substream(seed, "folds")
     rng.shuffle(labeled)
-    labeled.sort(key=lambda r: _balanced_sets(r, graph))
-    start = int(rng.integers(k))
-    assignment = {rec.id: (start + i) % k for i, rec in enumerate(labeled)}
-    _rebalance(labeled, assignment, graph, k)
-    for rec in dataset.records:
-        if rec.id not in assignment:
-            assignment[rec.id] = int(rng.integers(k))
+    sig_of, sigs = _signatures(cols, labeled, graph)
+    by_sets = np.argsort(sig_of, kind="stable")
+    labeled, sig_of = labeled[by_sets], sig_of[by_sets]
+    fold = (int(rng.integers(k)) + np.arange(labeled.size)) % k
+    _rebalance(sig_of, sigs, fold, k)
+    assignment = dict(zip(cols.ids[labeled].tolist(), fold.tolist()))
+    rest = dict.fromkeys(cols.ids[~has_labels].tolist())
+    for rid in rest.keys() & assignment.keys():  # an id a labeled record has
+        del rest[rid]
+    assignment.update(zip(rest, rng.integers(k, size=len(rest)).tolist()))
     return FoldPlan(k=k, seed=seed, assignment=assignment)
 
 
@@ -291,6 +451,14 @@ class SynthConfig:
             raise ValidationError(f"prevalence must be in (0, 1), got {self.prevalence}")
         if not self.outcomes:
             raise ValidationError("need at least one outcome name")
+        nodes = self.levels if self.branching == 1 else \
+            MAX_SIZE + 1 if self.levels > 64 else \
+            (self.branching ** self.levels - 1) // (self.branching - 1)
+        if max(nodes, nodes * self.records_per_node * self.feature_dim) > MAX_SIZE:
+            raise ValidationError(
+                f"levels={self.levels}, branching={self.branching}, records_per_node="
+                f"{self.records_per_node} and feature_dim={self.feature_dim} ask for "
+                f"more than {MAX_SIZE} nodes or feature values")
 
 
 def _synth_node_id(level: int, index: int) -> str:

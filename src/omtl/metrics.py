@@ -27,11 +27,13 @@ class ScoredSet:
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.scores.shape != self.labels.shape or self.scores.ndim != 1:
+        labels = np.asarray(self.labels)
+        if self.scores.shape != labels.shape or self.scores.ndim != 1:
             raise ValidationError("scores and labels must be equal-length vectors")
-        if not np.isin(self.labels, (0, 1)).all():
+        # checked before the int64 conversion, which overflows on huge integers
+        if not np.isin(labels, (0, 1)).all():
             raise ValidationError("labels must be 0 or 1")
+        self.labels = labels.astype(np.int64)
 
     @property
     def stratum(self) -> str:

@@ -28,7 +28,6 @@ logit would.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -37,8 +36,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ValidationError
 from .ontology import OntologyGraph
-from .datastore import Record
-from .fields import config_fields, json_field, output_file, read_json
+from .datastore import Columns, columns_of
+from .fields import MAX_SIZE, config_fields, json_field, read_json, write_json
 from .rng import substream
 from .tensor import Arena, Block, Segments, Tensor
 
@@ -66,6 +65,22 @@ class ModelSpec:
                                   f"{self.feature_dim} and {self.repr_dim}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout must be in [0, 1), got {self.dropout}")
+        self.check_size()
+
+    def check_size(self, nodes: int = 1, heads: int = 0, parent_links: int = 0) -> None:
+        """Reject a model of this spec that would hold more than MAX_SIZE
+        parameters over a graph of nodes nodes, heads outcome heads and
+        parent_links edges (by default a one-node graph), counted before
+        any is built."""
+        d, de, experts = self.feature_dim, self.repr_dim, self.num_experts
+        per_node = (de + 1) * de + (de + 1) * d
+        if self.has_expert_gates:
+            per_node += (d + 1) * experts
+        gates = (d + 1) * parent_links if self.has_parent_gates else 0
+        if experts * (d + 1) * de + nodes * per_node + heads * (de + 1) + gates > MAX_SIZE:
+            raise ValidationError(
+                f"a {self.variant} model with num_experts={experts}, feature_dim={d} "
+                f"and repr_dim={de} would hold more than {MAX_SIZE} parameters")
 
     @property
     def has_expert_gates(self) -> bool:
@@ -111,6 +126,8 @@ def param_layout(spec: ModelSpec, graph: OntologyGraph,
     order. The experts, and within a level each kind of layer, hold all
     their weights and then all their biases.
     """
+    spec.check_size(nodes=len(graph.nodes), parent_links=len(graph.edges),
+                     heads=sum(len(outcome_map.get(n, ())) for n in graph.nodes))
     d, de, n_exp = spec.feature_dim, spec.repr_dim, spec.num_experts
     shapes: list[tuple[str, tuple[int, int]]] = []
 
@@ -318,19 +335,20 @@ class LevelPass:
 
 
 class ForwardResult:
-    """A forward pass over a batch: per level, the (row, node) pairs and
-    their representations, plus the stacked feature rows of the whole batch
-    (the reconstruction targets).
+    """A forward pass over rows of a cohort's columns: per level, the (row,
+    node) pairs and their representations, plus the feature rows of the
+    batch (the reconstruction targets).
 
     The per-node views (rows, representations, outcome logits) are built
-    on first use. A node's rows are ascending indices into the forwarded
-    records. In train mode a head appears in outcome_logits only when some
-    row of its node labels its outcome; in eval mode, always.
+    on first use. A node's rows are ascending indices into the batch,
+    which is row `batch[i]` of the columns for batch index i. In train mode
+    a head appears in outcome_logits only when some row of its node labels
+    its outcome; in eval mode, always.
     """
 
-    def __init__(self, model: OmtlModel, records: list[Record],
+    def __init__(self, model: OmtlModel, cols: Columns, batch: np.ndarray | None,
                  passes: list[LevelPass], inputs: np.ndarray, mode: str):
-        self.model, self.records, self.passes = model, records, passes
+        self.model, self.cols, self.batch, self.passes = model, cols, batch, passes
         self.inputs, self.mode = inputs, mode
 
     def _per_node(self, values_of) -> dict:
@@ -372,17 +390,18 @@ class ForwardResult:
 
     @cached_property
     def label_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(labels, labeled): (records, model outcomes) arrays holding each
-        record's label and a 1 where it has one."""
-        col = self.model.outcome_col
-        labels = np.zeros((len(self.records), len(col)))
-        labeled = np.zeros_like(labels)
-        entries = [(i, col[o], v) for i, rec in enumerate(self.records)
-                   for o, v in rec.labels.items() if o in col]
-        if entries:
-            i, k, v = np.array(entries, dtype=np.intp).T
-            labels[i, k] = v
-            labeled[i, k] = 1.0
+        """(labels, labeled): (batch, model outcomes) arrays of each row's
+        label and of whether it has one."""
+        cols, outcomes = self.cols, self.model.outcomes
+        rows = slice(None) if self.batch is None else self.batch
+        if cols.outcomes[:len(outcomes)] == outcomes:
+            return cols.labels[rows, :len(outcomes)], cols.labeled[rows, :len(outcomes)]
+        have = [k for k, o in enumerate(outcomes) if o in cols.outcomes]
+        src = [cols.outcomes.index(outcomes[k]) for k in have]
+        labels = np.zeros((self.inputs.shape[0], len(outcomes)))
+        labeled = np.zeros(labels.shape, dtype=bool)
+        labels[:, have] = cols.labels[rows][:, src]
+        labeled[:, have] = cols.labeled[rows][:, src]
         return labels, labeled
 
     def predictions(self) -> dict[tuple[str, str], np.ndarray]:
@@ -398,19 +417,11 @@ def _route_parents(model: OmtlModel, lv: Level, mix: Tensor, x: Tensor,
                    rows: np.ndarray, node: np.ndarray, pos: np.ndarray,
                    reps: list[Tensor | None]) -> tuple[Tensor, np.ndarray]:
     """The parent_mix op for one level's pairs. pos[row, node] is the pair
-    index of (row, node) on its own level, -1 where the row does not
-    express the node."""
+    index of (row, node) on its own level; the batch's concept sets are
+    ancestor-closed, so every parent a pair reads has one."""
     par = lv.parents[node]
     valid = par >= 0
     src = np.where(valid, pos[rows[:, None], par], 0)
-    missing = valid & (src < 0)
-    if missing.any():
-        p = int(np.flatnonzero(missing.any(axis=1))[0])
-        ids = model.graph.ordered_ids
-        raise ValidationError(
-            f"node {lv.nodes[node[p]]!r} is missing parent representations "
-            f"{[ids[g] for g in par[p][missing[p]]]}; concept sets must be "
-            f"ancestor-closed")
     src_level = np.where(valid, model.level_of[par], -1)
     sources = []
     for depth in lv.parent_levels:
@@ -427,28 +438,35 @@ def _route_parents(model: OmtlModel, lv: Level, mix: Tensor, x: Tensor,
                         lv.pgate_w, lv.pgate_b)
 
 
-def forward(model: OmtlModel, records, mode: str = "eval",
-            dropout_rng=None) -> ForwardResult:
-    """Route a batch of records (or one record) through the model's graph.
+def forward(model: OmtlModel, data, mode: str = "eval", dropout_rng=None,
+            rows: np.ndarray | None = None) -> ForwardResult:
+    """Route rows of a cohort's columns through the model's graph.
 
-    The experts run once over every row. Then each level runs once, in
-    order, over the (row, node) pairs its nodes' rows form, reading parent
-    representations from earlier levels by row.
+    data is `Columns`, or anything else `columns_of` turns into columns (a
+    Dataset, a record or records); rows are the batch's row indices, all
+    rows by default. The experts run once over every row. Then each level
+    runs once, in order, over the (row, node) pairs its nodes' rows form,
+    reading parent representations from earlier levels by row.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"unknown forward mode {mode!r}")
-    recs = [records] if isinstance(records, Record) else list(records)
-    x = Tensor(np.array([rec.features for rec in recs], dtype=np.float64), const=True)
+    cols = columns_of(data, model.graph)
+    if cols.graph_hash != model.graph_hash:
+        raise ValidationError("forward: columns were built over another graph")
+    if rows is None:
+        x, member, unclosed = cols.X, cols.member, cols.unclosed
+    else:
+        x, member, unclosed = cols.X[rows], cols.member[rows], cols.unclosed[rows]
     if x.shape[1] != model.spec.feature_dim:
         raise ValidationError(
             f"record feature dim {x.shape[1]} != model dim {model.spec.feature_dim}")
+    if model.hierarchy_enabled and unclosed.any():
+        raise cols.closure_error(np.arange(len(cols)) if rows is None else rows,
+                                 model.graph)
     train = mode == "train"
     if train and model.spec.dropout > 0.0 and dropout_rng is None:
         raise ValidationError("train-mode forward needs a dropout rng")
-    col, width = model.node_col, len(model.node_col)
-    member = np.zeros((len(recs), width), dtype=bool)
-    member.reshape(-1)[[i * width + col[c] for i, rec in enumerate(recs)
-                        for c in rec.concepts]] = True
+    x = Tensor(x, const=True)
     spec = model.spec
     experts = T.expert_layer(x, model.expert_w, model.expert_b, spec.leaky_slope,
                              spec.dropout, dropout_rng, train)
@@ -456,20 +474,20 @@ def forward(model: OmtlModel, records, mode: str = "eval",
     reps: list[Tensor | None] = []
     passes = []
     for lv in model.levels:
-        node, rows = np.nonzero(member[:, lv.lo:lv.lo + len(lv.nodes)].T)
-        if not rows.size:
+        node, level_rows = np.nonzero(member[:, lv.lo:lv.lo + len(lv.nodes)].T)
+        if not level_rows.size:
             reps.append(None)
             continue
-        pos[rows, lv.lo + node] = np.arange(rows.size)
+        pos[level_rows, lv.lo + node] = np.arange(level_rows.size)
         seg = Segments(node)
-        mixed, _ = T.expert_mix(x, experts, spec.num_experts, rows, seg,
+        mixed, _ = T.expert_mix(x, experts, spec.num_experts, level_rows, seg,
                                 lv.gate_w, lv.gate_b)
         if model.hierarchy_enabled and lv.parents is not None:
-            mixed, _ = _route_parents(model, lv, mixed, x, rows, node, pos, reps)
+            mixed, _ = _route_parents(model, lv, mixed, x, level_rows, node, pos, reps)
         rep = T.softplus_affine(mixed, lv.repr_w, lv.repr_b, seg)
         reps.append(rep)
-        passes.append(LevelPass(lv, rows, seg, rep))
-    return ForwardResult(model, recs, passes, x.values, mode)
+        passes.append(LevelPass(lv, level_rows, seg, rep))
+    return ForwardResult(model, cols, rows, passes, x.values, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +498,7 @@ def model_to_json_obj(model: OmtlModel) -> dict:
     params = {}
     for name in sorted(model.params):
         p = model.params[name]
-        params[name] = {"shape": list(p.shape),
-                        "values": [float(v) for v in p.values.ravel()]}
+        params[name] = {"shape": list(p.shape), "values": p.values.ravel().tolist()}
     return {"spec": model.spec.to_json_obj(),
             "graph_hash": model.graph_hash,
             "outcome_map": {nid: list(v) for nid, v in model.outcome_map.items()},
@@ -536,9 +553,7 @@ def model_from_json_obj(obj: dict, graph: OntologyGraph) -> OmtlModel:
 
 
 def save_model(model: OmtlModel, path: str) -> None:
-    with output_file(path) as fh:
-        json.dump(model_to_json_obj(model), fh)
-        fh.write("\n")
+    write_json(path, model_to_json_obj(model))
 
 
 def load_model(path: str, graph: OntologyGraph) -> OmtlModel:

@@ -123,7 +123,7 @@ def shaped_loss(result, lam: float, scheme: RewardScheme) -> LossBreakdown:
     if k is not None:
         labeled = result.label_arrays[1]
         for p in result.passes:
-            bad = np.flatnonzero((labeled[p.rows, k] > 0)
+            bad = np.flatnonzero(labeled[p.rows, k]
                                  & ~p.level.has_head[p.seg.of, k])
             if bad.size:
                 raise ValidationError(

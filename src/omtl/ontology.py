@@ -14,9 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ValidationError
-from .fields import json_field, output_file, read_json
+from .fields import json_field, read_json, write_json
 from .rng import substream
 
 
@@ -93,6 +94,10 @@ class OntologyGraph:
         }
 
     def graph_hash(self) -> str:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> str:
         blob = json.dumps(self.to_json_obj(), sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
@@ -175,9 +180,7 @@ def graph_from_json_obj(obj) -> OntologyGraph:
 
 
 def save_graph(graph: OntologyGraph, path: str) -> None:
-    with output_file(path) as fh:
-        json.dump(graph.to_json_obj(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, graph.to_json_obj(), indent=1, sort_keys=True)
 
 
 def ancestor_closure(graph: OntologyGraph, concept_set) -> frozenset[str]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .datastore import Dataset, FoldPlan, Record, make_folds
+from .datastore import Columns, Dataset, FoldPlan, columns_of, make_folds
 from .fields import config_fields
 from .errors import NumericalError, ValidationError
 from .metrics import (EvalReport, ScoredSet, compare_scored_sets, score_metrics)
@@ -123,57 +123,60 @@ class TrainLog:
         return {"entries": self.entries, "final_param_hash": self.final_param_hash}
 
 
-def _batch_loss(model: OmtlModel, batch: list[Record], cfg: TrainConfig,
-                scheme: RewardScheme | None, mode: str, dropout_rng) -> LossBreakdown:
-    """Mean-per-record loss over one batch of (possibly mixed) records."""
-    result = forward(model, batch, mode, dropout_rng)
+def _batch_loss(model: OmtlModel, cols: Columns, rows: np.ndarray | None,
+                cfg: TrainConfig, scheme: RewardScheme | None, mode: str,
+                dropout_rng) -> LossBreakdown:
+    """Mean-per-record loss over rows of cols (all rows for None)."""
+    result = forward(model, cols, mode, dropout_rng, rows)
     if scheme is None:
         return masked_loss(result, cfg.lam)
     return shaped_loss(result, cfg.lam, scheme)
 
 
-def evaluate_loss(model: OmtlModel, graph: OntologyGraph, records: list[Record],
-                  cfg: TrainConfig, scheme: RewardScheme | None) -> LossBreakdown:
-    """Eval-mode (dropout-free) loss over a record list; graph must be the
-    graph the model was built on."""
+def evaluate_loss(model: OmtlModel, graph: OntologyGraph, records,
+                  cfg: TrainConfig, scheme: RewardScheme | None,
+                  rows: np.ndarray | None = None) -> LossBreakdown:
+    """Eval-mode (dropout-free) loss over records (a record list, or
+    anything else `columns_of` takes), or over their rows when given;
+    graph must be the graph the model was built on."""
     if graph is not model.graph and graph.graph_hash() != model.graph_hash:
         raise ValidationError("evaluate_loss: graph is not the model's graph")
-    return _batch_loss(model, records, cfg, scheme, "eval", None)
+    return _batch_loss(model, columns_of(records, graph), rows, cfg, scheme,
+                       "eval", None)
 
 
-# the (training, held-out) records of one model
-Split = tuple[list[Record], list[Record]]
+# the (training, held-out) row indices of one model's records
+Split = tuple[np.ndarray, np.ndarray]
 
 
-def _split_validation(records: list[Record], graph: OntologyGraph,
-                      cfg: TrainConfig) -> Split:
+def _split_validation(cols: Columns, graph: OntologyGraph, cfg: TrainConfig) -> Split:
     """One model's split: the held-out records are fold 0 of a
     1/val_fraction-fold plan seeded from the "valsplit.0" stream, and none
     when val_fraction is 0 or too few records are labeled."""
+    every, none = np.arange(len(cols)), np.arange(0)
     if cfg.val_fraction <= 0.0:
-        return records, []
+        return every, none
     k = max(2, round(1.0 / cfg.val_fraction))
-    labeled = [r for r in records if r.labeled]
-    if len(labeled) < k:
-        return records, []
-    ds = Dataset(records=list(records), feature_dim=records[0].features.size,
-                 outcomes=graph.outcome_names())
+    if np.count_nonzero(cols.labeled.any(axis=1)) < k:
+        return every, none
     seed = int(substream(cfg.seed, "valsplit.0").integers(2 ** 31))
-    plan = make_folds(ds, graph, k=k, seed=seed)
-    train = [r for r in records if plan.fold_of(r.id) != 0]
-    val = [r for r in records if plan.fold_of(r.id) == 0]
-    return train, val
+    plan = make_folds(cols, graph, k=k, seed=seed)
+    fold = np.fromiter(map(plan.assignment.__getitem__, cols.ids), dtype=np.intp,
+                       count=len(cols))
+    return np.flatnonzero(fold != 0), np.flatnonzero(fold == 0)
 
 
-def train_loop(model: OmtlModel, graph: OntologyGraph, records: list[Record],
+def train_loop(model: OmtlModel, graph: OntologyGraph, records,
                cfg: TrainConfig, frozen_prefixes: tuple[str, ...],
                scheme: RewardScheme | None, phase: str, log: TrainLog,
                stage: int = 0, split: Split | None = None) -> OmtlModel:
-    """Adam over shuffled mini-batches with patience-based early stopping,
-    on split, by default `_split_validation` of records.
+    """Adam over shuffled mini-batches with patience-based early stopping.
 
-    stage indexes the rng streams, so omtl phase 1 and a single-phase
-    baseline draw identical shuffles and dropout masks for the same seed.
+    records is a Dataset, a record list or anything else `columns_of`
+    takes; split holds row indices of its columns, by default
+    `_split_validation`'s. stage indexes the rng streams, so omtl phase 1
+    and a single-phase baseline draw identical shuffles and dropout masks
+    for the same seed.
     """
     started = time.perf_counter()
     trainable = {}
@@ -185,7 +188,8 @@ def train_loop(model: OmtlModel, graph: OntologyGraph, records: list[Record],
         else:
             trainable[name] = p
     try:
-        train_recs, val_recs = split or _split_validation(records, graph, cfg)
+        cols = columns_of(records, graph)
+        train_rows, val_rows = split or _split_validation(cols, graph, cfg)
         shuffle_rng = substream(cfg.seed, f"shuffle.{stage}")
         dropout_rng = substream(cfg.seed, f"dropout.{stage}")
         adam = _FlatAdam(trainable, lr=cfg.lr)
@@ -193,27 +197,26 @@ def train_loop(model: OmtlModel, graph: OntologyGraph, records: list[Record],
         best = model.snapshot()
         best_loss = float("inf")
         strikes = 0
-        order = list(train_recs)
+        order = train_rows.copy()
         for epoch in range(cfg.max_epochs):
             shuffle_rng.shuffle(order)
             epoch_l1 = epoch_l2 = 0.0
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
                 with Tape() as tape:
-                    breakdown = _batch_loss(model, batch, cfg, scheme, "train",
+                    breakdown = _batch_loss(model, cols, batch, cfg, scheme, "train",
                                             dropout_rng)
                 if not np.isfinite(breakdown.total):
                     raise NumericalError(
                         f"non-finite loss in phase {phase!r}, epoch {epoch}, "
-                        f"batch starting at record {batch[0].id!r}")
+                        f"batch starting at record {cols.ids[batch[0]]!r}")
                 tape.backward(breakdown.loss)
                 adam.step(tape)
-                log.train_record_ids.update(r.id for r in batch)
                 w = len(batch) / max(len(order), 1)
                 epoch_l1 += breakdown.l1 * w
                 epoch_l2 += breakdown.l2 * w
-            monitor_recs = val_recs if val_recs else order
-            monitored = evaluate_loss(model, graph, monitor_recs, cfg, scheme)
+            monitored = evaluate_loss(model, graph, cols, cfg, scheme,
+                                      rows=val_rows if val_rows.size else order)
             log.entries.append({
                 "phase": phase, "epoch": epoch,
                 "train_l1": epoch_l1, "train_l2": epoch_l2,
@@ -229,6 +232,8 @@ def train_loop(model: OmtlModel, graph: OntologyGraph, records: list[Record],
                 strikes += 1
                 if strikes >= cfg.patience:
                     break
+        if cfg.max_epochs:  # an epoch steps every training record
+            log.train_record_ids.update(cols.ids[train_rows].tolist())
         model.restore(best)
     finally:
         for p in frozen:
@@ -247,7 +252,7 @@ def train_phase1(model: OmtlModel, data: Dataset, cfg: TrainConfig,
     graph = graph or model.graph
     log = log if log is not None else TrainLog()
     model.hierarchy_enabled = False
-    return train_loop(model, graph, data.records, cfg,
+    return train_loop(model, graph, data, cfg,
                       frozen_prefixes=FROZEN_IN_PHASE1,
                       scheme=None, phase="phase1", log=log, stage=0, split=split)
 
@@ -264,7 +269,7 @@ def train_phase2(model: OmtlModel, data: Dataset, cfg: TrainConfig,
     log = log if log is not None else TrainLog()
     reinit_parent_gates(model, cfg.seed)
     model.hierarchy_enabled = True
-    return train_loop(model, graph, data.records, cfg,
+    return train_loop(model, graph, data, cfg,
                       frozen_prefixes=FROZEN_IN_PHASE2,
                       scheme=scheme, phase="phase2", log=log, stage=1, split=split)
 
@@ -278,7 +283,7 @@ def train_baseline(variant: str, data: Dataset, cfg: TrainConfig,
     cfg = replace(cfg, variant=variant)
     log = log if log is not None else TrainLog()
     model = build_model(cfg.model_spec(data.feature_dim), graph, seed=cfg.seed)
-    return train_loop(model, graph, data.records, cfg,
+    return train_loop(model, graph, data, cfg,
                       frozen_prefixes=(), scheme=None, phase="single",
                       log=log, stage=0)
 
@@ -307,7 +312,7 @@ def train_variant(graph: OntologyGraph, data: Dataset,
     shared = scheme.outcome if scheme else None
     model = build_model(cfg.model_spec(data.feature_dim), graph,
                         seed=cfg.seed, shared_outcome=shared)
-    split = _split_validation(data.records, graph, cfg)
+    split = _split_validation(data.columns(graph), graph, cfg)
     train_phase1(model, data, cfg, graph, log=log, split=split)
     if cfg.hierarchy_finetune:
         train_phase2(model, data, cfg, graph, log=log, scheme=scheme, split=split)
@@ -358,22 +363,37 @@ class CvResult:
         }
 
 
+def _chunks(records, graph: OntologyGraph):
+    """records as `Columns` of at most SCORE_CHUNK rows each. A record list
+    is converted a chunk at a time, so scoring it never holds a second copy
+    of all its features."""
+    if isinstance(records, (Columns, Dataset)):
+        cols = columns_of(records, graph)
+        return (cols.take(np.arange(start, min(start + SCORE_CHUNK, len(cols))))
+                for start in range(0, len(cols), SCORE_CHUNK))
+    records = list(records)
+    return (Columns.from_records(records[start:start + SCORE_CHUNK], graph)
+            for start in range(0, len(records), SCORE_CHUNK))
+
+
 def score_holdout(model: OmtlModel, graph: OntologyGraph,
-                  records: list[Record]) -> dict[tuple[str, str], list[tuple[str, int, float]]]:
+                  records) -> dict[tuple[str, str], list[tuple[str, int, float]]]:
     """Eval-mode predictions for every labeled (core node, outcome) pair the
-    held-out records express; returns (record id, label, score) triples."""
+    held-out records (a record list, Columns or a Dataset) express; returns
+    (record id, label, score) triples."""
     collected: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
-    for start in range(0, len(records), SCORE_CHUNK):
-        chunk = records[start:start + SCORE_CHUNK]
-        result = forward(model, chunk, "eval", None)
+    for cols in _chunks(records, graph):
+        result = forward(model, cols, "eval", None)
         for (nid, o), p in result.predictions().items():
             if not graph.nodes[nid].core or o not in graph.nodes[nid].outcomes:
                 continue
-            triples = collected.setdefault((nid, o), [])
-            for i, score in zip(result.rows[nid], p):
-                rec = chunk[i]
-                if o in rec.labels:
-                    triples.append((rec.id, rec.labels[o], float(score)))
+            k = cols.outcomes.index(o)
+            rows = result.rows[nid]
+            keep = np.flatnonzero(cols.labeled[rows, k])
+            rows = rows[keep]
+            collected.setdefault((nid, o), []).extend(zip(
+                cols.ids[rows].tolist(), cols.labels[rows, k].astype(int).tolist(),
+                p[keep].tolist()))
     return collected
 
 
@@ -394,26 +414,27 @@ def run_cv(graph: OntologyGraph, data: Dataset, cfg: TrainConfig, k: int = 5,
         plan = make_folds(data, graph, k=k, seed=cfg.seed)
     elif plan.k != k:
         raise ValidationError(f"fold plan has k={plan.k}, requested k={k}")
-    missing = [r.id for r in data.records if r.id not in plan.assignment]
+    cols = data.columns(graph)
+    missing = [rid for rid in cols.ids.tolist() if rid not in plan.assignment]
     if missing:
         raise ValidationError(
             f"fold plan does not cover {len(missing)} records "
             f"(first: {missing[0]!r})")
+    folds = np.fromiter(map(plan.assignment.__getitem__, cols.ids), dtype=np.intp,
+                        count=len(cols))
 
     fold_reports: list[EvalReport] = []
     logs: list[TrainLog] = []
     pooled_triples: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
     for fold in range(k):
-        train_recs = [r for r in data.records if plan.fold_of(r.id) != fold]
-        test_recs = [r for r in data.records if plan.fold_of(r.id) == fold]
-        fold_data = Dataset(records=train_recs, feature_dim=data.feature_dim,
-                            outcomes=data.outcomes)
+        fold_data = data.take(np.flatnonzero(folds != fold))
+        test = cols.take(np.flatnonzero(folds == fold))
         model, log = train_variant(graph, fold_data, cfg)
-        leaked = log.train_record_ids & {r.id for r in test_recs}
+        leaked = log.train_record_ids & set(test.ids.tolist())
         if leaked:
             raise NumericalError(f"fold {fold}: test records leaked into "
                                  f"training: {sorted(leaked)[:3]}")
-        collected = score_holdout(model, graph, test_recs)
+        collected = score_holdout(model, graph, test)
         logs.append(log)
         per_target = {}
         for key, triples in sorted(collected.items()):

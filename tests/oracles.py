@@ -233,3 +233,71 @@ class ReferenceAdam:
         m_hat = self.m / (1 - self.beta1 ** self.t)
         v_hat = self.v / (1 - self.beta2 ** self.t)
         return w - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def per_record_folds(records, graph, k: int, seed: int) -> dict[str, int]:
+    """The fold planner as it was written record by record: the reference
+    `make_folds` must reproduce, key order included. Each labeled record's
+    sets are its core nodes, as (node,), then its (core node, outcome,
+    label) strata; the deal and the levelling swaps are `make_folds`'s."""
+    from omtl.rng import substream
+
+    def sets_of(rec):
+        nodes = [(nid,) for nid in graph.core_ids if nid in rec.concepts]
+        strata = [(nid, o, rec.labels[o]) for nid in sorted(rec.concepts)
+                  if graph.nodes[nid].core
+                  for o in graph.nodes[nid].outcomes if o in rec.labels]
+        return tuple(nodes + strata)
+
+    labeled = sorted((r for r in records if r.labels), key=lambda r: r.id)
+    rng = substream(seed, "folds")
+    rng.shuffle(labeled)
+    labeled.sort(key=sets_of)
+    start = int(rng.integers(k))
+    assignment = {rec.id: (start + i) % k for i, rec in enumerate(labeled)}
+    folds: dict[tuple, list[list[str]]] = {}
+    for rec in labeled:
+        folds.setdefault(sets_of(rec), [[] for _ in range(k)])[assignment[rec.id]].append(rec.id)
+    counts: dict[tuple, list[int]] = {}
+    for sig, per_fold in folds.items():
+        for s in sig:
+            c = counts.setdefault(s, [0] * k)
+            for f, ids in enumerate(per_fold):
+                c[f] += len(ids)
+    while True:
+        best_gain, best = 0, None
+        for s in sorted(counts):
+            c = counts[s]
+            hi, lo = c.index(max(c)), c.index(min(c))
+            if c[hi] - c[lo] < 2:
+                continue
+            d = {t: ct[hi] - ct[lo] - 1 for t, ct in counts.items()}
+            for a in folds:
+                if s not in a or not folds[a][hi]:
+                    continue
+                for b in folds:
+                    if s in b or not folds[b][lo]:
+                        continue
+                    gain = (sum(d[t] for t in a) - sum(d[t] + 2 for t in b)
+                            + 2 * len(set(a) & set(b)))
+                    if gain > best_gain:
+                        best_gain, best = gain, (a, b, hi, lo)
+            if best is not None:
+                break
+        if best is None:
+            break
+        a, b, hi, lo = best
+        rid_a, rid_b = folds[a][hi].pop(), folds[b][lo].pop()
+        folds[a][lo].append(rid_a)
+        folds[b][hi].append(rid_b)
+        assignment[rid_a], assignment[rid_b] = lo, hi
+        for s in a:
+            counts[s][hi] -= 1
+            counts[s][lo] += 1
+        for s in b:
+            counts[s][lo] -= 1
+            counts[s][hi] += 1
+    for rec in records:
+        if rec.id not in assignment:
+            assignment[rec.id] = int(rng.integers(k))
+    return assignment

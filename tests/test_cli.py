@@ -365,6 +365,17 @@ BAD_INPUTS = {
     "scores of 400 digits": lambda w: _bad_scores_file(
         w, {"ids": ["r0", "r1"], "labels": [0, 1], "scores": [HUGE, 0.5]}),
     "record features of 400 digits": lambda w: _edit_first_record(w, features=[HUGE] * 8),
+    "scores label of 400 digits": lambda w: _bad_scores_file(
+        w, {"ids": ["r0", "r1"], "labels": [HUGE, 1], "scores": [0.1, 0.9]}),
+    "train num_experts too large": lambda w: _bad_train_config(w, {"num_experts": 10 ** 30}),
+    "train repr_dim too large": lambda w: _bad_train_config(w, {"repr_dim": 10 ** 30}),
+    "model num_experts too large": lambda w: _bad_model_file(
+        w, lambda o: {**o, "spec": {**o["spec"], "num_experts": 10 ** 30}}),
+    "synth levels too large": lambda w: _bad_synth_config(w, {"levels": 10 ** 30}),
+    "synth levels and branching too large": lambda w: _bad_synth_config(
+        w, {"levels": 30, "branching": 3}),
+    "synth records_per_node too large": lambda w: _bad_synth_config(
+        w, {"records_per_node": 10 ** 30}),
     "record id as a number": lambda w: _edit_first_record(w, id=5),
     "record id as a list": lambda w: _edit_first_record(w, id=["x"]),
     "record label true": lambda w: _edit_first_record(w, labels={"mortality": True}),

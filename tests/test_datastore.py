@@ -1,15 +1,17 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omtl.datastore import (Dataset, Record, SynthConfig, generate_synthetic,
+from omtl.datastore import (Columns, Dataset, Record, SynthConfig, generate_synthetic,
                             load_dataset, make_folds, save_dataset, strata_of)
 from omtl.errors import ValidationError
 from omtl.ontology import ancestor_closure
 
-from conftest import JSON, chain_graph, diamond_graph, field
+from conftest import JSON, chain_graph, diamond_graph, field, random_dag
+from oracles import per_record_folds
 
 
 def write_jsonl(tmp_path, rows, name="data.jsonl"):
@@ -189,6 +191,126 @@ class TestFolds:
         assert max(spreads.values()) <= 1, spreads
 
 
+    @pytest.mark.parametrize("k, digest", [
+        (5, "177bbeec233c3d03559fd5a89c6aa3ef26373983015a59cf36a509e70e30d8d7"),
+        (10, "3e390c70fda97a2ce29d10f16a6afa6a7bdeb8af81e572d00fd76eb35951e9d5")])
+    def test_fold_plan_bits_are_pinned(self, k, digest):
+        # sha256 of the sorted assignment as the per-record planner wrote
+        # it; a change that moves a record must update it and say why
+        graph, ds = generate_synthetic(SynthConfig(seed=0, records_per_node=60))
+        plan = make_folds(ds, graph, k=k, seed=0)
+        blob = json.dumps(sorted(plan.assignment.items())).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("cohort", ["synthetic", "overlapping", "dag"])
+    def test_plan_equals_per_record_planner(self, cohort):
+        graph, recs = self.cohort(cohort)
+        ds = Dataset(records=recs, feature_dim=2, outcomes=graph.outcome_names())
+        for seed in range(3):
+            for k in (3, 5, 10):
+                plan = make_folds(ds, graph, k=k, seed=seed)
+                want = per_record_folds(recs, graph, k, seed)
+                assert list(plan.assignment.items()) == list(want.items())
+
+    @staticmethod
+    def cohort(kind):
+        """A synthetic tree cohort, or records expressing one or two core
+        nodes of a diamond, or of a random DAG with two outcomes, some
+        records lacking one of their labels."""
+        rng = np.random.default_rng(11)
+        if kind == "synthetic":
+            graph, ds = generate_synthetic(SynthConfig(levels=3, branching=3,
+                                                       records_per_node=23, seed=4))
+            return graph, ds.records
+        graph = diamond_graph() if kind == "overlapping" else \
+            random_dag(rng, 9, outcomes=("event", "other"))
+        if kind == "overlapping":
+            from omtl.ontology import ConceptNode, OntologyGraph
+            graph = OntologyGraph(
+                [ConceptNode("a"), ConceptNode("b", core=True, outcomes=("event",)),
+                 ConceptNode("c"), ConceptNode("d", core=True, outcomes=("event",))],
+                graph.edges)
+        ids = graph.ordered_ids
+        recs = []
+        for i in range(300):
+            anchors = rng.choice(ids, size=int(rng.integers(1, 3)), replace=False)
+            concepts = ancestor_closure(graph, anchors)
+            outcomes = sorted({o for c in concepts for o in graph.nodes[c].outcomes})
+            labels = {o: int(rng.random() < 0.3) for o in outcomes if rng.random() < 0.8}
+            recs.append(Record(id=f"r{i:03d}", features=np.zeros(2),
+                               concepts=concepts, labels=labels))
+        return graph, recs
+
+    def test_plan_from_columns_equals_plan_from_records(self):
+        graph, ds = generate_synthetic(SynthConfig(seed=2, records_per_node=40))
+        again = Dataset(records=list(ds.records), feature_dim=ds.feature_dim,
+                        outcomes=ds.outcomes)
+        plan = make_folds(ds.columns(graph), graph, k=5, seed=3)
+        # the same folds, and the same key order in the written plan
+        assert list(plan.assignment.items()) == list(
+            make_folds(again, graph, k=5, seed=3).assignment.items())
+
+
+class TestColumns:
+    def records(self, graph, rng):
+        return [make_row_record(graph, rng, anchor, labels, f"r{i}")
+                for i, (anchor, labels) in enumerate(
+                    [("c", {"event": 1}), ("a", {}), ("b", {"event": 0}),
+                     ("c", {"other": 1, "event": 0}), ("c", {})])]
+
+    def test_columns_equal_their_records(self, rng):
+        g = chain_graph(3)
+        recs = self.records(g, rng)
+        cols = Columns.from_records(recs, g)
+        assert cols.nodes == tuple(g.ordered_ids)
+        assert cols.outcomes == ("event", "other")  # graph's, then the rest
+        assert cols.ids.tolist() == [r.id for r in recs]
+        for i, rec in enumerate(recs):
+            assert cols.X[i].tobytes() == rec.features.tobytes()
+            assert {n for n, m in zip(cols.nodes, cols.member[i]) if m} == rec.concepts
+            assert {o: int(v) for o, v, has in zip(cols.outcomes, cols.labels[i],
+                                                  cols.labeled[i]) if has} == rec.labels
+            assert not cols.unclosed[i]
+
+    def test_synthetic_columns_equal_records(self):
+        graph, ds = generate_synthetic(SynthConfig(seed=1, records_per_node=30))
+        cols = ds.columns(graph)
+        assert cols.X.tobytes() == np.array([r.features for r in ds.records]).tobytes()
+        col = {n: j for j, n in enumerate(cols.nodes)}
+        for i, rec in enumerate(ds.records):
+            assert set(np.flatnonzero(cols.member[i])) == {col[c] for c in rec.concepts}
+            for k, o in enumerate(cols.outcomes):
+                assert cols.labeled[i, k] == (o in rec.labels)
+                assert cols.labels[i, k] == rec.labels.get(o, 0)
+        assert ds.columns(graph) is cols  # built once
+
+    def test_take_selects_rows_in_order(self, rng):
+        g = chain_graph(3)
+        cols = Columns.from_records(self.records(g, rng), g)
+        rows = np.array([3, 0])
+        part = cols.take(rows)
+        assert part.ids.tolist() == ["r3", "r0"]
+        assert part.X.tobytes() == cols.X[rows].tobytes()
+        assert (part.labels == cols.labels[rows]).all()
+
+    def test_unclosed_rows_marked_once(self, rng):
+        g = diamond_graph()
+        rec = Record(id="open", features=rng.normal(size=3),
+                     concepts=frozenset({"a", "d"}), labels={})
+        cols = Columns.from_records([make_row_record(g, rng, "d", {}, "shut"), rec], g)
+        assert cols.unclosed.tolist() == [False, True]
+
+    def test_unknown_concept_names_its_record(self, rng):
+        rec = Record(id="x", features=np.zeros(2), concepts=frozenset({"zz"}), labels={})
+        with pytest.raises(ValidationError, match="'x'.*unknown concept id 'zz'"):
+            Columns.from_records([rec], chain_graph(2))
+
+
+def make_row_record(graph, rng, anchor, labels, rid):
+    return Record(id=rid, features=rng.normal(size=3),
+                  concepts=ancestor_closure(graph, [anchor]), labels=labels)
+
+
 class TestSynthetic:
     def test_default_prevalence_hits_target(self):
         cfg = SynthConfig(seed=0)
@@ -281,3 +403,11 @@ def test_record_loader_returns_a_record_or_raises_validation_error(tmp_path_fact
     assert rec.features.dtype == np.float64 and np.isfinite(rec.features).all()
     assert rec.concepts == ancestor_closure(g, obj["concepts"])
     assert all(type(v) is int and v in (0, 1) for v in rec.labels.values())
+
+
+@pytest.mark.parametrize("fields", [dict(levels=10 ** 30), dict(levels=30, branching=3),
+                                    dict(records_per_node=10 ** 30),
+                                    dict(feature_dim=10 ** 9)])
+def test_synth_sizes_bounded_before_allocation(fields):
+    with pytest.raises(ValidationError, match="more than"):
+        SynthConfig(**fields).validate()

@@ -23,3 +23,40 @@ def test_only_fields_parses_json():
     parsers = {path.name for path in Path(omtl.__file__).parent.glob("*.py")
                if json_parse_calls(path)}
     assert parsers == {"fields.py"}
+
+
+def json_dump_calls(path: Path) -> list[int]:
+    """Lines of path that call json.dump, or import it."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr == "dump"
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "json"
+              and any(a.name == "dump" for a in node.names)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_write_json_writes_json():
+    # every JSON output goes through fields.write_json, which encodes with
+    # json.dumps; json.dump to a stream runs the slower pure-Python encoder
+    writers = {path.name: json_dump_calls(path)
+               for path in Path(omtl.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in writers.items() if lines} == {}
+
+
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path):
+    # compact output is encoded a value at a time; it must read as one dumps
+    import json
+
+    from omtl.fields import write_json
+    obj = {"spec": {"n": 1, "é": [0.1, -0.0, 1e-300]}, "params": {
+        "a.w": {"shape": [1, 2], "values": [3.5, float("nan")]}, "b": {}},
+        "flag": True, "none": None}
+    for args in ({}, {"indent": 1, "sort_keys": True}):
+        path = tmp_path / "out.json"
+        write_json(str(path), obj, **args)
+        assert path.read_text(encoding="utf-8") == json.dumps(obj, **args) + "\n"
+    write_json(str(path), [1, {"x": 2}])
+    assert path.read_text(encoding="utf-8") == "[1, {\"x\": 2}]\n"

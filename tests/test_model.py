@@ -118,6 +118,17 @@ class TestBuild:
                 expect += len(g.nodes[nid].outcomes) * (de + 1)
             assert model.param_count() == expect
 
+    @pytest.mark.parametrize("variant", ["sb", "moe", "mmoe", "omtl"])
+    def test_size_cap_counts_every_parameter(self, rng, monkeypatch, variant):
+        import omtl.model
+        g = random_dag(rng, 8, edge_prob=0.4)
+        size = tiny_model(g, variant, shared_outcome="other").param_count()
+        monkeypatch.setattr(omtl.model, "MAX_SIZE", size)
+        tiny_model(g, variant, shared_outcome="other")
+        monkeypatch.setattr(omtl.model, "MAX_SIZE", size - 1)
+        with pytest.raises(ValidationError, match=f"more than {size - 1} parameters"):
+            tiny_model(g, variant, shared_outcome="other")
+
     def test_shared_outcome_adds_heads_everywhere(self):
         g = chain_graph(3)
         model = tiny_model(g, "omtl", shared_outcome="event")

@@ -285,6 +285,37 @@ class TestDeterminism:
             assert np.array_equal(m1.param(name).values, m2.param(name).values)
 
 
+class TestColumnarTraining:
+    @pytest.mark.parametrize("variant, digest", [
+        ("omtl", "9487e1242b76dbf99c423aec8f90dfd9ac6d89578b0bbbfc5dd2eb4ca37987db"),
+        ("mmoe", "251f614c8ba29f7d8e229fb413af5ea4749afea611e53cadca5909788def9241"),
+        ("sb", "c8ae35636b3d1a5b3c872f0cb0083569edb52c5a0ab08f1f04eeb4eb607793b6")])
+    def test_final_param_hash_is_pinned(self, variant, digest):
+        # the per-record trainer's bits; a change that moves them must
+        # update these and say why
+        graph, data = generate_synthetic(SynthConfig(seed=0, records_per_node=60))
+        _, log = train_variant(graph, data, TrainConfig(variant=variant, max_epochs=2,
+                                                        seed=0))
+        assert log.final_param_hash == digest
+
+    def test_train_record_ids_are_the_training_split(self):
+        graph, data = small_benchmark(records=30)
+        cfg = tiny_config(variant="mmoe", max_epochs=2, val_fraction=0.2, seed=3)
+        _, log = train_variant(graph, data, cfg)
+        held = {r.id for r in TestEarlyStopping._val_records(graph, data, cfg)}
+        assert held and log.train_record_ids == {r.id for r in data.records} - held
+
+    def test_index_batch_loss_equals_record_batch_loss(self):
+        graph, data = small_benchmark()
+        model = tiny_model(graph, "omtl", d=10, de=3, experts=2, seed=1)
+        rows = np.array([7, 3, 60, 11, 0, 59])
+        by_rows = evaluate_loss(model, graph, data, tiny_config(), None, rows=rows)
+        by_records = evaluate_loss(model, graph, [data.records[i] for i in rows],
+                                   tiny_config(), None)
+        assert by_rows.total == by_records.total
+        assert by_rows.per_outcome == by_records.per_outcome
+
+
 class TestCv:
     def test_two_fold_partition_covers_all_labeled(self):
         graph, data = small_benchmark(records=24)
