@@ -8,26 +8,26 @@ parents' representations into its own input. Outcome heads hang off the
 representation of their node and emit sigmoid probabilities.
 
 All parameters live in one `tensor.Arena`, laid out by freeze group and,
-within a group, level by level: the experts and expert gates, then the
-representation, reconstruction and head layers, then the parent gates.
-So phase 1 trains a prefix of the arena and phase 2 a suffix. The experts
-are one stacked view, and the nodes of one level hold each kind of layer
-as one stacked view (`Level`).
+within a group, kind by kind over every node in level order: the experts
+and expert gates, then the representation, reconstruction and head
+layers, then the parent gates. So phase 1 trains a prefix of the arena
+and phase 2 a suffix, and the experts and every kind of node layer are
+each one stacked view.
 
-Routing is level-major: a forward pass runs the experts as one op over
-the whole batch, then visits each ontology level once, in order, and runs one
-op per stage over all (row, node) pairs of the level, a record
-contributing one pair per node of its concept set on that level. Concept
-sets are ancestor-closed, so every parent representation a pair consumes
-was computed on an earlier level for the same record; a record is never
-routed through a node outside its own concept set. A node with a single
-parent takes that parent with weight exactly 1, as the softmax over one
-logit would.
+Routing is pair-major: a forward pass runs the experts as one op over the
+whole batch, then one op per stage over all of the batch's (row, node)
+pairs, a record contributing one pair per node of its concept set. Pairs
+are node-major and nodes are in level order, so each level is a
+contiguous range of pairs, and the representation op visits the levels
+in order. Concept sets are ancestor-closed, so every parent representation
+a pair consumes was computed on an earlier level for the same record; a
+record is never routed through a node outside its own concept set. A node
+with a single parent takes that parent with weight exactly 1, as the
+softmax over one logit would.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -98,12 +98,6 @@ class ModelSpec:
         return ModelSpec(**config_fields(ModelSpec, obj, "model spec"))
 
 
-def _graph_levels(graph: OntologyGraph) -> list[tuple[str, ...]]:
-    """The node ids of each level, in routing order."""
-    return [tuple(ids) for _, ids in
-            itertools.groupby(graph.ordered_ids, key=graph.levels.__getitem__)]
-
-
 # the freeze groups at the ends of the arena, as parameter-name prefixes:
 # the shared experts and expert gates, frozen in phase 2, come first, and
 # the parent gates, frozen in phase 1, come last; every other parameter
@@ -112,23 +106,19 @@ FROZEN_IN_PHASE2 = ("expert.", "expert_gate.")
 FROZEN_IN_PHASE1 = ("parent_gate.",)
 
 
-def _freeze_group(name: str) -> int:
-    return 0 if name.startswith(FROZEN_IN_PHASE2) else \
-        2 if name.startswith(FROZEN_IN_PHASE1) else 1
-
-
 def param_layout(spec: ModelSpec, graph: OntologyGraph,
                  outcome_map: dict[str, tuple[str, ...]]) -> list[tuple[str, tuple[int, int]]]:
     """Every parameter's name and shape, in arena order.
 
-    Parameters are ordered by freeze group (`_freeze_group`), so each
-    phase trains one contiguous span. Within a group, levels come in
-    order. The experts, and within a level each kind of layer, hold all
-    their weights and then all their biases.
+    Parameters are ordered by freeze group (`FROZEN_IN_PHASE2`, the rest,
+    `FROZEN_IN_PHASE1`), so each phase trains one contiguous span. Within
+    a group, kinds come one after another, each over every node in level
+    order (heads in node order), weights first and then biases.
     """
     spec.check_size(nodes=len(graph.nodes), parent_links=len(graph.edges),
                      heads=sum(len(outcome_map.get(n, ())) for n in graph.nodes))
     d, de, n_exp = spec.feature_dim, spec.repr_dim, spec.num_experts
+    nodes = graph.ordered_ids
     shapes: list[tuple[str, tuple[int, int]]] = []
 
     def stack(kind: str, owners, rows: int, cols) -> None:
@@ -136,17 +126,16 @@ def param_layout(spec: ModelSpec, graph: OntologyGraph,
         shapes.extend((f"{kind}.{o}.b", (1, cols(o))) for o in owners)
 
     stack("expert", [f"{e:02d}" for e in range(n_exp)], d, lambda _: de)
-    for nodes in _graph_levels(graph):
-        if spec.has_expert_gates:
-            stack("expert_gate", nodes, d, lambda _: n_exp)
-        stack("repr", nodes, de, lambda _: de)
-        stack("recon", nodes, de, lambda _: d)
-        stack("head", [f"{n}.{o}" for n in nodes for o in outcome_map.get(n, ())],
-              de, lambda _: 1)
-        if spec.has_parent_gates:
-            stack("parent_gate", [n for n in nodes if graph.parents[n]], d,
-                  lambda n: len(graph.parents[n]))
-    return sorted(shapes, key=lambda item: _freeze_group(item[0]))
+    if spec.has_expert_gates:
+        stack("expert_gate", nodes, d, lambda _: n_exp)
+    stack("repr", nodes, de, lambda _: de)
+    stack("recon", nodes, de, lambda _: d)
+    stack("head", [f"{n}.{o}" for n in nodes for o in outcome_map.get(n, ())],
+          de, lambda _: 1)
+    if spec.has_parent_gates:
+        stack("parent_gate", [n for n in nodes if graph.parents[n]], d,
+              lambda n: len(graph.parents[n]))
+    return shapes
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -162,66 +151,6 @@ def _stack(arena: Arena, kind: str, owners) -> tuple[Block, Block] | tuple[None,
         return None, None
     return (arena.block([f"{kind}.{o}.w" for o in owners]),
             arena.block([f"{kind}.{o}.b" for o in owners]))
-
-
-class Level:
-    """One ontology level's layers as stacks over its nodes.
-
-    Nodes are indexed locally (0..L-1, in routing order) and globally (lo +
-    local). Heads are the level's (node, outcome) heads in node order.
-    Parent routing: `parents` holds each node's parents' global indices,
-    padded with -1 to the level's largest in-degree; nodes with two or
-    more parents own row `gate_row` of the padded parent-gate stacks.
-    """
-
-    def __init__(self, model: "OmtlModel", nodes: tuple[str, ...]):
-        graph, arena = model.graph, model.arena
-        self.lo, self.nodes = model.node_col[nodes[0]], nodes
-        self.gate_w, self.gate_b = _stack(arena, "expert_gate", nodes) \
-            if model.spec.has_expert_gates else (None, None)
-        self.repr_w, self.repr_b = _stack(arena, "repr", nodes)
-        self.recon_w, self.recon_b = _stack(arena, "recon", nodes)
-        self.head_keys = [(n, o) for n in nodes for o in model.outcome_map.get(n, ())]
-        self.head_w, self.head_b = _stack(arena, "head",
-                                          [f"{n}.{o}" for n, o in self.head_keys])
-        local = {n: j for j, n in enumerate(nodes)}
-        self.head_node = np.array([local[n] for n, _ in self.head_keys], dtype=np.intp)
-        self.head_outcome = np.array([model.outcome_col[o] for _, o in self.head_keys],
-                                     dtype=np.intp)
-        self.head_count = np.bincount(self.head_node, minlength=len(nodes))
-        self.head_start = np.cumsum(self.head_count) - self.head_count
-        self.has_head = np.zeros((len(nodes), len(model.outcomes)), dtype=bool)
-        self.has_head[self.head_node, self.head_outcome] = True
-        # masked loss: a head counts at a core node, for that node's own outcomes
-        self.head_masked = np.array(
-            [1.0 if graph.nodes[n].core and o in graph.nodes[n].outcomes else 0.0
-             for n, o in self.head_keys])
-
-        in_deg = [len(graph.parents[n]) for n in nodes]
-        self.parents = None
-        if max(in_deg):
-            self.parents = np.full((len(nodes), max(in_deg)), -1, dtype=np.intp)
-            for j, n in enumerate(nodes):
-                self.parents[j, :in_deg[j]] = [model.node_col[p] for p in graph.parents[n]]
-        self.parent_levels = sorted({graph.levels[p] for n in nodes
-                                     for p in graph.parents[n]})
-        self.n_parents = np.array(in_deg, dtype=np.intp)
-        gated = [n for n, k in zip(nodes, in_deg) if k >= 2]
-        self.gate_row = np.full(len(nodes), -1, dtype=np.intp)
-        self.gate_row[[local[n] for n in gated]] = np.arange(len(gated))
-        self.pgate_w = self.pgate_b = None
-        if gated and model.spec.has_parent_gates:
-            self.pgate_w = arena.padded_block([f"parent_gate.{n}.w" for n in gated], 0.0)
-            self.pgate_b = arena.padded_block([f"parent_gate.{n}.b" for n in gated],
-                                              -np.inf)
-
-    def head_pairs(self, seg: Segments) -> tuple[np.ndarray, np.ndarray]:
-        """Every (pair, head) combination of seg's pairs with the heads of
-        their node, as pair and head index arrays grouped by head."""
-        counts = self.head_count[seg.members]
-        heads = _ranges(self.head_start[seg.members], counts)
-        run_len = np.repeat(seg.ends - seg.starts, counts)
-        return _ranges(np.repeat(seg.starts, counts), run_len), np.repeat(heads, run_len)
 
 
 class OmtlModel:
@@ -247,11 +176,59 @@ class OmtlModel:
         self.outcomes = tuple(outcomes)
         self.outcome_col = {o: k for k, o in enumerate(outcomes)}
         self.node_col = {nid: i for i, nid in enumerate(graph.ordered_ids)}
+        nodes = graph.ordered_ids
         self.expert_w, self.expert_b = _stack(
             arena, "expert", [f"{e:02d}" for e in range(spec.num_experts)])
-        self.level_of = np.array([graph.levels[n] for n in graph.ordered_ids],
-                                 dtype=np.intp)
-        self.levels = [Level(self, nodes) for nodes in _graph_levels(graph)]
+        self.gate_w, self.gate_b = _stack(arena, "expert_gate", nodes) \
+            if spec.has_expert_gates else (None, None)
+        self.repr_w, self.repr_b = _stack(arena, "repr", nodes)
+        self.recon_w, self.recon_b = _stack(arena, "recon", nodes)
+        # the first node of each level, then the node count
+        self.level_start = np.searchsorted([graph.levels[n] for n in nodes],
+                                           np.arange(graph.depth + 1))
+
+        # heads, in node order
+        self.head_keys = [(n, o) for n in nodes for o in outcome_map.get(n, ())]
+        self.head_w, self.head_b = _stack(arena, "head",
+                                          [f"{n}.{o}" for n, o in self.head_keys])
+        self.head_node = np.array([self.node_col[n] for n, _ in self.head_keys],
+                                  dtype=np.intp)
+        self.head_outcome = np.array([self.outcome_col[o] for _, o in self.head_keys],
+                                     dtype=np.intp)
+        self.head_count = np.bincount(self.head_node, minlength=len(nodes))
+        self.head_start = np.cumsum(self.head_count) - self.head_count
+        self.has_head = np.zeros((len(nodes), len(outcomes)), dtype=bool)
+        self.has_head[self.head_node, self.head_outcome] = True
+        # masked loss: a head counts at a core node, for that node's own outcomes
+        self.head_masked = np.array(
+            [1.0 if graph.nodes[n].core and o in graph.nodes[n].outcomes else 0.0
+             for n, o in self.head_keys])
+
+        # parent routing: each node's parents' indices, padded with -1 to
+        # the largest in-degree; nodes with two or more parents own row
+        # gate_row of the padded parent-gate stacks
+        self.n_parents = np.array([len(graph.parents[n]) for n in nodes], dtype=np.intp)
+        self.parents = np.full((len(nodes), self.n_parents.max(initial=0)), -1,
+                               dtype=np.intp)
+        for j, n in enumerate(nodes):
+            self.parents[j, :self.n_parents[j]] = [self.node_col[p]
+                                                   for p in graph.parents[n]]
+        gated = [n for n, k in zip(nodes, self.n_parents) if k >= 2]
+        self.gate_row = np.full(len(nodes), -1, dtype=np.intp)
+        self.gate_row[[self.node_col[n] for n in gated]] = np.arange(len(gated))
+        self.pgate_w = self.pgate_b = None
+        if gated and spec.has_parent_gates:
+            self.pgate_w = arena.padded_block([f"parent_gate.{n}.w" for n in gated], 0.0)
+            self.pgate_b = arena.padded_block([f"parent_gate.{n}.b" for n in gated],
+                                              -np.inf)
+
+    def head_pairs(self, seg: Segments) -> tuple[np.ndarray, np.ndarray]:
+        """Every (pair, head) combination of seg's pairs with the heads of
+        their node, as pair and head index arrays grouped by head."""
+        counts = self.head_count[seg.members]
+        heads = _ranges(self.head_start[seg.members], counts)
+        run_len = np.repeat(seg.ends - seg.starts, counts)
+        return _ranges(np.repeat(seg.starts, counts), run_len), np.repeat(heads, run_len)
 
     def param(self, name: str) -> Tensor:
         return self.params[name]
@@ -322,23 +299,14 @@ def reinit_parent_gates(model: OmtlModel, seed: int) -> None:
             _draw(model.params, rng, f"parent_gate.{nid}")
 
 
-@dataclass
-class LevelPass:
-    """One level of a forward pass: the batch row and local node of each
-    (row, node) pair, node-major (`seg.of` is the node), and the pairs'
-    representations."""
-
-    level: Level
-    rows: np.ndarray
-    seg: Segments
-    rep: Tensor
-
-
 class ForwardResult:
-    """A forward pass over rows of a cohort's columns: per level, the (row,
+    """A forward pass over rows of a cohort's columns: the batch's (row,
     node) pairs and their representations, plus the feature rows of the
     batch (the reconstruction targets).
 
+    Pairs are node-major, nodes in level order: pair p is batch row
+    pair_rows[p] at node seg.of[p], rows ascending within a node. A batch
+    whose records express no node has no pairs, and seg and rep are None.
     The per-node views (rows, representations, outcome logits) are built
     on first use. A node's rows are ascending indices into the batch,
     which is row `batch[i]` of the columns for batch index i. In train mode
@@ -347,45 +315,46 @@ class ForwardResult:
     """
 
     def __init__(self, model: OmtlModel, cols: Columns, batch: np.ndarray | None,
-                 passes: list[LevelPass], inputs: np.ndarray, mode: str):
-        self.model, self.cols, self.batch, self.passes = model, cols, batch, passes
+                 pair_rows: np.ndarray, seg: Segments | None, rep: Tensor | None,
+                 inputs: np.ndarray, mode: str):
+        self.model, self.cols, self.batch = model, cols, batch
+        self.pair_rows, self.seg, self.rep = pair_rows, seg, rep
         self.inputs, self.mode = inputs, mode
 
-    def _per_node(self, values_of) -> dict:
-        out = {}
-        for p in self.passes:
-            values = values_of(p)
-            for m, s, e in p.seg.runs():
-                out[p.level.nodes[m]] = values[s:e]
-        return out
+    def _per_node(self, values: np.ndarray) -> dict:
+        if self.seg is None:
+            return {}
+        nodes = self.model.graph.ordered_ids
+        return {nodes[m]: values[s:e] for m, s, e in self.seg.runs()}
 
     @cached_property
     def rows(self) -> dict[str, np.ndarray]:
-        return self._per_node(lambda p: p.rows)
+        return self._per_node(self.pair_rows)
 
     @cached_property
     def representations(self) -> dict[str, Tensor]:
+        if self.rep is None:
+            return {}
         return {n: Tensor(v, const=True)
-                for n, v in self._per_node(lambda p: p.rep.values).items()}
+                for n, v in self._per_node(self.rep.values).items()}
 
     @cached_property
     def outcome_logits(self) -> dict[tuple[str, str], Tensor]:
-        logits = {}
+        model = self.model
+        if self.seg is None or model.head_w is None:
+            return {}
+        pair, head = model.head_pairs(self.seg)
+        if not pair.size:
+            return {}
         labeled = self.label_arrays[1] if self.mode == "train" else None
-        for p in self.passes:
-            lv = p.level
-            if lv.head_w is None:
-                continue
-            pair, head = lv.head_pairs(p.seg)
-            if not pair.size:
-                continue
-            hseg = Segments(head)
-            z, _ = T.rowwise_affine(p.rep.values[pair], lv.head_w.values,
-                                    lv.head_b.values, hseg)
-            for h, s, e in hseg.runs():
-                if labeled is None or labeled[p.rows[pair[s:e]],
-                                              lv.head_outcome[h]].any():
-                    logits[lv.head_keys[h]] = Tensor(z[s:e], const=True)
+        hseg = Segments(head)
+        z, _ = T.rowwise_affine(self.rep.values[pair], model.head_w.values,
+                                model.head_b.values, hseg)
+        logits = {}
+        for h, s, e in hseg.runs():
+            if labeled is None or labeled[self.pair_rows[pair[s:e]],
+                                          model.head_outcome[h]].any():
+                logits[model.head_keys[h]] = Tensor(z[s:e], const=True)
         return logits
 
     @cached_property
@@ -413,29 +382,23 @@ class ForwardResult:
         return out
 
 
-def _route_parents(model: OmtlModel, lv: Level, mix: Tensor, x: Tensor,
-                   rows: np.ndarray, node: np.ndarray, pos: np.ndarray,
-                   reps: list[Tensor | None]) -> tuple[Tensor, np.ndarray]:
-    """The parent_mix op for one level's pairs. pos[row, node] is the pair
-    index of (row, node) on its own level; the batch's concept sets are
-    ancestor-closed, so every parent a pair reads has one."""
-    par = lv.parents[node]
-    valid = par >= 0
-    src = np.where(valid, pos[rows[:, None], par], 0)
-    src_level = np.where(valid, model.level_of[par], -1)
-    sources = []
-    for depth in lv.parent_levels:
-        dst = np.flatnonzero(src_level == depth)
-        if dst.size:
-            sources.append((reps[depth], dst, src.reshape(-1)[dst]))
-    single = np.flatnonzero(lv.n_parents[node] == 1)
-    gate_row = lv.gate_row[node]
+def _route(model: OmtlModel, x: np.ndarray, rows: np.ndarray, node: np.ndarray,
+           batch_size: int) -> T.Route:
+    """The parent routing of a batch's pairs (batch row rows[p] at node
+    node[p], node-major). The batch's concept sets are ancestor-closed, so
+    every parent a pair reads has a pair on an earlier level."""
+    pos = np.full((batch_size, len(model.node_col)), -1, dtype=np.intp)
+    pos[rows, node] = np.arange(rows.size)
+    par = model.parents[node]
+    src = np.where(par >= 0, pos[rows[:, None], par], 0)
+    bounds = np.searchsorted(node, model.level_start)
+    single = np.flatnonzero(model.n_parents[node] == 1)
+    gate_row = model.gate_row[node]
     gated = np.flatnonzero(gate_row >= 0)
-    if not gated.size or lv.pgate_w is None:
-        return T.parent_mix(mix, sources, par.shape[1], single)
-    return T.parent_mix(mix, sources, par.shape[1], single, gated,
-                        x.values[rows[gated]], Segments(gate_row[gated]),
-                        lv.pgate_w, lv.pgate_b)
+    if not gated.size or model.pgate_w is None:
+        return T.Route(bounds, src, single)
+    return T.Route(bounds, src, single, gated, x[rows[gated]],
+                   Segments(gate_row[gated]), model.pgate_w, model.pgate_b)
 
 
 def forward(model: OmtlModel, data, mode: str = "eval", dropout_rng=None,
@@ -444,9 +407,10 @@ def forward(model: OmtlModel, data, mode: str = "eval", dropout_rng=None,
 
     data is `Columns`, or anything else `columns_of` turns into columns (a
     Dataset, a record or records); rows are the batch's row indices, all
-    rows by default. The experts run once over every row. Then each level
-    runs once, in order, over the (row, node) pairs its nodes' rows form,
-    reading parent representations from earlier levels by row.
+    rows by default. The experts run once over every row; then the expert
+    mixture and the representations run once over the (row, node) pairs
+    the batch's concept sets form, the representations reading parent
+    representations from earlier levels by row when routing is on.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"unknown forward mode {mode!r}")
@@ -470,24 +434,17 @@ def forward(model: OmtlModel, data, mode: str = "eval", dropout_rng=None,
     spec = model.spec
     experts = T.expert_layer(x, model.expert_w, model.expert_b, spec.leaky_slope,
                              spec.dropout, dropout_rng, train)
-    pos = np.full(member.shape, -1, dtype=np.intp)
-    reps: list[Tensor | None] = []
-    passes = []
-    for lv in model.levels:
-        node, level_rows = np.nonzero(member[:, lv.lo:lv.lo + len(lv.nodes)].T)
-        if not level_rows.size:
-            reps.append(None)
-            continue
-        pos[level_rows, lv.lo + node] = np.arange(level_rows.size)
-        seg = Segments(node)
-        mixed, _ = T.expert_mix(x, experts, spec.num_experts, level_rows, seg,
-                                lv.gate_w, lv.gate_b)
-        if model.hierarchy_enabled and lv.parents is not None:
-            mixed, _ = _route_parents(model, lv, mixed, x, level_rows, node, pos, reps)
-        rep = T.softplus_affine(mixed, lv.repr_w, lv.repr_b, seg)
-        reps.append(rep)
-        passes.append(LevelPass(lv, level_rows, seg, rep))
-    return ForwardResult(model, cols, rows, passes, x.values, mode)
+    node, pair_rows = np.nonzero(member.T)
+    if not pair_rows.size:
+        return ForwardResult(model, cols, rows, pair_rows, None, None, x.values, mode)
+    seg = Segments(node)
+    mixed, _ = T.expert_mix(x, experts, spec.num_experts, pair_rows, seg,
+                            model.gate_w, model.gate_b)
+    route = None
+    if model.hierarchy_enabled and model.parents.shape[1]:
+        route = _route(model, x.values, pair_rows, node, member.shape[0])
+    rep = T.represent(mixed, model.repr_w, model.repr_b, seg, route)
+    return ForwardResult(model, cols, rows, pair_rows, seg, rep, x.values, mode)
 
 
 # ---------------------------------------------------------------------------

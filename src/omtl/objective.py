@@ -12,6 +12,10 @@ is the mean of its records' losses.
 Cross-entropy is evaluated from the head logits as softplus(z) - y*z,
 which equals -[y*log(p) + (1-y)*log(1-p)] for p = sigmoid(z) but stays
 finite for any logit.
+
+A loss is three tape ops over all (row, node) pairs of a forward pass,
+whatever the depth or width of the graph: one reconstruction op, one head
+op (left out when no term has weight) and one `total_loss` op.
 """
 
 from __future__ import annotations
@@ -66,39 +70,38 @@ def make_reward_scheme(graph: OntologyGraph, f: float, outcome: str) -> RewardSc
                         weights=reward_weights(graph, f))
 
 
-def _level_loss(result, lam: float, head_weight) -> LossBreakdown:
+def _pair_loss(result, lam: float, head_weight: np.ndarray) -> LossBreakdown:
     """Mean-per-record loss of a forward pass: one reconstruction op and at
-    most one head op per level, then one `total_loss` op over their terms.
-    head_weight(level) gives each of the level's heads its weight in L1 (0
-    leaves it out); a (row, head) term counts only where the row labels the
-    head's outcome."""
-    labels, labeled = result.label_arrays
+    most one head op over all of its (row, node) pairs, then one
+    `total_loss` op over their terms. head_weight[h] is head h's weight in
+    L1 (0 leaves it out); a (row, head) term counts only where the row
+    labels the head's outcome."""
+    model, seg, rows, rep = result.model, result.seg, result.pair_rows, result.rep
     inv = 1.0 / result.inputs.shape[0]
     l1_terms: list[Tensor] = []
     l2_terms: list[Tensor] = []
     per_outcome: dict[tuple[str, str], float] = {}
     per_node: dict[str, float] = {}
-    for p in result.passes:
-        lv, seg = p.level, p.seg
-        term, sums = T.recon_error(p.rep, lv.recon_w, lv.recon_b, seg,
-                                   result.inputs[p.rows])
+    if rep is not None:
+        term, sums = T.recon_error(rep, model.recon_w, model.recon_b, seg,
+                                   result.inputs[rows])
         l2_terms.append(term)
-        per_node.update(zip([lv.nodes[m] for m in seg.members.tolist()],
+        nodes = model.graph.ordered_ids
+        per_node = dict(zip([nodes[m] for m in seg.members.tolist()],
                             (sums * inv).tolist()))
-        if lv.head_w is None:
-            continue
-        pair, head = lv.head_pairs(seg)
-        rows, outcome = p.rows[pair], lv.head_outcome[head]
-        weight = labeled[rows, outcome] * head_weight(lv)[head]
+    if rep is not None and model.head_w is not None:
+        labels, labeled = result.label_arrays
+        pair, head = model.head_pairs(seg)
+        prow, outcome = rows[pair], model.head_outcome[head]
+        weight = labeled[prow, outcome] * head_weight[head]
         keep = np.flatnonzero(weight)
-        if not keep.size:
-            continue
-        hseg = T.Segments(head[keep])
-        term, sums = T.head_bce(p.rep, pair[keep], lv.head_w, lv.head_b, hseg,
-                                labels[rows[keep], outcome[keep]], weight[keep])
-        l1_terms.append(term)
-        per_outcome.update(zip([lv.head_keys[h] for h in hseg.members.tolist()],
-                               (sums * inv).tolist()))
+        if keep.size:
+            hseg = T.Segments(head[keep])
+            term, sums = T.head_bce(rep, pair[keep], model.head_w, model.head_b, hseg,
+                                    labels[prow[keep], outcome[keep]], weight[keep])
+            l1_terms.append(term)
+            per_outcome = dict(zip([model.head_keys[h] for h in hseg.members.tolist()],
+                                   (sums * inv).tolist()))
     loss, l1, l2 = T.total_loss(l1_terms, l2_terms, lam, inv)
     return LossBreakdown(l1=l1, l2=l2, lam=lam, total=loss.item(),
                          per_outcome=per_outcome, per_node_recon=per_node,
@@ -111,7 +114,7 @@ def masked_loss(result, lam: float) -> LossBreakdown:
     record contributes L2 only."""
     if lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
-    return _level_loss(result, lam, lambda lv: lv.head_masked)
+    return _pair_loss(result, lam, result.model.head_masked)
 
 
 def shaped_loss(result, lam: float, scheme: RewardScheme) -> LossBreakdown:
@@ -119,19 +122,16 @@ def shaped_loss(result, lam: float, scheme: RewardScheme) -> LossBreakdown:
     the scheme's shared outcome, each node weighted by its level weight."""
     if lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
-    k = result.model.outcome_col.get(scheme.outcome)
-    if k is not None:
-        labeled = result.label_arrays[1]
-        for p in result.passes:
-            bad = np.flatnonzero(labeled[p.rows, k]
-                                 & ~p.level.has_head[p.seg.of, k])
-            if bad.size:
-                raise ValidationError(
-                    f"reward scheme is active but node "
-                    f"{p.level.nodes[p.seg.of[bad[0]]]!r} has no head for "
-                    f"outcome {scheme.outcome!r}")
-
-    def head_weight(lv):
-        node_w = np.array([scheme.weights[n] for n in lv.nodes])
-        return np.where(lv.head_outcome == k, node_w[lv.head_node], 0.0)
-    return _level_loss(result, lam, head_weight)
+    model = result.model
+    k = model.outcome_col.get(scheme.outcome)
+    if k is not None and result.seg is not None:
+        bad = np.flatnonzero(result.label_arrays[1][result.pair_rows, k]
+                             & ~model.has_head[result.seg.of, k])
+        if bad.size:
+            raise ValidationError(
+                f"reward scheme is active but node "
+                f"{model.graph.ordered_ids[result.seg.of[bad[0]]]!r} has no head "
+                f"for outcome {scheme.outcome!r}")
+    node_w = np.array([scheme.weights[n] for n in model.graph.ordered_ids])
+    return _pair_loss(result, lam, np.where(model.head_outcome == k,
+                                            node_w[model.head_node], 0.0))

@@ -4,25 +4,29 @@ differentiation.
 Activations are (rows, cols) matrices; scalars are (1, 1). Every trainable
 parameter is a `Parameter`: its values are a view into its `Arena`'s one
 flat float64 buffer, and a tape accumulates its gradient into one flat
-buffer laid out like the arena. The experts, and an ontology level's
-parameters of one kind, sit next to each other in the arena, so a `Block`
-views them as one (L, rows, cols) stack without copying; a `PaddedBlock`
-gathers parent gates, whose widths differ per node, into a stack padded to
-the widest.
+buffer laid out like the arena. The experts, and every node's parameters
+of one kind, sit next to each other in the arena, so a `Block` views them
+as one (L, rows, cols) stack without copying; a `PaddedBlock` gathers
+parent gates, whose widths differ per node, into a stack padded to the
+widest.
 
 Ops record a backward closure on the active Tape, and Tape.backward
-replays them in strict reverse order. The op set is exactly the model's
-stages, each one op with a hand-written backward:
-- per batch: `expert_layer` (every expert's affine map, leaky ReLU and
-  inverted dropout over every row) and, last, `total_loss` (the batch's
-  loss L1 + lambda * L2 from its per-level terms);
-- per ontology level, each over all (row, node) pairs of the level:
-  `expert_mix` (expert gate softmax and mixture), `parent_mix` (parent
-  gate softmax, parent mixture and the skip add), `softplus_affine`
-  (representation layers), `recon_error` (ReLU reconstructions and their
-  squared error) and `head_bce` (outcome heads and their masked binary
-  cross-entropy). A level op reads each row's weights from the stack at the
-  row's node; `Segments` groups the rows by node.
+replays them in strict reverse order, handing each closure the tape; no
+closure holds its tape, so a tape and the activations it keeps are freed
+as soon as the last reference to it goes. The op set is exactly the
+model's stages, each one op with a hand-written backward, and a training
+step records at most one of each, whatever the depth or width of the
+ontology:
+- `expert_layer`: every expert's affine map, leaky ReLU and inverted
+  dropout over every row;
+- over all (row, node) pairs of the batch: `expert_mix` (expert gate
+  softmax and mixture), `represent` (representation layers, with parent
+  gate softmax and parent mixture when a `Route` is given, level by
+  level), `recon_error` (ReLU reconstructions and their squared error) and
+  `head_bce` (outcome heads and their masked binary cross-entropy). A pair
+  op reads each pair's weights from the stack at the pair's node;
+  `Segments` groups the pairs by node;
+- `total_loss`: the batch's loss L1 + lambda * L2 from its terms.
 
 Constness decides gradient flow, in one place (`_result`): an op whose
 inputs are all const has a const output and records nothing, and a tape
@@ -41,7 +45,7 @@ from .errors import NumericalError, ShapeMismatch
 
 _ACTIVE_TAPE: list["Tape"] = []
 
-# A level op's batched product reads a copy of each row's weights, rows *
+# A pair op's batched product reads a copy of each row's weights, rows *
 # r * c floats in all; once that exceeds this many floats per member, one
 # BLAS product per member is cheaper. Timed per layer shape of the model
 # on one core, the per-member products overtake the batched product at
@@ -153,9 +157,8 @@ class Arena:
 
 
 class Block:
-    """Same-shape parameters (the experts, or one kind of layer of one
-    ontology level) stacked (L, rows, cols); `values` is a view of the
-    arena."""
+    """Same-shape parameters (the experts, or every node's layer of one
+    kind) stacked (L, rows, cols); `values` is a view of the arena."""
 
     __slots__ = ("arena", "members", "span", "shape", "values")
 
@@ -280,7 +283,7 @@ class Tape:
             g = grads.get(id(out))
             if g is None:
                 continue
-            backward(g)
+            backward(g, self)
 
     def gradient(self, t: Tensor) -> np.ndarray:
         """Gradient of the loss w.r.t. t; exact zeros if t never reached it."""
@@ -342,7 +345,7 @@ def expert_layer(x: Tensor, w: Block, b: Block, slope: float, rate: float,
     n = x.shape[0]
     out, t = _result(h.transpose(1, 0, 2).reshape(n, n_exp * de), x, w, b)
     if t is not None:
-        def backward(g, t=t, x=x, w=w, b=b, pos=pos, mask=mask, slope=slope):
+        def backward(g, t, x=x, w=w, b=b, pos=pos, mask=mask, slope=slope):
             gz = np.ascontiguousarray(g.reshape(n, n_exp, de).transpose(1, 0, 2))
             if mask is not None:
                 gz *= mask
@@ -367,7 +370,7 @@ def total_loss(l1_terms: list[Tensor], l2_terms: list[Tensor], lam: float,
     l2 = sum(p.item() for p in l2_terms) * inv
     out, t = _result(np.array([[l1 + lam * l2]]), *l1_terms, *l2_terms)
     if t is not None:
-        def backward(g, t=t, l1_terms=l1_terms, l2_terms=l2_terms):
+        def backward(g, t, l1_terms=l1_terms, l2_terms=l2_terms):
             g1 = g * inv
             for p in l1_terms:
                 t._accum(p, g1)
@@ -379,7 +382,14 @@ def total_loss(l1_terms: list[Tensor], l2_terms: list[Tensor], lam: float,
 
 
 # ---------------------------------------------------------------------------
-# level ops: one op per stage for all (row, node) pairs of an ontology level
+# pair ops: one op per stage for all (row, node) pairs of a batch
+
+
+def _per_member(rows: int, w: np.ndarray, seg: Segments) -> bool:
+    """Whether rows rows of per-row weights drawn from stack w would reach
+    `_GATHER_PER_MEMBER` floats per member of seg, so that one BLAS product
+    per member is cheaper than one batched product over copies."""
+    return rows * w.shape[1] * w.shape[2] >= _GATHER_PER_MEMBER * seg.members.size
 
 
 def rowwise_affine(h: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -388,10 +398,9 @@ def rowwise_affine(h: np.ndarray, w: np.ndarray, b: np.ndarray,
     from stacks w (L, r, c) and b (L, 1, c).
 
     Returns z and the per-row copies of the weights it gathered, or None
-    when those copies would be large (`_GATHER_PER_MEMBER`) and it ran one
-    BLAS product per member instead.
+    when it ran one BLAS product per member instead (`_per_member`).
     """
-    if h.shape[0] * w.shape[1] * w.shape[2] >= _GATHER_PER_MEMBER * seg.members.size:
+    if _per_member(h.shape[0], w, seg):
         z = np.empty((h.shape[0], w.shape[2]))
         for m, s, e in seg.runs():
             z[s:e] = h[s:e] @ w[m] + b[m]
@@ -407,22 +416,24 @@ def _scatter_rows(n: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rowwise_grads(t: Tape, h: Tensor | None, hv: np.ndarray, src, w, wv: np.ndarray,
-                   b, seg: Segments, gz: np.ndarray, wg: np.ndarray | None) -> None:
-    """Accumulate the gradients of z = rowwise_affine(hv, wv, b.values, seg)
-    given gz. hv holds rows src of tensor h (all of h, in order, when src is
-    None); h=None or const h skips its gradient."""
-    if h is not None and not h.const:
-        if wg is None:
-            gh = np.empty_like(hv)
-            for m, s, e in seg.runs():
-                gh[s:e] = gz[s:e] @ wv[m].T
-        else:
-            gh = np.matmul(gz[:, None, :], wg.transpose(0, 2, 1))[:, 0, :]
-        t._accum(h, gh if src is None else _scatter_rows(h.shape[0], src, gh),
-                 own=True)
+def _input_grad(gz: np.ndarray, wv: np.ndarray, seg: Segments,
+                wg: np.ndarray | None) -> np.ndarray:
+    """The gradient of z = rowwise_affine(h, wv, b, seg) w.r.t. h, given gz
+    and the weight copies (wg) that product gathered."""
+    if wg is None:
+        gh = np.empty((gz.shape[0], wv.shape[1]))
+        for m, s, e in seg.runs():
+            gh[s:e] = gz[s:e] @ wv[m].T
+        return gh
+    return np.matmul(gz[:, None, :], wg.transpose(0, 2, 1))[:, 0, :]
+
+
+def _param_grads(t: Tape, hv: np.ndarray, w, b, seg: Segments,
+                 gz: np.ndarray) -> None:
+    """Accumulate the gradients of the stacks w and b of z =
+    rowwise_affine(hv, w.values, b.values, seg) given gz."""
     if not w.const:
-        if wg is None:
+        if _per_member(hv.shape[0], w, seg):
             gw = np.empty((seg.members.size, hv.shape[1], gz.shape[1]))
             for i, (_, s, e) in enumerate(seg.runs()):
                 np.matmul(hv[s:e].T, gz[s:e], out=gw[i])
@@ -431,6 +442,18 @@ def _rowwise_grads(t: Tape, h: Tensor | None, hv: np.ndarray, src, w, wv: np.nda
         t._accum_block(w, seg.members, gw)
     t._accum_block(b, seg.members,
                    np.add.reduceat(gz, seg.starts, axis=0)[:, None, :])
+
+
+def _rowwise_grads(t: Tape, h: Tensor, hv: np.ndarray, src, w, b, seg: Segments,
+                   gz: np.ndarray, wg: np.ndarray | None) -> None:
+    """Accumulate the gradients of z = rowwise_affine(hv, w.values, b.values,
+    seg) given gz. hv holds rows src of tensor h (all of h, in order, when
+    src is None); const h skips its gradient."""
+    if not h.const:
+        gh = _input_grad(gz, w.values, seg, wg)
+        t._accum(h, gh if src is None else _scatter_rows(h.shape[0], src, gh),
+                 own=True)
+    _param_grads(t, hv, w, b, seg, gz)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -478,7 +501,7 @@ def expert_mix(x: Tensor, experts: Tensor, n_exp: int, rows: np.ndarray,
         acc += s[:, e:e + 1] * hr[:, e]
     out, t = _result(acc, x, experts, *((w, b) if w is not None else ()))
     if t is not None:
-        def backward(g, t=t, x=x, experts=experts, rows=rows, seg=seg, w=w, b=b,
+        def backward(g, t, x=x, experts=experts, rows=rows, seg=seg, w=w, b=b,
                      hr=hr, s=s, xr=xr, wg=wg):
             if not experts.const:
                 gh = (g[:, None, :] * s[:, :, None]).reshape(rows.size, -1)
@@ -488,70 +511,102 @@ def expert_mix(x: Tensor, experts: Tensor, n_exp: int, rows: np.ndarray,
                 gs = np.empty_like(s)
                 for e in range(n_exp):
                     gs[:, e] = np.einsum("ij,ij->i", g, hr[:, e])
-                _rowwise_grads(t, x, xr, rows, w, w.values, b, seg,
+                _rowwise_grads(t, x, xr, rows, w, b, seg,
                                _softmax_grad(s, gs), wg)
         t._ops.append((out, backward))
     return out, s
 
 
-def parent_mix(mix: Tensor, sources: list[tuple[Tensor, np.ndarray, np.ndarray]],
-               width: int, single: np.ndarray, gated: np.ndarray | None = None,
-               xg: np.ndarray | None = None, gseg: Segments | None = None,
-               w: PaddedBlock | None = None,
-               b: PaddedBlock | None = None) -> tuple[Tensor, np.ndarray]:
-    """mix plus each pair's gated mixture of its parents' representations.
+class Route:
+    """How `represent` routes pairs, in level order, through their parents.
 
-    Pair p's k-th parent representation is read from an earlier level:
-    each (rep, dst, src) of sources copies rep rows src to the flat
-    (pair, parent) slots dst = p * width + k. Pairs in `single` have one
-    parent and take it with weight exactly 1 (a softmax over one logit).
-    Pairs in `gated` weigh their parents by softmax(xg @ w[m] + b[m]),
-    m = gseg.of, over gate stacks padded to `width` with zero weight
-    columns and -inf biases, which the softmax maps to weight exactly 0.
-    Returns the output and the (pairs, width) parent weights.
+    Level l holds pairs bounds[l]:bounds[l+1]. Pair p's k-th parent is the
+    pair src[p, k] of an earlier level (0 where p has fewer parents, at
+    weight 0). Pairs in `single` have one parent and take it with weight
+    exactly 1 (a softmax over one logit). Pairs in `gated` weigh their
+    parents by softmax(xg @ w[m] + b[m]), m = gseg.of, over gate stacks
+    padded to src's width with zero weight columns and -inf biases, which
+    the softmax maps to weight exactly 0.
     """
-    n, dim = mix.shape
-    pv = np.zeros((n * width, dim))
-    for rep, dst, src in sources:
-        pv[dst] = rep.values[src]
-    pv = pv.reshape(n, width, dim)
-    s = np.zeros((n, width))
-    s[single, 0] = 1.0
-    wv = wg = None
-    if w is not None:
-        wv = w.values
-        z, wg = rowwise_affine(xg, wv, b.values, gseg)
-        s[gated] = _softmax_rows(z)
-    parents = s[:, 0:1] * pv[:, 0]
-    for k in range(1, width):
-        parents += s[:, k:k + 1] * pv[:, k]
-    out, t = _result(mix.values + parents, mix, *(rep for rep, _, _ in sources),
-                     *((w, b) if w is not None else ()))
-    if t is not None:
-        def backward(g, t=t, mix=mix, sources=sources, gated=gated, xg=xg,
-                     gseg=gseg, w=w, b=b, wv=wv, wg=wg, pv=pv, s=s):
-            t._accum(mix, g)
-            gpv = (s[:, :, None] * g[:, None, :]).reshape(-1, g.shape[1])
-            for rep, dst, src in sources:
-                if not rep.const:
-                    t._accum(rep, _scatter_rows(rep.shape[0], src, gpv[dst]), own=True)
-            if w is not None and not (w.const and b.const):
-                gs = (g[gated][:, None, :] * pv[gated]).sum(axis=2)
-                _rowwise_grads(t, None, xg, None, w, wv, b, gseg,
-                               _softmax_grad(s[gated], gs), wg)
-        t._ops.append((out, backward))
-    return out, s
+
+    __slots__ = ("bounds", "src", "single", "gated", "xg", "gseg", "w", "b")
+
+    def __init__(self, bounds: np.ndarray, src: np.ndarray, single: np.ndarray,
+                 gated: np.ndarray | None = None, xg: np.ndarray | None = None,
+                 gseg: Segments | None = None, w: PaddedBlock | None = None,
+                 b: PaddedBlock | None = None):
+        self.bounds, self.src, self.single, self.gated = bounds, src, single, gated
+        self.xg, self.gseg, self.w, self.b = xg, gseg, w, b
+
+    def weights(self) -> np.ndarray:
+        """Each pair's (pairs, width) parent weights."""
+        s = np.zeros(self.src.shape)
+        s[self.single, 0] = 1.0
+        if self.w is not None:
+            z, _ = rowwise_affine(self.xg, self.w.values, self.b.values, self.gseg)
+            s[self.gated] = _softmax_rows(z)
+        return s
 
 
-def softplus_affine(x: Tensor, w: Block, b: Block, seg: Segments) -> Tensor:
-    """softplus(x[p] @ w[m] + b[m]), m = seg.of[p], for every row p."""
-    z, wg = rowwise_affine(x.values, w.values, b.values, seg)
-    sp = np.logaddexp(0.0, z)  # log(1 + e^z) without overflow
-    out, t = _result(sp, x, w, b)
+def represent(mix: Tensor, w: Block, b: Block, seg: Segments,
+              route: Route | None = None) -> Tensor:
+    """Every pair's representation r[p] = softplus(pre[p] @ w[m] + b[m]),
+    m = seg.of[p], in one (pairs, cols) buffer.
+
+    Without a route pre = mix. With one, each pair adds its parents'
+    gated mixture, pre[p] = mix[p] + sum_k s[p, k] * r[src[p, k]]: the
+    forward pass runs the levels in order, so every representation a level
+    reads was written by an earlier one, and the backward pass runs them
+    in reverse, so a level's gradient is complete before it reaches the
+    levels it read from.
+    """
+    n = mix.shape[0]
+    if route is None:
+        pre, s, levels = mix.values, None, [(0, n, seg, False)]
+    else:
+        pre = mix.values.copy()
+        s = route.weights()
+        bounds = route.bounds.tolist()
+        levels = [(lo, hi, Segments(seg.of[lo:hi]), depth > 0)
+                  for depth, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
+    z = np.empty((n, w.shape[2]))
+    rep = np.zeros_like(z)
+    gathered = []
+    for lo, hi, lseg, routed in levels:
+        if routed:
+            sl, src = s[lo:hi], route.src[lo:hi]
+            parents = sl[:, 0:1] * rep[src[:, 0]]
+            for k in range(1, src.shape[1]):
+                parents += sl[:, k:k + 1] * rep[src[:, k]]
+            pre[lo:hi] += parents
+        z[lo:hi], wg = rowwise_affine(pre[lo:hi], w.values, b.values, lseg)
+        gathered.append(wg)
+        np.logaddexp(0.0, z[lo:hi], out=rep[lo:hi])  # log(1 + e^z) without overflow
+    gates = () if route is None or route.w is None else (route.w, route.b)
+    out, t = _result(rep, mix, w, b, *gates)
     if t is not None:
-        def backward(g, t=t, x=x, w=w, b=b, seg=seg, z=z, sp=sp, wg=wg):
-            gz = g * np.exp(z - sp)  # sigmoid(z), stable since z - sp <= 0
-            _rowwise_grads(t, x, x.values, None, w, w.values, b, seg, gz, wg)
+        def backward(g, t, mix=mix, w=w, b=b, seg=seg, route=route, levels=levels,
+                     gathered=gathered, pre=pre, z=z, rep=rep, s=s):
+            grep = g if route is None else g.copy()  # later levels add to earlier
+            gz = np.empty_like(z)
+            gpre = np.empty_like(pre)
+            for (lo, hi, lseg, routed), wg in zip(reversed(levels), reversed(gathered)):
+                # sigmoid(z), stable since z - rep <= 0
+                np.multiply(grep[lo:hi], np.exp(z[lo:hi] - rep[lo:hi]), out=gz[lo:hi])
+                if mix.const and not routed:
+                    continue
+                gpre[lo:hi] = _input_grad(gz[lo:hi], w.values, lseg, wg)
+                if routed:
+                    gp = s[lo:hi, :, None] * gpre[lo:hi, None, :]
+                    np.add.at(grep, route.src[lo:hi].reshape(-1),
+                              gp.reshape(-1, gp.shape[2]))
+            t._accum(mix, gpre, own=True)
+            _param_grads(t, pre, w, b, seg, gz)
+            if gates and not (route.w.const and route.b.const):
+                gated = route.gated
+                gs = (gpre[gated][:, None, :] * rep[route.src[gated]]).sum(axis=2)
+                _param_grads(t, route.xg, route.w, route.b, route.gseg,
+                             _softmax_grad(s[gated], gs))
         t._ops.append((out, backward))
     return out
 
@@ -569,9 +624,9 @@ def recon_error(x: Tensor, w: Block, b: Block, seg: Segments,
     sq = (resid * resid).sum(axis=1)
     out, t = _result(np.array([[sq.sum()]]), x, w, b)
     if t is not None:
-        def backward(g, t=t, x=x, w=w, b=b, seg=seg, pos=pos, resid=resid, wg=wg):
+        def backward(g, t, x=x, w=w, b=b, seg=seg, pos=pos, resid=resid, wg=wg):
             gz = (2.0 * g[0, 0]) * resid * pos
-            _rowwise_grads(t, x, x.values, None, w, w.values, b, seg, gz, wg)
+            _rowwise_grads(t, x, x.values, None, w, b, seg, gz, wg)
         t._ops.append((out, backward))
     return out, np.add.reduceat(sq, seg.starts)
 
@@ -593,9 +648,9 @@ def head_bce(x: Tensor, src: np.ndarray, w: Block, b: Block, seg: Segments,
     terms = weight * (sp - y * z)
     out, t = _result(np.array([[terms.sum()]]), x, w, b)
     if t is not None:
-        def backward(g, t=t, x=x, src=src, w=w, b=b, seg=seg, h=h, z=z, sp=sp,
+        def backward(g, t, x=x, src=src, w=w, b=b, seg=seg, h=h, z=z, sp=sp,
                      y=y, weight=weight, wg=wg):
             gz = (weight * (np.exp(z - sp) - y) * g[0, 0])[:, None]
-            _rowwise_grads(t, x, h, src, w, w.values, b, seg, gz, wg)
+            _rowwise_grads(t, x, h, src, w, b, seg, gz, wg)
         t._ops.append((out, backward))
     return out, np.add.reduceat(terms, seg.starts)

@@ -36,7 +36,7 @@ class _FlatAdam:
     """Bias-corrected Adam over the trainable parameters, which must fill
     one contiguous span of their arena: each step reads that span of the
     gradients a backward-replayed Tape accumulated and updates the
-    arena's values in place."""
+    arena's values in place, through buffers allocated once."""
 
     def __init__(self, params: dict[str, Parameter], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -46,6 +46,8 @@ class _FlatAdam:
         size = self.span.stop - self.span.start
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._num = np.empty(size)
+        self._den = np.empty(size)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
 
@@ -59,14 +61,23 @@ class _FlatAdam:
                     raise NumericalError(
                         f"non-finite gradient for parameter {name!r}")
         self.t += 1
+        num, den = self._num, self._den
+        # m = beta1 m + (1 - beta1) g and v = beta2 v + ((1 - beta2) g) g,
+        # then values -= (step * m) / (sqrt(v / (1 - beta2^t)) + eps)
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
+        np.multiply(g, 1.0 - self.beta1, out=num)
+        self.m += num
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
+        np.multiply(g, 1.0 - self.beta2, out=num)
+        num *= g
+        self.v += num
         step = self.lr / (1.0 - self.beta1 ** self.t)
-        upd = step * self.m / (np.sqrt(self.v / (1.0 - self.beta2 ** self.t))
-                               + self.eps)
-        self.arena.values[self.span] -= upd
+        np.divide(self.v, 1.0 - self.beta2 ** self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.multiply(self.m, step, out=num)
+        num /= den
+        self.arena.values[self.span] -= num
 
 
 @dataclass

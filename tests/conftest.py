@@ -101,33 +101,34 @@ def tiny_model(graph, variant="omtl", d=7, de=3, experts=2, seed=0,
 
 def gate_weights(model, x: np.ndarray) -> dict[tuple[str, str], np.ndarray]:
     """The weights every gate the forward pass runs puts on the rows of x,
-    by (node, "expert" or "parent"): computed by the level ops from the
-    model's level stacks. Parent gates run only for nodes with two or more
-    parents (a single parent takes weight exactly 1); their rows keep the
-    padding columns of the level's widest gate, each of weight 0."""
+    by (node, "expert" or "parent"), from the model's stacks: expert gates
+    through the `expert_mix` op, parent gates through the gate arithmetic
+    of `represent`'s route. Parent gates run only for nodes with two or
+    more parents (a single parent takes weight exactly 1); their rows keep
+    the padding columns of the graph's widest gate, each of weight 0."""
     n = x.shape[0]
-    xt = Tensor(x, const=True)
+    nodes = model.graph.ordered_ids
     gates = {}
-    for lv in model.levels:
-        if lv.gate_w is not None:
-            count = lv.gate_w.shape[0]
-            n_exp = model.spec.num_experts
-            _, s = T.expert_mix(xt, Tensor(np.zeros((n, n_exp)), const=True), n_exp,
-                                np.tile(np.arange(n), count),
-                                Segments(np.repeat(np.arange(count), n)),
-                                lv.gate_w, lv.gate_b)
-            gates.update(((nid, "expert"), s[j * n:(j + 1) * n])
-                         for j, nid in enumerate(lv.nodes))
-        if lv.pgate_w is not None:
-            count, _, width = lv.pgate_w.shape
-            _, s = T.parent_mix(Tensor(np.zeros((count * n, 1)), const=True), [],
-                                width, np.empty(0, dtype=np.intp),
-                                np.arange(count * n), np.tile(x, (count, 1)),
-                                Segments(np.repeat(np.arange(count), n)),
-                                lv.pgate_w, lv.pgate_b)
-            gated = [nid for nid, row in zip(lv.nodes, lv.gate_row) if row >= 0]
-            gates.update(((nid, "parent"), s[j * n:(j + 1) * n])
-                         for j, nid in enumerate(gated))
+    if model.gate_w is not None:
+        count = len(nodes)
+        n_exp = model.spec.num_experts
+        _, s = T.expert_mix(Tensor(x, const=True),
+                            Tensor(np.zeros((n, n_exp)), const=True), n_exp,
+                            np.tile(np.arange(n), count),
+                            Segments(np.repeat(np.arange(count), n)),
+                            model.gate_w, model.gate_b)
+        gates.update(((nid, "expert"), s[j * n:(j + 1) * n])
+                     for j, nid in enumerate(nodes))
+    if model.pgate_w is not None:
+        count, _, width = model.pgate_w.shape
+        pairs = np.arange(count * n)
+        s = T.Route(np.array([0, count * n]), np.zeros((count * n, width), dtype=np.intp),
+                    pairs[:0], pairs, np.tile(x, (count, 1)),
+                    Segments(np.repeat(np.arange(count), n)),
+                    model.pgate_w, model.pgate_b).weights()
+        gated = [nid for nid, row in zip(nodes, model.gate_row) if row >= 0]
+        gates.update(((nid, "parent"), s[j * n:(j + 1) * n])
+                     for j, nid in enumerate(gated))
     return gates
 
 
@@ -143,11 +144,12 @@ def arena_params(values: dict) -> dict[str, Parameter]:
 
 def sq_loss(x: Tensor, target) -> Tensor:
     """sum((x - target)^2) recorded as one tape op: a scalar loss for tests
-    of the tape and the optimizer (the model's own losses are level ops)."""
+    of the tape and the optimizer (the model's own losses are pair ops)."""
     resid = x.values - target
     out, t = T._result(np.array([[(resid * resid).sum()]]), x)
     if t is not None:
-        t._ops.append((out, lambda g: t._accum(x, (2.0 * g[0, 0]) * resid, own=True)))
+        t._ops.append((out, lambda g, t: t._accum(x, (2.0 * g[0, 0]) * resid,
+                                                  own=True)))
     return out
 
 

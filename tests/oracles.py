@@ -33,12 +33,19 @@ def finite_difference_gradients(loss_fn, params: dict, h: float = 1e-5) -> dict:
     return grads
 
 
-def max_relative_error(analytic: dict, numeric: dict) -> float:
+def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-3) -> float:
+    """The largest |a - n| / max(|a|, |n|, floor * m) over every entry of
+    every parameter, m the largest |a| or |n| of that parameter: entries far
+    below their parameter's largest are held to an absolute error of the
+    parameter's scale, which a central difference's round-off stays within."""
     worst = 0.0
     for name in analytic:
         a = analytic[name].ravel()
         n = numeric[name].ravel()
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
+        scale = np.maximum(np.abs(a), np.abs(n))
+        if not scale.size or scale.max() == 0.0:
+            continue  # both exactly zero
+        denom = np.maximum(scale, floor * scale.max())
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
 

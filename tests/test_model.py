@@ -505,7 +505,7 @@ class TestLevelBatching:
             check_parent_gate_gradients(model, g, expressing_batch(g, rng, d=5))
 
     def test_both_product_paths(self, rng, monkeypatch):
-        # every level op forced onto one product per node, then onto the
+        # every pair op forced onto one product per node, then onto the
         # batched product, whatever the lengths of its runs
         graphs = padded_gate_dags(rng, 3)
         for limit in (0, 1 << 62):

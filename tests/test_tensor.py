@@ -61,8 +61,8 @@ class TestPrimitives:
         assert out.values[0, 1] == 2.0
 
     def test_softplus_at_zero(self):
-        out = T.softplus_affine(Tensor([[0.0]]), stacked([[1.0]]), stacked([[0.0]]),
-                                one_run(1))
+        out = T.represent(Tensor([[0.0]]), stacked([[1.0]]), stacked([[0.0]]),
+                          one_run(1))
         assert out.item() == pytest.approx(math.log(2), abs=1e-15)
 
     def test_affine_shape_error_names_primitive(self):
@@ -111,19 +111,25 @@ def _block(p, fill=None):
     return p.arena.padded_block(names, fill)
 
 
-# four rows, each with two parents read from x itself, gated by w and b
-_PARENT_SOURCES = np.arange(8), np.repeat(np.arange(4), 2)
+def two_level_route(x: Tensor, w, b) -> T.Route:
+    """Four pairs on two levels: pair 3 reads pairs 0, 1 and 2, gated by w
+    and b as a parent gate over x's last row."""
+    return T.Route(np.array([0, 3, 4]), np.array([[0, 0, 0]] * 3 + [[0, 1, 2]]),
+                   np.zeros(0, dtype=np.intp), np.array([3]), x.values[3:],
+                   one_run(1), _block(w, 0.0), _block(b, -np.inf))
 
+
+# the representation op runs as "softplus_affine" without a route and as
+# "parent_mix" with one, where w and b are also the parent gate
 LEVEL_CASES = [
     level_case("expert_layer", 2, lambda x, w, b: T.expert_layer(
         x, _block(w), _block(b), 0.01, 0.0, None, False)),
-    level_case("softplus_affine", 2, lambda x, w, b: T.softplus_affine(
+    level_case("softplus_affine", 2, lambda x, w, b: T.represent(
         x, _block(w), _block(b), one_run(4))),
     level_case("expert_mix", 3, lambda x, w, b: T.expert_mix(
         x, x, 3, np.arange(4), one_run(4), _block(w), _block(b))[0]),
-    level_case("parent_mix", 2, lambda x, w, b: T.parent_mix(
-        x, [(x, *_PARENT_SOURCES)], 2, np.zeros(0, dtype=np.intp), np.arange(4),
-        x.values, one_run(4), _block(w, 0.0), _block(b, -np.inf))[0]),
+    level_case("parent_mix", 3, lambda x, w, b: T.represent(
+        x, _block(w), _block(b), one_run(4), two_level_route(x, w, b))),
     level_case("recon_error", 2, lambda x, w, b: T.recon_error(
         x, _block(w), _block(b), one_run(4), np.ones((4, 2)))[0]),
     level_case("head_bce", 1, lambda x, w, b: T.head_bce(
@@ -229,58 +235,63 @@ class TestDropout:
         assert np.array_equal(out.values, expect)
 
 
-def composed_graph_check(rng) -> None:
+# the composed check's toy: nodes A, B on level 0, C (parent A) and D
+# (parents A, B) on level 1, E (parents A, B, D) on level 2, over rows 0-3;
+# row 2 is in both C and D. PAIR_ROWS and PAIR_NODE list the 14 (row, node)
+# pairs node-major; PAIR_SRC holds each pair's parents' pairs.
+PAIR_ROWS = np.array([0, 1, 2, 3, 1, 2, 3, 0, 2, 1, 2, 3, 2, 3])
+PAIR_NODE = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3, 3, 4, 4])
+PAIR_SRC = np.array([[0, 0, 0]] * 7 + [[0, 0, 0], [2, 0, 0],
+                                       [1, 4, 0], [2, 5, 0], [3, 6, 0],
+                                       [2, 5, 10], [3, 6, 11]])
+
+
+def composed_graph_check(rng, trials: int = 6) -> None:
     """Finite differences against the tape on a random small composite of
-    every op, over three experts with dropout and a two-level toy: 4 rows
-    on level 0 (one node), 5 (row, node) pairs on level 1 (nodes 0 and 1,
-    row 2 in both), node 1 gated over two parents, one head per level-1
-    node."""
-    rows1 = np.array([0, 2, 1, 2, 3])
-    seg1 = Segments(np.array([0, 0, 1, 1, 1]))
-    for trial in range(6):
-        shapes = {"x": (4, 5), "e0w": (5, 3), "e1w": (5, 3), "e2w": (5, 3),
-                  "e0b": (1, 3), "e1b": (1, 3), "e2b": (1, 3),
-                  "g0w": (5, 3), "g1w": (5, 3), "g0b": (1, 3), "g1b": (1, 3),
-                  "pw": (5, 2), "pb": (1, 2),
-                  "r0w": (3, 3), "r1w": (3, 3), "r0b": (1, 3), "r1b": (1, 3),
-                  "c0w": (3, 5), "c1w": (3, 5), "c0b": (1, 5), "c1b": (1, 5),
-                  "h0w": (3, 1), "h1w": (3, 1), "h0b": (1, 1), "h1b": (1, 1)}
+    every op: three experts with dropout, expert gates at every node and
+    the three-level toy above routed through `represent`, where D's
+    two-parent gate is padded to E's three parents, then reconstructions
+    at every pair and one head at each of C, D and E."""
+    seg = Segments(PAIR_NODE)
+    route_arrays = (np.array([0, 7, 12, 14]), PAIR_SRC, np.array([7, 8]),
+                    np.arange(9, 14))
+    for trial in range(trials):
+        shapes = {"x": (4, 4), "pDw": (4, 2), "pEw": (4, 3), "pDb": (1, 2),
+                  "pEb": (1, 3)}
+        # each kind's weights, then its biases, so each is one block
+        for kind, owners, rows, cols in (("e", "012", 4, 2), ("g", "ABCDE", 4, 3),
+                                         ("r", "ABCDE", 2, 2), ("c", "ABCDE", 2, 4),
+                                         ("h", "CDE", 2, 1)):
+            shapes.update({f"{kind}{o}w": (rows, cols) for o in owners})
+            shapes.update({f"{kind}{o}b": (1, cols) for o in owners})
         # draws at scale 0.5 keep softplus, softmax and sigmoid out of
         # saturation, where gradient entries shrink below what a central
         # difference resolves to the relative error checked below
         params = arena_params({n: rng.normal(scale=0.5, size=s)
                                for n, s in shapes.items()})
         arena = params["x"].arena
-        blk = lambda *names: arena.block(names)  # noqa: E731
-        y = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-        weight = np.array([1.0, 0.0, 1.0, 0.5, 1.0])
-        target = rng.normal(size=(5, 5))
-        gate_in = rng.normal(size=(3, 5))  # parent gates read const features
+
+        def blk(kind: str, nodes: str = "ABCDE"):
+            return (arena.block([f"{kind}{n}w" for n in nodes]),
+                    arena.block([f"{kind}{n}b" for n in nodes]))
+
+        y = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        weight = np.array([1.0, 0.0, 1.0, 0.5, 1.0, 1.0, 1.0])
+        target = rng.normal(size=(14, 4))
+        gate_in = rng.normal(size=(5, 4))  # parent gates read const features
+        route = T.Route(*route_arrays, gate_in, Segments(np.array([0, 0, 0, 1, 1])),
+                        arena.padded_block(["pDw", "pEw"], 0.0),
+                        arena.padded_block(["pDb", "pEb"], -np.inf))
 
         def forward() -> Tensor:
             x = params["x"]
-            h = T.expert_layer(x, blk("e0w", "e1w", "e2w"), blk("e0b", "e1b", "e2b"),
-                               0.01, 0.3, np.random.default_rng(trial), True)
-            mix0, _ = T.expert_mix(x, h, 3, np.arange(4), one_run(4),
-                                   stacked(np.eye(5)[:, :3] * 0.5),
-                                   stacked(np.zeros((1, 3))))
-            rep0 = T.softplus_affine(mix0, blk("r0w"), blk("r0b"), one_run(4))
-            mix1, _ = T.expert_mix(x, h, 3, rows1, seg1,
-                                   blk("g0w", "g1w"), blk("g0b", "g1b"))
-            pre = T.parent_mix(
-                mix1, [(rep0, np.array([0, 2, 4, 6, 7, 8, 9]),
-                        np.array([0, 2, 1, 1, 2, 3, 3])),
-                       (mix0, np.array([5]), np.array([2]))],
-                2, np.array([0, 1]), np.array([2, 3, 4]),
-                gate_in, one_run(3),
-                arena.padded_block(["pw"], 0.0),
-                arena.padded_block(["pb"], -np.inf))[0]
-            rep1 = T.softplus_affine(pre, blk("r0w", "r1w"), blk("r0b", "r1b"),
-                                     seg1)
-            l2, _ = T.recon_error(rep1, blk("c0w", "c1w"), blk("c0b", "c1b"),
-                                  seg1, target)
-            l1, _ = T.head_bce(rep1, np.arange(5), blk("h0w", "h1w"),
-                               blk("h0b", "h1b"), seg1, y, weight)
+            h = T.expert_layer(x, *blk("e", "012"), 0.01, 0.3,
+                               np.random.default_rng(trial), True)
+            mix, _ = T.expert_mix(x, h, 3, PAIR_ROWS, seg, *blk("g"))
+            rep = T.represent(mix, *blk("r"), seg, route)
+            l2, _ = T.recon_error(rep, *blk("c"), seg, target)
+            l1, _ = T.head_bce(rep, np.arange(7, 14), *blk("h", "CDE"),
+                               Segments(np.array([0, 0, 1, 1, 1, 2, 2])), y, weight)
             return T.total_loss([l1], [l2, l2], 0.05, 0.25)[0]
 
         with Tape() as tape:
@@ -335,9 +346,16 @@ class TestBackward:
         composed_graph_check(rng)
 
     def test_composed_graph_per_member_products(self, rng, monkeypatch):
-        # the same graph with every level op on one product per member
+        # the same graph with every pair op on one product per member
         monkeypatch.setattr(T, "_GATHER_PER_MEMBER", 0)
         composed_graph_check(rng)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_composed_graph_on_any_seed(self, seed, monkeypatch):
+        # both product paths, one draw each
+        for limit in (0, 1 << 62):
+            monkeypatch.setattr(T, "_GATHER_PER_MEMBER", limit)
+            composed_graph_check(np.random.default_rng(seed), trials=1)
 
     def test_determinism_bit_identical(self):
         def run():
@@ -346,7 +364,7 @@ class TestBackward:
             w = stacked(rng.normal(size=(3, 3)))
             b = stacked(rng.normal(size=(1, 3)))
             with Tape() as tape:
-                h = T.softplus_affine(
+                h = T.represent(
                     T.expert_layer(x, w, b, 0.01, 0.4, np.random.default_rng(5), True),
                     w, b, one_run(3))
                 loss = sq_loss(h, np.zeros((3, 3)))
@@ -394,6 +412,28 @@ class TestAdam:
         with pytest.raises(NumericalError, match="head.weights"):
             adam_on(_FlatAdam(p, lr=0.001),
                     lambda: sq_loss(p["head.weights"], np.array([[np.nan]])))
+
+    def test_in_place_step_is_bit_identical_to_the_formula(self, rng):
+        # the update as written out with temporaries, over 50 steps of
+        # fresh gradients on two parameters
+        p = arena_params({"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))})
+        adam = _FlatAdam(p, lr=0.01)
+        arena = p["a"].arena
+        values, m, v = arena.values.copy(), np.zeros(arena.size), np.zeros(arena.size)
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        for t in range(1, 51):
+            target = rng.normal(size=arena.size)
+            adam_on(adam, lambda: T.total_loss(
+                [sq_loss(p["a"], target[:12].reshape(3, 4)),
+                 sq_loss(p["b"], target[12:].reshape(1, 4))], [], 0.0, 1.0)[0])
+            g = 2.0 * (values - target)
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            step = 0.01 / (1.0 - beta1 ** t)
+            values -= step * m / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)
+            assert np.array_equal(arena.values, values), t
 
     def test_twenty_steps_match_reference_on_quadratic(self):
         # f(w) = w^2, gradient 2w, from w0 = 1

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -287,12 +290,15 @@ class TestDeterminism:
 
 class TestColumnarTraining:
     @pytest.mark.parametrize("variant, digest", [
-        ("omtl", "9487e1242b76dbf99c423aec8f90dfd9ac6d89578b0bbbfc5dd2eb4ca37987db"),
-        ("mmoe", "251f614c8ba29f7d8e229fb413af5ea4749afea611e53cadca5909788def9241"),
-        ("sb", "c8ae35636b3d1a5b3c872f0cb0083569edb52c5a0ab08f1f04eeb4eb607793b6")])
+        pytest.param("omtl", "eb72016ea88e6ce266626a0e187408ba865c75d99cfec740eda952d5f71bba08",
+                     id="omtl"),
+        pytest.param("mmoe", "3314a1f6a1a74675d04fdfbbb7cead78557c072e24989e42ba56429eb901c936",
+                     id="mmoe"),
+        pytest.param("sb", "953f0416beebe933214fa04d5de19070120e4db373ccb8831b72243a3a19bd37",
+                     id="sb")])
     def test_final_param_hash_is_pinned(self, variant, digest):
-        # the per-record trainer's bits; a change that moves them must
-        # update these and say why
+        # the trainer's bits; a change that moves them must update these
+        # and say why
         graph, data = generate_synthetic(SynthConfig(seed=0, records_per_node=60))
         _, log = train_variant(graph, data, TrainConfig(variant=variant, max_epochs=2,
                                                         seed=0))
@@ -439,6 +445,47 @@ class TestLevelOps:
         for variant in ("omtl", "mmoe", "sb"):
             assert first_step_ops(monkeypatch, variant) <= 12
             assert first_step_ops(monkeypatch, variant, branching=3, **wide) <= 15
+
+    @pytest.mark.parametrize("cohort", [
+        pytest.param({}, id="default"),
+        pytest.param(dict(levels=4, branching=2, records_per_node=40,
+                          low_data_records=20), id="4-levels-branching-2"),
+        pytest.param(dict(levels=4, branching=3, records_per_node=40,
+                          low_data_records=20), id="4-levels-branching-3")])
+    def test_ops_per_step_do_not_depend_on_depth(self, monkeypatch, cohort):
+        # expert_layer, expert_mix, represent, recon_error, head_bce and
+        # total_loss; in omtl phase 2 the experts and expert gates are
+        # frozen, so their two ops are const and record nothing
+        for variant in ("omtl", "mmoe", "sb"):
+            assert first_step_ops(monkeypatch, variant, **cohort) == 6, variant
+        assert first_step_ops(monkeypatch, "omtl", phase=2, **cohort) == 4
+
+    @pytest.mark.parametrize("variant", ["omtl", "mmoe", "sb"])
+    def test_step_tape_is_freed_without_the_collector(self, monkeypatch, variant):
+        # nothing of a finished step refers back to its tape, so reference
+        # counting frees it, with its activations and gradient buffer
+        tapes = []
+
+        class WatchedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(trainer, "Tape", WatchedTape)
+        graph, data = small_benchmark()
+        cfg = tiny_config(variant=variant, max_epochs=1, batch_size=len(data.records))
+        gc.collect()
+        gc.disable()
+        try:
+            if variant == "omtl":
+                model = tiny_model(graph, "omtl", d=10, de=3, experts=2, dropout=0.2)
+                train_phase1(model, data, cfg, graph)
+                train_phase2(model, data, cfg, graph)
+            else:
+                train_baseline(variant, data, cfg, graph)
+            assert tapes and all(ref() is None for ref in tapes)
+        finally:
+            gc.enable()
 
     def test_parameters_stay_views_of_the_arena(self, tmp_path):
         graph, data = small_benchmark()
