@@ -15,6 +15,8 @@ import hashlib
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .datastore import (SynthConfig, generate_synthetic, load_dataset, make_folds,
                         save_dataset)
@@ -191,7 +193,10 @@ def _load_scores_file(path: str) -> dict[str, ScoredSet]:
         where = f"scores {path}: target {name!r}"
         ids = json_field(entry, "ids", "list[str]", where, default=None)
         node, _, outcome = name.partition("|")
-        out[name] = ScoredSet(scores=json_field(entry, "scores", "list[float]", where),
+        scores = json_field(entry, "scores", "list[float]", where)
+        if not np.isfinite(scores).all():
+            raise ValidationError(f"{where}: scores must be finite numbers")
+        out[name] = ScoredSet(scores=scores,
                               labels=json_field(entry, "labels", "list[int]", where),
                               node=node, outcome=outcome,
                               ids=None if ids is None else tuple(ids))
@@ -349,7 +354,10 @@ def dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # every loss and gradient is checked for finiteness, so numpy's
+        # floating-point warnings would only repeat the error line
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except OmtlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ValidationError) else 2

@@ -128,9 +128,6 @@ class Dataset:
     _columns: Columns | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
-    def labeled_records(self) -> list[Record]:
-        return [r for r in self.records if r.labeled]
-
     def columns(self, graph: OntologyGraph, keep: bool = True) -> Columns:
         """The records as columns over graph, built on first use and kept
         unless keep is False; the records must not change after that."""
@@ -140,14 +137,6 @@ class Dataset:
         if keep:
             self._columns = cols
         return cols
-
-    def take(self, rows: np.ndarray) -> "Dataset":
-        """The records of rows, in that order, with their columns when
-        this dataset has built its own."""
-        sub = Dataset([self.records[i] for i in rows], self.feature_dim, self.outcomes)
-        if self._columns is not None:
-            sub._columns = self._columns.take(rows)
-        return sub
 
 
 def columns_of(data, graph: OntologyGraph, keep: bool = True) -> Columns:
@@ -242,12 +231,6 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 # ---------------------------------------------------------------------------
 # stratified folds
-
-
-def strata_of(record: Record, graph: OntologyGraph) -> list[tuple[str, str, int]]:
-    """(core node, outcome, label) memberships of one record."""
-    core = [nid for nid in graph.core_ids if nid in record.concepts]
-    return list(_balanced_sets(core, record.labels, graph)[len(core):])
 
 
 def _balanced_sets(core: list[str], labels: dict[str, int],

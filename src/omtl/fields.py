@@ -3,13 +3,16 @@
 read, decoded as UTF-8 or parsed (JSON nested too deeply included) is a
 `ValidationError` naming it, and for JSONL the line. Loaders read every
 field through `json_field`, which rejects a value of the wrong JSON type
-and returns float fields as floats. `output_file` opens every output, and
-`write_json` writes every JSON output. A configuration whose arrays would
-hold more than `MAX_SIZE` numbers is rejected before any is allocated."""
+or a scalar float that is not finite, and returns float fields as floats;
+a loader that reads float arrays checks them for finiteness itself, in
+one pass. `output_file` opens every output, and `write_json` writes every
+JSON output. A configuration whose arrays would hold more than `MAX_SIZE`
+numbers is rejected before any is allocated."""
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import MISSING
 from functools import cache
@@ -108,7 +111,8 @@ def _parse_kind(kind: str) -> tuple[set, bool, bool]:
 
 def json_field(obj, key: str, kind: str, where: str, default=MISSING):
     """obj[key] of a parsed JSON object, checked against kind (`_parse_kind`) and
-    as floats for a float kind; default, when given, stands in for a missing key."""
+    as floats for a float kind, finite when scalar; default, when given, stands
+    in for a missing key."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where} must be a JSON object")
     if key not in obj:
@@ -127,9 +131,12 @@ def json_field(obj, key: str, kind: str, where: str, default=MISSING):
     if float not in allowed or value is None:
         return value
     try:
-        return np.array(value, dtype=np.float64) if array else float(value)
+        value = np.array(value, dtype=np.float64) if array else float(value)
     except OverflowError as exc:
         raise ValidationError(f"{where}: field {key!r} is too large for a float") from exc
+    if not (array or math.isfinite(value)):
+        raise ValidationError(f"{where}: field {key!r} must be a finite number, got {value}")
+    return value
 
 
 def config_fields(cls, obj, where: str) -> dict:

@@ -230,14 +230,8 @@ class OmtlModel:
         run_len = np.repeat(seg.ends - seg.starts, counts)
         return _ranges(np.repeat(seg.starts, counts), run_len), np.repeat(heads, run_len)
 
-    def param(self, name: str) -> Tensor:
-        return self.params[name]
-
     def param_count(self) -> int:
         return self.arena.size
-
-    def parameter_names(self, prefix: str = "") -> list[str]:
-        return sorted(n for n in self.params if n.startswith(prefix))
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Every parameter's values, by name, as views of one arena copy."""
@@ -500,6 +494,9 @@ def model_from_json_obj(obj: dict, graph: OntologyGraph) -> OmtlModel:
             raise ValidationError(f"{at}: shape {shape}, the model needs "
                                   f"{list(shapes[name])}")
         arena.params[name].values[...] = values.reshape(shape)
+    if not np.isfinite(arena.values).all():
+        bad = next(n for n, p in arena.params.items() if not np.isfinite(p.values).all())
+        raise ValidationError(f"{where}: parameter {bad!r} holds a non-finite value")
     model = OmtlModel(spec, graph, arena, outcome_map)
     model.hierarchy_enabled = json_field(obj, "hierarchy_enabled", "bool", where,
                                          default=spec.has_parent_gates)

@@ -218,8 +218,9 @@ def grow_from_core(graph: OntologyGraph, config: GrowthConfig) -> OntologyGraph:
     for cid in config.core_ids:
         if cid not in graph.nodes:
             raise ValidationError(f"core id {cid!r} is not in the graph")
-    if config.max_hops < 0:
-        raise ValidationError("max_hops must be >= 0")
+    if config.max_hops < 0 or config.iterations < 0:
+        raise ValidationError("max_hops and iterations must be >= 0, got "
+                              f"{config.max_hops} and {config.iterations}")
     starts = sorted(set(config.core_ids))
     selected = set(starts)
     rng = substream(config.seed, "growth")

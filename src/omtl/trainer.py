@@ -1,17 +1,19 @@
-"""Mini-batch training loops, the two-phase schedule, and cross-validation.
+"""Training, scoring, and cross-validation.
 
-Phase 1 trains an omtl model with ontology routing switched off (experts,
-expert gates, representations, reconstructions, heads). Phase 2 freezes
-the experts and expert gates, draws fresh parent gates, switches routing
-on, and fine-tunes everything else. Baselines train in a single phase.
-Early stopping watches total loss on a held-out slice of the training
-records, one slice per model that both omtl phases share, and always
-restores the best snapshot seen.
+`train_variant` is the one way to train. It turns the cohort into columns
+once, builds the model, holds out one validation slice, and runs the
+variant's phases through one loop. sb, moe and mmoe train in one phase.
+omtl trains in two: phase 1 with ontology routing off and the parent gates
+frozen (experts, expert gates, representations, reconstructions, heads);
+then, when `hierarchy_finetune` is set, phase 2 draws fresh parent gates,
+switches routing on, freezes the experts and expert gates, and fine-tunes
+everything else. Early stopping watches total loss on the held-out slice,
+which both omtl phases share, and always restores the best snapshot seen.
+A loss that is not finite, in a step or on the slice, is a NumericalError.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -125,12 +127,10 @@ class TrainConfig:
 @dataclass
 class TrainLog:
     entries: list[dict] = field(default_factory=list)
-    wall_clock_s: float = 0.0
     train_record_ids: set[str] = field(default_factory=set)
     final_param_hash: str = ""
 
     def to_json_obj(self) -> dict:
-        # wall clock deliberately excluded: log files must be reproducible
         return {"entries": self.entries, "final_param_hash": self.final_param_hash}
 
 
@@ -177,19 +177,17 @@ def _split_validation(cols: Columns, graph: OntologyGraph, cfg: TrainConfig) -> 
     return np.flatnonzero(fold != 0), np.flatnonzero(fold == 0)
 
 
-def train_loop(model: OmtlModel, graph: OntologyGraph, records,
-               cfg: TrainConfig, frozen_prefixes: tuple[str, ...],
-               scheme: RewardScheme | None, phase: str, log: TrainLog,
-               stage: int = 0, split: Split | None = None) -> OmtlModel:
-    """Adam over shuffled mini-batches with patience-based early stopping.
-
-    records is a Dataset, a record list or anything else `columns_of`
-    takes; split holds row indices of its columns, by default
-    `_split_validation`'s. stage indexes the rng streams, so omtl phase 1
-    and a single-phase baseline draw identical shuffles and dropout masks
-    for the same seed.
+def _train_phase(model: OmtlModel, cols: Columns, split: Split, cfg: TrainConfig,
+                 log: TrainLog, phase: str, stage: int,
+                 frozen_prefixes: tuple[str, ...] = (),
+                 scheme: RewardScheme | None = None) -> None:
+    """One phase: Adam over shuffled mini-batches of split's training rows
+    of cols, the parameters named by frozen_prefixes held fixed, with
+    patience-based early stopping on the held-out rows (the training rows
+    when there are none) and the best snapshot restored at the end. stage
+    indexes the rng streams, so omtl phase 1 and a single-phase baseline
+    draw identical shuffles and dropout masks for the same seed.
     """
-    started = time.perf_counter()
     trainable = {}
     frozen = []
     for name, p in model.params.items():
@@ -199,8 +197,7 @@ def train_loop(model: OmtlModel, graph: OntologyGraph, records,
         else:
             trainable[name] = p
     try:
-        cols = columns_of(records, graph)
-        train_rows, val_rows = split or _split_validation(cols, graph, cfg)
+        train_rows, val_rows = split
         shuffle_rng = substream(cfg.seed, f"shuffle.{stage}")
         dropout_rng = substream(cfg.seed, f"dropout.{stage}")
         adam = _FlatAdam(trainable, lr=cfg.lr)
@@ -226,8 +223,11 @@ def train_loop(model: OmtlModel, graph: OntologyGraph, records,
                 w = len(batch) / max(len(order), 1)
                 epoch_l1 += breakdown.l1 * w
                 epoch_l2 += breakdown.l2 * w
-            monitored = evaluate_loss(model, graph, cols, cfg, scheme,
+            monitored = evaluate_loss(model, model.graph, cols, cfg, scheme,
                                       rows=val_rows if val_rows.size else order)
+            if not np.isfinite(monitored.total):
+                raise NumericalError(
+                    f"non-finite monitored loss in phase {phase!r}, epoch {epoch}")
             log.entries.append({
                 "phase": phase, "epoch": epoch,
                 "train_l1": epoch_l1, "train_l2": epoch_l2,
@@ -249,54 +249,6 @@ def train_loop(model: OmtlModel, graph: OntologyGraph, records,
     finally:
         for p in frozen:
             p.const = False
-    log.wall_clock_s += time.perf_counter() - started
-    return model
-
-
-def train_phase1(model: OmtlModel, data: Dataset, cfg: TrainConfig,
-                 graph: OntologyGraph | None = None,
-                 log: TrainLog | None = None,
-                 split: Split | None = None) -> OmtlModel:
-    """Learn experts, expert gates, and node blocks with routing disabled."""
-    if model.spec.variant != "omtl":
-        raise ValidationError("phase-1 training applies to the omtl variant")
-    graph = graph or model.graph
-    log = log if log is not None else TrainLog()
-    model.hierarchy_enabled = False
-    return train_loop(model, graph, data, cfg,
-                      frozen_prefixes=FROZEN_IN_PHASE1,
-                      scheme=None, phase="phase1", log=log, stage=0, split=split)
-
-
-def train_phase2(model: OmtlModel, data: Dataset, cfg: TrainConfig,
-                 graph: OntologyGraph | None = None,
-                 log: TrainLog | None = None,
-                 scheme: RewardScheme | None = None,
-                 split: Split | None = None) -> OmtlModel:
-    """Freeze experts and expert gates, admit the hierarchy, fine-tune."""
-    if model.spec.variant != "omtl":
-        raise ValidationError("phase-2 training applies to the omtl variant")
-    graph = graph or model.graph
-    log = log if log is not None else TrainLog()
-    reinit_parent_gates(model, cfg.seed)
-    model.hierarchy_enabled = True
-    return train_loop(model, graph, data, cfg,
-                      frozen_prefixes=FROZEN_IN_PHASE2,
-                      scheme=scheme, phase="phase2", log=log, stage=1, split=split)
-
-
-def train_baseline(variant: str, data: Dataset, cfg: TrainConfig,
-                   graph: OntologyGraph,
-                   log: TrainLog | None = None) -> OmtlModel:
-    """Single-phase masked-loss training for sb, moe, or mmoe."""
-    if variant == "omtl":
-        raise ValidationError("omtl trains in two phases; use train_variant")
-    cfg = replace(cfg, variant=variant)
-    log = log if log is not None else TrainLog()
-    model = build_model(cfg.model_spec(data.feature_dim), graph, seed=cfg.seed)
-    return train_loop(model, graph, data, cfg,
-                      frozen_prefixes=(), scheme=None, phase="single",
-                      log=log, stage=0)
 
 
 def _shaping_scheme(cfg: TrainConfig, graph: OntologyGraph) -> RewardScheme | None:
@@ -310,23 +262,28 @@ def _shaping_scheme(cfg: TrainConfig, graph: OntologyGraph) -> RewardScheme | No
     return make_reward_scheme(graph, cfg.reward_f, outcomes[0])
 
 
-def train_variant(graph: OntologyGraph, data: Dataset,
+def train_variant(graph: OntologyGraph, data,
                   cfg: TrainConfig) -> tuple[OmtlModel, TrainLog]:
-    """Train cfg.variant end to end (two phases for omtl)."""
+    """Train cfg.variant on data (a `Dataset`, `Columns` or records): one
+    phase for sb, moe and mmoe; for omtl, phase 1 and then, when
+    cfg.hierarchy_finetune is set, phase 2."""
     cfg.validate()
+    scheme = _shaping_scheme(cfg, graph) if cfg.variant == "omtl" else None
+    cols = columns_of(data, graph)
+    model = build_model(cfg.model_spec(cols.X.shape[1]), graph, seed=cfg.seed,
+                        shared_outcome=scheme.outcome if scheme else None)
+    split = _split_validation(cols, graph, cfg)
     log = TrainLog()
     if cfg.variant != "omtl":
-        model = train_baseline(cfg.variant, data, cfg, graph, log=log)
-        log.final_param_hash = _param_hash(model)
-        return model, log
-    scheme = _shaping_scheme(cfg, graph)
-    shared = scheme.outcome if scheme else None
-    model = build_model(cfg.model_spec(data.feature_dim), graph,
-                        seed=cfg.seed, shared_outcome=shared)
-    split = _split_validation(data.columns(graph), graph, cfg)
-    train_phase1(model, data, cfg, graph, log=log, split=split)
-    if cfg.hierarchy_finetune:
-        train_phase2(model, data, cfg, graph, log=log, scheme=scheme, split=split)
+        _train_phase(model, cols, split, cfg, log, "single", 0)
+    else:
+        model.hierarchy_enabled = False
+        _train_phase(model, cols, split, cfg, log, "phase1", 0, FROZEN_IN_PHASE1)
+        if cfg.hierarchy_finetune:
+            reinit_parent_gates(model, cfg.seed)
+            model.hierarchy_enabled = True
+            _train_phase(model, cols, split, cfg, log, "phase2", 1, FROZEN_IN_PHASE2,
+                         scheme)
     log.final_param_hash = _param_hash(model)
     return model, log
 
@@ -417,15 +374,16 @@ def scored_set(key: tuple[str, str],
         node=key[0], outcome=key[1], ids=tuple(t[0] for t in triples))
 
 
-def run_cv(graph: OntologyGraph, data: Dataset, cfg: TrainConfig, k: int = 5,
+def run_cv(graph: OntologyGraph, data, cfg: TrainConfig, k: int = 5,
            plan: FoldPlan | None = None) -> CvResult:
-    """Train and score cfg.variant across k folds of one shared plan."""
+    """Train and score cfg.variant across k folds of one shared plan; data
+    is a `Dataset`, `Columns` or records."""
     cfg.validate()
+    cols = columns_of(data, graph)
     if plan is None:
-        plan = make_folds(data, graph, k=k, seed=cfg.seed)
+        plan = make_folds(cols, graph, k=k, seed=cfg.seed)
     elif plan.k != k:
         raise ValidationError(f"fold plan has k={plan.k}, requested k={k}")
-    cols = data.columns(graph)
     missing = [rid for rid in cols.ids.tolist() if rid not in plan.assignment]
     if missing:
         raise ValidationError(
@@ -438,9 +396,8 @@ def run_cv(graph: OntologyGraph, data: Dataset, cfg: TrainConfig, k: int = 5,
     logs: list[TrainLog] = []
     pooled_triples: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
     for fold in range(k):
-        fold_data = data.take(np.flatnonzero(folds != fold))
         test = cols.take(np.flatnonzero(folds == fold))
-        model, log = train_variant(graph, fold_data, cfg)
+        model, log = train_variant(graph, cols.take(np.flatnonzero(folds != fold)), cfg)
         leaked = log.train_record_ids & set(test.ids.tolist())
         if leaked:
             raise NumericalError(f"fold {fold}: test records leaked into "
@@ -465,13 +422,17 @@ def run_cv(graph: OntologyGraph, data: Dataset, cfg: TrainConfig, k: int = 5,
                     pooled=pooled, pooled_report=pooled_report, logs=logs)
 
 
-def compare_variants(graph: OntologyGraph, data: Dataset, cfg: TrainConfig,
+def compare_variants(graph: OntologyGraph, data, cfg: TrainConfig,
                      variants: list[str],
                      k: int = 5) -> tuple[dict[str, CvResult], list[dict]]:
-    """Run several variants on exactly the same folds and DeLong-test every
-    pair on the pooled out-of-fold scores."""
-    plan = make_folds(data, graph, k=k, seed=cfg.seed)
-    results = {v: run_cv(graph, data, replace(cfg, variant=v), k=k, plan=plan)
+    """Run several distinct variants on exactly the same folds and
+    DeLong-test every pair on the pooled out-of-fold scores."""
+    repeated = [v for i, v in enumerate(variants) if v in variants[:i]]
+    if repeated:
+        raise ValidationError(f"variant {repeated[0]!r} is listed more than once")
+    cols = columns_of(data, graph)
+    plan = make_folds(cols, graph, k=k, seed=cfg.seed)
+    results = {v: run_cv(graph, cols, replace(cfg, variant=v), k=k, plan=plan)
                for v in variants}
     comparisons: list[dict] = []
     for i, va in enumerate(variants):

@@ -242,6 +242,14 @@ class ReferenceAdam:
         return w - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def strata(record, graph) -> list[tuple[str, str, int]]:
+    """(core node, outcome, label) strata of one record: each core node it
+    expresses, in id order, with each of that node's outcomes it labels."""
+    return [(nid, o, record.labels[o]) for nid in sorted(record.concepts)
+            if graph.nodes[nid].core
+            for o in graph.nodes[nid].outcomes if o in record.labels]
+
+
 def per_record_folds(records, graph, k: int, seed: int) -> dict[str, int]:
     """The fold planner as it was written record by record: the reference
     `make_folds` must reproduce, key order included. Each labeled record's
@@ -251,10 +259,7 @@ def per_record_folds(records, graph, k: int, seed: int) -> dict[str, int]:
 
     def sets_of(rec):
         nodes = [(nid,) for nid in graph.core_ids if nid in rec.concepts]
-        strata = [(nid, o, rec.labels[o]) for nid in sorted(rec.concepts)
-                  if graph.nodes[nid].core
-                  for o in graph.nodes[nid].outcomes if o in rec.labels]
-        return tuple(nodes + strata)
+        return tuple(nodes + strata(rec, graph))
 
     labeled = sorted((r for r in records if r.labels), key=lambda r: r.id)
     rng = substream(seed, "folds")

@@ -7,20 +7,20 @@ criterion. The end-to-end directional experiment (criteria 9-11) trains
 
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from omtl.datastore import Dataset, SynthConfig, generate_synthetic, make_folds
+from omtl.datastore import SynthConfig, generate_synthetic, make_folds
 from omtl.metrics import ScoredSet, auc_roc, average_precision, delong_test
 from omtl.model import ModelSpec, build_model, forward
 from omtl.objective import make_reward_scheme, masked_loss, reward_weights, shaped_loss
 from omtl.ontology import ConceptNode, OntologyGraph
 from omtl.tensor import Tape
-from omtl.trainer import (TrainConfig, _FlatAdam, compare_variants,
-                          train_phase1, train_phase2)
+from omtl.trainer import TrainConfig, _FlatAdam, compare_variants, train_variant
 
 from conftest import (arena_params, chain_graph, diamond_graph, gate_weights,
                       make_record, random_dag, sq_loss, tiny_model)
@@ -118,7 +118,7 @@ def test_criterion_3_mmoe_reduction():
     omtl = tiny_model(graph, "omtl", d=7, de=3, experts=3, seed=3)
     mmoe = tiny_model(graph, "mmoe", d=7, de=3, experts=3, seed=99)
     for name in mmoe.params:
-        mmoe.param(name).values[:] = omtl.param(name).values
+        mmoe.params[name].values[:] = omtl.params[name].values
     omtl.hierarchy_enabled = False
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -298,27 +298,21 @@ def test_criterion_9_directional_reproduction():
 
 
 def test_criterion_10_two_phase_freeze():
-    # replays the seed-0, fold-0 training run of criterion 9 exactly
-    # (same data, plan, and config) with a snapshot between the phases
-    from omtl.model import build_model
-    from omtl.trainer import TrainLog
-
+    # criterion 9's seed-0, fold-0 training call (same data, plan and
+    # config), made once in full and once stopped after phase 1
     graph, data = benchmark()
     cfg = TrainConfig(seed=0, **ACCEPT_TRAIN)
-    plan = make_folds(data, graph, k=5, seed=0)
-    train_recs = [r for r in data.records if plan.fold_of(r.id) != 0]
-    fold_data = Dataset(records=train_recs, feature_dim=data.feature_dim,
-                        outcomes=data.outcomes)
-    model = build_model(cfg.model_spec(data.feature_dim), graph, seed=cfg.seed)
-    log = TrainLog()
-    train_phase1(model, fold_data, cfg, graph, log=log)
-    frozen = {n: v.copy() for n, v in model.snapshot().items()
-              if n.startswith(("expert.", "expert_gate."))}
-    train_phase2(model, fold_data, cfg, graph, log=log)
-    after = model.snapshot()
-    ok = all(np.array_equal(after[n], v) for n, v in frozen.items())
+    cols = data.columns(graph)
+    plan = make_folds(cols, graph, k=5, seed=0)
+    fold_data = cols.take(np.flatnonzero([plan.fold_of(rid) != 0 for rid in cols.ids]))
+    phase1, _ = train_variant(graph, fold_data, replace(cfg, hierarchy_finetune=False))
+    model, log = train_variant(graph, fold_data, cfg)
+    frozen = [n for n in model.params if n.startswith(("expert.", "expert_gate."))]
+    ok = all(np.array_equal(model.params[n].values, phase1.params[n].values)
+             for n in frozen)
+    tuned = any(e["phase"] == "phase2" for e in log.entries)
     criterion(10, f"{len(frozen)} expert and expert-gate parameter blocks "
-                  "bit-identical across phase 2", ok and len(frozen) > 0)
+                  "bit-identical across phase 2", ok and tuned and len(frozen) > 0)
 
 
 def test_criterion_11_determinism():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import omtl
 from omtl.cli import dispatch
 from omtl.datastore import SynthConfig, generate_synthetic, save_dataset
 from omtl.ontology import save_graph
@@ -278,6 +283,8 @@ DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
 HUGE = 10 ** 400
 # an output path in a directory that does not exist
 MISSING_DIR = "no_such_dir/out.json"
+# written by json.dumps as the non-standard tokens NaN and Infinity
+NAN, INF = float("nan"), float("inf")
 
 
 def _edit_core_node(obj: dict, field: str, value) -> dict:
@@ -398,6 +405,23 @@ BAD_INPUTS = {
     "cv report in a missing directory": lambda w: [
         "cv", "--graph", str(w / "graph.json"), "--data", str(w / "data.jsonl"),
         "--config", _quick_config(w), "--k", "2", "--report", str(w / MISSING_DIR)],
+    "train lam NaN": lambda w: _bad_train_config(w, {"lam": NAN}),
+    "train leaky_slope NaN": lambda w: _bad_train_config(w, {"leaky_slope": NAN}),
+    "train lr Infinity": lambda w: _bad_train_config(w, {"lr": INF}),
+    "train lr 1e999": lambda w: _raw_input(w, "train config", b'{"lr": 1e999}'),
+    "model leaky_slope NaN": lambda w: _bad_model_file(
+        w, lambda o: {**o, "spec": {**o["spec"], "leaky_slope": NAN}}),
+    "model values NaN": lambda w: _bad_model_file(
+        w, lambda o: _set_param_values(o, [NAN, 0.0])),
+    "scores NaN": lambda w: _bad_scores_file(
+        w, {"ids": ["r0", "r1"], "labels": [0, 1], "scores": [NAN, 0.5]}),
+    "augment negative iters": lambda w: [
+        "augment", "--graph", str(w / "graph.json"), "--core", "n1_0",
+        "--iters", "-5", "--out", str(w / "sub.json")],
+    "cv variant repeated": lambda w: [
+        "cv", "--graph", str(w / "graph.json"), "--data", str(w / "data.jsonl"),
+        "--config", _quick_config(w), "--k", "2", "--variants", "sb,sb",
+        "--report", str(w / "cv.json")],
     "compare out in a missing directory": lambda w: _compare_on(
         w, _json_file(w, "b.json", {"leaf|event": {
             "ids": ["r0", "r1"], "labels": [0, 1], "scores": [0.4, 0.6]}}),
@@ -419,3 +443,24 @@ def test_bad_input_exits_1_with_one_line(workdir, capsys, case):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"lr": 1e308}, id="lr-1e308"),
+    pytest.param({"lr": 1e300, "max_epochs": 1, "batch_size": 70}, id="diverged-run")])
+def test_numerical_failure_exits_2_with_one_line(tmp_path, config):
+    # in a subprocess: pytest would capture numpy's warnings in-process
+    cohort = SynthConfig(levels=2, branching=2, records_per_node=30, feature_dim=4,
+                         low_data_records=10, seed=1)
+    graph, data = generate_synthetic(cohort)
+    save_graph(graph, str(tmp_path / "graph.json"))
+    save_dataset(data, str(tmp_path / "data.jsonl"))
+    argv = _train_on(tmp_path, _json_file(tmp_path, "train.json", config))
+    src = str(Path(omtl.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", "from omtl.cli import main; main()",
+                          *argv], capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 2, run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), run.stderr

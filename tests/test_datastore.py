@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omtl.datastore import (Columns, Dataset, Record, SynthConfig, generate_synthetic,
-                            load_dataset, make_folds, save_dataset, strata_of)
+                            load_dataset, make_folds, save_dataset)
 from omtl.errors import ValidationError
 from omtl.ontology import ancestor_closure
 
 from conftest import JSON, chain_graph, diamond_graph, field, random_dag
-from oracles import per_record_folds
+from oracles import per_record_folds, strata
 
 
 def write_jsonl(tmp_path, rows, name="data.jsonl"):
@@ -165,9 +165,9 @@ class TestFolds:
         """max - min over folds of each core node's labeled members and of
         each (core node, outcome, label) stratum"""
         counts: dict[tuple, list[int]] = {}
-        for r in ds.labeled_records():
+        for r in (r for r in ds.records if r.labels):
             keys = [(nid,) for nid in graph.core_ids if nid in r.concepts]
-            for key in keys + strata_of(r, graph):
+            for key in keys + strata(r, graph):
                 counts.setdefault(key, [0] * plan.k)[plan.fold_of(r.id)] += 1
         return {key: max(c) - min(c) for key, c in counts.items()}
 

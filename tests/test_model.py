@@ -21,8 +21,8 @@ def eval_experts(model, x):
     """Loop-based re-computation of every expert output (eval mode)."""
     outs = []
     for e in range(model.spec.num_experts):
-        w = model.param(f"expert.{e:02d}.w").values
-        b = model.param(f"expert.{e:02d}.b").values
+        w = model.params[f"expert.{e:02d}.w"].values
+        b = model.params[f"expert.{e:02d}.b"].values
         h = x @ w + b
         outs.append(np.where(h > 0, h, model.spec.leaky_slope * h))
     return outs
@@ -33,8 +33,8 @@ def eval_mix(model, nid, x):
     experts = eval_experts(model, x)
     if model.spec.variant == "sb":
         return experts[0]
-    z = x @ model.param(f"expert_gate.{nid}.w").values \
-        + model.param(f"expert_gate.{nid}.b").values
+    z = x @ model.params[f"expert_gate.{nid}.w"].values \
+        + model.params[f"expert_gate.{nid}.b"].values
     e = np.exp(z - z.max(axis=1, keepdims=True))
     gate = e / e.sum(axis=1, keepdims=True)
     out = np.zeros_like(experts[0])
@@ -45,8 +45,8 @@ def eval_mix(model, nid, x):
 
 def repr_layer(model, nid, pre):
     """Node nid's Softplus representation layer applied to its input pre."""
-    return np.logaddexp(0.0, pre @ model.param(f"repr.{nid}.w").values
-                        + model.param(f"repr.{nid}.b").values)
+    return np.logaddexp(0.0, pre @ model.params[f"repr.{nid}.w"].values
+                        + model.params[f"repr.{nid}.b"].values)
 
 
 def recon_sums(result) -> dict[str, float]:
@@ -94,7 +94,7 @@ class TestBuild:
     def test_omtl_on_parentless_graph_has_no_parent_gates(self):
         g = OntologyGraph([ConceptNode("x"), ConceptNode("y")], [])
         model = tiny_model(g, "omtl")
-        assert model.parameter_names("parent_gate.") == []
+        assert not any(n.startswith("parent_gate.") for n in model.params)
 
     def test_omtl_vs_mmoe_delta_is_parent_gates(self):
         g = diamond_graph()
@@ -147,8 +147,8 @@ class TestMixExperts:
     def test_uniform_gate_equals_mean(self, rng):
         g = chain_graph(2)
         model = tiny_model(g, "omtl", d=5, de=3, experts=3)
-        model.param("expert_gate.a.w").values[:] = 0.0
-        model.param("expert_gate.a.b").values[:] = 0.0
+        model.params["expert_gate.a.w"].values[:] = 0.0
+        model.params["expert_gate.a.b"].values[:] = 0.0
         x = rng.normal(size=(1, 5))
         rep = forward(model, records_at(g, x, "a")).representations["a"]
         mean = np.mean(eval_experts(model, x), axis=0)
@@ -160,8 +160,8 @@ class TestMixExperts:
         x = rng.normal(size=(2, 6))
         rep = forward(model, records_at(g, x, "b")).representations["b"]
         experts = eval_experts(model, x)
-        logits = x @ model.param("expert_gate.b.w").values \
-            + model.param("expert_gate.b.b").values
+        logits = x @ model.params["expert_gate.b.w"].values \
+            + model.params["expert_gate.b.b"].values
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         gate = e / e.sum(axis=1, keepdims=True)
         expect = np.zeros((2, 4))
@@ -202,8 +202,8 @@ class TestNodeRepresentation:
     def test_two_parent_extreme_gate_picks_first(self, rng):
         g = diamond_graph()
         model = tiny_model(g, "omtl", d=7, de=3, experts=2)
-        model.param("parent_gate.d.w").values[:] = 0.0
-        model.param("parent_gate.d.b").values[:] = np.array([[10.0, -10.0]])
+        model.params["parent_gate.d.w"].values[:] = 0.0
+        model.params["parent_gate.d.b"].values[:] = np.array([[10.0, -10.0]])
         x = rng.normal(size=(1, 7))
         result = forward(model, records_at(g, x, "d"))
         p_b = result.representations["b"].values
@@ -272,7 +272,7 @@ class TestForward:
     def test_predictions_strictly_inside_unit_interval(self, rng):
         g = chain_graph(2)
         model = tiny_model(g, "omtl", shared_outcome="event")
-        model.param("head.b.event.b").values[:] = 500.0  # saturate sigmoid
+        model.params["head.b.event.b"].values[:] = 500.0  # saturate sigmoid
         rec = make_record(g, rng, d=7, anchor="b", label=1)
         preds = forward(model, rec).predictions()
         for p in preds.values():
@@ -340,7 +340,7 @@ class TestMmoeReduction:
         mmoe = tiny_model(g, "mmoe", d=7, de=3, experts=2, seed=999)
         # share every non-parent-gate parameter
         for name in mmoe.params:
-            mmoe.param(name).values[:] = omtl.param(name).values
+            mmoe.params[name].values[:] = omtl.params[name].values
         omtl.hierarchy_enabled = False
         for i in range(50):
             rec = make_record(g, rng, d=7, label=1, rid=f"r{i}")
@@ -379,7 +379,7 @@ class TestSerialization:
         back = load_model(path, g)
         assert back.spec == model.spec
         for name, p in model.params.items():
-            assert np.array_equal(back.param(name).values, p.values)
+            assert np.array_equal(back.params[name].values, p.values)
         assert sorted(model_to_json_obj(model)["params"]) == \
                sorted(model.params)
 

@@ -31,7 +31,7 @@ class TestMaskedLoss:
         assert breakdown.l1 == 0.0
         assert breakdown.l2 > 0.0
         grads = tape.gradients(model.params)
-        for name in model.parameter_names("head."):
+        for name in [n for n in model.params if n.startswith("head.")]:
             assert (grads[name] == 0.0).all()
 
     def test_perfect_reconstruction_zeroes_that_node(self, rng):
@@ -40,8 +40,8 @@ class TestMaskedLoss:
         rec = make_record(g, rng, d=7, anchor="a")
         rec.features = np.abs(rec.features)
         # a reconstruction layer that outputs the (nonnegative) input itself
-        model.param("recon.a.w").values[:] = 0.0
-        model.param("recon.a.b").values[:] = rec.features
+        model.params["recon.a.w"].values[:] = 0.0
+        model.params["recon.a.b"].values[:] = rec.features
         result = forward(model, rec, mode="train")
         breakdown = masked_loss(result, lam=1.0)
         assert breakdown.per_node_recon["a"] == 0.0
@@ -50,8 +50,8 @@ class TestMaskedLoss:
         g = all_core_chain(2)
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="b", label=1)
-        for name in model.parameter_names("head."):
-            model.param(name).values[:] = 0.0  # logit 0, sigmoid 0.5
+        for name in [n for n in model.params if n.startswith("head.")]:
+            model.params[name].values[:] = 0.0  # logit 0, sigmoid 0.5
         result = forward(model, rec, mode="train")
         assert len(result.outcome_logits) == 2
         breakdown = masked_loss(result, lam=0.0)
@@ -171,8 +171,8 @@ class TestShapedLoss:
         rec = make_record(g, rng, d=7, anchor="b")
         rec.labels["event"] = 0
         for nid, z in (("a", 0.4), ("b", -1.1)):  # logits z at any representation
-            model.param(f"head.{nid}.event.w").values[:] = 0.0
-            model.param(f"head.{nid}.event.b").values[:] = z
+            model.params[f"head.{nid}.event.w"].values[:] = 0.0
+            model.params[f"head.{nid}.event.b"].values[:] = z
         result = forward(model, rec, mode="train")
         breakdown = shaped_loss(result, lam=0.0, scheme=scheme)
         # label 0: term = softplus(z); weights (1/2)/(3/4), 1/(3/4)

@@ -1,19 +1,19 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from omtl import trainer
-from omtl.datastore import Dataset, SynthConfig, generate_synthetic, make_folds
-from omtl.errors import ValidationError
-from omtl.model import build_model, forward, load_model, reinit_parent_gates, save_model
+from omtl.datastore import Dataset, SynthConfig, columns_of, generate_synthetic, make_folds
+from omtl.errors import NumericalError, ValidationError
+from omtl.model import forward, load_model, reinit_parent_gates, save_model
 from omtl.objective import make_reward_scheme, masked_loss
 from omtl.ontology import ConceptNode, OntologyGraph
 from omtl.tensor import Tape
 from omtl.trainer import (FROZEN_IN_PHASE2, SCORE_CHUNK, TrainConfig, TrainLog,
-                          evaluate_loss, run_cv, score_holdout, train_baseline,
-                          train_loop, train_phase1, train_phase2, train_variant)
+                          evaluate_loss, run_cv, score_holdout, train_variant)
 
 from conftest import chain_graph, diamond_graph, make_record, tiny_model
 
@@ -58,20 +58,17 @@ class TestConfig:
 class TestPhase1:
     def test_zero_epochs_returns_initial_snapshot(self):
         graph, data = small_benchmark()
-        model = tiny_model(graph, "omtl", d=10, de=3, experts=2)
-        before = model.snapshot()
-        train_phase1(model, data, tiny_config(max_epochs=0), graph)
+        before = tiny_model(graph, "omtl", d=10, de=3, experts=2).snapshot()
+        model, _ = train_variant(graph, data, tiny_config(max_epochs=0,
+                                                          hierarchy_finetune=False))
         for name, values in model.snapshot().items():
             assert np.array_equal(values, before[name])
 
     def test_loss_decreases_over_first_epochs(self):
         graph, data = small_benchmark()
         for seed in (0, 1, 2):
-            model = tiny_model(graph, "omtl", d=10, de=3, experts=2, seed=seed,
-                               dropout=0.2)
-            log = TrainLog()
-            train_phase1(model, data, tiny_config(max_epochs=5, seed=seed),
-                         graph, log=log)
+            _, log = train_variant(graph, data, tiny_config(
+                max_epochs=5, seed=seed, hierarchy_finetune=False))
             totals = [e["train_total"] for e in log.entries]
             assert totals[-1] < totals[0]
 
@@ -88,29 +85,24 @@ class TestPhase1:
             breakdown = masked_loss(result, lam=0.0)
         tape.backward(breakdown.loss)
         grads = tape.gradients(model.params)
-        for name in model.parameter_names("recon."):
-            assert (grads[name] == 0.0).all()
-        assert any((grads[n] != 0).any() for n in model.parameter_names("head."))
-
-    def test_requires_omtl_variant(self):
-        graph, data = small_benchmark()
-        model = tiny_model(graph, "mmoe", d=10, de=3, experts=2)
-        with pytest.raises(ValidationError, match="omtl"):
-            train_phase1(model, data, tiny_config(), graph)
+        for name in model.params:
+            if name.startswith("recon."):
+                assert (grads[name] == 0.0).all()
+        assert any((grads[n] != 0).any() for n in model.params if n.startswith("head."))
 
 
 class TestPhase2:
     def test_freeze_contract_bit_identical(self):
         graph, data = small_benchmark()
         cfg = tiny_config(max_epochs=3)
-        model = tiny_model(graph, "omtl", d=10, de=3, experts=2)
-        train_phase1(model, data, cfg, graph)
-        frozen_before = {n: v for n, v in model.snapshot().items()
-                         if n.startswith(("expert.", "expert_gate."))}
-        train_phase2(model, data, cfg, graph)
-        after = model.snapshot()
-        for name, values in frozen_before.items():
-            assert np.array_equal(after[name], values), name
+        phase1, _ = train_variant(graph, data, replace(cfg, hierarchy_finetune=False))
+        model, log = train_variant(graph, data, cfg)
+        assert {e["phase"] for e in log.entries} == {"phase1", "phase2"}
+        frozen = [n for n in model.params if n.startswith(FROZEN_IN_PHASE2)]
+        assert frozen
+        for name in frozen:
+            assert np.array_equal(model.params[name].values,
+                                  phase1.params[name].values), name
 
     def test_edgeless_graph_has_no_parent_gates_but_still_tunes(self):
         nodes = [ConceptNode(f"n{i}", core=True, outcomes=("event",))
@@ -120,19 +112,16 @@ class TestPhase2:
         recs = [make_record(graph, rng, d=6, label=int(rng.random() < 0.4),
                             rid=f"r{i}") for i in range(40)]
         data = Dataset(records=recs, feature_dim=6, outcomes=("event",))
-        model = tiny_model(graph, "omtl", d=6, de=3, experts=2)
         cfg = tiny_config(max_epochs=3)
-        train_phase1(model, data, cfg, graph)
-        reprs_before = {n: v for n, v in model.snapshot().items()
-                        if n.startswith("repr.")}
-        train_phase2(model, data, cfg, graph)
-        assert model.parameter_names("parent_gate.") == []
-        changed = any(not np.array_equal(model.param(n).values, v)
-                      for n, v in reprs_before.items())
+        phase1, _ = train_variant(graph, data, replace(cfg, hierarchy_finetune=False))
+        model, _ = train_variant(graph, data, cfg)
+        assert not any(n.startswith("parent_gate.") for n in model.params)
+        changed = any(not np.array_equal(model.params[n].values, p.values)
+                      for n, p in phase1.params.items() if n.startswith("repr."))
         assert changed
 
     def test_frozen_step_gradients_match_unfrozen_step(self, monkeypatch):
-        # one phase-2 step through train_loop, with and without the freeze
+        # one phase-2 step through the phase loop, with and without the freeze
         graph, data = small_benchmark()
         tapes = []
 
@@ -143,12 +132,14 @@ class TestPhase2:
 
         monkeypatch.setattr(trainer, "Tape", KeptTape)
         cfg = tiny_config(max_epochs=1, batch_size=len(data.records))
+        cols = columns_of(data, graph)
+        split = trainer._split_validation(cols, graph, cfg)
         models = []
         for prefixes in (FROZEN_IN_PHASE2, ()):
             model = tiny_model(graph, "omtl", d=10, de=3, experts=2, dropout=0.2)
             reinit_parent_gates(model, cfg.seed)
-            train_loop(model, graph, data.records, cfg, prefixes, None,
-                       "phase2", TrainLog(), stage=1)
+            trainer._train_phase(model, cols, split, cfg, TrainLog(), "phase2", 1,
+                                 prefixes)
             models.append(model)
         frozen_tape, free_tape = tapes
         for (name, p), q in zip(models[0].params.items(),
@@ -165,21 +156,24 @@ class TestPhase2:
         graph, data = small_benchmark()
         model = tiny_model(graph, "omtl", d=10, de=3, experts=2)
         scheme = make_reward_scheme(graph, 0.5, "mortality")
+        cfg = tiny_config()
+        cols = columns_of(data, graph)
         # built without shared heads, so inner nodes lack the scheme's head
         with pytest.raises(ValidationError, match="no head"):
-            train_phase2(model, data, tiny_config(), graph, scheme=scheme)
+            trainer._train_phase(model, cols, trainer._split_validation(cols, graph, cfg),
+                                 cfg, TrainLog(), "phase2", 1, FROZEN_IN_PHASE2, scheme)
         assert [n for n, p in model.params.items() if p.const] == []
 
     def test_phase2_reinitializes_parent_gates(self):
         graph, data = small_benchmark()
         cfg = tiny_config(max_epochs=0)
-        model = tiny_model(graph, "omtl", d=10, de=3, experts=2)
-        gates_at_build = {n: v for n, v in model.snapshot().items()
-                          if n.startswith("parent_gate.")}
-        train_phase1(model, data, cfg, graph)
-        train_phase2(model, data, cfg, graph)
+        gates_at_build = {n: v for n, v in tiny_model(
+            graph, "omtl", d=10, de=3, experts=2).snapshot().items()
+            if n.startswith("parent_gate.")}
+        model, _ = train_variant(graph, data, cfg)
+        assert gates_at_build
         for name, values in gates_at_build.items():
-            assert not np.array_equal(model.param(name).values, values)
+            assert not np.array_equal(model.params[name].values, values)
 
 
 class TestBaselines:
@@ -192,19 +186,15 @@ class TestBaselines:
         recs = [make_record(graph, rng, d=6, label=int(rng.random() < 0.4),
                             rid=f"r{i}") for i in range(30)]
         data = Dataset(records=recs, feature_dim=6, outcomes=("event",))
-        cfg = tiny_config(variant="omtl", max_epochs=3, dropout=0.3, seed=5)
-        from omtl.model import ModelSpec
-        spec = ModelSpec(variant="omtl", num_experts=2, feature_dim=6,
-                         repr_dim=3, dropout=0.3)
-        omtl = build_model(spec, graph, seed=5)
-        train_phase1(omtl, data, cfg, graph)
-        mmoe = train_baseline("mmoe", data, tiny_config(
-            variant="mmoe", max_epochs=3, dropout=0.3, seed=5), graph)
+        omtl, _ = train_variant(graph, data, tiny_config(
+            variant="omtl", max_epochs=3, dropout=0.3, seed=5, hierarchy_finetune=False))
+        mmoe, _ = train_variant(graph, data, tiny_config(
+            variant="mmoe", max_epochs=3, dropout=0.3, seed=5))
         # same init stream, same shuffles, same dropout draws, no gates H
         assert sorted(omtl.params) == sorted(mmoe.params)
         for name in omtl.params:
-            assert np.array_equal(omtl.param(name).values,
-                                  mmoe.param(name).values), name
+            assert np.array_equal(omtl.params[name].values,
+                                  mmoe.params[name].values), name
 
     def test_sb_fewer_params_than_moe(self):
         graph, _ = small_benchmark()
@@ -222,11 +212,6 @@ class TestBaselines:
                     assert np.isfinite(entry["train_total"])
                 post = evaluate_loss(model, graph, data.records, cfg, None)
                 assert np.isfinite(post.total)
-
-    def test_baseline_rejects_omtl(self):
-        graph, data = small_benchmark()
-        with pytest.raises(ValidationError, match="two phases"):
-            train_baseline("omtl", data, tiny_config(), graph)
 
 
 class TestEarlyStopping:
@@ -278,6 +263,23 @@ class TestEarlyStopping:
         assert len(log.entries) <= 4
 
 
+class TestDivergence:
+    @pytest.mark.parametrize("variant", ["omtl", "mmoe", "sb"])
+    @pytest.mark.parametrize("budget", [dict(max_epochs=1), dict(patience=1)],
+                             ids=["one-epoch", "patience-1"])
+    def test_diverged_run_raises(self, variant, budget):
+        # one batch per epoch: the step that diverges is the epoch's last,
+        # so only the monitored loss can show it
+        graph, data = generate_synthetic(SynthConfig(
+            levels=2, branching=2, records_per_node=30, feature_dim=4,
+            low_data_records=10, seed=1))
+        cfg = TrainConfig(variant=variant, lr=1e300, batch_size=len(data.records),
+                          **budget)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericalError, match="monitored loss in phase '.*', epoch 0"):
+            train_variant(graph, data, cfg)
+
+
 class TestDeterminism:
     def test_same_seed_same_parameters(self):
         graph, data = small_benchmark()
@@ -285,7 +287,7 @@ class TestDeterminism:
         m1, _ = train_variant(graph, data, cfg)
         m2, _ = train_variant(graph, data, cfg)
         for name in m1.params:
-            assert np.array_equal(m1.param(name).values, m2.param(name).values)
+            assert np.array_equal(m1.params[name].values, m2.params[name].values)
 
 
 class TestColumnarTraining:
@@ -413,24 +415,27 @@ class _FirstStep(Exception):
 
 def first_step_ops(monkeypatch, variant: str, phase: int = 1, **cohort) -> int:
     """Tape ops of the first training step of `variant` (of omtl's `phase`),
-    default training config, on the seed-0 synthetic cohort with `cohort`
-    fields."""
+    default training config but one epoch per phase, on the seed-0
+    synthetic cohort with `cohort` fields."""
     ops = []
+    counting = [phase == 1]
 
     class CountingTape(Tape):
         def backward(self, loss):
+            if not counting[0]:
+                return super().backward(loss)
             ops.append(len(self._ops))
             raise _FirstStep
 
+    def phase2_starts(model, seed):
+        counting[0] = True
+        reinit_parent_gates(model, seed)
+
     graph, data = generate_synthetic(SynthConfig(seed=0, **cohort))
-    cfg = TrainConfig(variant=variant, seed=0)
     monkeypatch.setattr(trainer, "Tape", CountingTape)
+    monkeypatch.setattr(trainer, "reinit_parent_gates", phase2_starts)
     with pytest.raises(_FirstStep):
-        if variant != "omtl":
-            train_baseline(variant, data, cfg, graph)
-        else:
-            model = build_model(cfg.model_spec(data.feature_dim), graph, seed=0)
-            (train_phase1 if phase == 1 else train_phase2)(model, data, cfg, graph)
+        train_variant(graph, data, TrainConfig(variant=variant, seed=0, max_epochs=1))
     return ops[0]
 
 
@@ -477,29 +482,22 @@ class TestLevelOps:
         gc.collect()
         gc.disable()
         try:
-            if variant == "omtl":
-                model = tiny_model(graph, "omtl", d=10, de=3, experts=2, dropout=0.2)
-                train_phase1(model, data, cfg, graph)
-                train_phase2(model, data, cfg, graph)
-            else:
-                train_baseline(variant, data, cfg, graph)
+            train_variant(graph, data, cfg)
             assert tapes and all(ref() is None for ref in tapes)
         finally:
             gc.enable()
 
     def test_parameters_stay_views_of_the_arena(self, tmp_path):
         graph, data = small_benchmark()
-        model = tiny_model(graph, "omtl", d=10, de=3, experts=2)
 
         def attached(m) -> bool:
             return all(np.shares_memory(p.values, m.arena.values)
                        for p in m.params.values())
 
-        assert attached(model)
+        assert attached(tiny_model(graph, "omtl", d=10, de=3, experts=2))
         cfg = tiny_config(max_epochs=2)
-        train_phase1(model, data, cfg, graph)
-        assert attached(model)
-        train_phase2(model, data, cfg, graph)
+        assert attached(train_variant(graph, data, replace(cfg, hierarchy_finetune=False))[0])
+        model, _ = train_variant(graph, data, cfg)
         assert attached(model)
         model.restore(model.snapshot())
         assert attached(model)
