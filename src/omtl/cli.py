@@ -22,8 +22,8 @@ from .datastore import (SynthConfig, generate_synthetic, load_dataset, make_fold
                         save_dataset)
 from .errors import OmtlError, ValidationError
 from .fields import json_field, read_json, write_json
-from .metrics import ScoredSet, compare_scored_sets, score_metrics
-from .model import build_model, forward, load_model, save_model
+from .metrics import ScoredSet, compare_scored_sets, score_metrics, two_class
+from .model import VARIANTS, build_model, forward, load_model, save_model
 from .ontology import GrowthConfig, grow_from_core, load_graph, save_graph
 from .rng import substream
 from .tensor import Tape
@@ -141,17 +141,12 @@ def cmd_eval(args) -> int:
     model = load_model(args.model, graph)
     collected = score_holdout(model, graph, data.records)
     sets = {key: scored_set(key, collected[key]) for key in sorted(collected)}
-    per_target = {}
-    roc_obj = {}
-    for key, s in sets.items():
-        name = "|".join(key)
-        if 0 < s.n_pos < s.n:
-            tm = score_metrics(s)
-            per_target[name] = tm.to_json_obj()
-            roc_obj[name] = [list(p) for p in tm.roc]
+    per_target = {"|".join(key): score_metrics(s).to_json_obj()
+                  for key, s in two_class(sets).items()}
     report = {"per_target": per_target,
               "metadata": {"model": args.model, "n_records": len(data.records)}}
-    _write_outputs(args, {args.report: report, args.roc_out: roc_obj,
+    _write_outputs(args, {args.report: report,
+                          args.roc_out: {n: tm["roc"] for n, tm in per_target.items()},
                           args.scores_out: _scores_obj(sets)})
     return 0
 
@@ -209,9 +204,10 @@ def cmd_compare(args) -> int:
     names = args.reports.split(",") if args.reports else ["a", "b"]
     name_a = names[0]
     name_b = names[1] if len(names) > 1 else "b"
-    shared = sorted(set(sets_a) & set(sets_b))
+    shared = sorted(two_class(sets_a).keys() & two_class(sets_b).keys())
     if not shared:
-        raise ValidationError("the two score files share no (node, outcome) targets")
+        raise ValidationError("the two score files share no (node, outcome) target "
+                              "that holds both classes")
     comparisons = [compare_scored_sets(sets_a[key], sets_b[key], name_a, name_b)
                    for key in shared]
     _write_outputs(args, {args.out: {"comparisons": comparisons}})
@@ -309,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--variant", choices=["omtl", "mmoe", "moe", "sb"])
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)

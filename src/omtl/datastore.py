@@ -159,6 +159,15 @@ class FoldPlan:
     def fold_of(self, record_id: str) -> int:
         return self.assignment[record_id]
 
+    def folds_of(self, ids: np.ndarray) -> np.ndarray:
+        """The fold of each record id of ids, which the plan must cover."""
+        missing = [rid for rid in ids.tolist() if rid not in self.assignment]
+        if missing:
+            raise ValidationError(f"fold plan does not cover {len(missing)} records "
+                                  f"(first: {missing[0]!r})")
+        return np.fromiter(map(self.assignment.__getitem__, ids), dtype=np.intp,
+                           count=len(ids))
+
     def to_json_obj(self) -> dict:
         return {"k": self.k, "seed": self.seed, "assignment": self.assignment}
 
@@ -224,7 +233,7 @@ def _record_from_obj(raw, graph: OntologyGraph, known_outcomes: set[str],
 def save_dataset(dataset: Dataset, path: str) -> None:
     with output_file(path) as fh:
         for r in dataset.records:
-            obj = {"id": r.id, "features": [float(v) for v in r.features],
+            obj = {"id": r.id, "features": np.asarray(r.features, float).tolist(),
                    "concepts": sorted(r.concepts), "labels": r.labels}
             fh.write(json.dumps(obj) + "\n")
 
@@ -495,11 +504,12 @@ def generate_synthetic(config: SynthConfig) -> tuple[OntologyGraph, Dataset]:
     rng = substream(config.seed, "synth")
     d = config.feature_dim
 
-    prototypes = {nid: rng.normal(0.0, 1.0, size=d) for nid in graph.ordered_ids}
+    nodes = graph.ordered_ids
+    prototypes = rng.normal(0.0, 1.0, size=(len(nodes), d))
     weights: dict[str, dict[str, np.ndarray]] = {}
     for outcome in config.outcomes:
         w: dict[str, np.ndarray] = {}
-        for nid in graph.ordered_ids:  # parents precede children
+        for nid in nodes:  # parents precede children
             ps = graph.parents[nid]
             fresh = rng.normal(0.0, 1.0, size=d) / np.sqrt(d)
             if ps:
@@ -512,49 +522,37 @@ def generate_synthetic(config: SynthConfig) -> tuple[OntologyGraph, Dataset]:
         weights[outcome] = w
 
     low_data = config.low_data_node
-    if low_data is None:
-        leaves = [nid for nid in graph.ordered_ids if graph.nodes[nid].core]
-        low_data = leaves[-1] if leaves else None
-    if low_data is not None and low_data not in graph.nodes:
+    if low_data is None:  # the last leaf
+        low_data = [nid for nid in nodes if graph.nodes[nid].core][-1]
+    elif low_data not in graph.nodes:
         raise ValidationError(f"low_data_node {low_data!r} is not in the graph")
 
-    records: list[Record] = []
-    anchors: list[str] = []
-    feats: list[np.ndarray] = []
-    for nid in graph.ordered_ids:
-        n = config.records_per_node
-        if nid == low_data:
-            n = min(n, config.low_data_records)
-        mu = prototypes[nid]
-        for _ in range(n):
-            anchors.append(nid)
-            feats.append(mu + config.noise_scale * rng.normal(0.0, 1.0, size=d))
+    counts = [min(config.records_per_node, config.low_data_records) if nid == low_data
+              else config.records_per_node for nid in nodes]
+    anchors = np.repeat(np.arange(len(nodes)), counts)
+    feats = prototypes[anchors] + config.noise_scale * rng.normal(
+        0.0, 1.0, size=(anchors.size, d))
 
-    labeled_idx = [i for i, a in enumerate(anchors) if graph.nodes[a].core]
-    labels_by_idx: dict[int, dict[str, int]] = {i: {} for i in labeled_idx}
-    for outcome in config.outcomes:
-        if not labeled_idx:
-            break
-        scores = np.array([weights[outcome][anchors[i]] @ feats[i] for i in labeled_idx])
+    labeled = np.flatnonzero(np.array([graph.nodes[n].core for n in nodes])[anchors])
+    drawn: dict[str, np.ndarray] = {}
+    for outcome in config.outcomes if labeled.size else ():
+        w = weights[outcome]
+        # one dot per record: a batched product may round differently
+        scores = np.array([w[nodes[a]] @ feats[i]
+                           for a, i in zip(anchors[labeled], labeled)])
         # center per anchor cohort so every node sees the target prevalence,
         # then sharpen the within-cohort signal
-        for nid in set(anchors[i] for i in labeled_idx):
-            sel = np.array([anchors[i] == nid for i in labeled_idx])
+        for a in np.unique(anchors[labeled]):
+            sel = anchors[labeled] == a
             scores[sel] -= scores[sel].mean()
         scores = config.signal_gain * scores / max(np.std(scores), 1e-12)
-        uniforms = rng.random(len(labeled_idx))
+        uniforms = rng.random(labeled.size)
         bias = _tune_bias(scores, uniforms, config.prevalence)
-        p = 1.0 / (1.0 + np.exp(-(scores + bias)))
-        drawn = uniforms < p
-        for j, i in enumerate(labeled_idx):
-            labels_by_idx[i][outcome] = int(drawn[j])
+        drawn[outcome] = uniforms < 1.0 / (1.0 + np.exp(-(scores + bias)))
 
-    for i, (anchor, x) in enumerate(zip(anchors, feats)):
-        records.append(Record(
-            id=f"r{i:05d}",
-            features=x,
-            concepts=ancestor_closure(graph, [anchor]),
-            labels=labels_by_idx.get(i, {}),
-        ))
-    dataset = Dataset(records=records, feature_dim=d, outcomes=config.outcomes)
-    return graph, dataset
+    closures = [ancestor_closure(graph, [nid]) for nid in nodes]
+    records = [Record(id=f"r{i:05d}", features=x, concepts=closures[a], labels={})
+               for i, (a, x) in enumerate(zip(anchors.tolist(), feats))]
+    for j, i in enumerate(labeled.tolist()):
+        records[i].labels.update((o, int(v[j])) for o, v in drawn.items())
+    return graph, Dataset(records=records, feature_dim=d, outcomes=config.outcomes)

@@ -192,6 +192,13 @@ class EvalReport:
         }
 
 
+def two_class(sets: dict) -> dict:
+    """The scored sets of sets, by key, that hold both classes: the only
+    ones AUC, ROC and the DeLong test measure. A one-class set is scored
+    but not measured."""
+    return {key: s for key, s in sets.items() if 0 < s.n_pos < s.n}
+
+
 def score_metrics(s: ScoredSet, with_roc: bool = True) -> TargetMetrics:
     return TargetMetrics(
         auc=auc_roc(s), aps=average_precision(s), n=s.n, n_pos=s.n_pos,

@@ -5,7 +5,9 @@ concept node owns an expert gate (softmax over experts), a representation
 layer (Softplus), a reconstruction head (ReLU), and, when ontology routing
 is enabled, a parent gate (softmax over its graph parents) that mixes the
 parents' representations into its own input. Outcome heads hang off the
-representation of their node and emit sigmoid probabilities.
+representation of their node and emit sigmoid probabilities. A forward
+pass returns arrays (`ForwardResult`); the loss and scoring
+(`trainer.score_holdout`) each run one head op over all of the pass's pairs.
 
 All parameters live in one `tensor.Arena`, laid out by freeze group and,
 within a group, kind by kind over every node in level order: the experts
@@ -29,7 +31,6 @@ softmax over one logit would.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -293,87 +294,45 @@ def reinit_parent_gates(model: OmtlModel, seed: int) -> None:
             _draw(model.params, rng, f"parent_gate.{nid}")
 
 
+@dataclass(eq=False)
 class ForwardResult:
-    """A forward pass over rows of a cohort's columns: the batch's (row,
-    node) pairs and their representations, plus the feature rows of the
-    batch (the reconstruction targets).
+    """A forward pass over rows of a cohort's columns, as arrays: the
+    batch's (row, node) pairs and their representations, the batch's
+    feature rows (the reconstruction targets), and its labels.
 
     Pairs are node-major, nodes in level order: pair p is batch row
     pair_rows[p] at node seg.of[p], rows ascending within a node. A batch
     whose records express no node has no pairs, and seg and rep are None.
-    The per-node views (rows, representations, outcome logits) are built
-    on first use. A node's rows are ascending indices into the batch,
-    which is row `batch[i]` of the columns for batch index i. In train mode
-    a head appears in outcome_logits only when some row of its node labels
-    its outcome; in eval mode, always.
+    labels and labeled are (batch, model outcomes) arrays of each row's
+    label and of whether it has one.
     """
 
-    def __init__(self, model: OmtlModel, cols: Columns, batch: np.ndarray | None,
-                 pair_rows: np.ndarray, seg: Segments | None, rep: Tensor | None,
-                 inputs: np.ndarray, mode: str):
-        self.model, self.cols, self.batch = model, cols, batch
-        self.pair_rows, self.seg, self.rep = pair_rows, seg, rep
-        self.inputs, self.mode = inputs, mode
+    model: OmtlModel
+    pair_rows: np.ndarray
+    seg: Segments | None
+    rep: Tensor | None
+    inputs: np.ndarray
+    labels: np.ndarray
+    labeled: np.ndarray
 
-    def _per_node(self, values: np.ndarray) -> dict:
-        if self.seg is None:
-            return {}
-        nodes = self.model.graph.ordered_ids
-        return {nodes[m]: values[s:e] for m, s, e in self.seg.runs()}
 
-    @cached_property
-    def rows(self) -> dict[str, np.ndarray]:
-        return self._per_node(self.pair_rows)
-
-    @cached_property
-    def representations(self) -> dict[str, Tensor]:
-        if self.rep is None:
-            return {}
-        return {n: Tensor(v, const=True)
-                for n, v in self._per_node(self.rep.values).items()}
-
-    @cached_property
-    def outcome_logits(self) -> dict[tuple[str, str], Tensor]:
-        model = self.model
-        if self.seg is None or model.head_w is None:
-            return {}
-        pair, head = model.head_pairs(self.seg)
-        if not pair.size:
-            return {}
-        labeled = self.label_arrays[1] if self.mode == "train" else None
-        hseg = Segments(head)
-        z, _ = T.rowwise_affine(self.rep.values[pair], model.head_w.values,
-                                model.head_b.values, hseg)
-        logits = {}
-        for h, s, e in hseg.runs():
-            if labeled is None or labeled[self.pair_rows[pair[s:e]],
-                                          model.head_outcome[h]].any():
-                logits[model.head_keys[h]] = Tensor(z[s:e], const=True)
-        return logits
-
-    @cached_property
-    def label_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(labels, labeled): (batch, model outcomes) arrays of each row's
-        label and of whether it has one."""
-        cols, outcomes = self.cols, self.model.outcomes
-        rows = slice(None) if self.batch is None else self.batch
-        if cols.outcomes[:len(outcomes)] == outcomes:
-            return cols.labels[rows, :len(outcomes)], cols.labeled[rows, :len(outcomes)]
-        have = [k for k, o in enumerate(outcomes) if o in cols.outcomes]
-        src = [cols.outcomes.index(outcomes[k]) for k in have]
-        labels = np.zeros((self.inputs.shape[0], len(outcomes)))
-        labeled = np.zeros(labels.shape, dtype=bool)
-        labels[:, have] = cols.labels[rows][:, src]
-        labeled[:, have] = cols.labeled[rows][:, src]
-        return labels, labeled
-
-    def predictions(self) -> dict[tuple[str, str], np.ndarray]:
-        """Sigmoid of each logit column, clipped into open (0, 1)."""
-        out = {}
-        lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
-        for key, z in self.outcome_logits.items():
-            out[key] = np.clip(T._sigmoid_values(z.values[:, 0]), lo, hi)
-        return out
+def _label_arrays(model: OmtlModel, cols: Columns,
+                  rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, labeled) of rows of cols (all rows for None) over the
+    model's outcomes: views when the columns' outcomes begin with the
+    model's, and otherwise remapped, since a loaded model may carry heads
+    for outcomes the cohort lacks."""
+    outcomes = model.outcomes
+    rows = slice(None) if rows is None else rows
+    if cols.outcomes[:len(outcomes)] == outcomes:
+        return cols.labels[rows, :len(outcomes)], cols.labeled[rows, :len(outcomes)]
+    have = [k for k, o in enumerate(outcomes) if o in cols.outcomes]
+    src = [cols.outcomes.index(outcomes[k]) for k in have]
+    labels = np.zeros((cols.ids[rows].size, len(outcomes)))
+    labeled = np.zeros(labels.shape, dtype=bool)
+    labels[:, have] = cols.labels[rows][:, src]
+    labeled[:, have] = cols.labeled[rows][:, src]
+    return labels, labeled
 
 
 def _route(model: OmtlModel, x: np.ndarray, rows: np.ndarray, node: np.ndarray,
@@ -429,8 +388,9 @@ def forward(model: OmtlModel, data, mode: str = "eval", dropout_rng=None,
     experts = T.expert_layer(x, model.expert_w, model.expert_b, spec.leaky_slope,
                              spec.dropout, dropout_rng, train)
     node, pair_rows = np.nonzero(member.T)
+    labels, labeled = _label_arrays(model, cols, rows)
     if not pair_rows.size:
-        return ForwardResult(model, cols, rows, pair_rows, None, None, x.values, mode)
+        return ForwardResult(model, pair_rows, None, None, x.values, labels, labeled)
     seg = Segments(node)
     mixed, _ = T.expert_mix(x, experts, spec.num_experts, pair_rows, seg,
                             model.gate_w, model.gate_b)
@@ -438,7 +398,7 @@ def forward(model: OmtlModel, data, mode: str = "eval", dropout_rng=None,
     if model.hierarchy_enabled and model.parents.shape[1]:
         route = _route(model, x.values, pair_rows, node, member.shape[0])
     rep = T.represent(mixed, model.repr_w, model.repr_b, seg, route)
-    return ForwardResult(model, cols, rows, pair_rows, seg, rep, x.values, mode)
+    return ForwardResult(model, pair_rows, seg, rep, x.values, labels, labeled)
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,7 @@ class LossBreakdown:
 class RewardScheme:
     """Level-based outcome-loss weights, mean-normalized over the graph."""
 
-    f: float
     outcome: str
-    depth: int
     weights: dict[str, float]
 
 
@@ -66,8 +64,7 @@ def reward_weights(graph: OntologyGraph, f: float) -> dict[str, float]:
 
 
 def make_reward_scheme(graph: OntologyGraph, f: float, outcome: str) -> RewardScheme:
-    return RewardScheme(f=f, outcome=outcome, depth=graph.depth,
-                        weights=reward_weights(graph, f))
+    return RewardScheme(outcome=outcome, weights=reward_weights(graph, f))
 
 
 def _pair_loss(result, lam: float, head_weight: np.ndarray) -> LossBreakdown:
@@ -90,15 +87,15 @@ def _pair_loss(result, lam: float, head_weight: np.ndarray) -> LossBreakdown:
         per_node = dict(zip([nodes[m] for m in seg.members.tolist()],
                             (sums * inv).tolist()))
     if rep is not None and model.head_w is not None:
-        labels, labeled = result.label_arrays
         pair, head = model.head_pairs(seg)
         prow, outcome = rows[pair], model.head_outcome[head]
-        weight = labeled[prow, outcome] * head_weight[head]
+        weight = result.labeled[prow, outcome] * head_weight[head]
         keep = np.flatnonzero(weight)
         if keep.size:
             hseg = T.Segments(head[keep])
             term, sums = T.head_bce(rep, pair[keep], model.head_w, model.head_b, hseg,
-                                    labels[prow[keep], outcome[keep]], weight[keep])
+                                    result.labels[prow[keep], outcome[keep]],
+                                    weight[keep])
             l1_terms.append(term)
             per_outcome = dict(zip([model.head_keys[h] for h in hseg.members.tolist()],
                                    (sums * inv).tolist()))
@@ -125,7 +122,7 @@ def shaped_loss(result, lam: float, scheme: RewardScheme) -> LossBreakdown:
     model = result.model
     k = model.outcome_col.get(scheme.outcome)
     if k is not None and result.seg is not None:
-        bad = np.flatnonzero(result.label_arrays[1][result.pair_rows, k]
+        bad = np.flatnonzero(result.labeled[result.pair_rows, k]
                              & ~model.has_head[result.seg.of, k])
         if bad.size:
             raise ValidationError(

@@ -18,12 +18,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import tensor as T
 from .datastore import Columns, Dataset, FoldPlan, columns_of, make_folds
 from .fields import config_fields
 from .errors import NumericalError, ValidationError
-from .metrics import (EvalReport, ScoredSet, compare_scored_sets, score_metrics)
-from .model import (FROZEN_IN_PHASE1, FROZEN_IN_PHASE2, ModelSpec, OmtlModel,
-                    build_model, forward, reinit_parent_gates)
+from .metrics import (EvalReport, ScoredSet, compare_scored_sets, score_metrics,
+                      two_class)
+from .model import (FROZEN_IN_PHASE1, FROZEN_IN_PHASE2, VARIANTS, ModelSpec,
+                    OmtlModel, build_model, forward, reinit_parent_gates)
 from .objective import (LossBreakdown, RewardScheme, make_reward_scheme,
                         masked_loss, shaped_loss)
 from .ontology import OntologyGraph
@@ -100,6 +102,8 @@ class TrainConfig:
     leaky_slope: float = 0.01
 
     def validate(self) -> None:
+        if self.variant not in VARIANTS:
+            raise ValidationError(f"unknown variant {self.variant!r}")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
         if not self.lr > 0:
@@ -172,8 +176,7 @@ def _split_validation(cols: Columns, graph: OntologyGraph, cfg: TrainConfig) -> 
         return every, none
     seed = int(substream(cfg.seed, "valsplit.0").integers(2 ** 31))
     plan = make_folds(cols, graph, k=k, seed=seed)
-    fold = np.fromiter(map(plan.assignment.__getitem__, cols.ids), dtype=np.intp,
-                       count=len(cols))
+    fold = plan.folds_of(cols.ids)
     return np.flatnonzero(fold != 0), np.flatnonzero(fold == 0)
 
 
@@ -313,14 +316,12 @@ class CvResult:
     def to_json_obj(self) -> dict:
         agg: dict[str, dict] = {}
         for key in sorted(self.pooled):
-            per_fold = [r.per_target[key].auc for r in self.fold_reports
-                        if key in r.per_target]
-            aps_fold = [r.per_target[key].aps for r in self.fold_reports
-                        if key in r.per_target]
+            folds = [r.per_target[key] for r in self.fold_reports if key in r.per_target]
+            per_fold = [m.auc for m in folds]
             agg["|".join(key)] = {
-                "auc_mean": float(np.mean(per_fold)) if per_fold else None,
+                "auc_mean": float(np.mean(per_fold)) if folds else None,
                 "auc_per_fold": per_fold,
-                "aps_mean": float(np.mean(aps_fold)) if aps_fold else None,
+                "aps_mean": float(np.mean([m.aps for m in folds])) if folds else None,
             }
         return {
             "variant": self.variant,
@@ -346,22 +347,32 @@ def _chunks(records, graph: OntologyGraph):
 
 def score_holdout(model: OmtlModel, graph: OntologyGraph,
                   records) -> dict[tuple[str, str], list[tuple[str, int, float]]]:
-    """Eval-mode predictions for every labeled (core node, outcome) pair the
-    held-out records (a record list, Columns or a Dataset) express; returns
-    (record id, label, score) triples."""
+    """Eval-mode scores of every head the masked loss supervises (a core
+    node's own outcome) over the held-out records (a record list, Columns
+    or a Dataset) that express its node and label its outcome; returns
+    (record id, label, score) triples by (node, outcome). Scores are
+    sigmoids of the head logits, clipped into open (0, 1)."""
     collected: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
+    lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
     for cols in _chunks(records, graph):
         result = forward(model, cols, "eval", None)
-        for (nid, o), p in result.predictions().items():
-            if not graph.nodes[nid].core or o not in graph.nodes[nid].outcomes:
-                continue
-            k = cols.outcomes.index(o)
-            rows = result.rows[nid]
-            keep = np.flatnonzero(cols.labeled[rows, k])
-            rows = rows[keep]
-            collected.setdefault((nid, o), []).extend(zip(
-                cols.ids[rows].tolist(), cols.labels[rows, k].astype(int).tolist(),
-                p[keep].tolist()))
+        if result.seg is None:
+            continue
+        pair, head = model.head_pairs(result.seg)
+        if not pair.size:
+            continue
+        hseg = T.Segments(head)
+        z, _ = T.rowwise_affine(result.rep.values[pair], model.head_w.values,
+                                model.head_b.values, hseg)
+        scores = np.clip(T._sigmoid_values(z[:, 0]), lo, hi)
+        for h, s, e in hseg.runs():
+            if model.head_masked[h]:
+                rows, k = result.pair_rows[pair[s:e]], model.head_outcome[h]
+                keep = np.flatnonzero(result.labeled[rows, k])
+                rows = rows[keep]
+                collected.setdefault(model.head_keys[h], []).extend(zip(
+                    cols.ids[rows].tolist(), result.labels[rows, k].astype(int).tolist(),
+                    scores[s:e][keep].tolist()))
     return collected
 
 
@@ -384,13 +395,7 @@ def run_cv(graph: OntologyGraph, data, cfg: TrainConfig, k: int = 5,
         plan = make_folds(cols, graph, k=k, seed=cfg.seed)
     elif plan.k != k:
         raise ValidationError(f"fold plan has k={plan.k}, requested k={k}")
-    missing = [rid for rid in cols.ids.tolist() if rid not in plan.assignment]
-    if missing:
-        raise ValidationError(
-            f"fold plan does not cover {len(missing)} records "
-            f"(first: {missing[0]!r})")
-    folds = np.fromiter(map(plan.assignment.__getitem__, cols.ids), dtype=np.intp,
-                        count=len(cols))
+    folds = plan.folds_of(cols.ids)
 
     fold_reports: list[EvalReport] = []
     logs: list[TrainLog] = []
@@ -404,18 +409,17 @@ def run_cv(graph: OntologyGraph, data, cfg: TrainConfig, k: int = 5,
                                  f"training: {sorted(leaked)[:3]}")
         collected = score_holdout(model, graph, test)
         logs.append(log)
-        per_target = {}
         for key, triples in sorted(collected.items()):
             pooled_triples.setdefault(key, []).extend(triples)
-            s = scored_set(key, triples)
-            if 0 < s.n_pos < s.n:
-                per_target[key] = score_metrics(s, with_roc=False)
-        fold_reports.append(EvalReport(per_target=per_target,
-                                       metadata={"fold": fold}))
+        sets = {key: scored_set(key, t) for key, t in sorted(collected.items())}
+        fold_reports.append(EvalReport(
+            per_target={key: score_metrics(s, with_roc=False)
+                        for key, s in two_class(sets).items()},
+            metadata={"fold": fold}))
     pooled = {key: scored_set(key, triples)
               for key, triples in sorted(pooled_triples.items())}
     pooled_report = EvalReport(
-        per_target={key: score_metrics(s) for key, s in pooled.items()},
+        per_target={key: score_metrics(s) for key, s in two_class(pooled).items()},
         metadata={"delong_pooling": "out_of_fold_pooled", "k": k,
                   "variant": cfg.variant, "seed": cfg.seed})
     return CvResult(variant=cfg.variant, plan=plan, fold_reports=fold_reports,
@@ -430,6 +434,8 @@ def compare_variants(graph: OntologyGraph, data, cfg: TrainConfig,
     repeated = [v for i, v in enumerate(variants) if v in variants[:i]]
     if repeated:
         raise ValidationError(f"variant {repeated[0]!r} is listed more than once")
+    for v in variants:
+        replace(cfg, variant=v).validate()
     cols = columns_of(data, graph)
     plan = make_folds(cols, graph, k=k, seed=cfg.seed)
     results = {v: run_cv(graph, cols, replace(cfg, variant=v), k=k, plan=plan)
@@ -437,7 +443,8 @@ def compare_variants(graph: OntologyGraph, data, cfg: TrainConfig,
     comparisons: list[dict] = []
     for i, va in enumerate(variants):
         for vb in variants[i + 1:]:
-            shared = sorted(set(results[va].pooled) & set(results[vb].pooled))
+            shared = sorted(two_class(results[va].pooled).keys()
+                            & two_class(results[vb].pooled).keys())
             for key in shared:
                 comparisons.append(compare_scored_sets(
                     results[va].pooled[key], results[vb].pooled[key], va, vb))

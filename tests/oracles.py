@@ -2,12 +2,14 @@
 
 Everything here deliberately avoids the package's own code paths: brute
 force, enumeration, finite differences, and a hand-coded Adam. Keep these
-dumb and obviously correct.
+dumb and obviously correct. `node_views` is the one exception: it only
+lays a forward pass's arrays out per node, for comparison with them.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -217,6 +219,33 @@ def node_block_forward(p: dict, variant: str, num_experts: int, slope: float,
             logits[(nid, o)] = float(reps[nid] @ p[f"head.{nid}.{o}.w"][:, 0]
                                      + p[f"head.{nid}.{o}.b"][0, 0])
     return reps, recons, logits
+
+
+def node_views(result) -> SimpleNamespace:
+    """Per-node views of a forward pass, for comparing it node by node with
+    a reference: rows (each expressed node's ascending batch rows), reps
+    (their representations) and logits (each head's logit column over its
+    node's rows, by (node, outcome)). Not itself a reference: the logits
+    come from the head affine that scoring runs, `model.head_pairs` and
+    `tensor.rowwise_affine`."""
+    from omtl import tensor as T
+
+    model, seg = result.model, result.seg
+    views = SimpleNamespace(rows={}, reps={}, logits={})
+    if seg is None:
+        return views
+    for m, s, e in seg.runs():
+        nid = model.graph.ordered_ids[m]
+        views.rows[nid] = result.pair_rows[s:e]
+        views.reps[nid] = result.rep.values[s:e]
+    pair, head = model.head_pairs(seg)
+    if pair.size:
+        hseg = T.Segments(head)
+        z, _ = T.rowwise_affine(result.rep.values[pair], model.head_w.values,
+                                model.head_b.values, hseg)
+        for h, s, e in hseg.runs():
+            views.logits[model.head_keys[h]] = z[s:e]
+    return views
 
 
 class ReferenceAdam:

@@ -25,8 +25,8 @@ from omtl.trainer import TrainConfig, _FlatAdam, compare_variants, train_variant
 from conftest import (arena_params, chain_graph, diamond_graph, gate_weights,
                       make_record, random_dag, sq_loss, tiny_model)
 from oracles import (ReferenceAdam, finite_difference_gradients,
-                     max_relative_error, pairwise_auc, permutation_delong_p,
-                     threshold_sweep_ap)
+                     max_relative_error, node_views, pairwise_auc,
+                     permutation_delong_p, threshold_sweep_ap)
 
 LOW_DATA_KEY = "n2_3|mortality"
 
@@ -124,14 +124,12 @@ def test_criterion_3_mmoe_reduction():
     worst = 0.0
     for i in range(1000):
         rec = make_record(graph, rng, d=7, label=1, rid=f"r{i}")
-        ra = forward(omtl, rec, mode="eval")
-        rb = forward(mmoe, rec, mode="eval")
-        for nid in ra.representations:
-            worst = max(worst, np.abs(ra.representations[nid].values
-                                      - rb.representations[nid].values).max())
-        for key in ra.outcome_logits:
-            worst = max(worst, np.abs(ra.outcome_logits[key].values
-                                      - rb.outcome_logits[key].values).max())
+        ra = node_views(forward(omtl, rec, mode="eval"))
+        rb = node_views(forward(mmoe, rec, mode="eval"))
+        for nid in ra.reps:
+            worst = max(worst, np.abs(ra.reps[nid] - rb.reps[nid]).max())
+        for key in ra.logits:
+            worst = max(worst, np.abs(ra.logits[key] - rb.logits[key]).max())
     criterion(3, f"omtl with hierarchy off vs mmoe with shared parameters: "
                  f"max output diff {worst:.1e} (< 1e-12) over 1000 records",
               worst < 1e-12)
@@ -163,7 +161,7 @@ def test_criterion_4_routing_and_masking():
             if grown == closure:
                 break
             closure = grown
-        ok = ok and set(result.representations) == closure
+        ok = ok and set(node_views(result).reps) == closure
 
         for name, grad in grads.items():
             outside = any(f".{nid}." in name for nid in graph.nodes

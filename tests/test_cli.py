@@ -164,6 +164,62 @@ def test_cv_multi_variant_report(tmp_path):
     assert obj["comparisons"]
 
 
+# n2_3, the low-data leaf of this cohort, has 20 phenotype labels, all 0
+ONE_CLASS = "n2_3|phenotype"
+
+
+@pytest.fixture
+def one_class_cohort(tmp_path):
+    config = _json_file(tmp_path, "synth.json", {
+        "levels": 3, "branching": 2, "records_per_node": 60, "feature_dim": 12,
+        "low_data_records": 20})
+    assert dispatch(["synth", "--config", config, "--seed", "3",
+                     "--out-graph", str(tmp_path / "graph.json"),
+                     "--out-data", str(tmp_path / "data.jsonl")]) == 0
+    return tmp_path
+
+
+def _two_class(scores: dict) -> set[str]:
+    return {name for name, entry in scores.items()
+            if 0 < sum(entry["labels"]) < len(entry["labels"])}
+
+
+def test_one_class_target_is_scored_but_not_measured(one_class_cohort):
+    w = one_class_cohort
+    for variant in ("omtl", "mmoe"):
+        assert dispatch(_train_on(w, _quick_config(w), out=f"{variant}.json")
+                        + ["--variant", variant]) == 0
+        assert dispatch(_eval_on(w, w / f"{variant}.json", report=f"{variant}.r.json",
+                                 scores_out=f"{variant}.s.json")) == 0
+    scores = json.loads((w / "omtl.s.json").read_text())
+    assert scores[ONE_CLASS]["labels"] == [0] * 20
+    assert ONE_CLASS not in _two_class(scores)
+    report = json.loads((w / "omtl.r.json").read_text())
+    assert set(report["per_target"]) == _two_class(scores)
+    assert dispatch(["compare", "--scores-a", str(w / "omtl.s.json"), "--scores-b",
+                     str(w / "mmoe.s.json"), "--out", str(w / "c.json")]) == 0
+    compared = json.loads((w / "c.json").read_text())["comparisons"]
+    assert {f"{c['node']}|{c['outcome']}" for c in compared} == _two_class(scores)
+
+
+@pytest.mark.parametrize("variants", ["omtl", "omtl,mmoe"])
+def test_cv_with_a_one_class_target(one_class_cohort, variants):
+    w = one_class_cohort
+    assert dispatch(["cv", "--graph", str(w / "graph.json"),
+                     "--data", str(w / "data.jsonl"), "--config", _quick_config(w),
+                     "--variants", variants, "--k", "3", "--report", str(w / "cv.json"),
+                     "--scores-out", str(w / "s.json")]) == 0
+    report = json.loads((w / "cv.json").read_text())
+    scores = json.loads((w / "s.json").read_text())
+    for v in variants.split(","):
+        assert scores[v][ONE_CLASS]["labels"] == [0] * 20
+        result = report["variants"][v] if "," in variants else report
+        assert set(result["pooled"]["per_target"]) == _two_class(scores[v])
+    if "," in variants:
+        compared = {f"{c['node']}|{c['outcome']}" for c in report["comparisons"]}
+        assert compared == _two_class(scores["omtl"])
+
+
 def test_gradcheck_exit_zero():
     assert dispatch(["gradcheck", "--seed", "7"]) == 0
 
@@ -422,6 +478,12 @@ BAD_INPUTS = {
         "cv", "--graph", str(w / "graph.json"), "--data", str(w / "data.jsonl"),
         "--config", _quick_config(w), "--k", "2", "--variants", "sb,sb",
         "--report", str(w / "cv.json")],
+    "cv variant unknown": lambda w: [
+        "cv", "--graph", str(w / "graph.json"), "--data", str(w / "data.jsonl"),
+        "--config", _quick_config(w), "--k", "2", "--variants", "omtl,mmoe,bogus",
+        "--report", str(w / "cv.json")],
+    "compare no two-class target": lambda w: _bad_scores_file(
+        w, {"ids": ["r0", "r1"], "labels": [1, 1], "scores": [0.4, 0.6]}),
     "compare out in a missing directory": lambda w: _compare_on(
         w, _json_file(w, "b.json", {"leaf|event": {
             "ids": ["r0", "r1"], "labels": [0, 1], "scores": [0.4, 0.6]}}),

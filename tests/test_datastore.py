@@ -371,6 +371,32 @@ class TestSynthetic:
         assert p1.read_bytes() == p2.read_bytes()
         assert g1.graph_hash() == g2.graph_hash()
 
+    @pytest.mark.parametrize("fields, digest", [
+        pytest.param({}, "1fb0ee8093486a2c8eac149350693258600eaec72f5e90269e55713cf49242ab", id="default"),
+        pytest.param({"levels": 3, "branching": 2, "records_per_node": 60,
+                      "feature_dim": 12, "low_data_records": 20, "seed": 3},
+                     "0bc7769bf9e4cc0a2f4b349fe3c9364dd529634b451b124f837fb02e76fe84bc", id="one-class-leaf"),
+        pytest.param({"levels": 4, "branching": 3, "records_per_node": 12,
+                      "feature_dim": 6, "seed": 1}, "e9d7083928c23146e2e265c50fa939fa4cae9287fcfef3df7a9b5fbe664a6a9c", id="wide"),
+        pytest.param({"levels": 3, "branching": 1, "records_per_node": 9,
+                      "feature_dim": 3, "rho": 1.0, "outcomes": ["event"], "seed": 5},
+                     "6d0e1a2f8c97d623bac3410e42245f4451379924a65287fe39fdf039a9afc046", id="chain"),
+        pytest.param({"levels": 1, "records_per_node": 15, "feature_dim": 2,
+                      "seed": 2}, "865142e6590f3f19d510736bfc536070dda38749ed32cf4ee417aaeb5bffaabf", id="one-node"),
+        pytest.param({"levels": 2, "branching": 2, "records_per_node": 30,
+                      "feature_dim": 5, "low_data_node": "n0_0",
+                      "low_data_records": 4, "seed": 8}, "8ad77f4d5ec450394971247df8af21861619dc6d4295099019d19558d06354f3", id="scarce-root")])
+    def test_cohort_bits_are_pinned(self, fields, digest):
+        # sha256 of every record's id, feature bytes, sorted concepts and
+        # labels; a change that moves a record must update it and say why
+        _, ds = generate_synthetic(SynthConfig.from_json_obj(fields))
+        h = hashlib.sha256()
+        for r in ds.records:
+            h.update(json.dumps([r.id, sorted(r.concepts), sorted(r.labels.items())])
+                     .encode())
+            h.update(np.ascontiguousarray(r.features, dtype=np.float64).tobytes())
+        assert h.hexdigest() == digest
+
     def test_unreachable_target_errors(self):
         with pytest.raises(ValidationError):
             SynthConfig(prevalence=1.5).validate()

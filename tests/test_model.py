@@ -4,17 +4,18 @@ import pytest
 from omtl import tensor as T
 from omtl.errors import ValidationError
 from omtl.datastore import Record
-from omtl.model import (ForwardResult, ModelSpec, build_model, forward,
+from omtl.model import (ModelSpec, build_model, forward,
                         load_model, model_from_json_obj, model_to_json_obj,
                         reinit_parent_gates, save_model)
 from omtl.objective import masked_loss
 from omtl.ontology import ConceptNode, OntologyGraph, ancestor_closure
 from omtl.tensor import Tape
+from omtl.trainer import score_holdout
 
 from conftest import (chain_graph, diamond_graph, gate_weights, make_record,
                       random_dag, tiny_model)
 from oracles import (finite_difference_gradients, max_relative_error,
-                     node_block_forward)
+                     node_block_forward, node_views)
 
 
 def eval_experts(model, x):
@@ -140,8 +141,8 @@ class TestMixExperts:
         g = chain_graph(2)
         model = tiny_model(g, "sb", d=5, de=3)
         x = rng.normal(size=(1, 5))
-        rep = forward(model, records_at(g, x, "a")).representations["a"]
-        assert np.array_equal(rep.values,
+        rep = node_views(forward(model, records_at(g, x, "a"))).reps["a"]
+        assert np.array_equal(rep,
                               repr_layer(model, "a", eval_experts(model, x)[0]))
 
     def test_uniform_gate_equals_mean(self, rng):
@@ -150,15 +151,15 @@ class TestMixExperts:
         model.params["expert_gate.a.w"].values[:] = 0.0
         model.params["expert_gate.a.b"].values[:] = 0.0
         x = rng.normal(size=(1, 5))
-        rep = forward(model, records_at(g, x, "a")).representations["a"]
+        rep = node_views(forward(model, records_at(g, x, "a"))).reps["a"]
         mean = np.mean(eval_experts(model, x), axis=0)
-        assert np.allclose(rep.values, repr_layer(model, "a", mean), atol=1e-15)
+        assert np.allclose(rep, repr_layer(model, "a", mean), atol=1e-15)
 
     def test_three_expert_mixture_matches_explicit_loop(self, rng):
         g = chain_graph(2)
         model = tiny_model(g, "mmoe", d=6, de=4, experts=3)
         x = rng.normal(size=(2, 6))
-        rep = forward(model, records_at(g, x, "b")).representations["b"]
+        rep = node_views(forward(model, records_at(g, x, "b"))).reps["b"]
         experts = eval_experts(model, x)
         logits = x @ model.params["expert_gate.b.w"].values \
             + model.params["expert_gate.b.b"].values
@@ -168,7 +169,7 @@ class TestMixExperts:
         for row in range(2):
             for k in range(3):
                 expect[row] += gate[row, k] * experts[k][row]
-        assert np.allclose(rep.values, repr_layer(model, "b", expect), atol=1e-12)
+        assert np.allclose(rep, repr_layer(model, "b", expect), atol=1e-12)
 
 
 class TestNodeRepresentation:
@@ -177,27 +178,26 @@ class TestNodeRepresentation:
         model = tiny_model(g, "omtl", d=5, de=3, experts=2)
         x = rng.normal(size=(1, 5))
         recs = records_at(g, x, "b")
-        with_h = forward(model, recs).representations["b"]
+        with_h = node_views(forward(model, recs)).reps["b"]
         model.hierarchy_enabled = False
-        without = forward(model, recs).representations["b"]
-        assert not np.allclose(with_h.values, without.values)
-        assert np.array_equal(without.values,
+        without = node_views(forward(model, recs)).reps["b"]
+        assert not np.allclose(with_h, without)
+        assert np.array_equal(without,
                               repr_layer(model, "b", eval_mix(model, "b", x)))
         # and the disabled path never needs the parent at all
         alone = Record(id="alone", features=x[0], concepts=frozenset({"b"}),
                        labels={})
-        again = forward(model, alone).representations["b"]
-        assert np.array_equal(again.values, without.values)
+        again = node_views(forward(model, alone)).reps["b"]
+        assert np.array_equal(again, without)
 
     def test_single_parent_softmax_is_identity_mix(self, rng):
         g = chain_graph(2)
         model = tiny_model(g, "omtl", d=5, de=3, experts=2)
         x = rng.normal(size=(1, 5))
-        result = forward(model, records_at(g, x, "b"))
+        reps = node_views(forward(model, records_at(g, x, "b"))).reps
         # softmax over one entry is exactly 1
-        pre = eval_mix(model, "b", x) + result.representations["a"].values
-        assert np.allclose(result.representations["b"].values,
-                           repr_layer(model, "b", pre), atol=1e-12)
+        pre = eval_mix(model, "b", x) + reps["a"]
+        assert np.allclose(reps["b"], repr_layer(model, "b", pre), atol=1e-12)
 
     def test_two_parent_extreme_gate_picks_first(self, rng):
         g = diamond_graph()
@@ -205,14 +205,13 @@ class TestNodeRepresentation:
         model.params["parent_gate.d.w"].values[:] = 0.0
         model.params["parent_gate.d.b"].values[:] = np.array([[10.0, -10.0]])
         x = rng.normal(size=(1, 7))
-        result = forward(model, records_at(g, x, "d"))
-        p_b = result.representations["b"].values
-        p_c = result.representations["c"].values
+        reps = node_views(forward(model, records_at(g, x, "d"))).reps
+        p_b = reps["b"]
+        p_c = reps["c"]
         # gate weight on parent b is 1/(1+e^-20); recompute by loop
         wb = 1.0 / (1.0 + np.exp(-20.0))
         pre = eval_mix(model, "d", x) + wb * p_b + (1 - wb) * p_c
-        assert np.allclose(result.representations["d"].values,
-                           repr_layer(model, "d", pre), atol=1e-12)
+        assert np.allclose(reps["d"], repr_layer(model, "d", pre), atol=1e-12)
 
     def test_missing_parent_representation_raises(self, rng):
         g = diamond_graph()
@@ -229,20 +228,19 @@ class TestForward:
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="a")
         result = forward(model, rec)
-        assert set(result.representations) == {"a"}
+        assert set(node_views(result).reps) == {"a"}
         assert set(masked_loss(result, lam=1.0).per_node_recon) == {"a"}
 
     def test_chain_routing_child_consumes_parent(self, rng):
         g = chain_graph(3)
         model = tiny_model(g, "omtl", d=7, de=3, experts=2)
         rec = make_record(g, rng, d=7, anchor="c", label=1)
-        result = forward(model, rec, mode="eval")
+        reps = node_views(forward(model, rec, mode="eval")).reps
         # recompute c's representation from the emitted parent output; the
         # gate over c's single parent is exactly 1
         x = rec.features.reshape(1, -1)
-        pre = eval_mix(model, "c", x) + result.representations["b"].values
-        assert np.array_equal(repr_layer(model, "c", pre),
-                              result.representations["c"].values)
+        pre = eval_mix(model, "c", x) + reps["b"]
+        assert np.array_equal(repr_layer(model, "c", pre), reps["c"])
 
     def test_computed_set_equals_closure_random(self, rng):
         for _ in range(20):
@@ -250,33 +248,22 @@ class TestForward:
             model = tiny_model(g, "omtl")
             rec = make_record(g, rng, d=7)
             result = forward(model, rec)
-            assert set(result.representations) == set(rec.concepts)
+            reps = node_views(result).reps
+            assert set(reps) == set(rec.concepts)
             assert set(masked_loss(result, lam=1.0).per_node_recon) == set(rec.concepts)
             # dependency order respected: every expressed parent of an
             # expressed node is available, by closure
-            for nid in result.representations:
-                assert set(g.parents[nid]) <= set(result.representations)
-
-    def test_train_mode_skips_unlabeled_heads(self, rng):
-        g = chain_graph(3)
-        model = tiny_model(g, "omtl")
-        unlabeled = make_record(g, rng, d=7, anchor="c", label=None)
-        labeled = make_record(g, rng, d=7, anchor="c", label=1)
-        r_unlab = forward(model, unlabeled, mode="train")
-        r_lab = forward(model, labeled, mode="train")
-        r_eval = forward(model, unlabeled, mode="eval")
-        assert r_unlab.outcome_logits == {}
-        assert set(r_lab.outcome_logits) == {("c", "event")}
-        assert set(r_eval.outcome_logits) == {("c", "event")}
+            for nid in reps:
+                assert set(g.parents[nid]) <= set(reps)
 
     def test_predictions_strictly_inside_unit_interval(self, rng):
         g = chain_graph(2)
         model = tiny_model(g, "omtl", shared_outcome="event")
-        model.params["head.b.event.b"].values[:] = 500.0  # saturate sigmoid
         rec = make_record(g, rng, d=7, anchor="b", label=1)
-        preds = forward(model, rec).predictions()
-        for p in preds.values():
-            assert (0.0 < p).all() and (p < 1.0).all()
+        for bias in (500.0, -800.0):  # saturate the sigmoid either way
+            model.params["head.b.event.b"].values[:] = bias
+            (_, _, p), = score_holdout(model, g, [rec])[("b", "event")]
+            assert 0.0 < p < 1.0
 
     def test_gate_outputs_normalized(self, rng):
         g = diamond_graph()
@@ -297,20 +284,19 @@ class TestForward:
                     [("d", 1), ("a", None), ("b", 0), ("d", None),
                      ("c", 1), ("d", 0), ("b", None)])]
         batch = forward(model, recs, mode="eval")
+        views = node_views(batch)
         single_recon = dict.fromkeys(g.nodes, 0.0)
         for i, rec in enumerate(recs):
             single = forward(model, rec, mode="eval")
-            expressed = {nid for nid, rows in batch.rows.items() if i in rows}
-            assert expressed == set(single.representations) == set(rec.concepts)
-            for nid in single.representations:
-                row = int(np.searchsorted(batch.rows[nid], i))
-                got = batch.representations[nid].values[row]
-                want = single.representations[nid].values[0]
-                assert np.abs(got - want).max() <= 1e-12
-            for (nid, o), z in single.outcome_logits.items():
-                row = int(np.searchsorted(batch.rows[nid], i))
-                got = batch.outcome_logits[(nid, o)].values[row]
-                assert np.abs(got - z.values[0]).max() <= 1e-12
+            one = node_views(single)
+            expressed = {nid for nid, rows in views.rows.items() if i in rows}
+            assert expressed == set(one.reps) == set(rec.concepts)
+            for nid in one.reps:
+                row = int(np.searchsorted(views.rows[nid], i))
+                assert np.abs(views.reps[nid][row] - one.reps[nid][0]).max() <= 1e-12
+            for (nid, o), z in one.logits.items():
+                row = int(np.searchsorted(views.rows[nid], i))
+                assert np.abs(views.logits[(nid, o)][row] - z[0]).max() <= 1e-12
             for nid, err in recon_sums(single).items():
                 single_recon[nid] += err
         # each node's reconstruction error, summed over its rows
@@ -344,14 +330,12 @@ class TestMmoeReduction:
         omtl.hierarchy_enabled = False
         for i in range(50):
             rec = make_record(g, rng, d=7, label=1, rid=f"r{i}")
-            ra = forward(omtl, rec, mode="eval")
-            rb = forward(mmoe, rec, mode="eval")
-            for nid in ra.representations:
-                assert np.array_equal(ra.representations[nid].values,
-                                      rb.representations[nid].values)
-            for key in ra.outcome_logits:
-                assert np.array_equal(ra.outcome_logits[key].values,
-                                      rb.outcome_logits[key].values)
+            ra = node_views(forward(omtl, rec, mode="eval"))
+            rb = node_views(forward(mmoe, rec, mode="eval"))
+            for nid in ra.reps:
+                assert np.array_equal(ra.reps[nid], rb.reps[nid])
+            for key in ra.logits:
+                assert np.array_equal(ra.logits[key], rb.logits[key])
 
 
 class TestRoutingGradientSparsity:
@@ -426,6 +410,7 @@ def check_against_oracle(model, g, recs) -> None:
     record at a time; reconstructions through the loss, per record in a
     batch of one and summed over a node's rows in larger batches."""
     result = forward(model, recs)
+    views = node_views(result)
     values = {n: q.values for n, q in model.params.items()}
     oracle_recon = dict.fromkeys(g.nodes, 0.0)
     for j, rec in enumerate(recs):
@@ -433,15 +418,15 @@ def check_against_oracle(model, g, recs) -> None:
             values, model.spec.variant, model.spec.num_experts,
             model.spec.leaky_slope, g.parents, g.ordered_ids, model.outcome_map,
             model.hierarchy_enabled, rec.features, rec.concepts)
-        assert set(reps) == {n for n, rows in result.rows.items() if j in rows}
+        assert set(reps) == {n for n, rows in views.rows.items() if j in rows}
         for nid in reps:
-            row = int(np.searchsorted(result.rows[nid], j))
-            got = result.representations[nid].values[row]
+            row = int(np.searchsorted(views.rows[nid], j))
+            got = views.reps[nid][row]
             assert np.abs(got - reps[nid]).max() <= 1e-12
             oracle_recon[nid] += float(((recons[nid] - rec.features) ** 2).sum())
         for (nid, o), z in logits.items():
-            row = int(np.searchsorted(result.rows[nid], j))
-            assert abs(result.outcome_logits[(nid, o)].values[row, 0] - z) <= 1e-12
+            row = int(np.searchsorted(views.rows[nid], j))
+            assert abs(views.logits[(nid, o)][row, 0] - z) <= 1e-12
     for nid, err in recon_sums(result).items():
         assert abs(err - oracle_recon[nid]) <= 1e-12 * max(1.0, oracle_recon[nid])
 

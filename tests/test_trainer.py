@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import weakref
 from dataclasses import replace
 
@@ -53,6 +55,8 @@ class TestConfig:
         for lr in (0.0, -1.0, float("nan")):
             with pytest.raises(ValidationError, match="lr"):
                 TrainConfig(lr=lr).validate()
+        with pytest.raises(ValidationError, match="unknown variant 'bogus'"):
+            TrainConfig(variant="bogus").validate()
 
 
 class TestPhase1:
@@ -306,6 +310,27 @@ class TestColumnarTraining:
                                                         seed=0))
         assert log.final_param_hash == digest
 
+    @pytest.mark.parametrize("variant, hierarchy, digest", [
+        pytest.param("omtl", True, "2fc74e809425b1ce1062bc4863522a194ac1ff7f806c897e9e85a50838305b14",
+                     id="omtl"),
+        pytest.param("mmoe", False, "76adf2812f7149a166fb43fe4bea410758052027732a3bce94c3f9a393cf2356",
+                     id="mmoe"),
+        pytest.param("sb", False, "400e040f27de7e9f263c0d8fb0707eb5afd6fed8c461aa9fafeba112d2835658",
+                     id="sb")])
+    def test_scores_are_pinned(self, variant, hierarchy, digest):
+        # sha256 of the (record id, label, score) triples of every scored
+        # target, over a cohort of several scoring chunks; a change that
+        # moves a score must update it and say why
+        graph, data = generate_synthetic(SynthConfig(seed=0, records_per_node=60))
+        _, held = generate_synthetic(SynthConfig(seed=1, records_per_node=400))
+        model, _ = train_variant(graph, data, TrainConfig(variant=variant, max_epochs=2,
+                                                          seed=0))
+        assert model.hierarchy_enabled == hierarchy
+        assert len(held.records) > 2 * SCORE_CHUNK
+        collected = score_holdout(model, graph, held.records)
+        blob = json.dumps([["|".join(key), collected[key]] for key in sorted(collected)])
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
     def test_train_record_ids_are_the_training_split(self):
         graph, data = small_benchmark(records=30)
         cfg = tiny_config(variant="mmoe", max_epochs=2, val_fraction=0.2, seed=3)
@@ -353,6 +378,39 @@ class TestCv:
             test_ids = {rid for rid, f in result.plan.assignment.items()
                         if f == fold}
             assert not (log.train_record_ids & test_ids)
+
+    def test_unknown_variant_rejected_before_anything_trains(self, monkeypatch):
+        graph, data = small_benchmark(records=12)
+        calls = []
+        monkeypatch.setattr(trainer, "make_folds", lambda *a, **k: calls.append("folds"))
+        monkeypatch.setattr(trainer, "train_variant", lambda *a, **k: calls.append("train"))
+        with pytest.raises(ValidationError, match="unknown variant 'bogus'"):
+            trainer.compare_variants(graph, data, tiny_config(), ["omtl", "mmoe", "bogus"],
+                                     k=2)
+        assert calls == []
+
+    def test_plan_that_misses_a_record_is_rejected(self):
+        graph, data = small_benchmark(records=12)
+        plan = make_folds(data, graph, k=2, seed=0)
+        del plan.assignment[data.records[5].id]
+        with pytest.raises(ValidationError, match="does not cover 1 records "
+                                                  f"\\(first: '{data.records[5].id}'\\)"):
+            run_cv(graph, data, tiny_config(max_epochs=1), k=2, plan=plan)
+
+    def test_one_class_target_is_pooled_but_not_measured(self):
+        graph, data = small_benchmark(records=12)
+        one_class = ("n1_1", "mortality")
+        for rec in data.records:
+            if one_class[0] in rec.concepts and rec.labels:
+                rec.labels[one_class[1]] = 0
+        results, comparisons = trainer.compare_variants(
+            graph, data, tiny_config(max_epochs=1), ["sb", "mmoe"], k=2)
+        for result in results.values():
+            assert result.pooled[one_class].n_pos == 0
+            assert one_class not in result.pooled_report.per_target
+            assert result.pooled_report.per_target
+        compared = {(c["node"], c["outcome"]) for c in comparisons}
+        assert compared and one_class not in compared
 
     def test_score_holdout_beyond_one_chunk_matches_single_records(self):
         graph, data = small_benchmark(records=400, d=6)
