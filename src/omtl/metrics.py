@@ -79,20 +79,24 @@ def auc_roc(s: ScoredSet) -> float:
     return (pos_rank_sum - m * (m + 1) / 2.0) / (m * n)
 
 
-def average_precision(s: ScoredSet) -> float:
-    """Step-wise AP over descending score thresholds; tied scores form one
-    threshold so the value does not depend on input order."""
-    if s.n_pos == 0:
-        raise ValidationError(f"stratum {s.stratum} has no positives for AP")
+def _thresholds(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
+    """The positives and the records seen at each descending score
+    threshold; tied scores form one threshold, so neither depends on input
+    order."""
     order = np.argsort(-s.scores, kind="mergesort")
     scores = s.scores[order]
-    labels = s.labels[order]
-    tp = np.cumsum(labels)
-    ranks = np.arange(1, s.n + 1)
     # last index of each tied block = the threshold admitting the whole block
     last = np.nonzero(np.r_[scores[1:] != scores[:-1], True])[0]
-    precision = tp[last] / ranks[last]
-    recall = tp[last] / s.n_pos
+    return np.cumsum(s.labels[order])[last], last + 1
+
+
+def average_precision(s: ScoredSet) -> float:
+    """Step-wise AP over descending score thresholds (`_thresholds`)."""
+    if s.n_pos == 0:
+        raise ValidationError(f"stratum {s.stratum} has no positives for AP")
+    tp, seen = _thresholds(s)
+    precision = tp / seen
+    recall = tp / s.n_pos
     prev_recall = np.r_[0.0, recall[:-1]]
     return float(((recall - prev_recall) * precision).sum())
 
@@ -100,15 +104,8 @@ def average_precision(s: ScoredSet) -> float:
 def roc_points(s: ScoredSet) -> list[tuple[float, float]]:
     """(fpr, tpr) pairs from (0,0) to (1,1), one per distinct threshold."""
     m, n = _require_both_classes(s)
-    order = np.argsort(-s.scores, kind="mergesort")
-    scores = s.scores[order]
-    labels = s.labels[order]
-    tp = np.cumsum(labels)
-    fp = np.cumsum(1 - labels)
-    last = np.nonzero(np.r_[scores[1:] != scores[:-1], True])[0]
-    pts = [(0.0, 0.0)]
-    pts.extend((float(fp[i] / n), float(tp[i] / m)) for i in last)
-    return pts
+    tp, seen = _thresholds(s)
+    return [(0.0, 0.0)] + list(zip(((seen - tp) / n).tolist(), (tp / m).tolist()))
 
 
 def _delong_components(s: ScoredSet) -> tuple[float, np.ndarray, np.ndarray]:

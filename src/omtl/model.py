@@ -9,12 +9,12 @@ representation of their node and emit sigmoid probabilities. A forward
 pass returns arrays (`ForwardResult`); the loss and scoring
 (`trainer.score_holdout`) each run one head op over all of the pass's pairs.
 
-All parameters live in one `tensor.Arena`, laid out by freeze group and,
-within a group, kind by kind over every node in level order: the experts
-and expert gates, then the representation, reconstruction and head
-layers, then the parent gates. So phase 1 trains a prefix of the arena
-and phase 2 a suffix, and the experts and every kind of node layer are
-each one stacked view.
+All parameters live in one `tensor.Arena`, laid out kind by kind over
+every node in level order: the experts and expert gates, then the
+representation, reconstruction and head layers, then the parent gates.
+So the experts and every kind of node layer are each one stacked view,
+and each training phase trains one span of the arena (`phase_span`):
+phase 1 a prefix, phase 2 a suffix.
 
 Routing is pair-major: a forward pass runs the experts as one op over the
 whole batch, then one op per stage over all of the batch's (row, node)
@@ -99,22 +99,15 @@ class ModelSpec:
         return ModelSpec(**config_fields(ModelSpec, obj, "model spec"))
 
 
-# the freeze groups at the ends of the arena, as parameter-name prefixes:
-# the shared experts and expert gates, frozen in phase 2, come first, and
-# the parent gates, frozen in phase 1, come last; every other parameter
-# trains in both phases and sits between them
-FROZEN_IN_PHASE2 = ("expert.", "expert_gate.")
-FROZEN_IN_PHASE1 = ("parent_gate.",)
-
-
 def param_layout(spec: ModelSpec, graph: OntologyGraph,
                  outcome_map: dict[str, tuple[str, ...]]) -> list[tuple[str, tuple[int, int]]]:
     """Every parameter's name and shape, in arena order.
 
-    Parameters are ordered by freeze group (`FROZEN_IN_PHASE2`, the rest,
-    `FROZEN_IN_PHASE1`), so each phase trains one contiguous span. Within
-    a group, kinds come one after another, each over every node in level
-    order (heads in node order), weights first and then biases.
+    Kinds come one after another, each over every node in level order
+    (heads in node order), weights first and then biases. The experts and
+    expert gates, which phase 2 freezes, come first and the parent gates,
+    which phase 1 freezes, last, so each phase trains one contiguous span
+    (`OmtlModel.phase_span`).
     """
     spec.check_size(nodes=len(graph.nodes), parent_links=len(graph.edges),
                      heads=sum(len(outcome_map.get(n, ())) for n in graph.nodes))
@@ -234,14 +227,18 @@ class OmtlModel:
     def param_count(self) -> int:
         return self.arena.size
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Every parameter's values, by name, as views of one arena copy."""
-        return self.arena.views(self.arena.values.copy())
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        """Write a snapshot's values back into the arena, in place."""
-        for n, values in snap.items():
-            self.params[n].values[...] = values
+    def phase_span(self, phase: str) -> slice:
+        """The span of the arena a training phase trains: for phase 1
+        everything before the parent gates, which come last; for phase 2
+        everything after the experts and expert gates, which come first;
+        otherwise the whole arena."""
+        size = self.arena.size
+        if phase == "phase1":
+            return slice(0, next((p.span.start for n, p in self.params.items()
+                                  if n.startswith("parent_gate.")), size))
+        if phase == "phase2":
+            return slice((self.gate_b or self.expert_b).span.stop, size)
+        return slice(0, size)
 
 
 def _draw(params, rng, name: str) -> None:

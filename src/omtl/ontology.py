@@ -15,6 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import ValidationError
 from .fields import json_field, read_json, write_json
@@ -105,50 +106,16 @@ class OntologyGraph:
 
 def compute_levels(graph: OntologyGraph) -> dict[str, int]:
     """Longest-path-from-roots level for every node; raises on cycles."""
-    indeg = {nid: len(graph.parents[nid]) for nid in graph.nodes}
-    level = {nid: 0 for nid in graph.nodes}
-    ready = sorted(nid for nid, d in indeg.items() if d == 0)
-    done = 0
-    while ready:
-        nid = ready.pop(0)
-        done += 1
-        for child in graph.children[nid]:
-            level[child] = max(level[child], level[nid] + 1)
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                # sorted insertion keeps same-level ties in id order
-                ready.append(child)
-                ready.sort()
-    if done != len(graph.nodes):
-        raise ValidationError(f"graph contains a cycle: {_find_cycle(graph)}")
+    sorter = TopologicalSorter({nid: graph.parents[nid] for nid in sorted(graph.nodes)})
+    try:
+        order = list(sorter.static_order())
+    except CycleError as exc:  # exc.args[1] runs parent to child, back to its start
+        raise ValidationError(f"graph contains a cycle: {' -> '.join(exc.args[1])}") \
+            from None
+    level: dict[str, int] = {}
+    for nid in order:
+        level[nid] = 1 + max((level[p] for p in graph.parents[nid]), default=-1)
     return level
-
-
-def _find_cycle(graph: OntologyGraph) -> str:
-    state: dict[str, int] = {}  # 1 = on stack, 2 = finished
-    stack: list[str] = []
-
-    def visit(nid: str) -> list[str] | None:
-        state[nid] = 1
-        stack.append(nid)
-        for child in graph.children[nid]:
-            mark = state.get(child)
-            if mark == 1:
-                return stack[stack.index(child):] + [child]
-            if mark is None:
-                found = visit(child)
-                if found:
-                    return found
-        stack.pop()
-        state[nid] = 2
-        return None
-
-    for nid in sorted(graph.nodes):
-        if nid not in state:
-            found = visit(nid)
-            if found:
-                return " -> ".join(found)
-    return "<cycle not isolated>"
 
 
 def load_graph(path: str) -> OntologyGraph:

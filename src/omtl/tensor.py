@@ -31,10 +31,11 @@ ontology:
 Constness decides gradient flow, in one place (`_result`): an op whose
 inputs are all const has a const output and records nothing, and a tape
 never accumulates into a const tensor. Record features, labels and masks
-are const, and so are parameters frozen for a training phase (a block is
-const when all its members are), so the tape does no gradient work on
-paths nothing can learn from. Beyond that rule, an op skips only the
-products that would produce a const input's gradient.
+are const. A parameter, block or padded block is const exactly when its
+span of the arena lies outside the arena's `trainable` slice, which a
+training phase narrows to the span it trains; so the tape does no
+gradient work on paths nothing can learn from. Beyond that rule, an op
+skips only the products that would produce a const input's gradient.
 """
 
 from __future__ import annotations
@@ -82,10 +83,22 @@ class Tensor:
         return f"Tensor(shape={self.shape}, const={self.const})"
 
 
+def _outside_trainable(self) -> bool:
+    """Whether the span of a parameter or block misses its arena's
+    trainable slice: the `const` of all three."""
+    trainable = self.arena.trainable
+    return self.span.stop <= trainable.start or self.span.start >= trainable.stop
+
+
 class Parameter(Tensor):
     """A tensor whose values are the span `span` of its arena's buffer."""
 
     __slots__ = ("arena", "span")
+
+    const = property(_outside_trainable)
+
+    def __getstate__(self):  # const is derived from the arena, not copied
+        return None, {"values": self.values, "arena": self.arena, "span": self.span}
 
 
 class Arena:
@@ -95,7 +108,8 @@ class Arena:
     of same-shape parameters is one (L, rows, cols) array and a run of
     parameters is one contiguous slice. `values` is the buffer; a tape
     keeps each parameter's gradient at the same offset of a buffer of the
-    same size.
+    same size. `trainable` is the slice of the buffer a training phase
+    trains, the whole buffer by default.
     """
 
     def __init__(self, shapes):
@@ -109,27 +123,13 @@ class Arena:
             p = self.params[name] = Parameter.__new__(Parameter)
             p.span = slice(offset, offset + rows * cols)
             p.values = self.values[p.span].reshape(rows, cols)
-            p.const = False
             p.arena = self
             offset = p.span.stop
+        self.trainable = slice(0, offset)
 
     @property
     def size(self) -> int:
         return self.values.size
-
-    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each parameter's view into a buffer laid out like the arena."""
-        return {name: flat[p.span].reshape(p.values.shape)
-                for name, p in self.params.items()}
-
-    def span(self, names) -> slice:
-        """The one contiguous slice that holds exactly the named
-        parameters, which must be consecutive in the layout."""
-        spans = [self.params[n].span for n in names]
-        for a, b in zip(spans, spans[1:]):
-            if a.stop != b.start:
-                raise ValueError("parameters are not consecutive in the arena")
-        return slice(spans[0].start, spans[-1].stop) if spans else slice(0, 0)
 
     def block(self, names) -> "Block":
         """Consecutive same-shape parameters as one (L, rows, cols) stack."""
@@ -137,8 +137,10 @@ class Arena:
         shape = members[0].values.shape
         if any(p.values.shape != shape for p in members):
             raise ValueError("a block needs parameters of one shape")
-        span = self.span(names)
-        return Block(self, members, span, (len(members), *shape))
+        if any(a.span.stop != b.span.start for a, b in zip(members, members[1:])):
+            raise ValueError("parameters are not consecutive in the arena")
+        span = slice(members[0].span.start, members[-1].span.stop)
+        return Block(self, span, (len(members), *shape))
 
     def padded_block(self, names, fill: float) -> "PaddedBlock":
         """Parameters of one row count and differing column counts as a
@@ -152,27 +154,22 @@ class Arena:
             r, c = np.divmod(np.arange(rows * cols), cols)
             src.append(p.span.start + np.arange(rows * cols))
             dst.append((j * rows + r) * width + c)
-        return PaddedBlock(self, members, (len(members), rows, width),
-                           np.concatenate(src), np.concatenate(dst), fill)
+        src = np.concatenate(src)
+        return PaddedBlock(self, slice(src.min(), src.max() + 1),
+                           (len(members), rows, width), src, np.concatenate(dst), fill)
 
 
 class Block:
     """Same-shape parameters (the experts, or every node's layer of one
     kind) stacked (L, rows, cols); `values` is a view of the arena."""
 
-    __slots__ = ("arena", "members", "span", "shape", "values")
+    __slots__ = ("arena", "span", "shape", "values")
 
-    def __init__(self, arena: Arena, members: list[Parameter], span: slice,
-                 shape: tuple[int, int, int]):
-        self.arena, self.members, self.span, self.shape = arena, members, span, shape
+    def __init__(self, arena: Arena, span: slice, shape: tuple[int, int, int]):
+        self.arena, self.span, self.shape = arena, span, shape
         self.values = arena.values[span].reshape(shape)
 
-    @property
-    def const(self) -> bool:
-        for p in self.members:
-            if not p.const:
-                return False
-        return True
+    const = property(_outside_trainable)
 
     def add_grad(self, buf: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
         """Add g (len(idx), rows, cols) to members idx (ascending) in buf."""
@@ -185,15 +182,17 @@ class Block:
 
 class PaddedBlock:
     """Parameters of differing widths gathered into a padded stack: entry
-    src[i] of the arena is entry dst[i] of the flattened stack."""
+    src[i] of the arena is entry dst[i] of the flattened stack. Its span
+    is the range that covers every src entry, so it may also cover
+    parameters it does not gather."""
 
-    __slots__ = ("arena", "members", "shape", "src", "dst", "fill")
+    __slots__ = ("arena", "span", "shape", "src", "dst", "fill")
 
-    def __init__(self, arena, members, shape, src, dst, fill):
-        self.arena, self.members, self.shape = arena, members, shape
+    def __init__(self, arena, span, shape, src, dst, fill):
+        self.arena, self.span, self.shape = arena, span, shape
         self.src, self.dst, self.fill = src, dst, fill
 
-    const = Block.const
+    const = property(_outside_trainable)
 
     @property
     def values(self) -> np.ndarray:

@@ -7,9 +7,12 @@ omtl trains in two: phase 1 with ontology routing off and the parent gates
 frozen (experts, expert gates, representations, reconstructions, heads);
 then, when `hierarchy_finetune` is set, phase 2 draws fresh parent gates,
 switches routing on, freezes the experts and expert gates, and fine-tunes
-everything else. Early stopping watches total loss on the held-out slice,
-which both omtl phases share, and always restores the best snapshot seen.
-A loss that is not finite, in a step or on the slice, is a NumericalError.
+everything else. A phase sets the arena's `trainable` slice to its span
+(`OmtlModel.phase_span`), which is all that Adam updates and all that is
+not const. Early stopping watches total loss on the held-out slice, which
+both omtl phases share, and always restores the best snapshot seen (one
+copy of the arena). A loss that is not finite, in a step or on the slice,
+is a NumericalError.
 """
 
 from __future__ import annotations
@@ -24,29 +27,27 @@ from .fields import config_fields
 from .errors import NumericalError, ValidationError
 from .metrics import (EvalReport, ScoredSet, compare_scored_sets, score_metrics,
                       two_class)
-from .model import (FROZEN_IN_PHASE1, FROZEN_IN_PHASE2, VARIANTS, ModelSpec,
-                    OmtlModel, build_model, forward, reinit_parent_gates)
+from .model import (VARIANTS, ModelSpec, OmtlModel, build_model, forward,
+                    reinit_parent_gates)
 from .objective import (LossBreakdown, RewardScheme, make_reward_scheme,
                         masked_loss, shaped_loss)
 from .ontology import OntologyGraph
 from .rng import substream
-from .tensor import Parameter, Tape
+from .tensor import Arena, Tape
 
 # records per forward pass when scoring; bounds the memory a pass holds
 SCORE_CHUNK = 1024
 
 
 class _FlatAdam:
-    """Bias-corrected Adam over the trainable parameters, which must fill
-    one contiguous span of their arena: each step reads that span of the
-    gradients a backward-replayed Tape accumulated and updates the
-    arena's values in place, through buffers allocated once."""
+    """Bias-corrected Adam over the arena's trainable span, as it is when
+    the optimizer is made: each step reads that span of the gradients a
+    backward-replayed Tape accumulated and updates the arena's values in
+    place, through buffers allocated once."""
 
-    def __init__(self, params: dict[str, Parameter], lr: float,
+    def __init__(self, arena: Arena, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.arena = next((p.arena for p in params.values()), None)
-        self.span = self.arena.span(params) if params else slice(0, 0)
+        self.arena, self.span = arena, arena.trainable
         size = self.span.stop - self.span.start
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -56,14 +57,11 @@ class _FlatAdam:
         self.t = 0
 
     def step(self, tape: Tape) -> None:
-        if self.arena is None:  # nothing to train
-            return
         g = tape.arena_grads(self.arena)[self.span]
         if not np.all(np.isfinite(g)):
-            for name, p in self.params.items():
-                if not np.all(np.isfinite(tape.gradient(p))):
-                    raise NumericalError(
-                        f"non-finite gradient for parameter {name!r}")
+            at = self.span.start + np.flatnonzero(~np.isfinite(g))[0]
+            name = next(n for n, p in self.arena.params.items() if at < p.span.stop)
+            raise NumericalError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         num, den = self._num, self._den
         # m = beta1 m + (1 - beta1) g and v = beta2 v + ((1 - beta2) g) g,
@@ -182,30 +180,23 @@ def _split_validation(cols: Columns, graph: OntologyGraph, cfg: TrainConfig) -> 
 
 def _train_phase(model: OmtlModel, cols: Columns, split: Split, cfg: TrainConfig,
                  log: TrainLog, phase: str, stage: int,
-                 frozen_prefixes: tuple[str, ...] = (),
                  scheme: RewardScheme | None = None) -> None:
     """One phase: Adam over shuffled mini-batches of split's training rows
-    of cols, the parameters named by frozen_prefixes held fixed, with
+    of cols, only the phase's span of the arena trained, with
     patience-based early stopping on the held-out rows (the training rows
     when there are none) and the best snapshot restored at the end. stage
     indexes the rng streams, so omtl phase 1 and a single-phase baseline
     draw identical shuffles and dropout masks for the same seed.
     """
-    trainable = {}
-    frozen = []
-    for name, p in model.params.items():
-        if any(name.startswith(pre) for pre in frozen_prefixes):
-            frozen.append(p)
-            p.const = True  # tape skips gradient work for frozen parameters
-        else:
-            trainable[name] = p
+    arena = model.arena
+    arena.trainable = model.phase_span(phase)
     try:
         train_rows, val_rows = split
         shuffle_rng = substream(cfg.seed, f"shuffle.{stage}")
         dropout_rng = substream(cfg.seed, f"dropout.{stage}")
-        adam = _FlatAdam(trainable, lr=cfg.lr)
+        adam = _FlatAdam(arena, lr=cfg.lr)
 
-        best = model.snapshot()
+        best = arena.values.copy()
         best_loss = float("inf")
         strikes = 0
         order = train_rows.copy()
@@ -240,7 +231,7 @@ def _train_phase(model: OmtlModel, cols: Columns, split: Split, cfg: TrainConfig
             })
             if monitored.total < best_loss:
                 best_loss = monitored.total
-                best = model.snapshot()
+                best = arena.values.copy()
                 strikes = 0
             else:
                 strikes += 1
@@ -248,10 +239,9 @@ def _train_phase(model: OmtlModel, cols: Columns, split: Split, cfg: TrainConfig
                     break
         if cfg.max_epochs:  # an epoch steps every training record
             log.train_record_ids.update(cols.ids[train_rows].tolist())
-        model.restore(best)
+        arena.values[...] = best
     finally:
-        for p in frozen:
-            p.const = False
+        arena.trainable = slice(0, arena.size)
 
 
 def _shaping_scheme(cfg: TrainConfig, graph: OntologyGraph) -> RewardScheme | None:
@@ -281,12 +271,11 @@ def train_variant(graph: OntologyGraph, data,
         _train_phase(model, cols, split, cfg, log, "single", 0)
     else:
         model.hierarchy_enabled = False
-        _train_phase(model, cols, split, cfg, log, "phase1", 0, FROZEN_IN_PHASE1)
+        _train_phase(model, cols, split, cfg, log, "phase1", 0)
         if cfg.hierarchy_finetune:
             reinit_parent_gates(model, cfg.seed)
             model.hierarchy_enabled = True
-            _train_phase(model, cols, split, cfg, log, "phase2", 1, FROZEN_IN_PHASE2,
-                         scheme)
+            _train_phase(model, cols, split, cfg, log, "phase2", 1, scheme)
     log.final_param_hash = _param_hash(model)
     return model, log
 

@@ -237,7 +237,7 @@ def test_criterion_6_reward_shaping():
 def test_criterion_7_adam_against_reference():
     # the optimizer training runs, fed by the tape: loss w^2, gradient 2w
     w = arena_params({"w": [[1.0]]})["w"]
-    adam = _FlatAdam({"w": w}, lr=0.001)
+    adam = _FlatAdam(w.arena, lr=0.001)
     ref = ReferenceAdam(lr=0.001)
     w_ref = np.array([[1.0]])
     worst = 0.0

@@ -341,6 +341,11 @@ HUGE = 10 ** 400
 MISSING_DIR = "no_such_dir/out.json"
 # written by json.dumps as the non-standard tokens NaN and Infinity
 NAN, INF = float("nan"), float("inf")
+# a 3,000-node chain closed into a cycle by the edge v02999 -> v00001
+_CHAIN = [f"v{i:05d}" for i in range(3000)]
+LONG_CYCLE = {"nodes": [{"id": v} for v in _CHAIN],
+              "edges": [{"parent": p, "child": c}
+                        for p, c in zip(_CHAIN, _CHAIN[1:] + ["v00001"])]}
 
 
 def _edit_core_node(obj: dict, field: str, value) -> dict:
@@ -482,6 +487,8 @@ BAD_INPUTS = {
         "cv", "--graph", str(w / "graph.json"), "--data", str(w / "data.jsonl"),
         "--config", _quick_config(w), "--k", "2", "--variants", "omtl,mmoe,bogus",
         "--report", str(w / "cv.json")],
+    "graph with a 3,000-node cycle": lambda w: [
+        "validate-graph", "--graph", _json_file(w, "cycle.json", LONG_CYCLE)],
     "compare no two-class target": lambda w: _bad_scores_file(
         w, {"ids": ["r0", "r1"], "labels": [1, 1], "scores": [0.4, 0.6]}),
     "compare out in a missing directory": lambda w: _compare_on(

@@ -377,13 +377,13 @@ class TestSerialization:
     def test_reinit_parent_gates_changes_only_parent_gates(self):
         g = diamond_graph()
         model = tiny_model(g, "omtl", seed=1)
-        before = model.snapshot()
+        before = {n: p.values.copy() for n, p in model.params.items()}
         reinit_parent_gates(model, seed=777)
-        for name, values in model.snapshot().items():
+        for name, p in model.params.items():
             if name.startswith("parent_gate."):
-                assert not np.array_equal(values, before[name])
+                assert not np.array_equal(p.values, before[name])
             else:
-                assert np.array_equal(values, before[name])
+                assert np.array_equal(p.values, before[name])
 
 
 def ragged_dags(rng, count: int) -> list[OntologyGraph]:

@@ -8,22 +8,42 @@ import numpy as np
 import pytest
 
 from omtl import trainer
-from omtl.datastore import Dataset, SynthConfig, columns_of, generate_synthetic, make_folds
+from omtl.datastore import (Dataset, Record, SynthConfig, columns_of, generate_synthetic,
+                            make_folds)
 from omtl.errors import NumericalError, ValidationError
 from omtl.model import forward, load_model, reinit_parent_gates, save_model
 from omtl.objective import make_reward_scheme, masked_loss
 from omtl.ontology import ConceptNode, OntologyGraph
 from omtl.tensor import Tape
-from omtl.trainer import (FROZEN_IN_PHASE2, SCORE_CHUNK, TrainConfig, TrainLog,
-                          evaluate_loss, run_cv, score_holdout, train_variant)
+from omtl.trainer import (SCORE_CHUNK, TrainConfig, TrainLog, evaluate_loss, run_cv,
+                          score_holdout, train_variant)
 
 from conftest import chain_graph, diamond_graph, make_record, tiny_model
+
+# the parameters phase 2 freezes
+EXPERT_PREFIXES = ("expert.", "expert_gate.")
 
 
 def small_benchmark(seed=0, records=40, d=10):
     cfg = SynthConfig(levels=2, branching=2, records_per_node=records,
                       feature_dim=d, low_data_records=records, seed=seed)
     return generate_synthetic(cfg)
+
+
+def multi_parent_cohort(n=240, d=8):
+    """A 6-node DAG, a and b its roots, with edges a,b -> c, a -> d,
+    c,d -> e and d -> f; c, e and f are core nodes with outcome "event".
+    Records are anchored at seeded nodes, about one in five unlabeled."""
+    nodes = [ConceptNode(nid) for nid in "abd"] + [
+        ConceptNode(nid, core=True, outcomes=("event",)) for nid in "cef"]
+    graph = OntologyGraph(nodes, [("a", "c"), ("b", "c"), ("a", "d"), ("c", "e"),
+                                  ("d", "e"), ("d", "f")])
+    rng = np.random.default_rng(7)
+    records = []
+    for i in range(n):
+        label = int(rng.random() < 0.35) if rng.random() < 0.8 else None
+        records.append(make_record(graph, rng, d=d, label=label, rid=f"r{i:03d}"))
+    return graph, Dataset(records=records, feature_dim=d, outcomes=("event",))
 
 
 def tiny_config(**over):
@@ -62,11 +82,10 @@ class TestConfig:
 class TestPhase1:
     def test_zero_epochs_returns_initial_snapshot(self):
         graph, data = small_benchmark()
-        before = tiny_model(graph, "omtl", d=10, de=3, experts=2).snapshot()
+        before = tiny_model(graph, "omtl", d=10, de=3, experts=2).arena.values.copy()
         model, _ = train_variant(graph, data, tiny_config(max_epochs=0,
                                                           hierarchy_finetune=False))
-        for name, values in model.snapshot().items():
-            assert np.array_equal(values, before[name])
+        assert np.array_equal(model.arena.values, before)
 
     def test_loss_decreases_over_first_epochs(self):
         graph, data = small_benchmark()
@@ -102,7 +121,7 @@ class TestPhase2:
         phase1, _ = train_variant(graph, data, replace(cfg, hierarchy_finetune=False))
         model, log = train_variant(graph, data, cfg)
         assert {e["phase"] for e in log.entries} == {"phase1", "phase2"}
-        frozen = [n for n in model.params if n.startswith(FROZEN_IN_PHASE2)]
+        frozen = [n for n in model.params if n.startswith(EXPERT_PREFIXES)]
         assert frozen
         for name in frozen:
             assert np.array_equal(model.params[name].values,
@@ -124,6 +143,16 @@ class TestPhase2:
                       for n, p in phase1.params.items() if n.startswith("repr."))
         assert changed
 
+    def test_nodeless_graph_trains_both_phases(self):
+        # the arena holds only the experts, which phase 2 freezes
+        recs = [Record(id=f"r{i}", features=np.full(3, float(i)), concepts=frozenset(),
+                       labels={}) for i in range(10)]
+        model, log = train_variant(OntologyGraph([], []), Dataset(recs, 3, ()),
+                                   tiny_config(max_epochs=2))
+        assert {e["phase"] for e in log.entries} == {"phase1", "phase2"}
+        assert model.phase_span("phase1") == slice(0, model.arena.size)
+        assert model.phase_span("phase2") == slice(model.arena.size, model.arena.size)
+
     def test_frozen_step_gradients_match_unfrozen_step(self, monkeypatch):
         # one phase-2 step through the phase loop, with and without the freeze
         graph, data = small_benchmark()
@@ -139,16 +168,15 @@ class TestPhase2:
         cols = columns_of(data, graph)
         split = trainer._split_validation(cols, graph, cfg)
         models = []
-        for prefixes in (FROZEN_IN_PHASE2, ()):
+        for phase in ("phase2", "single"):
             model = tiny_model(graph, "omtl", d=10, de=3, experts=2, dropout=0.2)
             reinit_parent_gates(model, cfg.seed)
-            trainer._train_phase(model, cols, split, cfg, TrainLog(), "phase2", 1,
-                                 prefixes)
+            trainer._train_phase(model, cols, split, cfg, TrainLog(), phase, 1)
             models.append(model)
         frozen_tape, free_tape = tapes
         for (name, p), q in zip(models[0].params.items(),
                                 models[1].params.values()):
-            if name.startswith(FROZEN_IN_PHASE2):
+            if name.startswith(EXPERT_PREFIXES):
                 assert not frozen_tape.gradient(p).any(), name
                 assert free_tape.gradient(q).any(), name
             else:
@@ -165,14 +193,15 @@ class TestPhase2:
         # built without shared heads, so inner nodes lack the scheme's head
         with pytest.raises(ValidationError, match="no head"):
             trainer._train_phase(model, cols, trainer._split_validation(cols, graph, cfg),
-                                 cfg, TrainLog(), "phase2", 1, FROZEN_IN_PHASE2, scheme)
+                                 cfg, TrainLog(), "phase2", 1, scheme)
         assert [n for n, p in model.params.items() if p.const] == []
+        assert model.arena.trainable == slice(0, model.arena.size)
 
     def test_phase2_reinitializes_parent_gates(self):
         graph, data = small_benchmark()
         cfg = tiny_config(max_epochs=0)
-        gates_at_build = {n: v for n, v in tiny_model(
-            graph, "omtl", d=10, de=3, experts=2).snapshot().items()
+        gates_at_build = {n: p.values.copy() for n, p in tiny_model(
+            graph, "omtl", d=10, de=3, experts=2).params.items()
             if n.startswith("parent_gate.")}
         model, _ = train_variant(graph, data, cfg)
         assert gates_at_build
@@ -330,6 +359,21 @@ class TestColumnarTraining:
         collected = score_holdout(model, graph, held.records)
         blob = json.dumps([["|".join(key), collected[key]] for key in sorted(collected)])
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("reward_f, digest", [
+        pytest.param(None, "5ca78f81823296d3ad78c01ad77805bb8537f7a5c7ba754fb6d83c172432273f",
+                     id="omtl"),
+        pytest.param(0.5, "89bfcbb23c7a3c47674fa352bb5e864cfd5ac23aa9fa4c97c0f0cd4bdfd3a2e1",
+                     id="omtl-shaped")])
+    def test_final_param_hash_is_pinned_on_multi_parent_graph(self, reward_f, digest):
+        # the trainer's bits where parent gates run: c and e have two
+        # parents each, and the single-parent d sits between them in level
+        # order, so the gated parent gates are not consecutive in the arena
+        graph, data = multi_parent_cohort()
+        model, log = train_variant(graph, data, TrainConfig(
+            variant="omtl", max_epochs=2, seed=0, reward_f=reward_f))
+        assert model.pgate_w.shape[0] == 2 and model.hierarchy_enabled
+        assert log.final_param_hash == digest
 
     def test_train_record_ids_are_the_training_split(self):
         graph, data = small_benchmark(records=30)
@@ -557,7 +601,7 @@ class TestLevelOps:
         assert attached(train_variant(graph, data, replace(cfg, hierarchy_finetune=False))[0])
         model, _ = train_variant(graph, data, cfg)
         assert attached(model)
-        model.restore(model.snapshot())
+        model.arena.values[...] = model.arena.values.copy()
         assert attached(model)
         path = str(tmp_path / "model.json")
         save_model(model, path)
