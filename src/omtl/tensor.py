@@ -97,8 +97,9 @@ class Parameter(Tensor):
 
     const = property(_outside_trainable)
 
-    def __getstate__(self):  # const is derived from the arena, not copied
-        return None, {"values": self.values, "arena": self.arena, "span": self.span}
+    def __getstate__(self):  # every slot but const, which the arena decides
+        slots = (s for c in type(self).__mro__ for s in getattr(c, "__slots__", ()))
+        return None, {s: getattr(self, s) for s in slots if s != "const"}
 
 
 class Arena:

@@ -396,10 +396,23 @@ class TestAdam:
 
     def test_nothing_trainable_is_a_no_op(self):
         p = arena_params({"w": [[1.0]]})
-        p["w"].arena.trainable = slice(0, 0)
-        adam_on(_FlatAdam(p["w"].arena, lr=0.001),
-                lambda: sq_loss(p["w"], np.zeros((1, 1))))
+        arena = p["w"].arena
+        arena.trainable = slice(0, 0)
+        adam = _FlatAdam(arena, lr=0.001)
+        # widened again, so w has a nonzero gradient Adam must not apply
+        arena.trainable = slice(0, arena.size)
+        adam_on(adam, lambda: sq_loss(p["w"], np.zeros((1, 1))))
         assert p["w"].item() == 1.0
+
+    def test_updates_only_its_span(self):
+        p = arena_params({"w": [[1.0, 1.0]]})
+        arena = p["w"].arena
+        arena.trainable = slice(1, 2)
+        # w overlaps the span, so the tape records its whole gradient
+        adam_on(_FlatAdam(arena, lr=0.001),
+                lambda: sq_loss(p["w"], np.zeros((1, 2))))
+        assert p["w"].values[0, 0] == 1.0
+        assert p["w"].values[0, 1] < 1.0
 
     def test_first_step_unit_normalized(self):
         p = arena_params({"w": [[1.0]]})
