@@ -437,6 +437,9 @@ class SynthConfig:
             raise ValidationError("levels and branching must be >= 1")
         if self.records_per_node < 1 or self.feature_dim < 1:
             raise ValidationError("records_per_node and feature_dim must be >= 1")
+        if self.low_data_records < 0:
+            raise ValidationError(
+                f"low_data_records must be >= 0, got {self.low_data_records}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValidationError(f"rho must be in [0, 1], got {self.rho}")
         if not 0.0 < self.prevalence < 1.0:

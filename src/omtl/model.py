@@ -6,8 +6,9 @@ layer (Softplus), a reconstruction head (ReLU), and, when ontology routing
 is enabled, a parent gate (softmax over its graph parents) that mixes the
 parents' representations into its own input. Outcome heads hang off the
 representation of their node and emit sigmoid probabilities. A forward
-pass returns arrays (`ForwardResult`); the loss and scoring
-(`trainer.score_holdout`) each run one head op over all of the pass's pairs.
+pass returns arrays (`ForwardResult`); the loss (one
+`tensor.multitask_loss` op) and scoring (`trainer.score_holdout`) each run
+the heads once over all of the pass's pairs.
 
 All parameters live in one `tensor.Arena`, laid out kind by kind over
 every node in level order: the experts and expert gates, then the
@@ -216,6 +217,12 @@ class OmtlModel:
             self.pgate_b = arena.padded_block([f"parent_gate.{n}.b" for n in gated],
                                               -np.inf)
 
+    def __reduce__(self):
+        """A copy or an unpickled model is rebuilt around a new arena, so
+        its parameters and blocks are views of that arena."""
+        return _rebuild, (self.spec, self.graph, self.outcome_map, self.arena.values,
+                          self.arena.trainable, self.hierarchy_enabled)
+
     def head_pairs(self, seg: Segments) -> tuple[np.ndarray, np.ndarray]:
         """Every (pair, head) combination of seg's pairs with the heads of
         their node, as pair and head index arrays grouped by head."""
@@ -239,6 +246,16 @@ class OmtlModel:
         if phase == "phase2":
             return slice((self.gate_b or self.expert_b).span.stop, size)
         return slice(0, size)
+
+
+def _rebuild(spec: ModelSpec, graph: OntologyGraph, outcome_map: dict,
+             values: np.ndarray, trainable: slice, hierarchy_enabled: bool) -> OmtlModel:
+    arena = Arena(param_layout(spec, graph, outcome_map))
+    arena.values[...] = values
+    arena.trainable = trainable
+    model = OmtlModel(spec, graph, arena, outcome_map)
+    model.hierarchy_enabled = hierarchy_enabled
+    return model
 
 
 def _draw(params, rng, name: str) -> None:

@@ -13,9 +13,10 @@ Cross-entropy is evaluated from the head logits as softplus(z) - y*z,
 which equals -[y*log(p) + (1-y)*log(1-p)] for p = sigmoid(z) but stays
 finite for any logit.
 
-A loss is three tape ops over all (row, node) pairs of a forward pass,
-whatever the depth or width of the graph: one reconstruction op, one head
-op (left out when no term has weight) and one `total_loss` op.
+A loss is one tape op, `tensor.multitask_loss`, over all (row, node)
+pairs of a forward pass, whatever the depth or width of the graph: the
+reconstructions, the outcome heads (left out when no term has weight) and
+L1 + lambda * L2.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .tensor import Tensor
 class LossBreakdown:
     l1: float
     l2: float
-    lam: float
     total: float
     per_outcome: dict[tuple[str, str], float]
     per_node_recon: dict[str, float]
@@ -68,57 +68,48 @@ def make_reward_scheme(graph: OntologyGraph, f: float, outcome: str) -> RewardSc
 
 
 def _pair_loss(result, lam: float, head_weight: np.ndarray) -> LossBreakdown:
-    """Mean-per-record loss of a forward pass: one reconstruction op and at
-    most one head op over all of its (row, node) pairs, then one
-    `total_loss` op over their terms. head_weight[h] is head h's weight in
+    """Mean-per-record loss of a forward pass, as one `multitask_loss` op
+    over all of its (row, node) pairs. head_weight[h] is head h's weight in
     L1 (0 leaves it out); a (row, head) term counts only where the row
     labels the head's outcome."""
+    if lam < 0:
+        raise ValidationError(f"lambda must be >= 0, got {lam}")
     model, seg, rows, rep = result.model, result.seg, result.pair_rows, result.rep
+    if rep is None:
+        return LossBreakdown(0.0, 0.0, 0.0, {}, {}, Tensor([[0.0]], const=True))
     inv = 1.0 / result.inputs.shape[0]
-    l1_terms: list[Tensor] = []
-    l2_terms: list[Tensor] = []
-    per_outcome: dict[tuple[str, str], float] = {}
-    per_node: dict[str, float] = {}
-    if rep is not None:
-        term, sums = T.recon_error(rep, model.recon_w, model.recon_b, seg,
-                                   result.inputs[rows])
-        l2_terms.append(term)
-        nodes = model.graph.ordered_ids
-        per_node = dict(zip([nodes[m] for m in seg.members.tolist()],
-                            (sums * inv).tolist()))
-    if rep is not None and model.head_w is not None:
+    heads = hseg = None
+    if model.head_w is not None:
         pair, head = model.head_pairs(seg)
         prow, outcome = rows[pair], model.head_outcome[head]
         weight = result.labeled[prow, outcome] * head_weight[head]
         keep = np.flatnonzero(weight)
         if keep.size:
             hseg = T.Segments(head[keep])
-            term, sums = T.head_bce(rep, pair[keep], model.head_w, model.head_b, hseg,
-                                    result.labels[prow[keep], outcome[keep]],
-                                    weight[keep])
-            l1_terms.append(term)
-            per_outcome = dict(zip([model.head_keys[h] for h in hseg.members.tolist()],
-                                   (sums * inv).tolist()))
-    loss, l1, l2 = T.total_loss(l1_terms, l2_terms, lam, inv)
-    return LossBreakdown(l1=l1, l2=l2, lam=lam, total=loss.item(),
-                         per_outcome=per_outcome, per_node_recon=per_node,
-                         loss=loss)
+            heads = (pair[keep], hseg, model.head_w, model.head_b,
+                     result.labels[prow[keep], outcome[keep]], weight[keep])
+    loss, l1, l2, node_sums, head_sums = T.multitask_loss(
+        rep, seg, model.recon_w, model.recon_b, result.inputs[rows], heads, lam, inv)
+    nodes = model.graph.ordered_ids
+    per_node = dict(zip([nodes[m] for m in seg.members.tolist()],
+                        (node_sums * inv).tolist()))
+    per_outcome = {} if hseg is None else \
+        dict(zip([model.head_keys[h] for h in hseg.members.tolist()],
+                 (head_sums * inv).tolist()))
+    return LossBreakdown(l1=l1, l2=l2, total=loss.item(), per_outcome=per_outcome,
+                         per_node_recon=per_node, loss=loss)
 
 
 def masked_loss(result, lam: float) -> LossBreakdown:
     """L1 over expressed core nodes with labeled outcomes, L2 over all
     expressed nodes, averaged over the forwarded records; a fully unlabeled
     record contributes L2 only."""
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
     return _pair_loss(result, lam, result.model.head_masked)
 
 
 def shaped_loss(result, lam: float, scheme: RewardScheme) -> LossBreakdown:
     """Reward-shaped variant: supervised loss at every expressed node for
     the scheme's shared outcome, each node weighted by its level weight."""
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
     model = result.model
     k = model.outcome_col.get(scheme.outcome)
     if k is not None and result.seg is not None:

@@ -104,14 +104,20 @@ class OntologyGraph:
         return hashlib.sha256(blob).hexdigest()
 
 
+# a longer cycle is named by its length and its first this many nodes
+_CYCLE_SHOWN = 8
+
+
 def compute_levels(graph: OntologyGraph) -> dict[str, int]:
     """Longest-path-from-roots level for every node; raises on cycles."""
     sorter = TopologicalSorter({nid: graph.parents[nid] for nid in sorted(graph.nodes)})
     try:
         order = list(sorter.static_order())
     except CycleError as exc:  # exc.args[1] runs parent to child, back to its start
-        raise ValidationError(f"graph contains a cycle: {' -> '.join(exc.args[1])}") \
-            from None
+        cycle = exc.args[1]
+        named = f": {' -> '.join(cycle)}" if len(cycle) <= _CYCLE_SHOWN + 1 else \
+            f" of {len(cycle) - 1} nodes: {' -> '.join(cycle[:_CYCLE_SHOWN])} -> ..."
+        raise ValidationError(f"graph contains a cycle{named}") from None
     level: dict[str, int] = {}
     for nid in order:
         level[nid] = 1 + max((level[p] for p in graph.parents[nid]), default=-1)

@@ -22,11 +22,10 @@ ontology:
 - over all (row, node) pairs of the batch: `expert_mix` (expert gate
   softmax and mixture), `represent` (representation layers, with parent
   gate softmax and parent mixture when a `Route` is given, level by
-  level), `recon_error` (ReLU reconstructions and their squared error) and
-  `head_bce` (outcome heads and their masked binary cross-entropy). A pair
-  op reads each pair's weights from the stack at the pair's node;
-  `Segments` groups the pairs by node;
-- `total_loss`: the batch's loss L1 + lambda * L2 from its terms.
+  level) and `multitask_loss` (ReLU reconstructions and their squared
+  error L2, outcome heads and their weighted binary cross-entropy L1, and
+  the batch's loss L1 + lambda * L2). A pair op reads each pair's weights
+  from the stack at the pair's node; `Segments` groups the pairs by node.
 
 Constness decides gradient flow, in one place (`_result`): an op whose
 inputs are all const has a const output and records nothing, and a tape
@@ -96,10 +95,6 @@ class Parameter(Tensor):
     __slots__ = ("arena", "span")
 
     const = property(_outside_trainable)
-
-    def __getstate__(self):  # every slot but const, which the arena decides
-        slots = (s for c in type(self).__mro__ for s in getattr(c, "__slots__", ()))
-        return None, {s: getattr(self, s) for s in slots if s != "const"}
 
 
 class Arena:
@@ -315,7 +310,7 @@ def _result(arr: np.ndarray, *inputs) -> tuple[Tensor, Tape | None]:
 
 
 # ---------------------------------------------------------------------------
-# batch ops: the experts over the whole batch, and the batch's loss
+# batch op: the experts over the whole batch
 
 
 def expert_layer(x: Tensor, w: Block, b: Block, slope: float, rate: float,
@@ -359,26 +354,6 @@ def expert_layer(x: Tensor, w: Block, b: Block, slope: float, rate: float,
             t._accum_block(b, every, gz.sum(axis=1, keepdims=True))
         t._ops.append((out, backward))
     return out
-
-
-def total_loss(l1_terms: list[Tensor], l2_terms: list[Tensor], lam: float,
-               inv: float) -> tuple[Tensor, float, float]:
-    """The loss l1 + lam * l2 of (1, 1) loss terms, l1 = sum(l1_terms) * inv
-    and l2 = sum(l2_terms) * inv, as one op; returns it with l1 and l2.
-    Each L1 term's gradient is g * inv and each L2 term's (g * inv) * lam."""
-    l1 = sum(p.item() for p in l1_terms) * inv
-    l2 = sum(p.item() for p in l2_terms) * inv
-    out, t = _result(np.array([[l1 + lam * l2]]), *l1_terms, *l2_terms)
-    if t is not None:
-        def backward(g, t, l1_terms=l1_terms, l2_terms=l2_terms):
-            g1 = g * inv
-            for p in l1_terms:
-                t._accum(p, g1)
-            g2 = g1 * lam
-            for p in l2_terms:
-                t._accum(p, g2)
-        t._ops.append((out, backward))
-    return out, l1, l2
 
 
 # ---------------------------------------------------------------------------
@@ -611,46 +586,46 @@ def represent(mix: Tensor, w: Block, b: Block, seg: Segments,
     return out
 
 
-def recon_error(x: Tensor, w: Block, b: Block, seg: Segments,
-                target: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """sum_p ||relu(x[p] @ w[m] + b[m]) - target[p]||^2, m = seg.of[p],
-    against a constant target. Returns the (1, 1) loss and its per-member
-    sums."""
-    if target.shape != (x.shape[0], w.shape[2]):
-        raise ShapeMismatch("recon_error", x.shape, w.shape, target.shape)
-    z, wg = rowwise_affine(x.values, w.values, b.values, seg)
+def multitask_loss(rep: Tensor, seg: Segments, recon_w: Block, recon_b: Block,
+                   target: np.ndarray, heads: tuple | None, lam: float, inv: float
+                   ) -> tuple[Tensor, float, float, np.ndarray, np.ndarray | None]:
+    """A batch's loss l1 + lam * l2 from its pairs' representations rep.
+
+    l2 = inv * sum_p ||relu(rep[p] @ recon_w[m] + recon_b[m]) - target[p]||^2,
+    m = seg.of[p], against a constant target. heads, when given, is
+    (src, hseg, w, b, y, weight), and l1 = inv * sum_i weight[i] *
+    (softplus(z) - y[i] * z) for the head logit z = rep[src[i]] @ w[m] +
+    b[m], m = hseg.of[i]: binary cross-entropy for p = sigmoid(z) that stays
+    finite for any logit; weight 0 silences a term and its gradient exactly.
+
+    Returns the (1, 1) loss, l1, l2, and the per-member sums of the squared
+    errors over seg and of the head terms over hseg (None without heads).
+    """
+    if target.shape != (rep.shape[0], recon_w.shape[2]):
+        raise ShapeMismatch("multitask_loss", rep.shape, recon_w.shape, target.shape)
+    z, wg = rowwise_affine(rep.values, recon_w.values, recon_b.values, seg)
     pos = z > 0
     resid = np.where(pos, z, 0.0) - target
     sq = (resid * resid).sum(axis=1)
-    out, t = _result(np.array([[sq.sum()]]), x, w, b)
+    l2 = float(sq.sum()) * inv
+    l1, head_sums, head_params = 0.0, None, ()
+    if heads is not None:
+        src, hseg, w, b, y, weight = heads
+        h = rep.values[src]
+        hz, hwg = rowwise_affine(h, w.values, b.values, hseg)
+        hz = hz[:, 0]
+        sp = np.logaddexp(0.0, hz)
+        terms = weight * (sp - y * hz)
+        l1 = float(terms.sum()) * inv
+        head_sums, head_params = np.add.reduceat(terms, hseg.starts), (w, b)
+    out, t = _result(np.array([[l1 + lam * l2]]), rep, recon_w, recon_b, *head_params)
     if t is not None:
-        def backward(g, t, x=x, w=w, b=b, seg=seg, pos=pos, resid=resid, wg=wg):
-            gz = (2.0 * g[0, 0]) * resid * pos
-            _rowwise_grads(t, x, x.values, None, w, b, seg, gz, wg)
+        def backward(g, t):
+            g1 = g[0, 0] * inv
+            if heads is not None:
+                gz = (weight * (np.exp(hz - sp) - y) * g1)[:, None]
+                _rowwise_grads(t, rep, h, src, w, b, hseg, gz, hwg)
+            gz = (2.0 * (g1 * lam)) * resid * pos
+            _rowwise_grads(t, rep, rep.values, None, recon_w, recon_b, seg, gz, wg)
         t._ops.append((out, backward))
-    return out, np.add.reduceat(sq, seg.starts)
-
-
-def head_bce(x: Tensor, src: np.ndarray, w: Block, b: Block, seg: Segments,
-             y: np.ndarray, weight: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Weighted binary cross-entropy of head logits.
-
-    Term i is weight[i] * (softplus(z) - y[i] * z) for the logit
-    z = x[src[i]] @ w[m] + b[m], m = seg.of[i]. That equals
-    -weight * [y log p + (1-y) log(1-p)] for p = sigmoid(z) and stays
-    finite for any logit; weight 0 silences a term and its gradient
-    exactly. Returns the (1, 1) sum and its per-member sums.
-    """
-    h = x.values[src]
-    z, wg = rowwise_affine(h, w.values, b.values, seg)
-    z = z[:, 0]
-    sp = np.logaddexp(0.0, z)
-    terms = weight * (sp - y * z)
-    out, t = _result(np.array([[terms.sum()]]), x, w, b)
-    if t is not None:
-        def backward(g, t, x=x, src=src, w=w, b=b, seg=seg, h=h, z=z, sp=sp,
-                     y=y, weight=weight, wg=wg):
-            gz = (weight * (np.exp(z - sp) - y) * g[0, 0])[:, None]
-            _rowwise_grads(t, x, h, src, w, b, seg, gz, wg)
-        t._ops.append((out, backward))
-    return out, np.add.reduceat(terms, seg.starts)
+    return out, l1, l2, np.add.reduceat(sq, seg.starts), head_sums

@@ -153,6 +153,18 @@ def sq_loss(x: Tensor, target) -> Tensor:
     return out
 
 
+def loss_sum(*terms: Tensor) -> Tensor:
+    """The sum of (1, 1) losses recorded as one tape op, which hands each
+    term the gradient it receives."""
+    out, t = T._result(np.array([[sum(p.item() for p in terms)]]), *terms)
+    if t is not None:
+        def backward(g, t):
+            for p in terms:
+                t._accum(p, g)
+        t._ops.append((out, backward))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -41,6 +41,14 @@ def test_validate_graph_cycle_exit_1(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
+def test_long_cycle_named_by_length_and_first_nodes(tmp_path, capsys):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(LONG_CYCLE))
+    assert dispatch(["validate-graph", "--graph", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.rstrip("\n")) < 200 and "cycle of 2999 nodes" in err
+
+
 def test_unknown_flag_rejected(workdir):
     with pytest.raises(SystemExit):
         dispatch(["validate-graph", "--graph", str(workdir / "graph.json"),
@@ -383,6 +391,8 @@ BAD_INPUTS = {
     "train zero repr_dim": lambda w: _bad_train_config(w, {"repr_dim": 0}),
     "synth zero records per node": lambda w: _bad_synth_config(w, {"records_per_node": 0}),
     "synth zero feature dim": lambda w: _bad_synth_config(w, {"feature_dim": 0}),
+    "synth negative low-data records":
+        lambda w: _bad_synth_config(w, {"low_data_records": -5}),
     "synth outcomes not strings": lambda w: _bad_synth_config(w, {"outcomes": [1]}),
     "model without graph_hash": lambda w: _bad_model_file(w, lambda o: _without(o, "graph_hash")),
     "model without params": lambda w: _bad_model_file(w, lambda o: _without(o, "params")),

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -134,6 +137,24 @@ class TestBuild:
         g = chain_graph(3)
         model = tiny_model(g, "omtl", shared_outcome="event")
         assert all("event" in model.outcome_map[nid] for nid in g.nodes)
+
+    @pytest.mark.parametrize("clone", [
+        pytest.param(copy.deepcopy, id="deepcopy"),
+        pytest.param(lambda m: pickle.loads(pickle.dumps(m)), id="pickle")])
+    def test_copy_views_its_own_arena(self, rng, clone):
+        model = tiny_model(diamond_graph(), "omtl")
+        twin = clone(model)
+        assert all(np.shares_memory(p.values, twin.arena.values)
+                   for p in twin.params.values())
+        assert np.shares_memory(twin.repr_w.values, twin.arena.values)
+        assert not np.shares_memory(twin.arena.values, model.arena.values)
+        assert twin.hierarchy_enabled and twin.arena.trainable == model.arena.trainable
+        rec = make_record(model.graph, rng, d=7, anchor="d", label=1)
+        before = forward(model, rec).rep.values
+        assert np.array_equal(forward(twin, rec).rep.values, before)
+        twin.arena.values += 0.1
+        assert not np.array_equal(forward(twin, rec).rep.values, before)
+        assert np.array_equal(forward(model, rec).rep.values, before)
 
 
 class TestMixExperts:

@@ -8,7 +8,7 @@ from omtl.errors import NumericalError, ShapeMismatch
 from omtl.tensor import Segments, Tape, Tensor
 from omtl.trainer import _FlatAdam
 
-from conftest import arena_params, sq_loss
+from conftest import arena_params, loss_sum, sq_loss
 from oracles import ReferenceAdam, finite_difference_gradients, max_relative_error
 
 
@@ -130,11 +130,14 @@ LEVEL_CASES = [
         x, x, 3, np.arange(4), one_run(4), _block(w), _block(b))[0]),
     level_case("parent_mix", 3, lambda x, w, b: T.represent(
         x, _block(w), _block(b), one_run(4), two_level_route(x, w, b))),
-    level_case("recon_error", 2, lambda x, w, b: T.recon_error(
-        x, _block(w), _block(b), one_run(4), np.ones((4, 2)))[0]),
-    level_case("head_bce", 1, lambda x, w, b: T.head_bce(
-        x, np.arange(4), _block(w), _block(b), one_run(4),
-        np.array([1.0, 0.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0, 1.0]))[0]),
+    level_case("multitask_loss", 2, lambda x, w, b: T.multitask_loss(
+        x, one_run(4), _block(w), _block(b), np.ones((4, 2)), None, 0.5, 0.25)[0]),
+    # one-column reconstructions, so the heads can share their weights
+    level_case("multitask_loss_heads", 1, lambda x, w, b: T.multitask_loss(
+        x, one_run(4), _block(w), _block(b), np.ones((4, 1)),
+        (np.arange(4), one_run(4), _block(w), _block(b),
+         np.array([1.0, 0.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0, 1.0])),
+        0.5, 0.25)[0]),
 ]
 
 
@@ -156,8 +159,7 @@ class TestConstness:
             assert tape._ops == []
             fixed = sq_loss(out, np.zeros(out.shape))
             free = Tensor(rng.normal(size=out.shape))
-            loss, _, _ = T.total_loss([fixed], [sq_loss(free, np.zeros(out.shape))],
-                                      1.0, 1.0)
+            loss = loss_sum(fixed, sq_loss(free, np.zeros(out.shape)))
         tape.backward(loss)
         assert fixed.const and len(tape._ops) == 2
         assert id(x) not in tape._grads and id(out) not in tape._grads
@@ -289,10 +291,9 @@ def composed_graph_check(rng, trials: int = 6) -> None:
                                np.random.default_rng(trial), True)
             mix, _ = T.expert_mix(x, h, 3, PAIR_ROWS, seg, *blk("g"))
             rep = T.represent(mix, *blk("r"), seg, route)
-            l2, _ = T.recon_error(rep, *blk("c"), seg, target)
-            l1, _ = T.head_bce(rep, np.arange(7, 14), *blk("h", "CDE"),
-                               Segments(np.array([0, 0, 1, 1, 1, 2, 2])), y, weight)
-            return T.total_loss([l1], [l2, l2], 0.05, 0.25)[0]
+            heads = (np.arange(7, 14), Segments(np.array([0, 0, 1, 1, 1, 2, 2])),
+                     *blk("h", "CDE"), y, weight)
+            return T.multitask_loss(rep, seg, *blk("c"), target, heads, 0.05, 0.25)[0]
 
         with Tape() as tape:
             loss = forward()
@@ -300,6 +301,71 @@ def composed_graph_check(rng, trials: int = 6) -> None:
         analytic = tape.gradients(params)
         numeric = finite_difference_gradients(lambda: forward().item(), params)
         assert max_relative_error(analytic, numeric) < 1e-4
+
+
+def loss_case(rng):
+    """A multitask loss over six pairs of three nodes, with representations
+    as a parameter, so finite differences reach every input of the op.
+    Heads x and y sit on node 1 and head z on node 2; pair 2's term at head
+    y has weight 0. Returns the parameters, the op's other inputs, and a function
+    running the op on them."""
+    shapes = {"rep": (6, 3)}
+    for kind, owners, cols in (("c", "012", 4), ("h", "xyz", 1)):
+        shapes.update({f"{kind}{o}w": (3, cols) for o in owners})
+        shapes.update({f"{kind}{o}b": (1, cols) for o in owners})
+    params = arena_params({n: rng.normal(size=s) for n, s in shapes.items()})
+    arena = params["rep"].arena
+    case = dict(node=np.array([0, 0, 1, 1, 2, 2]), target=np.abs(rng.normal(size=(6, 4))),
+                src=np.array([2, 3, 2, 3, 4, 5]), head=np.array([0, 0, 1, 1, 2, 2]),
+                y=np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]),
+                weight=np.array([1.0, 0.5, 0.0, 1.5, 2.0, 1.0]), lam=0.3, inv=0.25)
+
+    def blk(kind, owners):
+        return (arena.block([f"{kind}{o}w" for o in owners]),
+                arena.block([f"{kind}{o}b" for o in owners]))
+
+    def run():
+        heads = (case["src"], Segments(case["head"]), *blk("h", "xyz"), case["y"],
+                 case["weight"])
+        return T.multitask_loss(params["rep"], Segments(case["node"]), *blk("c", "012"),
+                                case["target"], heads, case["lam"], case["inv"])
+
+    return params, case, run
+
+
+class TestMultitaskLoss:
+    @pytest.mark.parametrize("limit", [0, 1 << 62], ids=["per-member", "batched"])
+    def test_matches_finite_differences_on_every_input(self, rng, monkeypatch, limit):
+        monkeypatch.setattr(T, "_GATHER_PER_MEMBER", limit)
+        params, _, run = loss_case(rng)
+        with Tape() as tape:
+            loss = run()[0]
+        tape.backward(loss)
+        analytic = tape.gradients(params)
+        numeric = finite_difference_gradients(lambda: run()[0].item(), params)
+        assert all(np.abs(g).max() > 0.0 for g in analytic.values())
+        assert max_relative_error(analytic, numeric) < 1e-6
+
+    def test_values_match_a_loop(self, rng):
+        params, case, run = loss_case(rng)
+        p = {n: q.values for n, q in params.items()}
+        sq = np.zeros(3)
+        for i, m in enumerate(case["node"]):
+            recon = np.maximum(p["rep"][i] @ p[f"c{m}w"] + p[f"c{m}b"][0], 0.0)
+            sq[m] += ((recon - case["target"][i]) ** 2).sum()
+        bce = np.zeros(3)
+        for i, h in enumerate(case["head"]):
+            o = "xyz"[h]
+            prob = 1.0 / (1.0 + math.exp(-(p["rep"][case["src"][i]] @ p[f"h{o}w"]
+                                           + p[f"h{o}b"][0])[0]))
+            y = case["y"][i]
+            bce[h] -= case["weight"][i] * (y * math.log(prob) + (1 - y) * math.log(1 - prob))
+        loss, l1, l2, node_sums, head_sums = run()
+        assert np.allclose(node_sums, sq, rtol=1e-12) and np.allclose(head_sums, bce,
+                                                                      rtol=1e-12)
+        assert l2 == pytest.approx(sq.sum() * case["inv"], rel=1e-12)
+        assert l1 == pytest.approx(bce.sum() * case["inv"], rel=1e-12)
+        assert loss.item() == l1 + case["lam"] * l2
 
 
 class TestBackward:
@@ -438,9 +504,8 @@ class TestAdam:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         for t in range(1, 51):
             target = rng.normal(size=arena.size)
-            adam_on(adam, lambda: T.total_loss(
-                [sq_loss(p["a"], target[:12].reshape(3, 4)),
-                 sq_loss(p["b"], target[12:].reshape(1, 4))], [], 0.0, 1.0)[0])
+            adam_on(adam, lambda: loss_sum(sq_loss(p["a"], target[:12].reshape(3, 4)),
+                                           sq_loss(p["b"], target[12:].reshape(1, 4))))
             g = 2.0 * (values - target)
             m *= beta1
             m += (1.0 - beta1) * g

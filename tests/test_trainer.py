@@ -560,12 +560,12 @@ class TestLevelOps:
         pytest.param(dict(levels=4, branching=3, records_per_node=40,
                           low_data_records=20), id="4-levels-branching-3")])
     def test_ops_per_step_do_not_depend_on_depth(self, monkeypatch, cohort):
-        # expert_layer, expert_mix, represent, recon_error, head_bce and
-        # total_loss; in omtl phase 2 the experts and expert gates are
-        # frozen, so their two ops are const and record nothing
+        # expert_layer, expert_mix, represent and multitask_loss; in omtl
+        # phase 2 the experts and expert gates are frozen, so their two ops
+        # are const and record nothing
         for variant in ("omtl", "mmoe", "sb"):
-            assert first_step_ops(monkeypatch, variant, **cohort) == 6, variant
-        assert first_step_ops(monkeypatch, "omtl", phase=2, **cohort) == 4
+            assert first_step_ops(monkeypatch, variant, **cohort) == 4, variant
+        assert first_step_ops(monkeypatch, "omtl", phase=2, **cohort) == 2
 
     @pytest.mark.parametrize("variant", ["omtl", "mmoe", "sb"])
     def test_step_tape_is_freed_without_the_collector(self, monkeypatch, variant):
