@@ -139,7 +139,7 @@ def cmd_eval(args) -> int:
     graph = load_graph(args.graph)
     data = load_dataset(args.data, graph)
     model = load_model(args.model, graph)
-    collected = score_holdout(model, graph, data.records)
+    collected = score_holdout(model, graph, data)
     sets = {key: scored_set(key, collected[key]) for key in sorted(collected)}
     per_target = {"|".join(key): score_metrics(s).to_json_obj()
                   for key, s in two_class(sets).items()}

@@ -7,8 +7,11 @@ Concept sets are closed upward at load time so a record expressing a
 concept always expresses all of its ancestors.
 
 `Record` lives at the IO edge. Training, fold planning and scoring read a
-cohort as `Columns`, built once from its records, and address records by
-row index.
+cohort as `Columns` and address records by row index. `load_dataset`
+reads a file a chunk of lines at a time, checks each chunk field by field
+and builds the columns as it goes; a loaded record's features are a row
+of those columns' feature matrix. A cohort made in memory becomes columns
+on first use.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .ontology import ConceptNode, OntologyGraph, ancestor_closure
 from .rng import substream
 
 
-@dataclass
+@dataclass(slots=True)
 class Record:
     id: str
     features: np.ndarray
@@ -60,36 +63,44 @@ class Columns:
 
     @staticmethod
     def from_records(records: list[Record], graph: OntologyGraph) -> "Columns":
-        nodes = tuple(graph.ordered_ids)
-        node_col = {nid: j for j, nid in enumerate(nodes)}
         # records share few concept sets: map each distinct one once
         set_of: dict[frozenset, int] = {}
         which = [set_of.setdefault(rec.concepts, len(set_of)) for rec in records]
-        sets = np.zeros((len(set_of), len(nodes)), dtype=bool)
-        for i, concepts in enumerate(set_of):
-            unknown = [c for c in concepts if c not in node_col]
-            if unknown:
-                rid = records[which.index(i)].id
-                raise ValidationError(f"record {rid!r}: unknown concept id {unknown[0]!r}")
-            sets[i, [node_col[c] for c in concepts]] = True
-        member = sets[which] if records else np.zeros((0, len(nodes)), dtype=bool)
-        outcomes = tuple(dict.fromkeys(itertools.chain(
-            graph.outcome_names(), *(rec.labels for rec in records))))
-        # a missing label reads as NaN
-        labels = np.array([[rec.labels.get(o) for rec in records] for o in outcomes],
-                          dtype=np.float64).reshape(len(outcomes), len(records)).T.copy()
-        labeled = ~np.isnan(labels)
-        labels[~labeled] = 0.0
         try:
             x = np.array([rec.features for rec in records], dtype=np.float64)
         except ValueError:
             raise ValidationError("records' features differ in length") from None
+        return Columns.build([rec.id for rec in records],
+                             x if records else np.zeros((0, 0)), list(set_of), which,
+                             [rec.labels for rec in records], graph)
+
+    @staticmethod
+    def build(ids: list[str], x: np.ndarray, sets: list[frozenset], which: list[int],
+              labels: list[dict], graph: OntologyGraph) -> "Columns":
+        """The columns of records given field by field: ids, features x
+        (n, d), the distinct concept sets and each record's index into
+        them, and label dicts."""
+        nodes = tuple(graph.ordered_ids)
+        node_col = {nid: j for j, nid in enumerate(nodes)}
+        rows = np.zeros((len(sets), len(nodes)), dtype=bool)
+        for i, concepts in enumerate(sets):
+            unknown = [c for c in concepts if c not in node_col]
+            if unknown:
+                raise ValidationError(f"record {ids[which.index(i)]!r}: "
+                                      f"unknown concept id {unknown[0]!r}")
+            rows[i, [node_col[c] for c in concepts]] = True
+        member = rows[which] if ids else np.zeros((0, len(nodes)), dtype=bool)
+        outcomes = tuple(dict.fromkeys(itertools.chain(graph.outcome_names(), *labels)))
+        # a missing label reads as NaN
+        label_cols = np.array([[lab.get(o) for lab in labels] for o in outcomes],
+                              dtype=np.float64).reshape(len(outcomes), len(ids)).T.copy()
+        labeled = ~np.isnan(label_cols)
+        label_cols[~labeled] = 0.0
         parent, child = (np.array([node_col[e[j]] for e in graph.edges], dtype=np.intp)
                          for j in (0, 1))
         return Columns(
-            ids=np.array([rec.id for rec in records], dtype=object),
-            X=x if records else np.zeros((0, 0)), member=member,
-            labels=labels, labeled=labeled,
+            ids=np.array(ids, dtype=object), X=x, member=member,
+            labels=label_cols, labeled=labeled,
             unclosed=(member[:, child] & ~member[:, parent]).any(axis=1),
             nodes=nodes, outcomes=outcomes, graph_hash=graph.graph_hash())
 
@@ -129,8 +140,9 @@ class Dataset:
                                      compare=False)
 
     def columns(self, graph: OntologyGraph, keep: bool = True) -> Columns:
-        """The records as columns over graph, built on first use and kept
-        unless keep is False; the records must not change after that."""
+        """The records as columns over graph: a loaded dataset's own, built
+        as it was read, or else built on first use and kept unless keep is
+        False; the records must not change after that."""
         if self._columns is not None and self._columns.graph_hash == graph.graph_hash():
             return self._columns
         cols = Columns.from_records(self.records, graph)
@@ -172,39 +184,137 @@ class FoldPlan:
         return {"k": self.k, "seed": self.seed, "assignment": self.assignment}
 
 
+# lines of a record file checked and converted together. Their parsed JSON
+# is alive at once, about 2 KB a line at 41 features: 1,024 lines raised
+# the peak memory of loading a 3,200-record file above that of reading one
+# line at a time, while 256 lines keep it below and load as fast
+LOAD_CHUNK = 256
+
+
 def load_dataset(path: str, graph: OntologyGraph) -> Dataset:
-    """Read a JSONL record file, validating every line against the graph."""
-    known_outcomes = set(graph.outcome_names())
-    records: list[Record] = []
-    seen_ids: set[str] = set()
-    for lineno, raw in json_lines(path, "records"):
-        where = f"{path}:{lineno}"
-        rec = _record_from_obj(raw, graph, known_outcomes, where)
-        if records and rec.features.size != records[0].features.size:
-            raise ValidationError(
-                f"{where}: feature dimension {rec.features.size} does not "
-                f"match dataset dimension {records[0].features.size}")
-        if rec.id in seen_ids:
-            raise ValidationError(f"{where}: duplicate record id {rec.id!r}")
-        seen_ids.add(rec.id)
-        records.append(rec)
-    if not records:
-        raise ValidationError(f"{path}: no records")
-    _require_finite(records, path)
-    return Dataset(records=records, feature_dim=records[0].features.size,
-                   outcomes=graph.outcome_names())
+    """Read a JSONL record file, validating every line against the graph.
+
+    The lines come LOAD_CHUNK at a time and `_Loader.add` checks each
+    chunk field by field. A chunk that fails is checked again line by
+    line, so an error names the first bad line, as reading one line at a
+    time would. A non-finite feature is reported, by its line, only once
+    every line has passed. The dataset's columns are built as the chunks
+    pass, and each record's features are a row of their `X`."""
+    loader = _Loader(path, graph)
+    for linenos, objs in json_lines(path, "records", LOAD_CHUNK):
+        loader.add(linenos, objs)
+    return loader.dataset()
 
 
-def _require_finite(records: list[Record], path: str) -> None:
-    """Raise, naming the first line, if some record loaded from the file at
-    path holds a non-finite feature; one vectorised check covers 1,024
-    records and copies their features."""
-    for start in range(0, len(records), 1024):
-        chunk = [r.features for r in records[start:start + 1024]]
-        if not np.isfinite(np.concatenate(chunk)).all():
-            bad = start + next(i for i, f in enumerate(chunk) if not np.isfinite(f).all())
-            lineno = next(n for i, (n, _) in enumerate(json_lines(path, "records")) if i == bad)
-            raise ValidationError(f"{path}:{lineno}: features must be finite numbers")
+class _Loader:
+    """What `load_dataset` has read so far: the checked chunks' fields, the
+    ids seen, the feature dimension, the closure of each distinct concept
+    list, and the first line holding a non-finite feature."""
+
+    def __init__(self, path: str, graph: OntologyGraph):
+        self.path, self.graph = path, graph
+        self.known = set(graph.outcome_names())
+        self.dim: int | None = None
+        self.seen: set[str] = set()
+        self.set_of: dict[tuple, int] = {}  # concept list -> its closure's index
+        self.closures: list[frozenset[str]] = []
+        self.ids: list[str] = []
+        self.xs: list[np.ndarray] = []
+        self.which: list[int] = []
+        self.labels: list[dict] = []
+        self.nonfinite: int | None = None
+
+    def add(self, linenos: list[int], objs: list) -> None:
+        """Check the parsed lines objs, numbered linenos, and keep them."""
+        fields = self._fields(objs)
+        if fields is None:
+            self._check_lines(linenos, objs)
+        ids, x, which, labels = fields
+        finite = np.isfinite(x).all(axis=1)
+        if self.nonfinite is None and not finite.all():
+            self.nonfinite = linenos[int(finite.argmin())]
+        self.dim = x.shape[1]
+        self.seen.update(ids)
+        self.ids += ids
+        self.xs.append(x)
+        self.which += which
+        self.labels += labels
+
+    def _fields(self, objs) -> tuple | None:
+        """(ids, features, closure indices, labels) of a chunk's parsed
+        lines, or None if one of them breaks a rule of `_record_from_obj`
+        or repeats an id. Each field's types are checked with one set of
+        the types it holds."""
+        if set(map(type, objs)) != {dict}:
+            return None
+        try:
+            ids = [obj["id"] for obj in objs]
+            features = [obj["features"] for obj in objs]
+            concepts = [obj["concepts"] for obj in objs]
+        except KeyError:
+            return None
+        labels = [obj["labels"] if "labels" in obj else {} for obj in objs]
+        if not (set(map(type, ids)) == {str} and set(map(type, features)) == {list}
+                and set(map(type, concepts)) == {list} and set(map(type, labels)) == {dict}):
+            return None
+        dim = len(features[0]) if self.dim is None else self.dim
+        if not (len(set(ids)) == len(ids) and self.seen.isdisjoint(ids)
+                and set(map(len, features)) == {dim}
+                and set(map(type, itertools.chain.from_iterable(features))) <= {int, float}
+                and set(map(type, itertools.chain.from_iterable(concepts))) <= {str}
+                and set(itertools.chain.from_iterable(labels)) <= self.known):
+            return None
+        values = list(itertools.chain.from_iterable(map(dict.values, labels)))
+        if not (set(map(type, values)) <= {int} and set(values) <= {0, 1}):
+            return None
+        which = []
+        for key in map(tuple, concepts):
+            i = self.set_of.get(key)
+            if i is None:
+                if not key or not set(key) <= self.graph.nodes.keys():
+                    return None
+                i = self.set_of[key] = len(self.closures)
+                self.closures.append(ancestor_closure(self.graph, key))
+            which.append(i)
+        try:
+            x = np.array(features, dtype=np.float64)
+        except OverflowError:  # an integer too large for a float
+            return None
+        return ids, x, which, labels
+
+    def _check_lines(self, linenos: list[int], objs: list) -> None:
+        """Raise the error of the chunk's first bad line, checked as
+        `_record_from_obj` checks one line, after the chunks before it."""
+        seen, dim = set(self.seen), self.dim
+        for lineno, obj in zip(linenos, objs):
+            where = f"{self.path}:{lineno}"
+            rec = _record_from_obj(obj, self.graph, self.known, where)
+            if dim is None:
+                dim = rec.features.size
+            if rec.features.size != dim:
+                raise ValidationError(f"{where}: feature dimension {rec.features.size} "
+                                      f"does not match dataset dimension {dim}")
+            if rec.id in seen:
+                raise ValidationError(f"{where}: duplicate record id {rec.id!r}")
+            seen.add(rec.id)
+        raise AssertionError(f"{self.path}: the lines from {linenos[0]} on failed "
+                             f"as a chunk but pass one by one")
+
+    def dataset(self) -> Dataset:
+        if not self.ids:
+            raise ValidationError(f"{self.path}: no records")
+        if self.nonfinite is not None:
+            raise ValidationError(f"{self.path}:{self.nonfinite}: "
+                                  f"features must be finite numbers")
+        x = np.concatenate(self.xs)
+        self.xs.clear()
+        records = list(map(Record, self.ids, x,
+                           map(self.closures.__getitem__, self.which), self.labels))
+        data = Dataset(records=records, feature_dim=self.dim,
+                       outcomes=self.graph.outcome_names())
+        data._columns = Columns.build(self.ids, x, self.closures, self.which,
+                                      self.labels, self.graph)
+        return data
 
 
 def _record_from_obj(raw, graph: OntologyGraph, known_outcomes: set[str],

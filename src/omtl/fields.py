@@ -1,13 +1,15 @@
 """Reading and writing the program's files. `read_json` (JSON) and
-`json_lines` (JSONL) read every input file: one that cannot be opened,
-read, decoded as UTF-8 or parsed (JSON nested too deeply included) is a
-`ValidationError` naming it, and for JSONL the line. Loaders read every
-field through `json_field`, which rejects a value of the wrong JSON type
-or a scalar float that is not finite, and returns float fields as floats;
-a loader that reads float arrays checks them for finiteness itself, in
-one pass. `output_file` opens every output, and `write_json` writes every
-JSON output. A configuration whose arrays would hold more than `MAX_SIZE`
-numbers is rejected before any is allocated."""
+`json_lines` (JSONL, a chunk of lines at a time) read every input file:
+one that cannot be opened, read, decoded as UTF-8 or parsed (JSON nested
+too deeply included) is a `ValidationError` naming it, and for JSONL the
+line. Loaders read fields through `json_field`, which rejects a value of
+the wrong JSON type or a scalar float that is not finite, and returns
+float fields as floats; the record loader applies the same type rules to
+a whole chunk's fields at once and falls back on `json_field` line by
+line to name a fault. A loader that reads float arrays checks them for
+finiteness itself, in one pass. `output_file` opens every output, and
+`write_json` writes every JSON output. A configuration whose arrays would
+hold more than `MAX_SIZE` numbers is rejected before any is allocated."""
 
 from __future__ import annotations
 
@@ -38,9 +40,35 @@ def read_json(path: str, what: str):
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def json_lines(path: str, what: str):
-    """(line number, parsed JSON) of each non-blank line of the UTF-8 JSONL
-    file at path, read one line at a time; what names its kind in errors."""
+def json_lines(path: str, what: str, chunk: int):
+    """The line numbers and the parsed JSON values of the non-blank lines
+    of the UTF-8 JSONL file at path, as a pair of lists of chunk lines
+    each, the last pair shorter; what names its kind in errors. The error
+    of a line that cannot be read or parsed is raised after the lists of
+    the lines before it, so a caller that checks each pair in turn finds
+    an earlier line's fault first."""
+    linenos, objs = [], []
+    try:
+        for lineno, obj in _parsed_lines(path, what):
+            linenos.append(lineno)
+            objs.append(obj)
+            if len(objs) == chunk:
+                yield linenos, objs
+                linenos, objs = [], []
+    except ValidationError:
+        if objs:
+            yield linenos, objs
+        raise
+    if objs:
+        yield linenos, objs
+
+
+# json.loads without its checks for a str, a byte-order mark and trailing
+# text: a stripped line needs only the last, which _parsed_lines makes
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parsed_lines(path: str, what: str):
     try:
         # an undecodable byte reads as a lone surrogate, which encode() rejects
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -50,7 +78,12 @@ def json_lines(path: str, what: str):
                 try:
                     if not line.isascii():
                         line.encode("utf-8")
-                    obj = json.loads(line)
+                    try:
+                        obj, end = _raw_decode(line)
+                    except _UNPARSABLE:
+                        end = None
+                    if end != len(line):  # json.loads raises, with its message
+                        obj = json.loads(line)
                 except UnicodeEncodeError:
                     raise ValidationError(f"{path}:{lineno}: invalid UTF-8") from None
                 except _UNPARSABLE as exc:

@@ -218,10 +218,11 @@ class OmtlModel:
                                               -np.inf)
 
     def __reduce__(self):
-        """A copy or an unpickled model is rebuilt around a new arena, so
-        its parameters and blocks are views of that arena."""
-        return _rebuild, (self.spec, self.graph, self.outcome_map, self.arena.values,
-                          self.arena.trainable, self.hierarchy_enabled)
+        """A copy or an unpickled model is rebuilt around the copy of its
+        arena (`Arena.__reduce__`), so its parameters and blocks are views
+        of that arena."""
+        return _rebuild, (self.spec, self.graph, self.outcome_map, self.arena,
+                          self.hierarchy_enabled)
 
     def head_pairs(self, seg: Segments) -> tuple[np.ndarray, np.ndarray]:
         """Every (pair, head) combination of seg's pairs with the heads of
@@ -248,11 +249,8 @@ class OmtlModel:
         return slice(0, size)
 
 
-def _rebuild(spec: ModelSpec, graph: OntologyGraph, outcome_map: dict,
-             values: np.ndarray, trainable: slice, hierarchy_enabled: bool) -> OmtlModel:
-    arena = Arena(param_layout(spec, graph, outcome_map))
-    arena.values[...] = values
-    arena.trainable = trainable
+def _rebuild(spec: ModelSpec, graph: OntologyGraph, outcome_map: dict, arena: Arena,
+             hierarchy_enabled: bool) -> OmtlModel:
     model = OmtlModel(spec, graph, arena, outcome_map)
     model.hierarchy_enabled = hierarchy_enabled
     return model

@@ -96,6 +96,16 @@ class Parameter(Tensor):
 
     const = property(_outside_trainable)
 
+    def __reduce__(self):
+        """A copy or an unpickled parameter is the parameter of the same
+        name in the copy of its arena."""
+        name = next(n for n, p in self.arena.params.items() if p is self)
+        return _arena_param, (self.arena, name)
+
+
+def _arena_param(arena: "Arena", name: str) -> Parameter:
+    return arena.params[name]
+
 
 class Arena:
     """All parameters of a model as views into one flat float64 buffer.
@@ -122,6 +132,12 @@ class Arena:
             p.arena = self
             offset = p.span.stop
         self.trainable = slice(0, offset)
+
+    def __reduce__(self):
+        """A copy or an unpickled arena is laid out anew from its shapes, so
+        its parameters are views of its own buffer."""
+        return _rebuild_arena, ([(n, p.values.shape) for n, p in self.params.items()],
+                                self.values, self.trainable)
 
     @property
     def size(self) -> int:
@@ -153,6 +169,13 @@ class Arena:
         src = np.concatenate(src)
         return PaddedBlock(self, slice(src.min(), src.max() + 1),
                            (len(members), rows, width), src, np.concatenate(dst), fill)
+
+
+def _rebuild_arena(shapes, values: np.ndarray, trainable: slice) -> Arena:
+    arena = Arena(shapes)
+    arena.values[...] = values
+    arena.trainable = trainable
+    return arena
 
 
 class Block:

@@ -49,6 +49,19 @@ def test_long_cycle_named_by_length_and_first_nodes(tmp_path, capsys):
     assert len(err.rstrip("\n")) < 200 and "cycle of 2999 nodes" in err
 
 
+@pytest.mark.parametrize("graph, code", [("graph.json", 0), ("cycle.json", 1)])
+def test_python_m_omtl_runs_the_command_line(workdir, graph, code):
+    _json_file(workdir, "cycle.json", LONG_CYCLE)
+    src = str(Path(omtl.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "omtl", "validate-graph", "--graph",
+                          str(workdir / graph)], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == code, run.stderr
+    assert run.stderr.startswith("error: ") == bool(code)
+
+
 def test_unknown_flag_rejected(workdir):
     with pytest.raises(SystemExit):
         dispatch(["validate-graph", "--graph", str(workdir / "graph.json"),

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omtl.datastore import (Columns, Dataset, Record, SynthConfig, generate_synthetic,
-                            load_dataset, make_folds, save_dataset)
+import omtl.datastore
+from omtl.datastore import (Columns, Dataset, Record, SynthConfig, _record_from_obj,
+                            generate_synthetic, load_dataset, make_folds, save_dataset)
 from omtl.errors import ValidationError
+from omtl.fields import json_lines
 from omtl.ontology import ancestor_closure
+from omtl.trainer import TrainConfig, score_holdout, train_variant
 
 from conftest import JSON, chain_graph, diamond_graph, field, random_dag
 from oracles import per_record_folds, strata
+from test_trainer import multi_parent_cohort
 
 
 def write_jsonl(tmp_path, rows, name="data.jsonl"):
@@ -80,6 +84,121 @@ class TestLoad:
             assert a.concepts == b.concepts
             assert a.labels == b.labels
             assert (a.features == b.features).all()
+
+
+def assert_columns_equal(a: Columns, b: Columns) -> None:
+    """Every array of a equals b's in dtype, shape and bits."""
+    for name in ("ids", "X", "member", "labels", "labeled", "unclosed"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tolist() == y.tolist() if x.dtype == object else x.tobytes() == y.tobytes()
+    assert (a.nodes, a.outcomes, a.graph_hash) == (b.nodes, b.outcomes, b.graph_hash)
+
+
+def cohort_file(tmp_path, cohort: str):
+    """(graph, path) of a written cohort: a 2,800-record synthetic tree
+    (several load chunks), the 6-node multi-parent DAG, or the tree with
+    blank and whitespace-only lines between its records."""
+    if cohort == "multi_parent":
+        graph, data = multi_parent_cohort()
+    else:
+        graph, data = generate_synthetic(SynthConfig(records_per_node=400, feature_dim=5,
+                                                     low_data_records=200, seed=3))
+    path = tmp_path / f"{cohort}.jsonl"
+    save_dataset(data, str(path))
+    if cohort == "blank_lines":
+        lines = path.read_text().splitlines()
+        path.write_text("\n \t\n".join(lines[:40]) + "\n\n" + "\n".join(lines[40:]) + "\n\n")
+    return graph, str(path)
+
+
+class TestLoadedColumns:
+    @pytest.mark.parametrize("cohort", ["tree", "multi_parent", "blank_lines"])
+    def test_loaded_columns_equal_columns_of_their_records(self, tmp_path, cohort):
+        graph, path = cohort_file(tmp_path, cohort)
+        data = load_dataset(path, graph)
+        cols = data.columns(graph)
+        assert_columns_equal(cols, Columns.from_records(data.records, graph))
+        assert all(np.shares_memory(rec.features, cols.X) for rec in data.records)
+        assert not hasattr(data.records[0], "__dict__")  # a slotted Record
+        assert len({id(rec.concepts) for rec in data.records}) == len(np.unique(
+            cols.member, axis=0))  # one shared frozenset per concept set
+
+    def test_loaded_cohort_is_never_converted_again(self, tmp_path, monkeypatch):
+        graph, path = cohort_file(tmp_path, "multi_parent")
+        data = load_dataset(path, graph)
+
+        def refuse(records, graph):
+            raise AssertionError("a loaded cohort was converted to columns again")
+
+        monkeypatch.setattr(Columns, "from_records", refuse)
+        make_folds(data, graph, k=3)
+        model, _ = train_variant(graph, data, TrainConfig(variant="omtl", max_epochs=1,
+                                                          batch_size=32, seed=0))
+        assert score_holdout(model, graph, data)
+
+
+def per_line_load(path: str, graph) -> list[Record]:
+    """The record loader as one loop over single lines: each line's
+    checks, then its dimension and id against the lines before it, and
+    non-finite features only once every line has passed."""
+    known, records, seen, first_nonfinite = set(graph.outcome_names()), [], set(), None
+    for (lineno,), (obj,) in json_lines(path, "records", 1):
+        where = f"{path}:{lineno}"
+        rec = _record_from_obj(obj, graph, known, where)
+        if records and rec.features.size != records[0].features.size:
+            raise ValidationError(f"{where}: feature dimension {rec.features.size} does "
+                                  f"not match dataset dimension {records[0].features.size}")
+        if rec.id in seen:
+            raise ValidationError(f"{where}: duplicate record id {rec.id!r}")
+        seen.add(rec.id)
+        if first_nonfinite is None and not np.isfinite(rec.features).all():
+            first_nonfinite = lineno
+        records.append(rec)
+    if not records:
+        raise ValidationError(f"{path}: no records")
+    if first_nonfinite is not None:
+        raise ValidationError(f"{path}:{first_nonfinite}: features must be finite numbers")
+    return records
+
+
+def good_line(i: int) -> str:
+    return json.dumps({"id": f"g{i}", "features": [0.5 * i, -1],
+                       "concepts": [["a"], ["c"], ["b", "a"]][i % 3],
+                       **({"labels": {"event": i % 2}} if i % 4 else {})})
+
+
+# lines that break one rule each, beside any parsed JSON or record-shaped
+# object of RECORD_LINES (defined below)
+BAD_LINES = [
+    '{"id": "x", "features": [1.0, 2.0]', "[1, 2]", "NaN", '"text"',
+    '{"id": "g0", "features": [1.0, 2.0], "concepts": ["a"]}',
+    '{"id": "x", "features": [1.0, 2.0, 3.0], "concepts": ["a"]}',
+    '{"id": "x", "features": [1.0, NaN], "concepts": ["a"]}',
+    '{"id": "x", "features": [1.0, Infinity], "concepts": ["a"]}',
+    '{"id": "x", "features": [1.0, 1e999], "concepts": ["a"]}',
+    '{"id": "x", "features": [1.0, ' + "9" * 400 + '], "concepts": ["a"]}',
+    '{"id": "x", "features": [true, 2.0], "concepts": ["a"]}',
+    '{"id": "x", "features": [1.0, 2.0], "concepts": []}',
+    '{"id": "x", "features": [1.0, 2.0], "concepts": ["a", ["b"]]}',
+    '{"id": "x", "features": [1.0, 2.0], "concepts": ["a"], "labels": {"event": 2}}',
+    '{"id": "x", "features": [1.0, 2.0], "concepts": ["a"], "labels": {"event": true}}',
+    '{"id": "x", "features": [1.0, 2.0], "concepts": ["a"], "labels": {"oops": 1}}',
+    '{"id": "x", "features": [1.0, 2.0], "concepts": ["a"], "labels": null}',
+    '{"id": "x", "features": [1.0, 2.0], "concepts": ["a"]} extra',
+    '\ufeff{"id": "x", "features": [1.0, 2.0], "concepts": ["a"]}',
+]
+
+
+def outcome(load, path, graph):
+    """The error message of load(path, graph), or the loaded records'
+    ids, feature bits, concepts and labels."""
+    try:
+        data = load(path, graph)
+    except ValidationError as exc:
+        return str(exc)
+    records = data.records if isinstance(data, Dataset) else data
+    return [(r.id, r.features.tobytes(), r.concepts, r.labels) for r in records]
 
 
 class TestFolds:
@@ -429,6 +548,35 @@ def test_record_loader_returns_a_record_or_raises_validation_error(tmp_path_fact
     assert rec.features.dtype == np.float64 and np.isfinite(rec.features).all()
     assert rec.concepts == ancestor_closure(g, obj["concepts"])
     assert all(type(v) is int and v in (0, 1) for v in rec.labels.values())
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(n_good=st.integers(1, 10), bad=st.tuples(st.integers(0, 10), st.sampled_from(BAD_LINES)),
+       other=st.none() | st.tuples(st.integers(0, 11), RECORD_LINES.map(json.dumps)))
+def test_chunked_loader_fails_as_the_per_line_loop(tmp_path_factory, n_good, bad, other):
+    # chunks of 3 lines, so bad lines fall anywhere in a chunk and good
+    # ones on both sides of chunk borders: the loader's error, or its
+    # records, are those of a loop over single lines
+    g = chain_graph(3)
+    lines = [good_line(i) for i in range(n_good)]
+    for at, line in filter(None, [bad, other]):
+        lines.insert(min(at, len(lines)), line)
+    path = tmp_path_factory.getbasetemp() / "chunked.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(omtl.datastore, "LOAD_CHUNK", 3)
+        assert outcome(load_dataset, str(path), g) == outcome(per_line_load, str(path), g)
+
+
+@pytest.mark.parametrize("chunk", [3, 1024])
+def test_structural_fault_reported_before_an_earlier_non_finite_feature(
+        tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(omtl.datastore, "LOAD_CHUNK", chunk)
+    rows = [row(f"r{i}", ["a"]) for i in range(6)]
+    rows[1]["features"][0] = float("nan")
+    rows[4]["concepts"] = ["zzz"]
+    with pytest.raises(ValidationError, match=r":5: unknown concept id 'zzz'"):
+        load_dataset(write_jsonl(tmp_path, rows), chain_graph(3))
 
 
 @pytest.mark.parametrize("fields", [dict(levels=10 ** 30), dict(levels=30, branching=3),

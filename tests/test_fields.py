@@ -1,7 +1,15 @@
 import ast
+import json
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 import omtl
+from omtl.errors import ValidationError
+from omtl.fields import json_lines
+
+from conftest import JSON
 
 
 def json_parse_calls(path: Path) -> list[int]:
@@ -60,3 +68,40 @@ def test_write_json_writes_the_bytes_of_json_dumps(tmp_path):
         assert path.read_text(encoding="utf-8") == json.dumps(obj, **args) + "\n"
     write_json(str(path), [1, {"x": 2}])
     assert path.read_text(encoding="utf-8") == "[1, {\"x\": 2}]\n"
+
+
+def lines_one_by_one(path: Path) -> list:
+    """(line number, value) of each non-blank line of path as json.loads
+    reads it, up to the first line it cannot parse; then that line's error."""
+    out = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+        if line.strip():
+            try:
+                out.append((lineno, json.dumps(json.loads(line.strip()))))
+            except ValueError as exc:
+                return out + [f"{path}:{lineno}: invalid JSON: {exc}"]
+    return out
+
+
+# text around a JSON value: none, whitespace, or enough to make it invalid
+AROUND = [("", ""), (" \t", " "), ("", " extra"), ("", "}"), ("", ", 1"),
+          ("\ufeff", ""), ("[", "")]
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.lists(st.one_of(st.just(""), st.tuples(st.sampled_from(AROUND), JSON).map(
+    lambda a: a[0][0] + json.dumps(a[1]) + a[0][1])), max_size=7), st.integers(1, 3))
+def test_json_lines_reads_lines_as_json_loads_in_order(tmp_path_factory, lines, chunk):
+    # every list but the last holds chunk lines, and a bad line's error
+    # comes after the values of the lines before it
+    path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got, sizes = [], []
+    try:
+        for linenos, objs in json_lines(str(path), "lines", chunk):
+            sizes.append(len(objs))
+            got += [(n, json.dumps(obj)) for n, obj in zip(linenos, objs, strict=True)]
+    except ValidationError as exc:
+        got.append(str(exc))
+    assert got == lines_one_by_one(path)
+    assert all(size == chunk for size in sizes[:-1]) and all(sizes)

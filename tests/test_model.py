@@ -157,6 +157,32 @@ class TestBuild:
         assert np.array_equal(forward(model, rec).rep.values, before)
 
 
+    @pytest.mark.parametrize("clone", [
+        pytest.param(copy.deepcopy, id="deepcopy"),
+        pytest.param(lambda a: pickle.loads(pickle.dumps(a)), id="pickle")])
+    def test_copied_arena_views_its_own_buffer(self, clone):
+        model = tiny_model(diamond_graph(), "omtl")
+        arena = model.arena
+        arena.trainable = model.phase_span("phase2")
+        twin = clone(arena)
+        assert list(twin.params) == list(arena.params)
+        assert not np.shares_memory(twin.values, arena.values)
+        assert twin.values.tobytes() == arena.values.tobytes()
+        for name, p in twin.params.items():
+            assert p.arena is twin and np.shares_memory(p.values, twin.values)
+            assert p.values.tobytes() == arena.params[name].values.tobytes()
+        consts = [p.const for p in arena.params.values()]
+        assert twin.trainable == arena.trainable and any(consts) and not all(consts)
+        assert [p.const for p in twin.params.values()] == consts
+        twin.trainable = slice(0, 0)
+        assert all(p.const for p in twin.params.values())
+        assert [p.const for p in arena.params.values()] == consts
+        name, param = next(iter(arena.params.items()))
+        alone = clone(param)
+        assert alone.arena is not arena and alone.arena.params[name] is alone
+        assert alone.values.tobytes() == param.values.tobytes()
+
+
 class TestMixExperts:
     def test_sb_passes_single_expert_through(self, rng):
         g = chain_graph(2)
