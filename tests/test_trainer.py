@@ -375,6 +375,46 @@ class TestColumnarTraining:
         assert model.pgate_w.shape[0] == 2 and model.hierarchy_enabled
         assert log.final_param_hash == digest
 
+    @pytest.mark.parametrize("cohort, batch_size, reward_f, digest", [
+        pytest.param("tree", 1, None,
+                     "26493924f22e305512babb56fa042247ace070558e2245fdda63716161772dfe",
+                     id="batch-1"),
+        pytest.param("tree", 1, -0.5,
+                     "dc916eb18c805eae0a59b3efc8c39f47fa34aa5b2d04af2397e17bca33d15809",
+                     id="batch-1-shaped"),
+        pytest.param("tree", None, None,
+                     "40d15ff66f4e6ffab99e6536bfb7b00f3df42bf38faf6134b1c043097a95121f",
+                     id="batch-over-cohort"),
+        pytest.param("no-concepts", 2, None,
+                     "176d152d3f707132c1e53da0dc67621a002210f3bbc5d4800cfd0ffd4d7106ba",
+                     id="rows-without-pairs"),
+        pytest.param("multi-parent", 3, None,
+                     "d9d3ad85b16e22e5a9c1151a7a49c33d568a28fcec9353d665eae212985ae18c",
+                     id="multi-parent-batch-3"),
+        pytest.param("multi-parent", 3, 0.5,
+                     "d1906f84586e1c3b7bf0e5031f92e1c278c863a6aa47fdbd8bc9277a1138a062",
+                     id="multi-parent-batch-3-shaped")])
+    def test_final_param_hash_is_pinned_at_batch_edges(self, cohort, batch_size,
+                                                       reward_f, digest):
+        # omtl's bits where batches are single rows, one batch larger than
+        # the cohort, batches whose rows express no node, and gated routes
+        # spread over many small batches
+        if cohort == "multi-parent":
+            graph, data = multi_parent_cohort()
+        else:
+            graph, data = generate_synthetic(SynthConfig(
+                levels=3, branching=2, records_per_node=4, feature_dim=6,
+                low_data_records=4, outcomes=("mortality",), seed=2))
+        if cohort == "no-concepts":
+            for rec in data.records[::3]:
+                rec.concepts = frozenset()
+        if batch_size is None:
+            batch_size = len(data.records) + 5
+        _, log = train_variant(graph, data, TrainConfig(
+            variant="omtl", batch_size=batch_size, max_epochs=2, seed=0,
+            reward_f=reward_f))
+        assert log.final_param_hash == digest
+
     def test_train_record_ids_are_the_training_split(self):
         graph, data = small_benchmark(records=30)
         cfg = tiny_config(variant="mmoe", max_epochs=2, val_fraction=0.2, seed=3)
