@@ -27,11 +27,16 @@ a pair consumes was computed on an earlier level for the same record; a
 record is never routed through a node outside its own concept set. A node
 with a single parent takes that parent with weight exactly 1, as the
 softmax over one logit would.
+
+The indices all of this reads depend only on which rows a batch holds.
+`BatchPlan` builds them for every batch of an epoch at once, with the
+checks a forward pass needs, and a training step's `Batch` is slices of
+its arrays; a forward pass given rows instead plans them as one batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -178,9 +183,7 @@ class OmtlModel:
             if spec.has_expert_gates else (None, None)
         self.repr_w, self.repr_b = _stack(arena, "repr", nodes)
         self.recon_w, self.recon_b = _stack(arena, "recon", nodes)
-        # the first node of each level, then the node count
-        self.level_start = np.searchsorted([graph.levels[n] for n in nodes],
-                                           np.arange(graph.depth + 1))
+        self.level = np.array([graph.levels[n] for n in nodes], dtype=np.intp)
 
         # heads, in node order
         self.head_keys = [(n, o) for n in nodes for o in outcome_map.get(n, ())]
@@ -226,7 +229,8 @@ class OmtlModel:
 
     def head_pairs(self, seg: Segments) -> tuple[np.ndarray, np.ndarray]:
         """Every (pair, head) combination of seg's pairs with the heads of
-        their node, as pair and head index arrays grouped by head."""
+        their node, as pair and head index arrays grouped by head within
+        each run."""
         counts = self.head_count[seg.members]
         heads = _ranges(self.head_start[seg.members], counts)
         run_len = np.repeat(seg.ends - seg.starts, counts)
@@ -306,111 +310,263 @@ def reinit_parent_gates(model: OmtlModel, seed: int) -> None:
             _draw(model.params, rng, f"parent_gate.{nid}")
 
 
-@dataclass(eq=False)
-class ForwardResult:
-    """A forward pass over rows of a cohort's columns, as arrays: the
-    batch's (row, node) pairs and their representations, the batch's
-    feature rows (the reconstruction targets), and its labels.
-
-    Pairs are node-major, nodes in level order: pair p is batch row
-    pair_rows[p] at node seg.of[p], rows ascending within a node. A batch
-    whose records express no node has no pairs, and seg and rep are None.
-    labels and labeled are (batch, model outcomes) arrays of each row's
-    label and of whether it has one.
-    """
-
-    model: OmtlModel
-    pair_rows: np.ndarray
-    seg: Segments | None
-    rep: Tensor | None
-    inputs: np.ndarray
-    labels: np.ndarray
-    labeled: np.ndarray
-
-
 def _label_arrays(model: OmtlModel, cols: Columns,
-                  rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, labeled) of rows of cols (all rows for None) over the
-    model's outcomes: views when the columns' outcomes begin with the
-    model's, and otherwise remapped, since a loaded model may carry heads
-    for outcomes the cohort lacks."""
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, labeled) of rows of cols over the model's outcomes: views
+    when the columns' outcomes begin with the model's, and otherwise
+    remapped, since a loaded model may carry heads for outcomes the cohort
+    lacks."""
     outcomes = model.outcomes
-    rows = slice(None) if rows is None else rows
     if cols.outcomes[:len(outcomes)] == outcomes:
         return cols.labels[rows, :len(outcomes)], cols.labeled[rows, :len(outcomes)]
     have = [k for k, o in enumerate(outcomes) if o in cols.outcomes]
     src = [cols.outcomes.index(outcomes[k]) for k in have]
-    labels = np.zeros((cols.ids[rows].size, len(outcomes)))
+    labels = np.zeros((rows.size, len(outcomes)))
     labeled = np.zeros(labels.shape, dtype=bool)
     labels[:, have] = cols.labels[rows][:, src]
     labeled[:, have] = cols.labeled[rows][:, src]
     return labels, labeled
 
 
-def _route(model: OmtlModel, x: np.ndarray, rows: np.ndarray, node: np.ndarray,
-           batch_size: int) -> T.Route:
-    """The parent routing of a batch's pairs (batch row rows[p] at node
-    node[p], node-major). The batch's concept sets are ancestor-closed, so
-    every parent a pair reads has a pair on an earlier level."""
-    pos = np.full((batch_size, len(model.node_col)), -1, dtype=np.intp)
-    pos[rows, node] = np.arange(rows.size)
-    par = model.parents[node]
-    src = np.where(par >= 0, pos[rows[:, None], par], 0)
-    bounds = np.searchsorted(node, model.level_start)
-    single = np.flatnonzero(model.n_parents[node] == 1)
-    gate_row = model.gate_row[node]
-    gated = np.flatnonzero(gate_row >= 0)
-    if not gated.size or model.pgate_w is None:
-        return T.Route(bounds, src, single)
-    return T.Route(bounds, src, single, gated, x[rows[gated]],
-                   Segments(gate_row[gated]), model.pgate_w, model.pgate_b)
+class _Runs:
+    """Runs of equal (batch, member) over elements sorted by batch and then
+    member of: batch b's elements are lo[b]:lo[b+1] and its runs
+    run_lo[b]:run_lo[b+1], with starts and ends local to the batch."""
+
+    def __init__(self, of: np.ndarray, batch: np.ndarray, count: int):
+        runs = Segments(batch * (of.max(initial=0) + 1) + of)
+        self.of, self.members = of, of[runs.starts]
+        # the same runs over all elements
+        self.all = Segments.from_runs(of, runs.starts, runs.ends, self.members)
+        self.lo = np.searchsorted(batch, np.arange(count + 1))
+        run_batch = batch[runs.starts]
+        self.run_lo = np.searchsorted(run_batch, np.arange(count + 1))
+        self.starts = runs.starts - self.lo[run_batch]
+        self.ends = runs.ends - self.lo[run_batch]
+
+    def segments(self, b: int) -> Segments:
+        lo, hi = self.lo[b], self.lo[b + 1]
+        r0, r1 = self.run_lo[b], self.run_lo[b + 1]
+        return Segments.from_runs(self.of[lo:hi], self.starts[r0:r1], self.ends[r0:r1],
+                                  self.members[r0:r1])
+
+
+@dataclass(eq=False)
+class Batch:
+    """One batch of a `BatchPlan`: rows (in order) of the plan's columns,
+    their labels and whether they have them over the model's outcomes, and
+    the index arrays a forward pass and its loss read.
+
+    Pairs are node-major, nodes in level order: pair p is batch row
+    pair_rows[p] at node seg.of[p], rows ascending within a node. A batch
+    whose records express no node has no pairs, and seg is None. route is
+    None unless the plan routes through parents; otherwise it holds the
+    `tensor.Route` levels, src, single and gated pairs, and the gated
+    pairs' segments (None when the batch has none). heads is None when no
+    head term counts, and otherwise (pair, hseg, y, weight): each kept
+    (pair, head) term's pair, the terms grouped by head, and its label and
+    weight.
+    """
+
+    cols: Columns
+    rows: np.ndarray
+    scheme: object
+    labels: np.ndarray
+    labeled: np.ndarray
+    pair_rows: np.ndarray
+    seg: Segments | None
+    route: tuple | None
+    heads: tuple | None
+
+
+class BatchPlan:
+    """Every batch's routing and loss indices, for rows of cols (all rows
+    by default) taken in order size at a time (all in one batch by
+    default).
+
+    The trainer plans each epoch once, after its shuffle, so that a
+    training step only slices epoch-wide arrays. They come from one
+    `np.nonzero` over member[rows] and one stable sort by (batch, node),
+    which puts each batch's pairs node-major with rows ascending, as the
+    batch alone would form them. A plan holds index arrays and the head
+    terms' labels and weights, never features.
+
+    The checks a forward pass needs run here, once per plan: cols must be
+    over the model's graph and of its feature dim; with routing on, every
+    row must be ancestor-closed (the error names what the first batch
+    holding an unclosed row lacks); with a reward scheme, a row labeling
+    the scheme's outcome must have that head at each of its nodes. A
+    (pair, head) term of the loss counts where its row labels the head's
+    outcome and the head has weight: `model.head_masked` without a scheme,
+    else the scheme's level weight at each head of its outcome.
+    """
+
+    def __init__(self, model: OmtlModel, cols: Columns, rows: np.ndarray | None = None,
+                 size: int | None = None, scheme=None):
+        if cols.graph_hash != model.graph_hash:
+            raise ValidationError("forward: columns were built over another graph")
+        if cols.X.shape[1] != model.spec.feature_dim:
+            raise ValidationError(f"record feature dim {cols.X.shape[1]} != model dim "
+                                  f"{model.spec.feature_dim}")
+        rows = np.arange(len(cols)) if rows is None else rows
+        size = max(rows.size, 1) if size is None else size
+        if model.hierarchy_enabled and cols.unclosed[rows].any():
+            b = np.flatnonzero(cols.unclosed[rows])[0] // size
+            raise cols.closure_error(rows[b * size:(b + 1) * size], model.graph)
+        self.model, self.cols, self.rows, self.size = model, cols, rows, size
+        self.scheme = scheme
+        self.count = -(-rows.size // size)
+        count = max(self.count, 1)  # a plan of no rows has one batch, empty
+
+        pos, node = np.nonzero(cols.member[rows])
+        by = np.argsort(pos // size * len(model.node_col) + node, kind="stable")
+        pos, node = pos[by], node[by]
+        batch = pos // size
+        self.pairs = _Runs(node, batch, count)
+        self.pair_rows = pos - batch * size
+        local = np.arange(node.size) - self.pairs.lo[batch]  # a pair's index in its batch
+        self.labels, self.labeled = _label_arrays(model, cols, rows)
+        self._plan_heads(pos, node, batch, local, count)
+        self.levels = None
+        if model.hierarchy_enabled and model.parents.shape[1]:
+            self._plan_route(pos, node, batch, local, count)
+
+    def _head_weight(self, labeled, pos, node) -> np.ndarray:
+        model, scheme = self.model, self.scheme
+        if scheme is None:
+            return model.head_masked
+        k = model.outcome_col.get(scheme.outcome)
+        if k is not None:
+            bad = np.flatnonzero(labeled[pos, k] & ~model.has_head[node, k])
+            if bad.size:
+                raise ValidationError(
+                    f"reward scheme is active but node "
+                    f"{model.graph.ordered_ids[node[bad[0]]]!r} has no head "
+                    f"for outcome {scheme.outcome!r}")
+        node_w = np.array([scheme.weights[n] for n in model.graph.ordered_ids])
+        return np.where(model.head_outcome == k, node_w[model.head_node], 0.0)
+
+    def _plan_heads(self, pos, node, batch, local, count) -> None:
+        """The kept head terms of every batch: each (pair, head) combination
+        of a pair with a head of its node, grouped by head within a batch,
+        kept where its weight and its row's label are present."""
+        model, pairs = self.model, self.pairs
+        labels, labeled = self.labels, self.labeled
+        weight = self._head_weight(labeled, pos, node)
+        pair, head = model.head_pairs(pairs.all)
+        outcome = model.head_outcome[head]
+        w = labeled[pos[pair], outcome] * weight[head]
+        keep = np.flatnonzero(w)
+        pair, head, outcome = pair[keep], head[keep], outcome[keep]
+        self.terms = _Runs(head, batch[pair], count)
+        self.term_pair, self.term_y, self.term_w = \
+            local[pair], labels[pos[pair], outcome], w[keep]
+
+    def _plan_route(self, pos, node, batch, local, count) -> None:
+        """Every batch's parent routing: its levels, each pair's parents'
+        pairs, its single-parent and gated pairs, and the gated pairs
+        grouped by gate."""
+        model = self.model
+        depth = model.graph.depth
+        self.levels = _Runs(node, batch * depth + model.level[node], count * depth)
+        at = np.full((self.rows.size, len(model.node_col)), -1, dtype=np.intp)
+        at[pos, node] = local
+        par = model.parents[node]
+        self.src = np.where(par >= 0, at[pos[:, None], par], 0)
+        single = np.flatnonzero(model.n_parents[node] == 1)
+        self.single = local[single]
+        self.single_lo = np.searchsorted(single, self.pairs.lo)
+        gated = np.flatnonzero(model.gate_row[node] >= 0)
+        self.gated = local[gated]
+        self.gates = _Runs(model.gate_row[node[gated]], batch[gated], count)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def batch(self, b: int) -> Batch:
+        pairs, at = self.pairs, slice(b * self.size, (b + 1) * self.size)
+        p0, p1 = pairs.lo[b], pairs.lo[b + 1]
+        batch = Batch(self.cols, self.rows[at], self.scheme, self.labels[at],
+                      self.labeled[at], self.pair_rows[p0:p1], None, None, None)
+        if p0 < p1:
+            t0, t1 = self.terms.lo[b], self.terms.lo[b + 1]
+            batch.seg, batch.route = pairs.segments(b), self._route(b, p0, p1)
+            if t0 < t1:
+                batch.heads = (self.term_pair[t0:t1], self.terms.segments(b),
+                               self.term_y[t0:t1], self.term_w[t0:t1])
+        return batch
+
+    def _route(self, b: int, p0: int, p1: int) -> tuple | None:
+        if self.levels is None:
+            return None
+        levels, depth = [], self.model.graph.depth
+        for lvl in range(b * depth, (b + 1) * depth):
+            lo, hi = self.levels.lo[lvl] - p0, self.levels.lo[lvl + 1] - p0
+            if lo < hi:
+                levels.append((lo, hi, self.levels.segments(lvl), lvl > b * depth))
+        s0, s1 = self.single_lo[b], self.single_lo[b + 1]
+        g0, g1 = self.gates.lo[b], self.gates.lo[b + 1]
+        return (levels, self.src[p0:p1], self.single[s0:s1], self.gated[g0:g1],
+                self.gates.segments(b) if g0 < g1 else None)
+
+
+@dataclass(eq=False)
+class ForwardResult:
+    """A forward pass over a `Batch`: the representations of its pairs
+    (None without pairs) and the pairs' feature rows, the reconstruction
+    targets."""
+
+    model: OmtlModel
+    batch: Batch
+    rep: Tensor | None
+    targets: np.ndarray | None
+
+    def planned_for(self, scheme) -> "ForwardResult":
+        """This pass, with its batch's head terms planned for scheme (None
+        for the masked loss)."""
+        if self.batch.scheme is scheme:
+            return self
+        b = self.batch
+        return replace(self, batch=BatchPlan(self.model, b.cols, b.rows,
+                                             scheme=scheme).batch(0))
 
 
 def forward(model: OmtlModel, data, mode: str = "eval", dropout_rng=None,
             rows: np.ndarray | None = None) -> ForwardResult:
-    """Route rows of a cohort's columns through the model's graph.
+    """Route a batch through the model's graph.
 
-    data is `Columns`, or anything else `columns_of` turns into columns (a
-    Dataset, a record or records); rows are the batch's row indices, all
-    rows by default. The experts run once over every row; then the expert
-    mixture and the representations run once over the (row, node) pairs
-    the batch's concept sets form, the representations reading parent
-    representations from earlier levels by row when routing is on.
+    data is a `Batch` of a `BatchPlan`, or else `Columns` or anything
+    `columns_of` turns into columns (a Dataset, a record or records), of
+    which rows (all rows by default) are planned as one batch. The experts
+    run once over every row; then the expert mixture and the
+    representations run once over the batch's (row, node) pairs, the
+    representations reading parent representations from earlier levels by
+    row when the plan routes through parents.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"unknown forward mode {mode!r}")
-    cols = columns_of(data, model.graph)
-    if cols.graph_hash != model.graph_hash:
-        raise ValidationError("forward: columns were built over another graph")
-    if rows is None:
-        x, member, unclosed = cols.X, cols.member, cols.unclosed
-    else:
-        x, member, unclosed = cols.X[rows], cols.member[rows], cols.unclosed[rows]
-    if x.shape[1] != model.spec.feature_dim:
-        raise ValidationError(
-            f"record feature dim {x.shape[1]} != model dim {model.spec.feature_dim}")
-    if model.hierarchy_enabled and unclosed.any():
-        raise cols.closure_error(np.arange(len(cols)) if rows is None else rows,
-                                 model.graph)
+    batch = data if isinstance(data, Batch) else \
+        BatchPlan(model, columns_of(data, model.graph), rows).batch(0)
     train = mode == "train"
     if train and model.spec.dropout > 0.0 and dropout_rng is None:
         raise ValidationError("train-mode forward needs a dropout rng")
-    x = Tensor(x, const=True)
+    x = Tensor(batch.cols.X[batch.rows], const=True)
     spec = model.spec
     experts = T.expert_layer(x, model.expert_w, model.expert_b, spec.leaky_slope,
                              spec.dropout, dropout_rng, train)
-    node, pair_rows = np.nonzero(member.T)
-    labels, labeled = _label_arrays(model, cols, rows)
-    if not pair_rows.size:
-        return ForwardResult(model, pair_rows, None, None, x.values, labels, labeled)
-    seg = Segments(node)
-    mixed, _ = T.expert_mix(x, experts, spec.num_experts, pair_rows, seg,
-                            model.gate_w, model.gate_b)
+    if batch.seg is None:
+        return ForwardResult(model, batch, None, None)
+    xr = x.values[batch.pair_rows]
+    mixed, _ = T.expert_mix(x, xr, experts, spec.num_experts, batch.pair_rows,
+                            batch.seg, model.gate_w, model.gate_b)
     route = None
-    if model.hierarchy_enabled and model.parents.shape[1]:
-        route = _route(model, x.values, pair_rows, node, member.shape[0])
-    rep = T.represent(mixed, model.repr_w, model.repr_b, seg, route)
-    return ForwardResult(model, pair_rows, seg, rep, x.values, labels, labeled)
+    if batch.route is not None:
+        levels, src, single, gated, gseg = batch.route
+        route = T.Route(levels, src, single) if gseg is None or model.pgate_w is None \
+            else T.Route(levels, src, single, gated, xr[gated], gseg, model.pgate_w,
+                         model.pgate_b)
+    rep = T.represent(mixed, model.repr_w, model.repr_b, batch.seg, route)
+    return ForwardResult(model, batch, rep, xr)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .errors import ValidationError
 from .ontology import OntologyGraph
@@ -33,12 +31,32 @@ from .tensor import Tensor
 
 @dataclass
 class LossBreakdown:
+    """A batch's loss: l1, l2, their total and its differentiable handle.
+    per_outcome and per_node_recon are built when read, from the per-head
+    and per-node sums, so a training step, which reads neither, never
+    builds them."""
+
     l1: float
     l2: float
     total: float
-    per_outcome: dict[tuple[str, str], float]
-    per_node_recon: dict[str, float]
-    loss: Tensor  # differentiable handle for the total
+    loss: Tensor
+    sums: tuple = ()  # (model, nodes, their recon sums, heads, their sums, 1/batch)
+
+    @property
+    def per_node_recon(self) -> dict[str, float]:
+        if not self.sums:
+            return {}
+        model, nodes, node_sums, _, _, inv = self.sums
+        ids = model.graph.ordered_ids
+        return dict(zip([ids[m] for m in nodes.tolist()], (node_sums * inv).tolist()))
+
+    @property
+    def per_outcome(self) -> dict[tuple[str, str], float]:
+        if not self.sums or self.sums[3] is None:
+            return {}
+        model, _, _, heads, head_sums, inv = self.sums
+        return dict(zip([model.head_keys[h] for h in heads.tolist()],
+                        (head_sums * inv).tolist()))
 
 
 @dataclass(frozen=True)
@@ -67,59 +85,36 @@ def make_reward_scheme(graph: OntologyGraph, f: float, outcome: str) -> RewardSc
     return RewardScheme(outcome=outcome, weights=reward_weights(graph, f))
 
 
-def _pair_loss(result, lam: float, head_weight: np.ndarray) -> LossBreakdown:
+def batch_loss(result, lam: float) -> LossBreakdown:
     """Mean-per-record loss of a forward pass, as one `multitask_loss` op
-    over all of its (row, node) pairs. head_weight[h] is head h's weight in
-    L1 (0 leaves it out); a (row, head) term counts only where the row
-    labels the head's outcome."""
+    over all of its (row, node) pairs and the head terms its batch was
+    planned with (`model.BatchPlan`)."""
     if lam < 0:
         raise ValidationError(f"lambda must be >= 0, got {lam}")
-    model, seg, rows, rep = result.model, result.seg, result.pair_rows, result.rep
-    if rep is None:
-        return LossBreakdown(0.0, 0.0, 0.0, {}, {}, Tensor([[0.0]], const=True))
-    inv = 1.0 / result.inputs.shape[0]
-    heads = hseg = None
-    if model.head_w is not None:
-        pair, head = model.head_pairs(seg)
-        prow, outcome = rows[pair], model.head_outcome[head]
-        weight = result.labeled[prow, outcome] * head_weight[head]
-        keep = np.flatnonzero(weight)
-        if keep.size:
-            hseg = T.Segments(head[keep])
-            heads = (pair[keep], hseg, model.head_w, model.head_b,
-                     result.labels[prow[keep], outcome[keep]], weight[keep])
+    model, batch = result.model, result.batch
+    if result.rep is None:
+        return LossBreakdown(0.0, 0.0, 0.0, Tensor([[0.0]], const=True))
+    inv = 1.0 / batch.rows.size
+    heads = None
+    if batch.heads is not None:
+        pair, hseg, y, weight = batch.heads
+        heads = (pair, hseg, model.head_w, model.head_b, y, weight)
     loss, l1, l2, node_sums, head_sums = T.multitask_loss(
-        rep, seg, model.recon_w, model.recon_b, result.inputs[rows], heads, lam, inv)
-    nodes = model.graph.ordered_ids
-    per_node = dict(zip([nodes[m] for m in seg.members.tolist()],
-                        (node_sums * inv).tolist()))
-    per_outcome = {} if hseg is None else \
-        dict(zip([model.head_keys[h] for h in hseg.members.tolist()],
-                 (head_sums * inv).tolist()))
-    return LossBreakdown(l1=l1, l2=l2, total=loss.item(), per_outcome=per_outcome,
-                         per_node_recon=per_node, loss=loss)
+        result.rep, batch.seg, model.recon_w, model.recon_b, result.targets, heads, lam,
+        inv)
+    return LossBreakdown(l1, l2, loss.item(), loss,
+                         (model, batch.seg.members, node_sums,
+                          None if heads is None else heads[1].members, head_sums, inv))
 
 
 def masked_loss(result, lam: float) -> LossBreakdown:
     """L1 over expressed core nodes with labeled outcomes, L2 over all
     expressed nodes, averaged over the forwarded records; a fully unlabeled
     record contributes L2 only."""
-    return _pair_loss(result, lam, result.model.head_masked)
+    return batch_loss(result.planned_for(None), lam)
 
 
 def shaped_loss(result, lam: float, scheme: RewardScheme) -> LossBreakdown:
     """Reward-shaped variant: supervised loss at every expressed node for
     the scheme's shared outcome, each node weighted by its level weight."""
-    model = result.model
-    k = model.outcome_col.get(scheme.outcome)
-    if k is not None and result.seg is not None:
-        bad = np.flatnonzero(result.labeled[result.pair_rows, k]
-                             & ~model.has_head[result.seg.of, k])
-        if bad.size:
-            raise ValidationError(
-                f"reward scheme is active but node "
-                f"{model.graph.ordered_ids[result.seg.of[bad[0]]]!r} has no head "
-                f"for outcome {scheme.outcome!r}")
-    node_w = np.array([scheme.weights[n] for n in model.graph.ordered_ids])
-    return _pair_loss(result, lam, np.where(model.head_outcome == k,
-                                            node_w[model.head_node], 0.0))
+    return batch_loss(result.planned_for(scheme), lam)

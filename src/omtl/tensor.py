@@ -240,6 +240,15 @@ class Segments:
         self.ends = np.append(self.starts[1:], of.size)
         self.members = of[self.starts]
 
+    @staticmethod
+    def from_runs(of: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                  members: np.ndarray) -> "Segments":
+        """The segments of of whose runs a caller has already found (a
+        `model.BatchPlan` slices them from arrays built for a whole epoch)."""
+        seg = Segments.__new__(Segments)
+        seg.of, seg.starts, seg.ends, seg.members = of, starts, ends, members
+        return seg
+
     def runs(self):
         return zip(self.members.tolist(), self.starts.tolist(), self.ends.tolist())
 
@@ -475,23 +484,24 @@ def _sigmoid_values(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def expert_mix(x: Tensor, experts: Tensor, n_exp: int, rows: np.ndarray,
-               seg: Segments, w: Block | None = None,
+def expert_mix(x: Tensor, xr: np.ndarray, experts: Tensor, n_exp: int,
+               rows: np.ndarray, seg: Segments, w: Block | None = None,
                b: Block | None = None) -> tuple[Tensor, np.ndarray]:
     """Each pair's gated mixture of the n_exp expert outputs at its row,
     read from one (rows, n_exp * de) tensor as `expert_layer` lays it out:
 
         out[p] = sum_e s[p, e] * h_e[rows[p]],
-        s[p] = softmax(x[rows[p]] @ w[m] + b[m]),  m = seg.of[p].
+        s[p] = softmax(xr[p] @ w[m] + b[m]),  m = seg.of[p],
 
-    Without a gate (w None) every weight is 1/E: sb's single expert passes
-    through, moe takes the mean. Returns the output and the weights s.
+    where xr is x.values[rows], gathered by the caller, which also reads
+    it as the pairs' reconstruction targets. Without a gate (w None) every
+    weight is 1/E: sb's single expert passes through, moe takes the mean.
+    Returns the output and the weights s.
     """
     hr = experts.values[rows].reshape(rows.size, n_exp, -1)
     if w is None:
-        s, xr, wg = np.full((rows.size, n_exp), 1.0 / n_exp), None, None
+        s, wg = np.full((rows.size, n_exp), 1.0 / n_exp), None
     else:
-        xr = x.values[rows]
         z, wg = rowwise_affine(xr, w.values, b.values, seg)
         s = _softmax_rows(z)
     acc = s[:, 0:1] * hr[:, 0]
@@ -518,22 +528,24 @@ def expert_mix(x: Tensor, experts: Tensor, n_exp: int, rows: np.ndarray,
 class Route:
     """How `represent` routes pairs, in level order, through their parents.
 
-    Level l holds pairs bounds[l]:bounds[l+1]. Pair p's k-th parent is the
-    pair src[p, k] of an earlier level (0 where p has fewer parents, at
-    weight 0). Pairs in `single` have one parent and take it with weight
-    exactly 1 (a softmax over one logit). Pairs in `gated` weigh their
-    parents by softmax(xg @ w[m] + b[m]), m = gseg.of, over gate stacks
-    padded to src's width with zero weight columns and -inf biases, which
-    the softmax maps to weight exactly 0.
+    `levels` lists the levels that hold pairs, in order, each as (lo, hi,
+    lseg, routed): pairs lo:hi, grouped by node as lseg (runs local to
+    lo), and routed False for the first level, whose pairs read no parent.
+    Pair p's k-th parent is the pair src[p, k] of an earlier level (0
+    where p has fewer parents, at weight 0). Pairs in `single` have one
+    parent and take it with weight exactly 1 (a softmax over one logit).
+    Pairs in `gated` weigh their parents by softmax(xg @ w[m] + b[m]),
+    m = gseg.of, over gate stacks padded to src's width with zero weight
+    columns and -inf biases, which the softmax maps to weight exactly 0.
     """
 
-    __slots__ = ("bounds", "src", "single", "gated", "xg", "gseg", "w", "b")
+    __slots__ = ("levels", "src", "single", "gated", "xg", "gseg", "w", "b")
 
-    def __init__(self, bounds: np.ndarray, src: np.ndarray, single: np.ndarray,
+    def __init__(self, levels: list, src: np.ndarray, single: np.ndarray,
                  gated: np.ndarray | None = None, xg: np.ndarray | None = None,
                  gseg: Segments | None = None, w: PaddedBlock | None = None,
                  b: PaddedBlock | None = None):
-        self.bounds, self.src, self.single, self.gated = bounds, src, single, gated
+        self.levels, self.src, self.single, self.gated = levels, src, single, gated
         self.xg, self.gseg, self.w, self.b = xg, gseg, w, b
 
     def weights(self) -> np.ndarray:
@@ -562,11 +574,7 @@ def represent(mix: Tensor, w: Block, b: Block, seg: Segments,
     if route is None:
         pre, s, levels = mix.values, None, [(0, n, seg, False)]
     else:
-        pre = mix.values.copy()
-        s = route.weights()
-        bounds = route.bounds.tolist()
-        levels = [(lo, hi, Segments(seg.of[lo:hi]), depth > 0)
-                  for depth, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
+        pre, s, levels = mix.values.copy(), route.weights(), route.levels
     z = np.empty((n, w.shape[2]))
     rep = np.zeros_like(z)
     gathered = []

@@ -9,10 +9,12 @@ then, when `hierarchy_finetune` is set, phase 2 draws fresh parent gates,
 switches routing on, freezes the experts and expert gates, and fine-tunes
 everything else. A phase sets the arena's `trainable` slice to its span
 (`OmtlModel.phase_span`), which is all that Adam updates and all that is
-not const. Early stopping watches total loss on the held-out slice, which
-both omtl phases share, and always restores the best snapshot seen (one
-copy of the arena). A loss that is not finite, in a step or on the slice,
-is a NumericalError.
+not const. Each epoch is planned once after its shuffle (`BatchPlan`):
+every batch's pairs, segments, route and head terms, so a step slices the
+plan and runs the tape. Early stopping watches total loss on the held-out
+slice, which both omtl phases share and which is planned once per phase,
+and always restores the best snapshot seen (one copy of the arena). A loss
+that is not finite, in a step or on the slice, is a NumericalError.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from .fields import config_fields
 from .errors import NumericalError, ValidationError
 from .metrics import (EvalReport, ScoredSet, compare_scored_sets, score_metrics,
                       two_class)
-from .model import (VARIANTS, ModelSpec, OmtlModel, build_model, forward,
-                    reinit_parent_gates)
-from .objective import (LossBreakdown, RewardScheme, make_reward_scheme,
-                        masked_loss, shaped_loss)
+from .model import (VARIANTS, Batch, BatchPlan, ModelSpec, OmtlModel, build_model,
+                    forward, reinit_parent_gates)
+from .objective import LossBreakdown, RewardScheme, batch_loss, make_reward_scheme
 from .ontology import OntologyGraph
 from .rng import substream
 from .tensor import Arena, Tape
@@ -136,26 +137,19 @@ class TrainLog:
         return {"entries": self.entries, "final_param_hash": self.final_param_hash}
 
 
-def _batch_loss(model: OmtlModel, cols: Columns, rows: np.ndarray | None,
-                cfg: TrainConfig, scheme: RewardScheme | None, mode: str,
-                dropout_rng) -> LossBreakdown:
-    """Mean-per-record loss over rows of cols (all rows for None)."""
-    result = forward(model, cols, mode, dropout_rng, rows)
-    if scheme is None:
-        return masked_loss(result, cfg.lam)
-    return shaped_loss(result, cfg.lam, scheme)
-
-
 def evaluate_loss(model: OmtlModel, graph: OntologyGraph, records,
                   cfg: TrainConfig, scheme: RewardScheme | None,
-                  rows: np.ndarray | None = None) -> LossBreakdown:
+                  rows: np.ndarray | None = None,
+                  batch: Batch | None = None) -> LossBreakdown:
     """Eval-mode (dropout-free) loss over records (a record list, or
-    anything else `columns_of` takes), or over their rows when given;
-    graph must be the graph the model was built on."""
+    anything else `columns_of` takes), or over their rows when given, as
+    one batch; or over batch, a caller's one-batch plan of them for the
+    same scheme. graph must be the graph the model was built on."""
     if graph is not model.graph and graph.graph_hash() != model.graph_hash:
         raise ValidationError("evaluate_loss: graph is not the model's graph")
-    return _batch_loss(model, columns_of(records, graph), rows, cfg, scheme,
-                       "eval", None)
+    if batch is None:
+        batch = BatchPlan(model, columns_of(records, graph), rows, scheme=scheme).batch(0)
+    return batch_loss(forward(model, batch), cfg.lam)
 
 
 # the (training, held-out) row indices of one model's records
@@ -187,6 +181,10 @@ def _train_phase(model: OmtlModel, cols: Columns, split: Split, cfg: TrainConfig
     when there are none) and the best snapshot restored at the end. stage
     indexes the rng streams, so omtl phase 1 and a single-phase baseline
     draw identical shuffles and dropout masks for the same seed.
+
+    Each epoch's batches are planned once, after its shuffle
+    (`BatchPlan`), and the held-out rows once per phase, so a step only
+    slices the plan.
     """
     arena = model.arena
     arena.trainable = model.phase_span(phase)
@@ -200,25 +198,31 @@ def _train_phase(model: OmtlModel, cols: Columns, split: Split, cfg: TrainConfig
         best_loss = float("inf")
         strikes = 0
         order = train_rows.copy()
+        watch = None
         for epoch in range(cfg.max_epochs):
             shuffle_rng.shuffle(order)
+            plan = BatchPlan(model, cols, order, cfg.batch_size, scheme)
             epoch_l1 = epoch_l2 = 0.0
-            for start in range(0, len(order), cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
+            for b in range(len(plan)):
+                batch = plan.batch(b)
                 with Tape() as tape:
-                    breakdown = _batch_loss(model, cols, batch, cfg, scheme, "train",
-                                            dropout_rng)
+                    breakdown = batch_loss(forward(model, batch, "train", dropout_rng),
+                                           cfg.lam)
                 if not np.isfinite(breakdown.total):
                     raise NumericalError(
                         f"non-finite loss in phase {phase!r}, epoch {epoch}, "
-                        f"batch starting at record {cols.ids[batch[0]]!r}")
+                        f"batch starting at record {cols.ids[batch.rows[0]]!r}")
                 tape.backward(breakdown.loss)
                 adam.step(tape)
-                w = len(batch) / max(len(order), 1)
+                w = len(batch.rows) / max(len(order), 1)
                 epoch_l1 += breakdown.l1 * w
                 epoch_l2 += breakdown.l2 * w
-            monitored = evaluate_loss(model, model.graph, cols, cfg, scheme,
-                                      rows=val_rows if val_rows.size else order)
+            # without held-out rows the monitor reads the shuffled training
+            # rows, whose order its sums follow, so it is planned anew
+            if watch is None or not val_rows.size:
+                watch = BatchPlan(model, cols, val_rows if val_rows.size else order,
+                                  scheme=scheme).batch(0)
+            monitored = evaluate_loss(model, model.graph, cols, cfg, scheme, batch=watch)
             if not np.isfinite(monitored.total):
                 raise NumericalError(
                     f"non-finite monitored loss in phase {phase!r}, epoch {epoch}")
@@ -344,23 +348,23 @@ def score_holdout(model: OmtlModel, graph: OntologyGraph,
     collected: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
     lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
     for cols in _chunks(records, graph):
-        result = forward(model, cols, "eval", None)
-        if result.seg is None:
+        batch = BatchPlan(model, cols).batch(0)
+        if batch.seg is None:
             continue
-        pair, head = model.head_pairs(result.seg)
+        pair, head = model.head_pairs(batch.seg)
         if not pair.size:
             continue
         hseg = T.Segments(head)
-        z, _ = T.rowwise_affine(result.rep.values[pair], model.head_w.values,
-                                model.head_b.values, hseg)
+        z, _ = T.rowwise_affine(forward(model, batch).rep.values[pair],
+                                model.head_w.values, model.head_b.values, hseg)
         scores = np.clip(T._sigmoid_values(z[:, 0]), lo, hi)
         for h, s, e in hseg.runs():
             if model.head_masked[h]:
-                rows, k = result.pair_rows[pair[s:e]], model.head_outcome[h]
-                keep = np.flatnonzero(result.labeled[rows, k])
+                rows, k = batch.pair_rows[pair[s:e]], model.head_outcome[h]
+                keep = np.flatnonzero(batch.labeled[rows, k])
                 rows = rows[keep]
                 collected.setdefault(model.head_keys[h], []).extend(zip(
-                    cols.ids[rows].tolist(), result.labels[rows, k].astype(int).tolist(),
+                    cols.ids[rows].tolist(), batch.labels[rows, k].astype(int).tolist(),
                     scores[s:e][keep].tolist()))
     return collected
 

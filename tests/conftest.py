@@ -112,7 +112,7 @@ def gate_weights(model, x: np.ndarray) -> dict[tuple[str, str], np.ndarray]:
     if model.gate_w is not None:
         count = len(nodes)
         n_exp = model.spec.num_experts
-        _, s = T.expert_mix(Tensor(x, const=True),
+        _, s = T.expert_mix(Tensor(x, const=True), np.tile(x, (count, 1)),
                             Tensor(np.zeros((n, n_exp)), const=True), n_exp,
                             np.tile(np.arange(n), count),
                             Segments(np.repeat(np.arange(count), n)),
@@ -122,7 +122,7 @@ def gate_weights(model, x: np.ndarray) -> dict[tuple[str, str], np.ndarray]:
     if model.pgate_w is not None:
         count, _, width = model.pgate_w.shape
         pairs = np.arange(count * n)
-        s = T.Route(np.array([0, count * n]), np.zeros((count * n, width), dtype=np.intp),
+        s = T.Route([], np.zeros((count * n, width), dtype=np.intp),
                     pairs[:0], pairs, np.tile(x, (count, 1)),
                     Segments(np.repeat(np.arange(count), n)),
                     model.pgate_w, model.pgate_b).weights()

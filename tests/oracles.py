@@ -1,9 +1,10 @@
 """Independent reference implementations the tests check against.
 
 Everything here deliberately avoids the package's own code paths: brute
-force, enumeration, finite differences, and a hand-coded Adam. Keep these
-dumb and obviously correct. `node_views` is the one exception: it only
-lays a forward pass's arrays out per node, for comparison with them.
+force, enumeration, finite differences, a hand-coded Adam, and a batch's
+routing and loss indices computed from that batch alone. Keep these dumb
+and obviously correct. `node_views` is the one exception: it only lays a
+forward pass's arrays out per node, for comparison with them.
 """
 
 from __future__ import annotations
@@ -221,24 +222,95 @@ def node_block_forward(p: dict, variant: str, num_experts: int, slope: float,
     return reps, recons, logits
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of range(starts[i], starts[i] + counts[i])."""
+    return np.array([i for s, c in zip(starts.tolist(), counts.tolist())
+                     for i in range(s, s + c)], dtype=np.intp)
+
+
+def head_pairs(model, seg) -> tuple[np.ndarray, np.ndarray]:
+    """Every (pair, head) combination of seg's pairs with the heads of
+    their node, as pair and head index arrays grouped by head."""
+    counts = model.head_count[seg.members]
+    heads = _ranges(model.head_start[seg.members], counts)
+    run_len = np.repeat(seg.ends - seg.starts, counts)
+    return _ranges(np.repeat(seg.starts, counts), run_len), np.repeat(heads, run_len)
+
+
+def route_levels(of: np.ndarray, bounds) -> list:
+    """The levels a `tensor.Route` walks: (lo, hi, segments of of[lo:hi],
+    routed) for each level bounds[l]:bounds[l+1] that holds pairs, routed
+    from level 1 on."""
+    from omtl.tensor import Segments
+
+    bounds = list(bounds)
+    return [(lo, hi, Segments(of[lo:hi]), depth > 0)
+            for depth, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
+
+
+def reference_batch(model, cols, rows: np.ndarray, head_weight: np.ndarray):
+    """One batch's routing and loss indices computed from that batch alone,
+    as a forward pass and its loss once built them every step: the pairs
+    from `np.nonzero` over the batch's membership, node-major; their
+    `Segments`; with routing on, the route's levels, parents' pairs from a
+    (batch, nodes) position matrix, and single and gated pairs; and the
+    kept head terms, every (pair, head) combination whose weight and label
+    are present."""
+    from omtl.tensor import Segments
+
+    member = cols.member[rows]
+    node, pair_rows = np.nonzero(member.T)
+    out = SimpleNamespace(pair_rows=pair_rows, node=node, route=None, heads=None)
+    if not pair_rows.size:
+        return out
+    out.seg = seg = Segments(node)
+    if model.hierarchy_enabled and model.parents.shape[1]:
+        pos = np.full(member.shape, -1, dtype=np.intp)
+        pos[pair_rows, node] = np.arange(pair_rows.size)
+        par = model.parents[node]
+        level_start = np.searchsorted(model.level, np.arange(model.graph.depth + 1))
+        gated = np.flatnonzero(model.gate_row[node] >= 0)
+        out.route = SimpleNamespace(
+            levels=route_levels(node, np.searchsorted(node, level_start)),
+            src=np.where(par >= 0, pos[pair_rows[:, None], par], 0),
+            single=np.flatnonzero(model.n_parents[node] == 1), gated=gated,
+            gseg=Segments(model.gate_row[node[gated]]) if gated.size else None)
+    outcomes = list(model.outcomes)
+    labels = np.zeros((len(rows), len(outcomes)))
+    labeled = np.zeros(labels.shape, dtype=bool)
+    for k, o in enumerate(outcomes):
+        if o in cols.outcomes:
+            labels[:, k] = cols.labels[rows, cols.outcomes.index(o)]
+            labeled[:, k] = cols.labeled[rows, cols.outcomes.index(o)]
+    pair, head = head_pairs(model, seg)
+    prow, outcome = pair_rows[pair], model.head_outcome[head]
+    weight = labeled[prow, outcome] * head_weight[head]
+    keep = np.flatnonzero(weight)
+    if keep.size:
+        out.heads = SimpleNamespace(pair=pair[keep], hseg=Segments(head[keep]),
+                                    y=labels[prow[keep], outcome[keep]],
+                                    weight=weight[keep])
+    return out
+
+
 def node_views(result) -> SimpleNamespace:
     """Per-node views of a forward pass, for comparing it node by node with
     a reference: rows (each expressed node's ascending batch rows), reps
     (their representations) and logits (each head's logit column over its
     node's rows, by (node, outcome)). Not itself a reference: the logits
-    come from the head affine that scoring runs, `model.head_pairs` and
-    `tensor.rowwise_affine`."""
+    come from the head affine that scoring runs, `tensor.rowwise_affine`,
+    over `head_pairs`."""
     from omtl import tensor as T
 
-    model, seg = result.model, result.seg
+    model, seg = result.model, result.batch.seg
     views = SimpleNamespace(rows={}, reps={}, logits={})
     if seg is None:
         return views
     for m, s, e in seg.runs():
         nid = model.graph.ordered_ids[m]
-        views.rows[nid] = result.pair_rows[s:e]
+        views.rows[nid] = result.batch.pair_rows[s:e]
         views.reps[nid] = result.rep.values[s:e]
-    pair, head = model.head_pairs(seg)
+    pair, head = head_pairs(model, seg)
     if pair.size:
         hseg = T.Segments(head)
         z, _ = T.rowwise_affine(result.rep.values[pair], model.head_w.values,

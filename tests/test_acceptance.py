@@ -279,6 +279,7 @@ def test_criterion_8_fold_stratification():
               checked > 0 and worst <= Fraction(1, 50))
 
 
+@pytest.mark.slow
 def test_criterion_9_directional_reproduction():
     per_seed, _, elapsed = directional_experiment()
     wins = sum(per_seed[s]["omtl"] > per_seed[s]["mmoe"] for s in per_seed)
@@ -313,6 +314,7 @@ def test_criterion_10_two_phase_freeze():
                   "bit-identical across phase 2", ok and tuned and len(frozen) > 0)
 
 
+@pytest.mark.slow
 def test_criterion_11_determinism():
     per_seed, seed0_report, _ = directional_experiment()
     graph, data = benchmark()

@@ -6,19 +6,20 @@ import pytest
 
 from omtl import tensor as T
 from omtl.errors import ValidationError
-from omtl.datastore import Record
-from omtl.model import (ModelSpec, build_model, forward,
+from omtl.datastore import Columns, Dataset, Record
+from omtl.model import (BatchPlan, ModelSpec, build_model, forward,
                         load_model, model_from_json_obj, model_to_json_obj,
                         reinit_parent_gates, save_model)
-from omtl.objective import masked_loss
+from omtl.objective import make_reward_scheme, masked_loss
 from omtl.ontology import ConceptNode, OntologyGraph, ancestor_closure
+from omtl.rng import substream
 from omtl.tensor import Tape
-from omtl.trainer import score_holdout
+from omtl.trainer import TrainConfig, score_holdout, train_variant
 
 from conftest import (chain_graph, diamond_graph, gate_weights, make_record,
                       random_dag, tiny_model)
 from oracles import (finite_difference_gradients, max_relative_error,
-                     node_block_forward, node_views)
+                     node_block_forward, node_views, reference_batch)
 
 
 def eval_experts(model, x):
@@ -56,7 +57,7 @@ def repr_layer(model, nid, pre):
 def recon_sums(result) -> dict[str, float]:
     """Each expressed node's squared reconstruction error summed over its
     rows, as the loss computes it."""
-    n = result.inputs.shape[0]
+    n = result.batch.rows.size
     return {nid: err * n
             for nid, err in masked_loss(result, lam=1.0).per_node_recon.items()}
 
@@ -566,3 +567,98 @@ class TestLevelBatching:
                 single_gate = name.startswith("parent_gate.") and len(g.parents[nid]) == 1
                 if nid in g.nodes and (nid not in expressed or single_gate):
                     assert (grads[q.span] == 0.0).all(), name
+
+
+def same_segments(got, want) -> bool:
+    return all(np.array_equal(getattr(got, a), getattr(want, a))
+               for a in ("of", "starts", "ends", "members"))
+
+
+def check_batch(got, want) -> None:
+    """A planned batch's index arrays equal the reference's, array by array."""
+    assert np.array_equal(got.pair_rows, want.pair_rows)
+    assert (got.seg is None) == (want.pair_rows.size == 0)
+    if got.seg is None:
+        assert got.route is None and got.heads is None
+        return
+    assert same_segments(got.seg, want.seg)
+    assert (got.route is None) == (want.route is None)
+    if got.route is not None:
+        levels, src, single, gated, gseg = got.route
+        assert [(lo, hi, routed) for lo, hi, _, routed in levels] == \
+            [(lo, hi, routed) for lo, hi, _, routed in want.route.levels]
+        assert all(same_segments(a[2], b[2]) for a, b in zip(levels, want.route.levels))
+        assert np.array_equal(src, want.route.src)
+        assert np.array_equal(single, want.route.single)
+        assert np.array_equal(gated, want.route.gated)
+        assert (gseg is None) == (want.route.gseg is None)
+        assert gseg is None or same_segments(gseg, want.route.gseg)
+    assert (got.heads is None) == (want.heads is None)
+    if got.heads is not None:
+        pair, hseg, y, weight = got.heads
+        assert np.array_equal(pair, want.heads.pair)
+        assert same_segments(hseg, want.heads.hseg)
+        assert np.array_equal(y, want.heads.y)
+        assert np.array_equal(weight, want.heads.weight)
+
+
+class TestBatchPlan:
+    @pytest.mark.parametrize("shaped", [False, True], ids=["masked", "shaped"])
+    def test_every_batch_equals_the_batch_alone(self, rng, shaped):
+        # random DAGs with gated and padded-gate levels, shuffled rows (a
+        # few expressing no node), and batches of one row, of 7, of all
+        # rows and of more than all
+        graphs = padded_gate_dags(rng, 3) + ragged_dags(rng, 5)
+        seen = set()
+        for i, g in enumerate(graphs):
+            model = tiny_model(g, "omtl", d=5, de=3, experts=2, seed=i,
+                               shared_outcome="event" if shaped else None)
+            model.hierarchy_enabled = i != len(graphs) - 1
+            scheme = make_reward_scheme(g, 0.5, "event") if shaped else None
+            # the head weights, from the scheme's node weights, or the
+            # masked loss's own outcomes at core nodes
+            weight = np.array([
+                (scheme.weights[n] if o == "event" else 0.0) if shaped else
+                float(g.nodes[n].core and o in g.nodes[n].outcomes)
+                for n, o in model.head_keys])
+            recs = mixed_batch(g, rng, 20, d=5) + [
+                Record(id=f"e{j}", features=rng.normal(size=5), concepts=frozenset(),
+                       labels={"event": j % 2}) for j in range(3)]
+            cols = Columns.from_records(recs, g)
+            n = len(recs)
+            for size in (1, 7, n, n + 5):
+                order = rng.permutation(n)
+                plan = BatchPlan(model, cols, order, size, scheme)
+                assert len(plan) == -(-n // size)
+                for b in range(len(plan)):
+                    rows = order[b * size:(b + 1) * size]
+                    got = plan.batch(b)
+                    assert np.array_equal(got.rows, rows)
+                    check_batch(got, reference_batch(model, cols, rows, weight))
+                    seen.add("no pairs" if got.seg is None else
+                             "gated" if got.route and got.route[4] else "pairs")
+        assert seen == {"no pairs", "gated", "pairs"}
+
+    def test_closure_error_names_the_first_failing_batch(self):
+        # phase 2's first epoch: an unclosed row at c (lacking b) in the
+        # first batch and one at b (lacking a) in the last; the error is
+        # the first batch's, while one over the whole epoch would name b
+        g = chain_graph(3)
+        rng = np.random.default_rng(3)
+        recs = [make_record(g, rng, d=5, anchor="c", label=i % 2, rid=f"r{i:02d}")
+                for i in range(20)]
+        cfg = TrainConfig(variant="omtl", batch_size=4, max_epochs=1,
+                          val_fraction=0.0, num_experts=2, repr_dim=3, seed=5)
+        order = np.arange(len(recs))
+        substream(cfg.seed, "shuffle.1").shuffle(order)
+        recs[order[1]].concepts = frozenset({"a", "c"})
+        recs[order[-1]].concepts = frozenset({"b"})
+        model = tiny_model(g, "omtl", d=5)
+        with pytest.raises(ValidationError) as first:
+            forward(model, [recs[j] for j in order[:4]])
+        with pytest.raises(ValidationError) as epoch:
+            forward(model, recs)
+        assert "'c'" in str(first.value) and "'b'" in str(epoch.value)
+        with pytest.raises(ValidationError) as trained:
+            train_variant(g, Dataset(recs, 5, ("event",)), cfg)
+        assert str(trained.value) == str(first.value)

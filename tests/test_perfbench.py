@@ -14,6 +14,8 @@ import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
+pytestmark = pytest.mark.slow
+
 
 def run_script(*args: str) -> list[str]:
     """stdout lines of a perfbench script, which must exit 0."""
@@ -30,7 +32,14 @@ def test_traced_run_is_correct(workload):
     result = json.loads(lines[-1])
     assert result["correct"] is True and result["failed"] == 0, result
     assert result["attempted"] > 0
-    assert result["metrics"]["trainer.steps.omtl"]["value"] > 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["trainer.steps.omtl"] > 0
+    # the monitor still runs through trainer.evaluate_loss, and a step
+    # records the experts, the mixture, the representations and the loss
+    # (omtl phase 2 only the last two, its experts frozen)
+    for variant, ops in (("omtl", 3.0), ("mmoe", 4.0), ("sb", 4.0)):
+        assert metrics[f"trainer.monitor_s.{variant}"] > 0
+        assert metrics[f"tensor.ops_per_step.{variant}"] == ops
 
 
 def test_selftest_catches_every_perturbation():

@@ -9,7 +9,8 @@ from omtl.tensor import Segments, Tape, Tensor
 from omtl.trainer import _FlatAdam
 
 from conftest import arena_params, loss_sum, sq_loss
-from oracles import ReferenceAdam, finite_difference_gradients, max_relative_error
+from oracles import (ReferenceAdam, finite_difference_gradients, max_relative_error,
+                     route_levels)
 
 
 def one_run(n: int) -> Segments:
@@ -30,8 +31,8 @@ def identity_softmax(x: Tensor) -> np.ndarray:
     """Row-wise softmax of x: the weights of an expert gate with an
     identity weight and zero bias."""
     n, m = x.shape
-    _, s = T.expert_mix(x, Tensor(np.zeros((n, m))), m, np.arange(n), one_run(n),
-                        stacked(np.eye(m)), stacked(np.zeros((1, m))))
+    _, s = T.expert_mix(x, x.values, Tensor(np.zeros((n, m))), m, np.arange(n),
+                        one_run(n), stacked(np.eye(m)), stacked(np.zeros((1, m))))
     return s
 
 
@@ -75,7 +76,7 @@ class TestPrimitives:
         x = Tensor(rng.normal(size=(4, 5)))
         parts = [rng.normal(size=(4, 5)) for _ in range(3)]
         seg = Segments(np.array([0, 0, 1, 1]))
-        out, w = T.expert_mix(x, Tensor(np.hstack(parts)), 3, np.arange(4), seg,
+        out, w = T.expert_mix(x, x.values, Tensor(np.hstack(parts)), 3, np.arange(4), seg,
                               stacked(*rng.normal(size=(2, 5, 3))),
                               stacked(*rng.normal(size=(2, 1, 3))))
         expect = sum(w[:, k:k + 1] * parts[k] for k in range(3))
@@ -114,7 +115,8 @@ def _block(p, fill=None):
 def two_level_route(x: Tensor, w, b) -> T.Route:
     """Four pairs on two levels: pair 3 reads pairs 0, 1 and 2, gated by w
     and b as a parent gate over x's last row."""
-    return T.Route(np.array([0, 3, 4]), np.array([[0, 0, 0]] * 3 + [[0, 1, 2]]),
+    return T.Route(route_levels(np.zeros(4, dtype=np.intp), [0, 3, 4]),
+                   np.array([[0, 0, 0]] * 3 + [[0, 1, 2]]),
                    np.zeros(0, dtype=np.intp), np.array([3]), x.values[3:],
                    one_run(1), _block(w, 0.0), _block(b, -np.inf))
 
@@ -127,7 +129,7 @@ LEVEL_CASES = [
     level_case("softplus_affine", 2, lambda x, w, b: T.represent(
         x, _block(w), _block(b), one_run(4))),
     level_case("expert_mix", 3, lambda x, w, b: T.expert_mix(
-        x, x, 3, np.arange(4), one_run(4), _block(w), _block(b))[0]),
+        x, x.values, x, 3, np.arange(4), one_run(4), _block(w), _block(b))[0]),
     level_case("parent_mix", 3, lambda x, w, b: T.represent(
         x, _block(w), _block(b), one_run(4), two_level_route(x, w, b))),
     level_case("multitask_loss", 2, lambda x, w, b: T.multitask_loss(
@@ -186,7 +188,8 @@ class TestConstness:
         experts = Tensor(rng.normal(size=(4, 6)), const=True)
         x = Tensor(rng.normal(size=(4, 3)), const=True)
         with Tape() as tape:
-            out, _ = T.expert_mix(x, experts, 2, np.array([0, 2]), one_run(2))
+            rows = np.array([0, 2])
+            out, _ = T.expert_mix(x, x.values[rows], experts, 2, rows, one_run(2))
         assert out.const
         assert tape._ops == []
 
@@ -255,7 +258,7 @@ def composed_graph_check(rng, trials: int = 6) -> None:
     two-parent gate is padded to E's three parents, then reconstructions
     at every pair and one head at each of C, D and E."""
     seg = Segments(PAIR_NODE)
-    route_arrays = (np.array([0, 7, 12, 14]), PAIR_SRC, np.array([7, 8]),
+    route_arrays = (route_levels(PAIR_NODE, [0, 7, 12, 14]), PAIR_SRC, np.array([7, 8]),
                     np.arange(9, 14))
     for trial in range(trials):
         shapes = {"x": (4, 4), "pDw": (4, 2), "pEw": (4, 3), "pDb": (1, 2),
@@ -289,7 +292,7 @@ def composed_graph_check(rng, trials: int = 6) -> None:
             x = params["x"]
             h = T.expert_layer(x, *blk("e", "012"), 0.01, 0.3,
                                np.random.default_rng(trial), True)
-            mix, _ = T.expert_mix(x, h, 3, PAIR_ROWS, seg, *blk("g"))
+            mix, _ = T.expert_mix(x, x.values[PAIR_ROWS], h, 3, PAIR_ROWS, seg, *blk("g"))
             rep = T.represent(mix, *blk("r"), seg, route)
             heads = (np.arange(7, 14), Segments(np.array([0, 0, 1, 1, 1, 2, 2])),
                      *blk("h", "CDE"), y, weight)

@@ -375,6 +375,22 @@ class TestColumnarTraining:
         assert model.pgate_w.shape[0] == 2 and model.hierarchy_enabled
         assert log.final_param_hash == digest
 
+    @pytest.mark.parametrize("reward_f, digest", [
+        pytest.param(None, "25eeee09a1282b137ab4b4ac58938e4c4c8f241e2df13d4f6a07df67251136da",
+                     id="omtl"),
+        pytest.param(0.5, "6e6eb8d7454a6bb15ae49a30b12afe30d8368168e92fd598695422c70f3ff30c",
+                     id="omtl-shaped")])
+    def test_scores_are_pinned_on_multi_parent_graph(self, reward_f, digest):
+        # scores where parent gates run and, when shaped, where every node
+        # has a head but only the core nodes' own are scored
+        graph, data = multi_parent_cohort()
+        _, held = multi_parent_cohort(n=2500)
+        model, _ = train_variant(graph, data, TrainConfig(
+            variant="omtl", max_epochs=2, seed=0, reward_f=reward_f))
+        collected = score_holdout(model, graph, held.records)
+        blob = json.dumps([["|".join(key), collected[key]] for key in sorted(collected)])
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("cohort, batch_size, reward_f, digest", [
         pytest.param("tree", 1, None,
                      "26493924f22e305512babb56fa042247ace070558e2245fdda63716161772dfe",
