@@ -311,17 +311,18 @@ def reinit_parent_gates(model: OmtlModel, seed: int) -> None:
 
 
 def _label_arrays(model: OmtlModel, cols: Columns,
-                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, labeled) of rows of cols over the model's outcomes: views
-    when the columns' outcomes begin with the model's, and otherwise
-    remapped, since a loaded model may carry heads for outcomes the cohort
-    lacks."""
+                  rows: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, labeled) of rows of cols (all rows for None) over the
+    model's outcomes: views when the columns' outcomes begin with the
+    model's, and otherwise remapped, since a loaded model may carry heads
+    for outcomes the cohort lacks."""
     outcomes = model.outcomes
+    rows = slice(None) if rows is None else rows
     if cols.outcomes[:len(outcomes)] == outcomes:
         return cols.labels[rows, :len(outcomes)], cols.labeled[rows, :len(outcomes)]
     have = [k for k, o in enumerate(outcomes) if o in cols.outcomes]
     src = [cols.outcomes.index(outcomes[k]) for k in have]
-    labels = np.zeros((rows.size, len(outcomes)))
+    labels = np.zeros((cols.ids[rows].size, len(outcomes)))
     labeled = np.zeros(labels.shape, dtype=bool)
     labels[:, have] = cols.labels[rows][:, src]
     labeled[:, have] = cols.labeled[rows][:, src]
@@ -339,10 +340,10 @@ class _Runs:
         # the same runs over all elements
         self.all = Segments.from_runs(of, runs.starts, runs.ends, self.members)
         self.lo = np.searchsorted(batch, np.arange(count + 1))
-        run_batch = batch[runs.starts]
-        self.run_lo = np.searchsorted(run_batch, np.arange(count + 1))
-        self.starts = runs.starts - self.lo[run_batch]
-        self.ends = runs.ends - self.lo[run_batch]
+        self.run_batch = batch[runs.starts]
+        self.run_lo = np.searchsorted(self.run_batch, np.arange(count + 1))
+        self.starts = runs.starts - self.lo[self.run_batch]
+        self.ends = runs.ends - self.lo[self.run_batch]
 
     def segments(self, b: int) -> Segments:
         lo, hi = self.lo[b], self.lo[b + 1]
@@ -353,9 +354,10 @@ class _Runs:
 
 @dataclass(eq=False)
 class Batch:
-    """One batch of a `BatchPlan`: rows (in order) of the plan's columns,
-    their labels and whether they have them over the model's outcomes, and
-    the index arrays a forward pass and its loss read.
+    """One batch of a `BatchPlan`: rows (in order) of the plan's columns
+    (whole when they are all of them, in order), their labels and whether
+    they have them over the model's outcomes, and the index arrays a
+    forward pass and its loss read.
 
     Pairs are node-major, nodes in level order: pair p is batch row
     pair_rows[p] at node seg.of[p], rows ascending within a node. A batch
@@ -363,13 +365,15 @@ class Batch:
     None unless the plan routes through parents; otherwise it holds the
     `tensor.Route` levels, src, single and gated pairs, and the gated
     pairs' segments (None when the batch has none). heads is None when no
-    head term counts, and otherwise (pair, hseg, y, weight): each kept
+    head term counts or none were planned, and otherwise (pair, hseg, y,
+    weight): each kept
     (pair, head) term's pair, the terms grouped by head, and its label and
     weight.
     """
 
     cols: Columns
     rows: np.ndarray
+    whole: bool  # rows are all of cols, in order
     scheme: object
     labels: np.ndarray
     labeled: np.ndarray
@@ -386,10 +390,11 @@ class BatchPlan:
 
     The trainer plans each epoch once, after its shuffle, so that a
     training step only slices epoch-wide arrays. They come from one
-    `np.nonzero` over member[rows] and one stable sort by (batch, node),
-    which puts each batch's pairs node-major with rows ascending, as the
-    batch alone would form them. A plan holds index arrays and the head
-    terms' labels and weights, never features.
+    `np.nonzero` over member[rows], node-major, and one stable sort by
+    batch, which puts each batch's pairs node-major with rows ascending,
+    as the batch alone would form them. A plan holds index arrays and the
+    head terms' labels and weights, never features; heads=False leaves the
+    head terms out, for scoring, which reads none.
 
     The checks a forward pass needs run here, once per plan: cols must be
     over the model's graph and of its feature dim; with routing on, every
@@ -402,13 +407,14 @@ class BatchPlan:
     """
 
     def __init__(self, model: OmtlModel, cols: Columns, rows: np.ndarray | None = None,
-                 size: int | None = None, scheme=None):
+                 size: int | None = None, scheme=None, heads: bool = True):
         if cols.graph_hash != model.graph_hash:
             raise ValidationError("forward: columns were built over another graph")
         if cols.X.shape[1] != model.spec.feature_dim:
             raise ValidationError(f"record feature dim {cols.X.shape[1]} != model dim "
                                   f"{model.spec.feature_dim}")
-        rows = np.arange(len(cols)) if rows is None else rows
+        self.whole = rows is None
+        rows = np.arange(len(cols)) if rows is None else np.asarray(rows)
         size = max(rows.size, 1) if size is None else size
         if model.hierarchy_enabled and cols.unclosed[rows].any():
             b = np.flatnonzero(cols.unclosed[rows])[0] // size
@@ -418,18 +424,22 @@ class BatchPlan:
         self.count = -(-rows.size // size)
         count = max(self.count, 1)  # a plan of no rows has one batch, empty
 
-        pos, node = np.nonzero(cols.member[rows])
-        by = np.argsort(pos // size * len(model.node_col) + node, kind="stable")
-        pos, node = pos[by], node[by]
+        node, pos = np.nonzero((cols.member if self.whole else cols.member[rows]).T)
+        if count > 1:
+            by = np.argsort(pos // size, kind="stable")
+            node, pos = node[by], pos[by]
         batch = pos // size
         self.pairs = _Runs(node, batch, count)
         self.pair_rows = pos - batch * size
         local = np.arange(node.size) - self.pairs.lo[batch]  # a pair's index in its batch
-        self.labels, self.labeled = _label_arrays(model, cols, rows)
-        self._plan_heads(pos, node, batch, local, count)
-        self.levels = None
-        if model.hierarchy_enabled and model.parents.shape[1]:
-            self._plan_route(pos, node, batch, local, count)
+        self.labels, self.labeled = _label_arrays(model, cols,
+                                                  None if self.whole else rows)
+        self.terms = None  # scoring reads no head terms, so need not plan them
+        if heads:
+            self._plan_heads(pos, node, batch, local, count)
+        self.routed = model.hierarchy_enabled and model.parents.shape[1] > 0
+        if self.routed:
+            self._plan_route(node, batch, local, count)
 
     def _head_weight(self, labeled, pos, node) -> np.ndarray:
         model, scheme = self.model, self.scheme
@@ -462,23 +472,30 @@ class BatchPlan:
         self.term_pair, self.term_y, self.term_w = \
             local[pair], labels[pos[pair], outcome], w[keep]
 
-    def _plan_route(self, pos, node, batch, local, count) -> None:
+    def _plan_route(self, node, batch, local, count) -> None:
         """Every batch's parent routing: its levels, each pair's parents'
         pairs, its single-parent and gated pairs, and the gated pairs
         grouped by gate."""
-        model = self.model
-        depth = model.graph.depth
-        self.levels = _Runs(node, batch * depth + model.level[node], count * depth)
-        at = np.full((self.rows.size, len(model.node_col)), -1, dtype=np.intp)
-        at[pos, node] = local
+        model, pairs, depth = self.model, self.pairs, self.model.graph.depth
+        # a level is a run of a batch's node runs: the first run of each
+        # (batch, level), and each run's bounds within its level
+        level_key = pairs.run_batch * depth + model.level[pairs.members]
+        self.level_runs = np.searchsorted(level_key, np.arange(count * depth + 1))
+        first = pairs.starts[self.level_runs[level_key]]
+        self.level_starts, self.level_ends = pairs.starts - first, pairs.ends - first
+        # a pair's parent is the pair of its row at the parent node, found
+        # by its (batch, node, row) key, which ascends over the pairs
+        key = (batch * len(model.node_col) + node) * self.size + self.pair_rows
         par = model.parents[node]
-        self.src = np.where(par >= 0, at[pos[:, None], par], 0)
+        at = np.searchsorted(key, key[:, None] + (par - node[:, None]) * self.size)
+        self.src = np.where(par >= 0, at - self.pairs.lo[batch][:, None], 0)
         single = np.flatnonzero(model.n_parents[node] == 1)
         self.single = local[single]
         self.single_lo = np.searchsorted(single, self.pairs.lo)
         gated = np.flatnonzero(model.gate_row[node] >= 0)
         self.gated = local[gated]
-        self.gates = _Runs(model.gate_row[node[gated]], batch[gated], count)
+        self.gates = _Runs(model.gate_row[node[gated]], batch[gated], count) \
+            if gated.size else None
 
     def __len__(self) -> int:
         return self.count
@@ -486,40 +503,52 @@ class BatchPlan:
     def batch(self, b: int) -> Batch:
         pairs, at = self.pairs, slice(b * self.size, (b + 1) * self.size)
         p0, p1 = pairs.lo[b], pairs.lo[b + 1]
-        batch = Batch(self.cols, self.rows[at], self.scheme, self.labels[at],
-                      self.labeled[at], self.pair_rows[p0:p1], None, None, None)
+        batch = Batch(self.cols, self.rows[at], self.whole, self.scheme,
+                      self.labels[at], self.labeled[at], self.pair_rows[p0:p1],
+                      None, None, None)
         if p0 < p1:
-            t0, t1 = self.terms.lo[b], self.terms.lo[b + 1]
             batch.seg, batch.route = pairs.segments(b), self._route(b, p0, p1)
+            t0, t1 = (0, 0) if self.terms is None else self.terms.lo[b:b + 2]
             if t0 < t1:
                 batch.heads = (self.term_pair[t0:t1], self.terms.segments(b),
                                self.term_y[t0:t1], self.term_w[t0:t1])
         return batch
 
     def _route(self, b: int, p0: int, p1: int) -> tuple | None:
-        if self.levels is None:
+        if not self.routed:
             return None
-        levels, depth = [], self.model.graph.depth
-        for lvl in range(b * depth, (b + 1) * depth):
-            lo, hi = self.levels.lo[lvl] - p0, self.levels.lo[lvl + 1] - p0
-            if lo < hi:
-                levels.append((lo, hi, self.levels.segments(lvl), lvl > b * depth))
+        pairs, levels, depth = self.pairs, [], self.model.graph.depth
+        for lvl in range(depth):
+            r0, r1 = self.level_runs[b * depth + lvl], self.level_runs[b * depth + lvl + 1]
+            if r0 < r1:
+                lo, hi = pairs.starts[r0], pairs.ends[r1 - 1]
+                levels.append((lo, hi, Segments.from_runs(
+                    pairs.of[p0 + lo:p0 + hi], self.level_starts[r0:r1],
+                    self.level_ends[r0:r1], pairs.members[r0:r1]), lvl > 0))
         s0, s1 = self.single_lo[b], self.single_lo[b + 1]
-        g0, g1 = self.gates.lo[b], self.gates.lo[b + 1]
-        return (levels, self.src[p0:p1], self.single[s0:s1], self.gated[g0:g1],
-                self.gates.segments(b) if g0 < g1 else None)
+        gates, gated, gseg = self.gates, self.gated[:0], None
+        if gates is not None and gates.lo[b] < gates.lo[b + 1]:
+            gated, gseg = self.gated[gates.lo[b]:gates.lo[b + 1]], gates.segments(b)
+        return levels, self.src[p0:p1], self.single[s0:s1], gated, gseg
 
 
 @dataclass(eq=False)
 class ForwardResult:
     """A forward pass over a `Batch`: the representations of its pairs
-    (None without pairs) and the pairs' feature rows, the reconstruction
-    targets."""
+    (None without pairs), the batch's feature rows x, and the pairs' feature
+    rows when the expert gates read them."""
 
     model: OmtlModel
     batch: Batch
     rep: Tensor | None
-    targets: np.ndarray | None
+    x: np.ndarray
+    gate_in: np.ndarray | None
+
+    @property
+    def targets(self) -> np.ndarray:
+        """The pairs' feature rows, the reconstruction targets: gathered
+        once, for the expert gates when they run, else here."""
+        return self.gate_in if self.gate_in is not None else self.x[self.batch.pair_rows]
 
     def planned_for(self, scheme) -> "ForwardResult":
         """This pass, with its batch's head terms planned for scheme (None
@@ -550,23 +579,24 @@ def forward(model: OmtlModel, data, mode: str = "eval", dropout_rng=None,
     train = mode == "train"
     if train and model.spec.dropout > 0.0 and dropout_rng is None:
         raise ValidationError("train-mode forward needs a dropout rng")
-    x = Tensor(batch.cols.X[batch.rows], const=True)
+    x = Tensor(batch.cols.X if batch.whole else batch.cols.X[batch.rows], const=True)
     spec = model.spec
     experts = T.expert_layer(x, model.expert_w, model.expert_b, spec.leaky_slope,
                              spec.dropout, dropout_rng, train)
     if batch.seg is None:
-        return ForwardResult(model, batch, None, None)
-    xr = x.values[batch.pair_rows]
-    mixed, _ = T.expert_mix(x, xr, experts, spec.num_experts, batch.pair_rows,
+        return ForwardResult(model, batch, None, x.values, None)
+    # parent gates come only with expert gates (omtl), so they read these too
+    gate_in = None if model.gate_w is None else x.values[batch.pair_rows]
+    mixed, _ = T.expert_mix(x, gate_in, experts, spec.num_experts, batch.pair_rows,
                             batch.seg, model.gate_w, model.gate_b)
     route = None
     if batch.route is not None:
         levels, src, single, gated, gseg = batch.route
         route = T.Route(levels, src, single) if gseg is None or model.pgate_w is None \
-            else T.Route(levels, src, single, gated, xr[gated], gseg, model.pgate_w,
-                         model.pgate_b)
+            else T.Route(levels, src, single, gated, gate_in[gated], gseg,
+                         model.pgate_w, model.pgate_b)
     rep = T.represent(mixed, model.repr_w, model.repr_b, batch.seg, route)
-    return ForwardResult(model, batch, rep, xr)
+    return ForwardResult(model, batch, rep, x.values, gate_in)
 
 
 # ---------------------------------------------------------------------------

@@ -484,7 +484,7 @@ def _sigmoid_values(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def expert_mix(x: Tensor, xr: np.ndarray, experts: Tensor, n_exp: int,
+def expert_mix(x: Tensor, xr: np.ndarray | None, experts: Tensor, n_exp: int,
                rows: np.ndarray, seg: Segments, w: Block | None = None,
                b: Block | None = None) -> tuple[Tensor, np.ndarray]:
     """Each pair's gated mixture of the n_exp expert outputs at its row,
@@ -494,9 +494,9 @@ def expert_mix(x: Tensor, xr: np.ndarray, experts: Tensor, n_exp: int,
         s[p] = softmax(xr[p] @ w[m] + b[m]),  m = seg.of[p],
 
     where xr is x.values[rows], gathered by the caller, which also reads
-    it as the pairs' reconstruction targets. Without a gate (w None) every
-    weight is 1/E: sb's single expert passes through, moe takes the mean.
-    Returns the output and the weights s.
+    it as the pairs' reconstruction targets. Without a gate (w None, and
+    xr unread) every weight is 1/E: sb's single expert passes through, moe
+    takes the mean. Returns the output and the weights s.
     """
     hr = experts.values[rows].reshape(rows.size, n_exp, -1)
     if w is None:

@@ -172,6 +172,27 @@ def _split_validation(cols: Columns, graph: OntologyGraph, cfg: TrainConfig) -> 
     return np.flatnonzero(fold != 0), np.flatnonzero(fold == 0)
 
 
+def _train_epoch(model: OmtlModel, plan: BatchPlan, cfg: TrainConfig, dropout_rng,
+                 adam: _FlatAdam, where: str) -> tuple[float, float]:
+    """One Adam step per batch of plan; returns the epoch's mean l1 and
+    l2. The plan, and the last step's tape, which reads it, are freed on
+    return, before the monitor runs and the next epoch is planned."""
+    l1 = l2 = 0.0
+    for b in range(len(plan)):
+        batch = plan.batch(b)
+        with Tape() as tape:
+            breakdown = batch_loss(forward(model, batch, "train", dropout_rng), cfg.lam)
+        if not np.isfinite(breakdown.total):
+            raise NumericalError(f"non-finite loss in {where}, batch starting at "
+                                 f"record {plan.cols.ids[batch.rows[0]]!r}")
+        tape.backward(breakdown.loss)
+        adam.step(tape)
+        w = len(batch.rows) / max(len(plan.rows), 1)
+        l1 += breakdown.l1 * w
+        l2 += breakdown.l2 * w
+    return l1, l2
+
+
 def _train_phase(model: OmtlModel, cols: Columns, split: Split, cfg: TrainConfig,
                  log: TrainLog, phase: str, stage: int,
                  scheme: RewardScheme | None = None) -> None:
@@ -201,22 +222,9 @@ def _train_phase(model: OmtlModel, cols: Columns, split: Split, cfg: TrainConfig
         watch = None
         for epoch in range(cfg.max_epochs):
             shuffle_rng.shuffle(order)
-            plan = BatchPlan(model, cols, order, cfg.batch_size, scheme)
-            epoch_l1 = epoch_l2 = 0.0
-            for b in range(len(plan)):
-                batch = plan.batch(b)
-                with Tape() as tape:
-                    breakdown = batch_loss(forward(model, batch, "train", dropout_rng),
-                                           cfg.lam)
-                if not np.isfinite(breakdown.total):
-                    raise NumericalError(
-                        f"non-finite loss in phase {phase!r}, epoch {epoch}, "
-                        f"batch starting at record {cols.ids[batch.rows[0]]!r}")
-                tape.backward(breakdown.loss)
-                adam.step(tape)
-                w = len(batch.rows) / max(len(order), 1)
-                epoch_l1 += breakdown.l1 * w
-                epoch_l2 += breakdown.l2 * w
+            epoch_l1, epoch_l2 = _train_epoch(
+                model, BatchPlan(model, cols, order, cfg.batch_size, scheme), cfg,
+                dropout_rng, adam, f"phase {phase!r}, epoch {epoch}")
             # without held-out rows the monitor reads the shuffled training
             # rows, whose order its sums follow, so it is planned anew
             if watch is None or not val_rows.size:
@@ -348,7 +356,7 @@ def score_holdout(model: OmtlModel, graph: OntologyGraph,
     collected: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
     lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
     for cols in _chunks(records, graph):
-        batch = BatchPlan(model, cols).batch(0)
+        batch = BatchPlan(model, cols, heads=False).batch(0)
         if batch.seg is None:
             continue
         pair, head = model.head_pairs(batch.seg)
