@@ -366,9 +366,8 @@ class Batch:
     `tensor.Route` levels, src, single and gated pairs, and the gated
     pairs' segments (None when the batch has none). heads is None when no
     head term counts or none were planned, and otherwise (pair, hseg, y,
-    weight): each kept
-    (pair, head) term's pair, the terms grouped by head, and its label and
-    weight.
+    weight): each kept (pair, head) term's pair, the terms grouped by
+    head, and each term's label and weight.
     """
 
     cols: Columns
