@@ -370,9 +370,11 @@ def _signatures(cols: Columns, rows: np.ndarray,
     core = [j for j, nid in enumerate(cols.nodes) if graph.nodes[nid].core]
     pattern = np.concatenate([cols.member[rows][:, core], cols.labeled[rows],
                               cols.labels[rows] > 0], axis=1)
-    # group equal patterns: read each as 64-bit words, then sort them
+    # group equal patterns: read each as 64-bit words, then sort them (a
+    # column-indexed pattern may be column-major, which .view cannot read)
     packed = np.packbits(pattern, axis=1)
-    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64).T
+    words = np.ascontiguousarray(
+        np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))).view(np.uint64).T
     order = np.lexsort(words[::-1])
     first = np.ones(rows.size, dtype=bool)
     first[1:] = (words[:, order[1:]] != words[:, order[:-1]]).any(axis=0)

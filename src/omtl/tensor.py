@@ -35,6 +35,13 @@ span of the arena lies outside the arena's `trainable` slice, which a
 training phase narrows to the span it trains; so the tape does no
 gradient work on paths nothing can learn from. Beyond that rule, an op
 skips only the products that would produce a const input's gradient.
+
+The kernel rule: trained bits are pinned, so a faster kernel must do every
+product and every sum of the one it replaces, each sum in the same order.
+`np.bincount`, a fancy-index += over distinct indices and a loop over
+fewer than 8 columns keep the order of `np.add.at` and of numpy's row
+reductions; `np.add.reduceat` used as a scatter, numpy's pairwise sums
+over 8 or more entries, and a BLAS product of another shape do not.
 """
 
 from __future__ import annotations
@@ -49,7 +56,9 @@ _ACTIVE_TAPE: list["Tape"] = []
 # r * c floats in all; once that exceeds this many floats per member, one
 # BLAS product per member is cheaper. Timed per layer shape of the model
 # on one core, the per-member products overtake the batched product at
-# 600-2,500 floats per member.
+# 600-2,500 floats per member. The two paths differ in the last bit, so a
+# new threshold moves trained bits and scores: it is not a free speed
+# knob, and re-fitting it re-pins the hashes with a stated reason.
 _GATHER_PER_MEMBER = 1024
 
 
@@ -410,45 +419,59 @@ def rowwise_affine(h: np.ndarray, w: np.ndarray, b: np.ndarray,
     if _per_member(h.shape[0], w, seg):
         z = np.empty((h.shape[0], w.shape[2]))
         for m, s, e in seg.runs():
-            z[s:e] = h[s:e] @ w[m] + b[m]
+            np.matmul(h[s:e], w[m], out=z[s:e])
+        z += b[seg.of, 0]
         return z, None
     wg = w[seg.of]
     return (np.matmul(h[:, None, :], wg) + b[seg.of])[:, 0, :], wg
 
 
 def _scatter_rows(n: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """An (n, cols) array holding the sum of rows[i] at row idx[i]."""
-    out = np.zeros((n, rows.shape[1]))
-    np.add.at(out, idx, rows)
-    return out
+    """An (n, cols) array holding the sum of rows[i] at row idx[i]: one
+    bincount over (row, column) keys, which adds each key's terms in index
+    order from 0.0, as np.add.at does."""
+    cols = rows.shape[1]
+    keys = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+    return np.bincount(keys, weights=rows.reshape(-1),
+                       minlength=n * cols).reshape(n, cols)
 
 
-def _input_grad(gz: np.ndarray, wv: np.ndarray, seg: Segments,
-                wg: np.ndarray | None) -> np.ndarray:
-    """The gradient of z = rowwise_affine(h, wv, b, seg) w.r.t. h, given gz
-    and the weight copies (wg) that product gathered."""
-    if wg is None:
-        gh = np.empty((gz.shape[0], wv.shape[1]))
-        for m, s, e in seg.runs():
-            gh[s:e] = gz[s:e] @ wv[m].T
-        return gh
-    return np.matmul(gz[:, None, :], wg.transpose(0, 2, 1))[:, 0, :]
-
-
-def _param_grads(t: Tape, hv: np.ndarray, w, b, seg: Segments,
-                 gz: np.ndarray) -> None:
-    """Accumulate the gradients of the stacks w and b of z =
-    rowwise_affine(hv, w.values, b.values, seg) given gz."""
-    if not w.const:
-        if _per_member(hv.shape[0], w, seg):
+def _affine_grads(t: Tape, hv: np.ndarray, w, b, seg: Segments, gz: np.ndarray,
+                  wg: np.ndarray | None, inputs: bool, params: bool = True
+                  ) -> np.ndarray | None:
+    """The gradients of z = rowwise_affine(hv, w.values, b.values, seg)
+    given gz: returns the gradient w.r.t. hv when inputs is set (else None),
+    from the weight copies wg that product gathered when it gathered, and
+    accumulates those of the stacks w and b when params is set. The
+    per-member path makes one pass over the members for both."""
+    gh = gw = None
+    if _per_member(hv.shape[0], w, seg):
+        if inputs:
+            wv = w.values
+            gh = np.empty((gz.shape[0], wv.shape[1]))
+        if params and not w.const:
             gw = np.empty((seg.members.size, hv.shape[1], gz.shape[1]))
-            for i, (_, s, e) in enumerate(seg.runs()):
+        for i, (m, s, e) in enumerate(seg.runs()):
+            if gh is not None:
+                np.matmul(gz[s:e], wv[m].T, out=gh[s:e])
+            if gw is not None:
                 np.matmul(hv[s:e].T, gz[s:e], out=gw[i])
-        else:
-            gw = np.add.reduceat(hv[:, :, None] * gz[:, None, :], seg.starts, axis=0)
+    else:
+        if inputs:
+            gh = np.matmul(gz[:, None, :], wg.transpose(0, 2, 1))[:, 0, :]
+        if params and not w.const:
+            # the per-row outer products with the wider axis innermost
+            if gz.shape[1] >= hv.shape[1]:
+                gw = np.add.reduceat(hv[:, :, None] * gz[:, None, :], seg.starts, axis=0)
+            else:
+                gw = np.add.reduceat(gz[:, :, None] * hv[:, None, :], seg.starts,
+                                     axis=0).transpose(0, 2, 1)
+    if gw is not None:
         t._accum_block(w, seg.members, gw)
-    t._accum_block(b, seg.members,
-                   np.add.reduceat(gz, seg.starts, axis=0)[:, None, :])
+    if params:
+        t._accum_block(b, seg.members,
+                       np.add.reduceat(gz, seg.starts, axis=0)[:, None, :])
+    return gh
 
 
 def _rowwise_grads(t: Tape, h: Tensor, hv: np.ndarray, src, w, b, seg: Segments,
@@ -456,23 +479,35 @@ def _rowwise_grads(t: Tape, h: Tensor, hv: np.ndarray, src, w, b, seg: Segments,
     """Accumulate the gradients of z = rowwise_affine(hv, w.values, b.values,
     seg) given gz. hv holds rows src of tensor h (all of h, in order, when
     src is None); const h skips its gradient."""
-    if not h.const:
-        gh = _input_grad(gz, w.values, seg, wg)
+    gh = _affine_grads(t, hv, w, b, seg, gz, wg, inputs=not h.const)
+    if gh is not None:
         t._accum(h, gh if src is None else _scatter_rows(h.shape[0], src, gh),
                  own=True)
-    _param_grads(t, hv, w, b, seg, gz)
+
+
+def _row_reduce(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce over each row of a, as (rows, 1). Below 8 columns numpy
+    reduces a row left to right, from the ufunc's identity where it has
+    one (so a sum of -0.0 is 0.0), and a loop over the columns gives the
+    same bits with cheaper calls; from 8 on it sums pairwise, and does it."""
+    if a.shape[1] >= 8:
+        return ufunc.reduce(a, axis=1, keepdims=True)
+    out = a[:, :1].copy() if ufunc.identity is None else ufunc(a[:, :1], ufunc.identity)
+    for j in range(1, a.shape[1]):
+        ufunc(out, a[:, j:j + 1], out=out)
+    return out
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, in place; entries of -inf get weight exactly 0."""
-    z -= z.max(axis=1, keepdims=True)
+    z -= _row_reduce(np.maximum, z)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= _row_reduce(np.add, z)
     return z
 
 
 def _softmax_grad(s: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    return s * (gs - (gs * s).sum(axis=1, keepdims=True))
+    return s * (gs - _row_reduce(np.add, gs * s))
 
 
 def _sigmoid_values(v: np.ndarray) -> np.ndarray:
@@ -601,18 +636,19 @@ def represent(mix: Tensor, w: Block, b: Block, seg: Segments,
                 np.multiply(grep[lo:hi], np.exp(z[lo:hi] - rep[lo:hi]), out=gz[lo:hi])
                 if mix.const and not routed:
                     continue
-                gpre[lo:hi] = _input_grad(gz[lo:hi], w.values, lseg, wg)
+                gpre[lo:hi] = _affine_grads(t, pre[lo:hi], w, b, lseg, gz[lo:hi], wg,
+                                            inputs=True, params=False)
                 if routed:
                     gp = s[lo:hi, :, None] * gpre[lo:hi, None, :]
                     np.add.at(grep, route.src[lo:hi].reshape(-1),
                               gp.reshape(-1, gp.shape[2]))
             t._accum(mix, gpre, own=True)
-            _param_grads(t, pre, w, b, seg, gz)
+            _affine_grads(t, pre, w, b, seg, gz, None, inputs=False)
             if gates and not (route.w.const and route.b.const):
                 gated = route.gated
                 gs = (gpre[gated][:, None, :] * rep[route.src[gated]]).sum(axis=2)
-                _param_grads(t, route.xg, route.w, route.b, route.gseg,
-                             _softmax_grad(s[gated], gs))
+                _affine_grads(t, route.xg, route.w, route.b, route.gseg,
+                              _softmax_grad(s[gated], gs), None, inputs=False)
         t._ops.append((out, backward))
     return out
 

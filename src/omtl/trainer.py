@@ -59,7 +59,9 @@ class _FlatAdam:
 
     def step(self, tape: Tape) -> None:
         g = tape.arena_grads(self.arena)[self.span]
-        if not np.all(np.isfinite(g)):
+        # a finite sum has only finite terms; only a sum that is not (a
+        # non-finite entry, or finite ones that overflow) needs the scan
+        if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
             at = self.span.start + np.flatnonzero(~np.isfinite(g))[0]
             name = next(n for n, p in self.arena.params.items() if at < p.span.stop)
             raise NumericalError(f"non-finite gradient for parameter {name!r}")

@@ -320,6 +320,61 @@ def node_views(result) -> SimpleNamespace:
     return views
 
 
+# The pair ops' kernels as first written: each rewrite in `omtl.tensor` must
+# do the same products and sums in the same order, so it must match these
+# bit for bit. runs lists each member's (member, start, end) rows.
+
+
+def scatter_rows_add_at(n: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """An (n, cols) array holding the sum of rows[i] at row idx[i]."""
+    out = np.zeros((n, rows.shape[1]))
+    np.add.at(out, idx, rows)
+    return out
+
+
+def gathered_param_grads(hv: np.ndarray, gz: np.ndarray, starts: np.ndarray):
+    """Each member's sum of the outer products hv[p] gz[p] over its rows,
+    products formed (rows, r, c) with c innermost, and of its rows of gz."""
+    return (np.add.reduceat(hv[:, :, None] * gz[:, None, :], starts, axis=0),
+            np.add.reduceat(gz, starts, axis=0)[:, None, :])
+
+
+def rowwise_affine_loop(h: np.ndarray, w: np.ndarray, b: np.ndarray, runs) -> np.ndarray:
+    """z[p] = h[p] @ w[m] + b[m], one product per member."""
+    z = np.empty((h.shape[0], w.shape[2]))
+    for m, s, e in runs:
+        z[s:e] = h[s:e] @ w[m] + b[m]
+    return z
+
+
+def input_grad_loop(gz: np.ndarray, w: np.ndarray, runs) -> np.ndarray:
+    """The gradient of rowwise_affine_loop w.r.t. h, one loop over members."""
+    gh = np.empty((gz.shape[0], w.shape[1]))
+    for m, s, e in runs:
+        gh[s:e] = gz[s:e] @ w[m].T
+    return gh
+
+
+def param_grads_loop(hv: np.ndarray, gz: np.ndarray, starts: np.ndarray, runs):
+    """Its gradients w.r.t. each member's weights and bias, a second loop
+    over members."""
+    gw = np.empty((len(runs), hv.shape[1], gz.shape[1]))
+    for i, (_, s, e) in enumerate(runs):
+        np.matmul(hv[s:e].T, gz[s:e], out=gw[i])
+    return gw, np.add.reduceat(gz, starts, axis=0)[:, None, :]
+
+
+def softmax_rows_numpy(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax through numpy's row reductions."""
+    z = z - z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    return z / z.sum(axis=1, keepdims=True)
+
+
+def softmax_grad_numpy(s: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    return s * (gs - (gs * s).sum(axis=1, keepdims=True))
+
+
 class ReferenceAdam:
     """Hand-coded scalar/array Adam, written independently of the package."""
 

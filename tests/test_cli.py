@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from omtl.datastore import SynthConfig, generate_synthetic, save_dataset
 from omtl.ontology import save_graph
 
 from conftest import chain_graph
+from test_trainer import multi_parent_cohort
 
 
 @pytest.fixture
@@ -183,6 +185,79 @@ def test_cv_multi_variant_report(tmp_path):
     obj = json.loads(rp.read_text())
     assert set(obj["variants"]) == {"sb", "mmoe"}
     assert obj["comparisons"]
+
+
+# the trained variants of the pinned pipeline: (name, --variant, train config)
+PIPELINE_RUNS = [
+    ("omtl", "omtl", {}),
+    ("mmoe", "mmoe", {}),
+    ("sb", "sb", {}),
+    ("omtl-shaped", "omtl", {"reward_f": 0.5}),
+]
+
+
+def _artifact_digest(path: Path) -> str:
+    """sha256 of a written file; a manifest is hashed without its path
+    fields (the output paths it keys its hashes by)."""
+    if not path.name.endswith(".manifest.json"):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest = json.loads(path.read_text())
+    manifest["outputs"] = sorted(manifest["outputs"].values())
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+
+
+def _pipeline_digest(cohort: str) -> str:
+    """Run folds, train, eval, cv and compare on cohort in the working
+    directory, with relative paths, and hash every file written but the
+    timestamp sidecars."""
+    if cohort == "tree":
+        synth = _json_file(Path("."), "synth.json", {
+            "levels": 3, "branching": 3, "records_per_node": 24, "feature_dim": 24,
+            "low_data_records": 12, "outcomes": ["event"]})
+        assert dispatch(["synth", "--config", synth, "--seed", "4",
+                         "--out-graph", "graph.json", "--out-data", "data.jsonl"]) == 0
+    else:
+        graph, data = multi_parent_cohort()
+        save_graph(graph, "graph.json")
+        save_dataset(data, "data.jsonl")
+    cohort_args = ["--graph", "graph.json", "--data", "data.jsonl"]
+    assert dispatch(["folds", *cohort_args, "--k", "3", "--seed", "2",
+                     "--out", "folds.json"]) == 0
+    base = {"max_epochs": 3, "patience": 1, "batch_size": 64, "num_experts": 2,
+            "repr_dim": 3}
+    for name, variant, extra in PIPELINE_RUNS:
+        config = _json_file(Path("."), f"{name}.train.json", {**base, **extra})
+        assert dispatch(["train", *cohort_args, "--config", config, "--variant",
+                         variant, "--seed", "5", "--out", f"{name}.model.json",
+                         "--log", f"{name}.log.json"]) == 0
+        assert dispatch(["eval", "--model", f"{name}.model.json", *cohort_args,
+                         "--report", f"{name}.report.json", "--roc-out",
+                         f"{name}.roc.json", "--scores-out", f"{name}.scores.json"]) == 0
+    config = _json_file(Path("."), "cv.train.json", {**base, "max_epochs": 2})
+    assert dispatch(["cv", *cohort_args, "--config", config, "--variants",
+                     "omtl,mmoe,sb", "--k", "2", "--seed", "3", "--report", "cv.json",
+                     "--scores-out", "cv.scores.json"]) == 0
+    assert dispatch(["compare", "--reports", "omtl,mmoe", "--scores-a",
+                     "omtl.scores.json", "--scores-b", "mmoe.scores.json",
+                     "--out", "compare.json"]) == 0
+    digests = {path.name: _artifact_digest(path) for path in sorted(Path(".").iterdir())
+               if not path.name.endswith(".stamp.json")}
+    return hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("cohort, digest", [
+    pytest.param("tree", "5117de74fb9731900cd48ceefda2f78d437bea8be06703e0214b6aade4fe1289",
+                 id="tree"),
+    pytest.param("multi-parent",
+                 "7e34bfd49c5d57111a805df3f0041eaf3d1b27aecc2ab2db004b6dbe439a7f93",
+                 id="multi-parent")])
+def test_cli_artifacts_are_pinned(tmp_path, monkeypatch, cohort, digest):
+    # every file a synth/folds/train/eval/cv/compare pipeline writes, over
+    # omtl, mmoe, sb and reward-shaped omtl: trained bits, scores, reports
+    # and manifests stay byte-identical
+    monkeypatch.chdir(tmp_path)
+    assert _pipeline_digest(cohort) == digest
 
 
 # n2_3, the low-data leaf of this cohort, has 20 phenotype labels, all 0

@@ -309,6 +309,14 @@ class TestFolds:
         spreads = self.fold_spreads(graph, ds, make_folds(ds, graph, k=k, seed=k))
         assert max(spreads.values()) <= 1, spreads
 
+    def test_single_outcome_wide_tree(self):
+        # nine core leaves and one outcome: the rows' label patterns come
+        # out column-major and must still be read as 64-bit words
+        cfg = SynthConfig(levels=3, branching=3, records_per_node=24,
+                          low_data_records=12, feature_dim=4, outcomes=("event",))
+        graph, ds = generate_synthetic(cfg)
+        spreads = self.fold_spreads(graph, ds, make_folds(ds, graph, k=3, seed=0))
+        assert max(spreads.values()) <= 1, spreads
 
     @pytest.mark.parametrize("k, digest", [
         (5, "177bbeec233c3d03559fd5a89c6aa3ef26373983015a59cf36a509e70e30d8d7"),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omtl import tensor as T
 from omtl.errors import NumericalError, ShapeMismatch
@@ -9,8 +10,10 @@ from omtl.tensor import Segments, Tape, Tensor
 from omtl.trainer import _FlatAdam
 
 from conftest import arena_params, loss_sum, sq_loss
-from oracles import (ReferenceAdam, finite_difference_gradients, max_relative_error,
-                     route_levels)
+from oracles import (ReferenceAdam, finite_difference_gradients, gathered_param_grads,
+                     input_grad_loop, max_relative_error, param_grads_loop,
+                     route_levels, rowwise_affine_loop, scatter_rows_add_at,
+                     softmax_grad_numpy, softmax_rows_numpy)
 
 
 def one_run(n: int) -> Segments:
@@ -97,6 +100,87 @@ class TestPrimitives:
                 z, wg = T.rowwise_affine(x, w, b, Segments(node))
                 assert (wg is not None) == gathers
                 assert np.abs(z - loop).max() <= 1e-12
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def kernel_values(rng, shape) -> np.ndarray:
+    """Normal values over six decades, with exact zeros and -0.0 entries."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+    v[rng.random(shape) < 0.1] = 0.0
+    v[rng.random(shape) < 0.1] = -0.0
+    return v
+
+
+def kernel_segments(rng, rows: int) -> Segments:
+    """rows rows over up to 8 members, each member's rows one run."""
+    members = rng.choice(8, size=rng.integers(1, 9), replace=False)
+    return Segments(np.sort(rng.choice(members, size=rows)))
+
+
+# the kernels of the pair ops against the formulas they replace, bit for
+# bit, on both sides of numpy's 8-wide switch to pairwise sums
+KERNEL_SETTINGS = settings(derandomize=True, database=None, max_examples=400,
+                           deadline=None)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+ROWS = st.integers(0, 300)
+WIDTHS = st.integers(1, 9)
+
+
+class TestKernels:
+    @KERNEL_SETTINGS
+    @given(seed=SEEDS, n=st.integers(1, 300), k=ROWS, cols=WIDTHS)
+    def test_scatter_rows_is_add_at(self, seed, n, k, cols):
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(n, size=k)
+        rows = kernel_values(rng, (k, cols))
+        assert same_bits(T._scatter_rows(n, idx, rows), scatter_rows_add_at(n, idx, rows))
+
+    @KERNEL_SETTINGS
+    @given(seed=SEEDS, n=ROWS, cols=WIDTHS, padded=st.integers(0, 8))
+    def test_softmax_and_its_gradient_are_numpys(self, seed, n, cols, padded):
+        # a parent gate's padding columns carry -inf biases
+        rng = np.random.default_rng(seed)
+        z = kernel_values(rng, (n, cols))
+        pad = min(padded, cols - 1)  # a row keeps one finite logit
+        if pad:
+            z[:, cols - pad:] = -np.inf
+        s = T._softmax_rows(z.copy())
+        assert same_bits(s, softmax_rows_numpy(z))
+        gs = kernel_values(rng, (n, cols))
+        assert same_bits(T._softmax_grad(s, gs), softmax_grad_numpy(s, gs))
+
+    @KERNEL_SETTINGS
+    @given(seed=SEEDS, n=st.integers(1, 300), r=WIDTHS, c=WIDTHS,
+           per_member=st.booleans(), inputs=st.booleans())
+    def test_affine_and_its_gradients_are_the_member_loops(self, seed, n, r, c,
+                                                           per_member, inputs):
+        rng = np.random.default_rng(seed)
+        seg = kernel_segments(rng, n)
+        h, gz = kernel_values(rng, (n, r)), kernel_values(rng, (n, c))
+        w = stacked(*kernel_values(rng, (8, r, c)))
+        b = stacked(*kernel_values(rng, (8, 1, c)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_GATHER_PER_MEMBER", 0 if per_member else 1 << 62)
+            z, wg = T.rowwise_affine(h, w.values, b.values, seg)
+            tape = Tape()
+            gh = T._affine_grads(tape, h, w, b, seg, gz, wg, inputs=inputs)
+        runs = list(seg.runs())
+        if per_member:
+            assert same_bits(z, rowwise_affine_loop(h, w.values, b.values, runs))
+            expect_w, expect_b = param_grads_loop(h, gz, seg.starts, runs)
+            if inputs:
+                assert same_bits(gh, input_grad_loop(gz, w.values, runs))
+        else:
+            expect_w, expect_b = gathered_param_grads(h, gz, seg.starts)
+        assert (gh is None) == (not inputs)
+        for block, expect in ((w, expect_w), (b, expect_b)):
+            full = np.zeros(block.shape)
+            full[seg.members] += expect  # as the tape adds into its zeros
+            got = tape.arena_grads(block.arena)[block.span].reshape(block.shape)
+            assert same_bits(got, full)
 
 
 def level_case(name: str, cols: int, run):
@@ -496,6 +580,36 @@ class TestAdam:
         with pytest.raises(NumericalError, match="head.weights"):
             adam_on(_FlatAdam(p["head.bias"].arena, lr=0.001),
                     lambda: sq_loss(p["head.weights"], np.array([[np.nan]])))
+        # in the last entry of the span, after finite entries whose sum
+        # overflows
+        for bad in (np.nan, np.inf, -np.inf):
+            p = arena_params({"head.bias": np.zeros((1, 3)),
+                              "head.weights": np.ones((2, 3))})
+            arena = p["head.bias"].arena
+            tape = Tape()
+            g = tape.arena_grads(arena)
+            g[:2] = 1e308
+            g[-1] = bad
+            with pytest.raises(NumericalError,
+                               match="^non-finite gradient for parameter 'head.weights'$"):
+                _FlatAdam(arena, lr=0.001).step(tape)
+            assert (arena.values == np.repeat([0.0, 1.0], [3, 6])).all(), bad
+
+    def test_finite_gradients_whose_sum_overflows_step(self):
+        # the sum check fails, the entrywise one passes: one plain step
+        p = arena_params({"a": [[0.5, -0.25]], "b": [[1.0, 2.0]]})
+        arena = p["a"].arena
+        values, g = arena.values.copy(), np.array([1e308, 0.5, 1e308, -3.0])
+        tape = Tape()
+        tape.arena_grads(arena)[:] = g
+        with np.errstate(over="ignore"):
+            _FlatAdam(arena, lr=0.01).step(tape)
+            m, v = np.zeros(4), np.zeros(4)
+            m += (1.0 - 0.9) * g
+            v += (1.0 - 0.999) * g * g
+            values -= 0.01 / (1.0 - 0.9) * m / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
+        assert np.isfinite(arena.values).all()
+        assert same_bits(arena.values, values)
 
     def test_in_place_step_is_bit_identical_to_the_formula(self, rng):
         # the update as written out with temporaries, over 50 steps of
