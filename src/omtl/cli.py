@@ -191,6 +191,8 @@ def _load_scores_file(path: str) -> dict[str, ScoredSet]:
         scores = json_field(entry, "scores", "list[float]", where)
         if not np.isfinite(scores).all():
             raise ValidationError(f"{where}: scores must be finite numbers")
+        if ids is not None and len(ids) != len(scores):
+            raise ValidationError(f"{where}: {len(ids)} ids for {len(scores)} scores")
         out[name] = ScoredSet(scores=scores,
                               labels=json_field(entry, "labels", "list[int]", where),
                               node=node, outcome=outcome,

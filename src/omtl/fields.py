@@ -5,11 +5,13 @@ too deeply included) is a `ValidationError` naming it, and for JSONL the
 line. Loaders read fields through `json_field`, which rejects a value of
 the wrong JSON type or a scalar float that is not finite, and returns
 float fields as floats; the record loader applies the same type rules to
-a whole chunk's fields at once and falls back on `json_field` line by
-line to name a fault. A loader that reads float arrays checks them for
-finiteness itself, in one pass. `output_file` opens every output, and
-`write_json` writes every JSON output. A configuration whose arrays would
-hold more than `MAX_SIZE` numbers is rejected before any is allocated."""
+a whole chunk's fields at once, and the model loader to all of a model's
+parameter entries, and each falls back on `json_field` a line or an entry
+at a time only to name a fault. A loader that reads float arrays checks
+them for finiteness itself, in one pass. `output_file` opens every output,
+and `write_json` writes every JSON output. A configuration whose arrays
+would hold more than `MAX_SIZE` numbers is rejected before any is
+allocated."""
 
 from __future__ import annotations
 
@@ -104,25 +106,61 @@ def output_file(path: str):
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+# write_json encodes the items of a dict in runs whose values hold at most
+# this many list entries in all, so one encoder call writes about 80 KB
+ENCODE_ENTRIES = 1 << 12
+
+
 def write_json(path: str, obj, **dumps_args) -> None:
     """obj as JSON text, then a newline, in the file at path: the bytes
     `json.dumps(obj, **dumps_args)` gives. `json.dumps` runs the C encoder,
     far faster than `json.dump`'s chunked writes. Without dumps_args, each
-    value of obj and of the dicts directly in it is encoded on its own, so
-    a large file, such as a model's parameters, is never one string."""
+    value of obj is encoded on its own, and the items of a dict directly in
+    obj in runs of at most `ENCODE_ENTRIES` list entries (`_entries`), so a
+    large file, such as a model's parameters, is never one string, and a
+    model's hundreds of parameters take a few encoder calls."""
     with output_file(path) as fh:
-        _write_values(fh, obj, 0 if dumps_args else 2, dumps_args)
+        if dumps_args or not isinstance(obj, dict):
+            fh.write(json.dumps(obj, **dumps_args))
+        else:
+            fh.write("{")
+            for i, (key, value) in enumerate(obj.items()):
+                fh.write(f"{', ' if i else ''}{_key_text(key)}: ")
+                if isinstance(value, dict):
+                    _write_items(fh, value)
+                else:
+                    fh.write(json.dumps(value))
+            fh.write("}")
         fh.write("\n")
 
 
-def _write_values(fh, obj, depth: int, dumps_args: dict) -> None:
-    if not (depth and isinstance(obj, dict)):
-        fh.write(json.dumps(obj, **dumps_args))
-        return
+def _key_text(key) -> str:
+    """key as `json.dumps` writes a dict key ("true" for True, "1.5" for
+    1.5), not as str() would."""
+    return json.dumps({key: 0})[1:-4]
+
+
+def _entries(value) -> int:
+    """The list entries value holds, looking one level into a dict, and
+    at least 1: the measure of `ENCODE_ENTRIES`."""
+    if type(value) is dict:
+        return 1 + sum([len(v) for v in value.values() if type(v) is list])
+    return max(len(value), 1) if type(value) is list else 1
+
+
+def _write_items(fh, obj: dict) -> None:
+    """obj's JSON text, its items encoded in runs of `ENCODE_ENTRIES`."""
     fh.write("{")
-    for i, (key, value) in enumerate(obj.items()):
-        fh.write(f"{', ' if i else ''}{json.dumps(str(key))}: ")
-        _write_values(fh, value, depth - 1, dumps_args)
+    run, held, sep = {}, 0, ""
+    for key, value in obj.items():
+        entries = _entries(value)
+        if run and held + entries > ENCODE_ENTRIES:
+            fh.write(sep + json.dumps(run)[1:-1])
+            run, held, sep = {}, 0, ", "
+        run[key] = value
+        held += entries
+    if run:
+        fh.write(sep + json.dumps(run)[1:-1])
     fh.write("}")
 
 

@@ -1,8 +1,17 @@
 """Ranking metrics and the DeLong test for correlated ROC curves.
 
 AUC is the Mann-Whitney statistic (ties count 0.5), computed from
-midranks. The DeLong variance uses the fast midrank formulation, so two
-models scored on the same records can be compared in O(n log n).
+midranks. The DeLong variance uses the fast midrank formulation (DeLong et
+al., 1988; Sun & Xu, 2014), so two models scored on the same records can be
+compared in O(n log n).
+
+Every measure of a `ScoredSet` reads the figures of one stable sort of
+its scores (`ScoredSet.ranking`): its thresholds, AUC and DeLong
+structural components, computed together on first use and cached on the
+set. So a set that is reported and then compared with several others is
+sorted once, and its components are computed once for all of its
+comparisons. The figures are bit for bit those of one sort per measure
+and components per comparison.
 """
 
 from __future__ import annotations
@@ -15,9 +24,69 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _tie_blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One stable ascending sort of x, read as tie blocks (runs of equal
+    values): each block's start and size in sorted order, and each
+    value's block."""
+    n = x.size
+    order = np.argsort(x, kind="mergesort")
+    z = x[order]
+    first = np.empty(n + 1, dtype=bool)  # a block starts here; n ends the last
+    first[0] = first[n] = True
+    np.not_equal(z[1:], z[:-1], out=first[1:n])
+    bounds = np.flatnonzero(first)
+    block = np.empty(n, dtype=np.intp)
+    block[order] = np.add.accumulate(first[:n], dtype=np.intp) - 1
+    return bounds[:-1], bounds[1:] - bounds[:-1], block
+
+
+def _block_midranks(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each tie block's 1-based rank, the average of its members' ranks."""
+    return 0.5 * (2 * starts + sizes - 1) + 1
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their average rank."""
+    starts, sizes, block = _tie_blocks(x)
+    return _block_midranks(starts, sizes)[block]
+
+
+class _Ranking:
+    """Every figure a scored set's measures read, from one sort of its
+    scores (`_tie_blocks`): the positives and the records seen at each
+    descending score threshold (tp, seen: the tie blocks from the highest
+    down, so neither depends on input order), and, when both classes are
+    present, the AUC and the DeLong structural components v01 and v10 in
+    input order. A positive's midrank among all records less its midrank
+    among the positives is the negatives below its block plus half of
+    those in it, exactly, so v01 is that over the negatives; a negative's
+    v10 is likewise one less the positives' share. Only these are kept."""
+
+    def __init__(self, scores: np.ndarray, labels: np.ndarray):
+        starts, sizes, block = _tie_blocks(scores)
+        is_pos = labels == 1
+        pos = np.bincount(block[is_pos], minlength=starts.size)
+        self.tp, self.seen = np.add.accumulate(pos[::-1]), np.add.accumulate(sizes[::-1])
+        self.auc = self.v01 = self.v10 = None
+        m = int(pos.sum())
+        n = labels.size - m
+        if m and n:
+            pos_block = block[is_pos]
+            ranks = _block_midranks(starts, sizes)[pos_block]
+            self.auc = (ranks.sum() - m * (m + 1) / 2.0) / (m * n)
+            pos_below = np.add.accumulate(pos) - pos
+            self.v01 = (starts - pos_below + 0.5 * (sizes - pos))[pos_block] / n
+            self.v10 = 1.0 - (pos_below + 0.5 * pos)[block[~is_pos]] / m
+
+
 @dataclass
 class ScoredSet:
-    """Aligned scores and binary labels for one (node, outcome) stratum."""
+    """Aligned scores and binary labels for one (node, outcome) stratum.
+
+    Scores are numbers, never NaN. A set's scores and labels must not
+    change after construction: its sort, AUC, thresholds and DeLong
+    components are computed on first use and cached on the set.
+    """
 
     scores: np.ndarray
     labels: np.ndarray
@@ -33,7 +102,12 @@ class ScoredSet:
         # checked before the int64 conversion, which overflows on huge integers
         if not np.isin(labels, (0, 1)).all():
             raise ValidationError("labels must be 0 or 1")
+        # NaN has no place in an order: the sort cannot rank it
+        if np.isnan(self.scores).any():
+            raise ValidationError("scores must not be NaN")
         self.labels = labels.astype(np.int64)
+        self._n_pos = int(self.labels.sum())
+        self._ranking = None
 
     @property
     def stratum(self) -> str:
@@ -41,26 +115,18 @@ class ScoredSet:
 
     @property
     def n_pos(self) -> int:
-        return int(self.labels.sum())
+        return self._n_pos
 
     @property
     def n(self) -> int:
         return int(self.labels.size)
 
-
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(x, kind="mergesort")
-    z = x[order]
-    n = len(x)
-    new_block = np.empty(n, dtype=bool)
-    new_block[:1] = True
-    np.not_equal(z[1:], z[:-1], out=new_block[1:])
-    starts = np.flatnonzero(new_block)
-    sizes = np.diff(np.append(starts, n))
-    out = np.empty(n)
-    out[order] = np.repeat(0.5 * (2 * starts + sizes - 1) + 1, sizes)
-    return out
+    @property
+    def ranking(self) -> _Ranking:
+        """The figures of the set's one sort, made on first use."""
+        if self._ranking is None:
+            self._ranking = _Ranking(self.scores, self.labels)
+        return self._ranking
 
 
 def _require_both_classes(s: ScoredSet) -> tuple[int, int]:
@@ -73,54 +139,34 @@ def _require_both_classes(s: ScoredSet) -> tuple[int, int]:
 
 def auc_roc(s: ScoredSet) -> float:
     """P(score_pos > score_neg) + P(tie)/2 over all positive/negative pairs."""
-    m, n = _require_both_classes(s)
-    ranks = _midranks(s.scores)
-    pos_rank_sum = ranks[s.labels == 1].sum()
-    return (pos_rank_sum - m * (m + 1) / 2.0) / (m * n)
-
-
-def _thresholds(s: ScoredSet) -> tuple[np.ndarray, np.ndarray]:
-    """The positives and the records seen at each descending score
-    threshold; tied scores form one threshold, so neither depends on input
-    order."""
-    order = np.argsort(-s.scores, kind="mergesort")
-    scores = s.scores[order]
-    # last index of each tied block = the threshold admitting the whole block
-    last = np.nonzero(np.r_[scores[1:] != scores[:-1], True])[0]
-    return np.cumsum(s.labels[order])[last], last + 1
+    _require_both_classes(s)
+    return s.ranking.auc
 
 
 def average_precision(s: ScoredSet) -> float:
-    """Step-wise AP over descending score thresholds (`_thresholds`)."""
+    """Step-wise AP over descending score thresholds."""
     if s.n_pos == 0:
         raise ValidationError(f"stratum {s.stratum} has no positives for AP")
-    tp, seen = _thresholds(s)
+    tp, seen = s.ranking.tp, s.ranking.seen
     precision = tp / seen
     recall = tp / s.n_pos
-    prev_recall = np.r_[0.0, recall[:-1]]
-    return float(((recall - prev_recall) * precision).sum())
+    step = recall.copy()  # the recall gained at each threshold
+    step[1:] -= recall[:-1]
+    return float((step * precision).sum())
 
 
 def roc_points(s: ScoredSet) -> list[tuple[float, float]]:
     """(fpr, tpr) pairs from (0,0) to (1,1), one per distinct threshold."""
     m, n = _require_both_classes(s)
-    tp, seen = _thresholds(s)
+    tp, seen = s.ranking.tp, s.ranking.seen
     return [(0.0, 0.0)] + list(zip(((seen - tp) / n).tolist(), (tp / m).tolist()))
 
 
-def _delong_components(s: ScoredSet) -> tuple[float, np.ndarray, np.ndarray]:
-    """AUC, computed exactly as auc_roc does, plus the positive (v01) and
-    negative (v10) structural components."""
-    m, n = _require_both_classes(s)
-    pos = s.scores[s.labels == 1]
-    neg = s.scores[s.labels == 0]
-    tx = _midranks(pos)
-    ty = _midranks(neg)
-    tz = _midranks(np.concatenate([pos, neg]))
-    auc = (tz[:m].sum() - m * (m + 1) / 2.0) / (m * n)
-    v01 = (tz[:m] - tx) / n
-    v10 = 1.0 - (tz[m:] - ty) / m
-    return auc, v01, v10
+def _sample_var(x: np.ndarray) -> float:
+    """x.var(ddof=1), x of two or more entries: the same ufunc sums and
+    divisions, without the Python wrapper around them."""
+    d = x - np.add.reduce(x) / x.size
+    return np.add.reduce(d * d) / (x.size - 1)
 
 
 def delong_test(a: ScoredSet, b: ScoredSet) -> tuple[float, float, float, float, float]:
@@ -135,17 +181,15 @@ def delong_test(a: ScoredSet, b: ScoredSet) -> tuple[float, float, float, float,
                               "same records (label vectors differ)")
     if a.ids is not None and b.ids is not None and a.ids != b.ids:
         raise ValidationError("delong_test record ids differ between the sets")
-    auc_a, va01, va10 = _delong_components(a)
-    auc_b, vb01, vb10 = _delong_components(b)
+    auc_a, auc_b = auc_roc(a), auc_roc(b)
+    va01, va10, vb01, vb10 = a.ranking.v01, a.ranking.v10, b.ranking.v01, b.ranking.v10
     m, n = len(va01), len(va10)
     delta = auc_a - auc_b
-    d01 = va01 - vb01
-    d10 = va10 - vb10
     var = 0.0
     if m > 1:
-        var += d01.var(ddof=1) / m
+        var += _sample_var(va01 - vb01) / m
     if n > 1:
-        var += d10.var(ddof=1) / n
+        var += _sample_var(va10 - vb10) / n
     if var <= 0.0:
         if delta == 0.0:
             return auc_a, auc_b, 0.0, 0.0, 1.0

@@ -32,11 +32,19 @@ The indices all of this reads depend only on which rows a batch holds.
 `BatchPlan` builds them for every batch of an epoch at once, with the
 checks a forward pass needs, and a training step's `Batch` is slices of
 its arrays; a forward pass given rows instead plans them as one batch.
+
+Outside the step, a model's hundreds of parameters are handled in array
+passes, not one at a time: `build_model` draws every initial value in one
+`rng.uniform` call (`_draw`), `save_model` hands the parameters to the
+encoder in a few runs (`fields.write_json`), and `load_model` checks and
+reads every parameter entry in one pass (`_read_params`), reading them
+one at a time only to name the first fault of a faulty file.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -46,7 +54,7 @@ from .ontology import OntologyGraph
 from .datastore import Columns, columns_of
 from .fields import MAX_SIZE, config_fields, json_field, read_json, write_json
 from .rng import substream
-from .tensor import Arena, Block, Segments, Tensor
+from .tensor import Arena, Block, Segments, Tensor, _ranges
 
 VARIANTS = ("sb", "moe", "mmoe", "omtl")
 
@@ -138,13 +146,6 @@ def param_layout(spec: ModelSpec, graph: OntologyGraph,
     return shapes
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenation of range(starts[i], starts[i] + counts[i])."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts,
-                                                               counts)
-
-
 def _stack(arena: Arena, kind: str, owners) -> tuple[Block, Block] | tuple[None, None]:
     """The weight and bias blocks of the `kind` layers of owners."""
     if not owners:
@@ -208,9 +209,9 @@ class OmtlModel:
         self.n_parents = np.array([len(graph.parents[n]) for n in nodes], dtype=np.intp)
         self.parents = np.full((len(nodes), self.n_parents.max(initial=0)), -1,
                                dtype=np.intp)
-        for j, n in enumerate(nodes):
-            self.parents[j, :self.n_parents[j]] = [self.node_col[p]
-                                                   for p in graph.parents[n]]
+        self.parents[np.repeat(np.arange(len(nodes)), self.n_parents),
+                     _ranges(np.zeros_like(self.n_parents), self.n_parents)] = \
+            [self.node_col[p] for n in nodes for p in graph.parents[n]]
         gated = [n for n, k in zip(nodes, self.n_parents) if k >= 2]
         self.gate_row = np.full(len(nodes), -1, dtype=np.intp)
         self.gate_row[[self.node_col[n] for n in gated]] = np.arange(len(gated))
@@ -260,13 +261,19 @@ def _rebuild(spec: ModelSpec, graph: OntologyGraph, outcome_map: dict, arena: Ar
     return model
 
 
-def _draw(params, rng, name: str) -> None:
-    """Fan-in uniform draw, U(-1/sqrt(rows), 1/sqrt(rows)), of name.w and
-    then name.b, written into their arena views."""
-    w, b = params[name + ".w"].values, params[name + ".b"].values
-    bound = 1.0 / np.sqrt(max(w.shape[0], 1))
-    w[...] = rng.uniform(-bound, bound, size=w.shape)
-    b[...] = rng.uniform(-bound, bound, size=b.shape)
+def _draw(arena: Arena, rng, names: list[str]) -> None:
+    """Fan-in uniform draws, U(-1/sqrt(rows), 1/sqrt(rows)), of name.w and
+    then name.b for each of names in turn, written into their arena views.
+    One `rng.uniform` call with a bound per entry takes the same numbers
+    from the stream, in the same order, as one call per parameter."""
+    params = [arena.params[n + part] for n in names for part in (".w", ".b")]
+    if not params:
+        return
+    starts = np.array([p.span.start for p in params])
+    sizes = np.array([p.span.stop for p in params]) - starts
+    rows = np.array([max(p.values.shape[0], 1) for p in params[::2]])
+    bound = np.repeat(np.repeat(1.0 / np.sqrt(rows), 2), sizes)
+    arena.values[_ranges(starts, sizes)] = rng.uniform(-bound, bound)
 
 
 def build_model(spec: ModelSpec, graph: OntologyGraph, seed: int = 0,
@@ -286,28 +293,23 @@ def build_model(spec: ModelSpec, graph: OntologyGraph, seed: int = 0,
     arena = Arena(param_layout(spec, graph, outcome_map))
     # draws come in the order of the per-node layout that predates the
     # arena, so a seed keeps giving the same initial values
-    rng = substream(seed, "init")
-    params = arena.params
-    for e in range(spec.num_experts):
-        _draw(params, rng, f"expert.{e:02d}")
+    names = [f"expert.{e:02d}" for e in range(spec.num_experts)]
     for nid in graph.ordered_ids:
         if spec.has_expert_gates:
-            _draw(params, rng, f"expert_gate.{nid}")
+            names.append(f"expert_gate.{nid}")
         if spec.has_parent_gates and graph.parents[nid]:
-            _draw(params, rng, f"parent_gate.{nid}")
-        _draw(params, rng, f"repr.{nid}")
-        _draw(params, rng, f"recon.{nid}")
-        for o in outcome_map[nid]:
-            _draw(params, rng, f"head.{nid}.{o}")
+            names.append(f"parent_gate.{nid}")
+        names += [f"repr.{nid}", f"recon.{nid}"]
+        names += [f"head.{nid}.{o}" for o in outcome_map[nid]]
+    _draw(arena, substream(seed, "init"), names)
     return OmtlModel(spec, graph, arena, outcome_map)
 
 
 def reinit_parent_gates(model: OmtlModel, seed: int) -> None:
     """Fresh fan-in-uniform draw for every parent gate (start of phase 2)."""
-    rng = substream(seed, "h_init")
-    for nid in model.graph.ordered_ids:
-        if model.spec.has_parent_gates and model.graph.parents[nid]:
-            _draw(model.params, rng, f"parent_gate.{nid}")
+    if model.spec.has_parent_gates:
+        _draw(model.arena, substream(seed, "h_init"),
+              [f"parent_gate.{n}" for n in model.graph.ordered_ids if model.graph.parents[n]])
 
 
 def _label_arrays(model: OmtlModel, cols: Columns,
@@ -355,9 +357,9 @@ class _Runs:
 @dataclass(eq=False)
 class Batch:
     """One batch of a `BatchPlan`: rows (in order) of the plan's columns
-    (whole when they are all of them, in order), their labels and whether
-    they have them over the model's outcomes, and the index arrays a
-    forward pass and its loss read.
+    (whole when the batch is every row of them, in order), their labels
+    and whether they have them over the model's outcomes, and the index
+    arrays a forward pass and its loss read.
 
     Pairs are node-major, nodes in level order: pair p is batch row
     pair_rows[p] at node seg.of[p], rows ascending within a node. A batch
@@ -372,7 +374,7 @@ class Batch:
 
     cols: Columns
     rows: np.ndarray
-    whole: bool  # rows are all of cols, in order
+    whole: bool  # the batch is every row of cols, in order
     scheme: object
     labels: np.ndarray
     labeled: np.ndarray
@@ -412,8 +414,8 @@ class BatchPlan:
         if cols.X.shape[1] != model.spec.feature_dim:
             raise ValidationError(f"record feature dim {cols.X.shape[1]} != model dim "
                                   f"{model.spec.feature_dim}")
-        self.whole = rows is None
-        rows = np.arange(len(cols)) if rows is None else np.asarray(rows)
+        every = rows is None  # every row in order: cols' arrays are read in place
+        rows = np.arange(len(cols)) if every else np.asarray(rows)
         size = max(rows.size, 1) if size is None else size
         if model.hierarchy_enabled and cols.unclosed[rows].any():
             b = np.flatnonzero(cols.unclosed[rows])[0] // size
@@ -422,8 +424,10 @@ class BatchPlan:
         self.scheme = scheme
         self.count = -(-rows.size // size)
         count = max(self.count, 1)  # a plan of no rows has one batch, empty
+        # a batch reads the features in place only when it holds them all
+        self.whole = every and count == 1
 
-        node, pos = np.nonzero((cols.member if self.whole else cols.member[rows]).T)
+        node, pos = np.nonzero((cols.member if every else cols.member[rows]).T)
         if count > 1:
             by = np.argsort(pos // size, kind="stable")
             node, pos = node[by], pos[by]
@@ -431,8 +435,7 @@ class BatchPlan:
         self.pairs = _Runs(node, batch, count)
         self.pair_rows = pos - batch * size
         local = np.arange(node.size) - self.pairs.lo[batch]  # a pair's index in its batch
-        self.labels, self.labeled = _label_arrays(model, cols,
-                                                  None if self.whole else rows)
+        self.labels, self.labeled = _label_arrays(model, cols, None if every else rows)
         self.terms = None  # scoring reads no head terms, so need not plan them
         if heads:
             self._plan_heads(pos, node, batch, local, count)
@@ -603,10 +606,9 @@ def forward(model: OmtlModel, data, mode: str = "eval", dropout_rng=None,
 
 
 def model_to_json_obj(model: OmtlModel) -> dict:
-    params = {}
-    for name in sorted(model.params):
-        p = model.params[name]
-        params[name] = {"shape": list(p.shape), "values": p.values.ravel().tolist()}
+    flat = model.arena.values.tolist()
+    params = {name: {"shape": list(p.values.shape), "values": flat[p.span]}
+              for name, p in sorted(model.params.items())}
     return {"spec": model.spec.to_json_obj(),
             "graph_hash": model.graph_hash,
             "outcome_map": {nid: list(v) for nid, v in model.outcome_map.items()},
@@ -614,7 +616,38 @@ def model_to_json_obj(model: OmtlModel) -> dict:
             "params": params}
 
 
+def _read_params(arena: Arena, entries: dict) -> bool:
+    """Whether every parameter's entry in a model file is a JSON object
+    whose shape is the parameter's [rows, cols] as ints and whose values
+    are as many int or float numbers, each within float range: checked
+    over all entries at once, and their values then written into arena in
+    one pass."""
+    params = arena.params.values()
+    picked = [entries[name] for name in arena.params]
+    if not set(map(type, picked)) <= {dict}:
+        return False
+    shapes = [entry.get("shape") for entry in picked]
+    values = [entry.get("values") for entry in picked]
+    if (shapes != [list(p.values.shape) for p in params]
+            or not set(map(type, chain.from_iterable(shapes))) <= {int}
+            or not set(map(type, values)) <= {list}
+            or list(map(len, values)) != [p.values.size for p in params]):
+        return False
+    if not set(map(type, chain.from_iterable(values))) <= {int, float}:
+        return False
+    try:
+        arena.values[...] = np.fromiter(chain.from_iterable(values), np.float64,
+                                        arena.size)
+    except OverflowError:
+        return False
+    return True
+
+
 def model_from_json_obj(obj: dict, graph: OntologyGraph) -> OmtlModel:
+    """The model a parsed model file describes over graph. Its parameter
+    entries are checked and read in one pass (`_read_params`); only when
+    that pass finds a fault are they read again one at a time, in file
+    order, through `json_field`, so that the first faulty entry is named."""
     where = "model file"
     spec = ModelSpec.from_json_obj(json_field(obj, "spec", "dict", where))
     graph_hash = json_field(obj, "graph_hash", "str", where)
@@ -640,17 +673,18 @@ def model_from_json_obj(obj: dict, graph: OntologyGraph) -> OmtlModel:
     if extra:
         raise ValidationError(f"{where}: unexpected parameter {extra[0]!r}")
     arena = Arena(shapes.items())
-    for name, entry in entries.items():
-        at = f"{where}: parameter {name!r}"
-        shape = json_field(entry, "shape", "list[int]", at)
-        values = json_field(entry, "values", "list[float]", at)
-        if len(shape) != 2 or shape[0] * shape[1] != len(values):
-            raise ValidationError(f"{at}: {len(values)} values do not fill "
-                                  f"a matrix of shape {shape}")
-        if tuple(shape) != shapes[name]:
-            raise ValidationError(f"{at}: shape {shape}, the model needs "
-                                  f"{list(shapes[name])}")
-        arena.params[name].values[...] = values.reshape(shape)
+    if not _read_params(arena, entries):
+        for name, entry in entries.items():
+            at = f"{where}: parameter {name!r}"
+            shape = json_field(entry, "shape", "list[int]", at)
+            values = json_field(entry, "values", "list[float]", at)
+            if len(shape) != 2 or shape[0] * shape[1] != len(values):
+                raise ValidationError(f"{at}: {len(values)} values do not fill "
+                                      f"a matrix of shape {shape}")
+            if tuple(shape) != shapes[name]:
+                raise ValidationError(f"{at}: shape {shape}, the model needs "
+                                      f"{list(shapes[name])}")
+            arena.params[name].values[...] = values.reshape(shape)
     if not np.isfinite(arena.values).all():
         bad = next(n for n, p in arena.params.items() if not np.isfinite(p.values).all())
         raise ValidationError(f"{where}: parameter {bad!r} holds a non-finite value")

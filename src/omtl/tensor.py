@@ -46,6 +46,9 @@ over 8 or more entries, and a BLAS product of another shape do not.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+
 import numpy as np
 
 from .errors import NumericalError, ShapeMismatch
@@ -91,6 +94,13 @@ class Tensor:
         return f"Tensor(shape={self.shape}, const={self.const})"
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of range(starts[i], starts[i] + counts[i])."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + counts,
+                                                               counts)
+
+
 def _outside_trainable(self) -> bool:
     """Whether the span of a parameter or block misses its arena's
     trainable slice: the `const` of all three."""
@@ -132,14 +142,18 @@ class Arena:
         self.values = np.zeros(sum(rows * cols for _, (rows, cols) in shapes))
         self.params: dict[str, Parameter] = {}
         offset = 0
-        for name, (rows, cols) in shapes:
-            if name in self.params:
-                raise ValueError(f"parameter {name!r} laid out twice")
-            p = self.params[name] = Parameter.__new__(Parameter)
-            p.span = slice(offset, offset + rows * cols)
-            p.values = self.values[p.span].reshape(rows, cols)
-            p.arena = self
-            offset = p.span.stop
+        # each run of same-shape parameters is viewed as one stack, whose
+        # members are the parameters' views
+        for (rows, cols), run in groupby(shapes, key=itemgetter(1)):
+            names = [name for name, _ in run]
+            size = rows * cols
+            stack = self.values[offset:offset + len(names) * size]
+            for name, view in zip(names, stack.reshape(len(names), rows, cols)):
+                if name in self.params:
+                    raise ValueError(f"parameter {name!r} laid out twice")
+                p = self.params[name] = Parameter.__new__(Parameter)
+                p.span, p.values, p.arena = slice(offset, offset + size), view, self
+                offset += size
         self.trainable = slice(0, offset)
 
     def __reduce__(self):
@@ -168,16 +182,15 @@ class Arena:
         (L, rows, widest) stack whose missing columns read `fill`."""
         members = [self.params[n] for n in names]
         rows = members[0].values.shape[0]
-        width = max(p.values.shape[1] for p in members)
-        src, dst = [], []
-        for j, p in enumerate(members):
-            cols = p.values.shape[1]
-            r, c = np.divmod(np.arange(rows * cols), cols)
-            src.append(p.span.start + np.arange(rows * cols))
-            dst.append((j * rows + r) * width + c)
-        src = np.concatenate(src)
+        cols = np.array([p.values.shape[1] for p in members])
+        starts = np.array([p.span.start for p in members])
+        width, sizes = cols.max(), rows * cols
+        src = _ranges(starts, sizes)
+        # entry k of member j is its row k // cols, column k % cols
+        r, c = np.divmod(src - np.repeat(starts, sizes), np.repeat(cols, sizes))
+        dst = (np.repeat(np.arange(len(members)) * rows, sizes) + r) * width + c
         return PaddedBlock(self, slice(src.min(), src.max() + 1),
-                           (len(members), rows, width), src, np.concatenate(dst), fill)
+                           (len(members), rows, width), src, dst, fill)
 
 
 def _rebuild_arena(shapes, values: np.ndarray, trainable: slice) -> Arena:

@@ -142,6 +142,12 @@ def arena_params(values: dict) -> dict[str, Parameter]:
     return arena.params
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays are equal bit for bit, -0.0 and NaN
+    payloads included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def sq_loss(x: Tensor, target) -> Tensor:
     """sum((x - target)^2) recorded as one tape op: a scalar loss for tests
     of the tape and the optimizer (the model's own losses are pair ops)."""

@@ -10,6 +10,7 @@ forward pass's arrays out per node, for comparison with them.
 from __future__ import annotations
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -170,6 +171,82 @@ def permutation_delong_p(scores_a, scores_b, labels, n_resamples: int = 10_000,
     perm_b = np.where(swap, scores_a[None, :], scores_b[None, :])
     deltas = rank_auc_rows(perm_a, labels) - rank_auc_rows(perm_b, labels)
     return float(np.mean(np.abs(deltas) >= abs(observed) - 1e-12))
+
+
+# The metric formulas that one cached sort per scored set replaced: a sort
+# for AUC, another for AP and another for ROC, the DeLong components
+# recomputed from three midrank sorts on every call, and np.var(ddof=1).
+# Each takes (scores, labels) arrays, labels int 0/1 with both classes.
+
+def midranks_sorted(x: np.ndarray) -> np.ndarray:
+    order = np.argsort(x, kind="mergesort")
+    z = x[order]
+    n = len(x)
+    new_block = np.empty(n, dtype=bool)
+    new_block[:1] = True
+    np.not_equal(z[1:], z[:-1], out=new_block[1:])
+    starts = np.flatnonzero(new_block)
+    sizes = np.diff(np.append(starts, n))
+    out = np.empty(n)
+    out[order] = np.repeat(0.5 * (2 * starts + sizes - 1) + 1, sizes)
+    return out
+
+
+def auc_by_midranks(scores: np.ndarray, labels: np.ndarray):
+    m = int(labels.sum())
+    n = labels.size - m
+    return (midranks_sorted(scores)[labels == 1].sum() - m * (m + 1) / 2.0) / (m * n)
+
+
+def descending_thresholds(scores: np.ndarray, labels: np.ndarray):
+    order = np.argsort(-scores, kind="mergesort")
+    ordered = scores[order]
+    last = np.nonzero(np.r_[ordered[1:] != ordered[:-1], True])[0]
+    return np.cumsum(labels[order])[last], last + 1
+
+
+def ap_by_thresholds(scores: np.ndarray, labels: np.ndarray) -> float:
+    tp, seen = descending_thresholds(scores, labels)
+    precision = tp / seen
+    recall = tp / int(labels.sum())
+    prev_recall = np.r_[0.0, recall[:-1]]
+    return float(((recall - prev_recall) * precision).sum())
+
+
+def roc_by_thresholds(scores: np.ndarray, labels: np.ndarray) -> list:
+    m = int(labels.sum())
+    tp, seen = descending_thresholds(scores, labels)
+    return [(0.0, 0.0)] + list(zip(((seen - tp) / (labels.size - m)).tolist(),
+                                   (tp / m).tolist()))
+
+
+def delong_components_three_sorts(scores: np.ndarray, labels: np.ndarray):
+    m = int(labels.sum())
+    n = labels.size - m
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    tx, ty = midranks_sorted(pos), midranks_sorted(neg)
+    tz = midranks_sorted(np.concatenate([pos, neg]))
+    auc = (tz[:m].sum() - m * (m + 1) / 2.0) / (m * n)
+    return auc, (tz[:m] - tx) / n, 1.0 - (tz[m:] - ty) / m
+
+
+def delong_by_components(scores_a: np.ndarray, scores_b: np.ndarray,
+                         labels: np.ndarray) -> tuple:
+    auc_a, va01, va10 = delong_components_three_sorts(scores_a, labels)
+    auc_b, vb01, vb10 = delong_components_three_sorts(scores_b, labels)
+    m, n = len(va01), len(va10)
+    delta = auc_a - auc_b
+    var = 0.0
+    if m > 1:
+        var += (va01 - vb01).var(ddof=1) / m
+    if n > 1:
+        var += (va10 - vb10).var(ddof=1) / n
+    if var <= 0.0:
+        if delta == 0.0:
+            return auc_a, auc_b, 0.0, 0.0, 1.0
+        return auc_a, auc_b, delta, math.copysign(math.inf, delta), 0.0
+    z = delta / math.sqrt(var)
+    return auc_a, auc_b, delta, z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def _softmax(z):

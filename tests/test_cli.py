@@ -394,6 +394,14 @@ def _bad_scores_file(workdir, entry) -> list[str]:
     return _compare_on(workdir, _json_file(workdir, "b.json", {"leaf|event": entry}))
 
 
+def _scores_against_itself(workdir, entry) -> list[str]:
+    """compare of a one-target scores file with itself, so that a fault
+    the two files share is the only one."""
+    path = _json_file(workdir, "b.json", {"leaf|event": entry})
+    return ["compare", "--scores-a", path, "--scores-b", path,
+            "--out", str(workdir / "cmp.json")]
+
+
 def _bad_records_file(workdir, line: str) -> list[str]:
     path = workdir / "bad.jsonl"
     path.write_text(line + "\n")
@@ -516,6 +524,8 @@ BAD_INPUTS = {
     "scores labels not ints": lambda w: _bad_scores_file(
         w, {"ids": ["r0", "r1"], "labels": ["0", "1"], "scores": [0.1, 0.9]}),
     "scores entry not an object": lambda w: _bad_scores_file(w, [0.1, 0.9]),
+    "scores ids of another length": lambda w: _scores_against_itself(
+        w, {"ids": ["r0"], "labels": [0, 1], "scores": [0.1, 0.9]}),
     "graph nodes not a list": lambda w: _bad_graph_file(w, lambda o: {**o, "nodes": 5}),
     "graph outcomes not a list": lambda w: _bad_graph_file(
         w, lambda o: _edit_core_node(o, "outcomes", 5)),

@@ -68,6 +68,32 @@ def test_write_json_writes_the_bytes_of_json_dumps(tmp_path):
         assert path.read_text(encoding="utf-8") == json.dumps(obj, **args) + "\n"
     write_json(str(path), [1, {"x": 2}])
     assert path.read_text(encoding="utf-8") == "[1, {\"x\": 2}]\n"
+    # keys that are not strings read as json.dumps writes them, not as str()
+    keyed = {"keys": {True: 1, None: 2, 1.5: 3, 7: 4, "7": 5}, False: {"x": 1}, 2: [3]}
+    write_json(str(path), keyed)
+    assert path.read_text(encoding="utf-8") == json.dumps(keyed) + "\n"
+
+
+def test_write_json_encodes_runs_of_bounded_entries(tmp_path, monkeypatch):
+    # a dict directly in obj goes to the encoder in runs of items holding at
+    # most ENCODE_ENTRIES list entries, an item larger than that alone; the
+    # file still holds the bytes of one dumps
+    from omtl import fields
+    params = {f"p{i}": {"shape": [1, i], "values": [0.5] * i} for i in range(7)}
+    params["big"] = {"shape": [3, 3], "values": list(range(9))}
+    obj = {"spec": {"n": 1}, "params": params, "empty": {}, "ids": ["a"] * 20}
+    dumps, calls = json.dumps, []
+    monkeypatch.setattr(json, "dumps", lambda value, **kw: calls.append(value)
+                        or dumps(value, **kw))
+    monkeypatch.setattr(fields, "ENCODE_ENTRIES", 8)
+    path = tmp_path / "out.json"
+    fields.write_json(str(path), obj)
+    assert path.read_text(encoding="utf-8") == dumps(obj) + "\n"
+    runs = [c for c in calls if isinstance(c, dict) and c and set(c) <= set(params)]
+    assert [key for run in runs for key in run] == list(params)
+    assert 1 < len(runs) < len(params)
+    for run in runs:
+        assert len(run) == 1 or sum(map(fields._entries, run.values())) <= 8
 
 
 def lines_one_by_one(path: Path) -> list:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omtl.errors import ValidationError
 from omtl.metrics import (ScoredSet, _midranks, auc_roc, average_precision,
                           compare_scored_sets, delong_test, roc_points)
 
-from oracles import (midranks_loop, pairwise_auc, permutation_delong_p,
-                     threshold_sweep_ap)
+from oracles import (ap_by_thresholds, auc_by_midranks, delong_by_components,
+                     midranks_loop, pairwise_auc, permutation_delong_p,
+                     roc_by_thresholds, threshold_sweep_ap)
 
 
 def random_scored(rng, n, tie_fraction=0.0, prevalence=0.4):
@@ -195,3 +197,79 @@ class TestDeLong:
             assert row["auc_a"] == auc_roc(a)
             assert row["auc_b"] == auc_roc(b)
             assert row["delta_auc"] == row["auc_a"] - row["auc_b"]
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def tied_scores(rng, n: int, levels: int) -> np.ndarray:
+    """n scores over six decades, with exact zeros, -0.0 and infinities;
+    at levels > 0 most are rounded onto that many values, so ties are
+    common."""
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3, size=n)
+    if levels:
+        x = np.where(rng.random(n) < 0.8, np.round(x * levels) / levels, x)
+    for value in (0.0, -0.0, np.inf, -np.inf):
+        x[rng.random(n) < 0.05] = value
+    return x
+
+
+def two_class_labels(rng, n: int) -> np.ndarray:
+    labels = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.int64)
+    labels[rng.choice(n, size=2, replace=False)] = [0, 1]
+    return labels
+
+
+# the cached sort and components against the formulas they replaced, bit
+# for bit: small sets, heavy ties, and sets past numpy's 8- and 128-entry
+# switches in its pairwise sums
+METRIC_SETTINGS = settings(derandomize=True, database=None, max_examples=300,
+                           deadline=None)
+SIZES = st.one_of(st.integers(2, 10), st.integers(11, 300))
+
+
+class TestCachedBits:
+    @METRIC_SETTINGS
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=SIZES, levels=st.integers(0, 4))
+    def test_auc_ap_and_roc_are_the_three_sorts(self, seed, n, levels):
+        rng = np.random.default_rng(seed)
+        scores, labels = tied_scores(rng, n, levels), two_class_labels(rng, n)
+        s = ScoredSet(scores=scores, labels=labels)
+        # in either order: the first measure makes the sort, the others reuse it
+        first, then = (roc_points, auc_roc) if seed % 2 else (auc_roc, roc_points)
+        got = {first: first(s), then: then(s), average_precision: average_precision(s)}
+        assert np.array_equal(bits(got[auc_roc]), bits(auc_by_midranks(scores, labels)))
+        assert np.array_equal(bits(got[average_precision]),
+                              bits(ap_by_thresholds(scores, labels)))
+        assert np.array_equal(bits(got[roc_points]), bits(roc_by_thresholds(scores, labels)))
+        assert np.array_equal(_midranks(scores), midranks_loop(scores))
+
+    @METRIC_SETTINGS
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=SIZES, levels=st.integers(0, 4),
+           others=st.integers(1, 4), reported=st.booleans())
+    def test_delong_with_cached_components_is_the_per_call_formula(
+            self, seed, n, levels, others, reported):
+        # one set compared with several others, and they with it, in a
+        # shuffled order; itself and an equal copy among them
+        rng = np.random.default_rng(seed)
+        labels = two_class_labels(rng, n)
+        scores = [tied_scores(rng, n, levels) for _ in range(others)]
+        a_scores = scores[0].copy() if rng.random() < 0.2 else tied_scores(rng, n, levels)
+        a = ScoredSet(scores=a_scores, labels=labels)
+        sets = [ScoredSet(scores=x, labels=labels) for x in scores] + [a]
+        if reported:
+            for s in sets:
+                auc_roc(s)
+        pairs = [(a, b) for b in sets] + [(b, a) for b in sets]
+        for i in rng.permutation(len(pairs)):
+            x, y = pairs[i]
+            got = delong_test(x, y)
+            want = delong_by_components(x.scores, y.scores, labels)
+            assert np.array_equal(bits(got), bits(want)), (got, want)
+
+
+class TestScoredSet:
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            ScoredSet(scores=[0.2, np.nan], labels=[0, 1])

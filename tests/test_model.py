@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import pickle
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from omtl import tensor as T
 from omtl.errors import ValidationError
-from omtl.datastore import Columns, Dataset, Record
+from omtl.datastore import Columns, Dataset, Record, SynthConfig, generate_synthetic
 from omtl.model import (BatchPlan, ModelSpec, build_model, forward,
                         load_model, model_from_json_obj, model_to_json_obj,
                         reinit_parent_gates, save_model)
@@ -17,7 +19,7 @@ from omtl.tensor import Tape
 from omtl.trainer import TrainConfig, score_holdout, train_variant
 
 from conftest import (chain_graph, diamond_graph, gate_weights, make_record,
-                      random_dag, tiny_model)
+                      random_dag, same_bits, tiny_model)
 from oracles import (finite_difference_gradients, max_relative_error,
                      node_block_forward, node_views, reference_batch)
 
@@ -415,6 +417,70 @@ class TestSerialization:
         assert sorted(model_to_json_obj(model)["params"]) == \
                sorted(model.params)
 
+    @pytest.mark.parametrize("variant, digest", [
+        pytest.param("omtl", "216687866bbdd13ea2373b6d19bc9114b2b4e492ade9014f8dc5a5fe18431dcc",
+                     id="omtl"),
+        pytest.param("mmoe", "6ac598bceaea09edc7d76af24516a29473bb46d92834fe2867abfd5ce45047ed",
+                     id="mmoe"),
+        pytest.param("sb", "d3384dba046279d9cccd314bfe568ccc09ee021ed45ea05d5fdb10a3d7350d8b",
+                     id="sb")])
+    def test_model_file_bytes_are_pinned(self, tmp_path, variant, digest):
+        # sha256 of the file save_model writes for a model of the 40-node
+        # wide-ontology cohort shape; a change that moves a byte must
+        # update these and say why
+        graph, data = generate_synthetic(SynthConfig(levels=4, branching=3,
+                                                     records_per_node=40,
+                                                     low_data_records=20))
+        model, _ = train_variant(graph, data, TrainConfig(variant=variant, max_epochs=1,
+                                                          seed=0))
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        back = load_model(str(path), graph)
+        assert same_bits(back.arena.values, model.arena.values)
+        assert back.hierarchy_enabled == model.hierarchy_enabled
+
+    @pytest.mark.parametrize("fault, message", [
+        pytest.param(lambda e: e["values"].__setitem__(-1, "x"),
+                     "field 'values' must be list[float], got [0.3907114523411733, "
+                     "-0.4674558436698804", id="not-a-number"),
+        pytest.param(lambda e: e["values"].__setitem__(-1, True),
+                     "field 'values' must be list[float], got [0.3907114523411733, "
+                     "-0.4674558436698804", id="bool"),
+        pytest.param(lambda e: e.__setitem__("shape", [1, 9]),
+                     "shape [1, 9], the model needs [3, 3]", id="wrong-shape"),
+        pytest.param(lambda e: e.__setitem__("shape", [3.0, 3.0]),
+                     "field 'shape' must be list[int], got [3.0, 3.0]", id="float-shape"),
+        pytest.param(lambda e: e["values"].pop(),
+                     "8 values do not fill a matrix of shape [3, 3]", id="short"),
+        pytest.param(lambda e: e.pop("shape"), "missing field 'shape'", id="no-shape"),
+        pytest.param(lambda e: e["values"].__setitem__(-1, int("9" * 400)),
+                     "field 'values' is too large for a float", id="400-digits"),
+        pytest.param(lambda e: e["values"].__setitem__(-1, float("nan")),
+                     None, id="nan")])
+    def test_fault_in_last_parameter_is_named(self, fault, message):
+        # the last parameter of the file and of the arena's check order;
+        # every parameter before it is valid
+        g = diamond_graph()
+        obj = json.loads(json.dumps(model_to_json_obj(tiny_model(g, "omtl", d=7, de=3,
+                                                                 experts=2, seed=8))))
+        last = list(obj["params"])[-1]
+        assert last == sorted(obj["params"])[-1] == "repr.d.w"
+        fault(obj["params"][last])
+        with pytest.raises(ValidationError) as err:
+            model_from_json_obj(obj, g)
+        assert str(err.value) == (f"model file: parameter 'repr.d.w': {message}"
+                                  if message else
+                                  "model file: parameter 'repr.d.w' holds a non-finite value")
+
+    def test_entry_not_an_object_is_named(self):
+        g = diamond_graph()
+        obj = model_to_json_obj(tiny_model(g, "omtl"))
+        obj["params"]["repr.d.w"] = [1.0]
+        with pytest.raises(ValidationError, match=r"^model file: parameter 'repr\.d\.w' "
+                                                  r"must be a JSON object$"):
+            model_from_json_obj(obj, g)
+
     def test_graph_hash_mismatch_rejected(self, tmp_path):
         g = diamond_graph()
         model = tiny_model(g, "omtl")
@@ -638,6 +704,24 @@ class TestBatchPlan:
                     seen.add("no pairs" if got.seg is None else
                              "gated" if got.route and got.route[4] else "pairs")
         assert seen == {"no pairs", "gated", "pairs"}
+
+    def test_plan_of_every_row_in_batches(self, rng):
+        # a plan of all rows (rows=None) in batches smaller than the cohort:
+        # each batch reads its own rows' features, as the same plan over
+        # np.arange(n) does; only a plan of one batch reads them in place
+        g = diamond_graph()
+        model = tiny_model(g, "omtl", d=5, de=3, experts=2)
+        cols = Columns.from_records(mixed_batch(g, rng, 20, d=5), g)
+        assert BatchPlan(model, cols).batch(0).whole
+        for size in (7, 20):
+            every = BatchPlan(model, cols, None, size)
+            listed = BatchPlan(model, cols, np.arange(len(cols)), size)
+            assert len(every) == len(listed) == -(-20 // size)
+            for b in range(len(every)):
+                got, want = forward(model, every.batch(b)), forward(model, listed.batch(b))
+                assert same_bits(got.x, want.x)
+                assert same_bits(got.rep.values, want.rep.values)
+                assert got.batch.whole == (size == 20)
 
     def test_closure_error_names_the_first_failing_batch(self):
         # phase 2's first epoch: an unclosed row at c (lacking b) in the

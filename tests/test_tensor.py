@@ -9,7 +9,7 @@ from omtl.errors import NumericalError, ShapeMismatch
 from omtl.tensor import Segments, Tape, Tensor
 from omtl.trainer import _FlatAdam
 
-from conftest import arena_params, loss_sum, sq_loss
+from conftest import arena_params, loss_sum, same_bits, sq_loss
 from oracles import (ReferenceAdam, finite_difference_gradients, gathered_param_grads,
                      input_grad_loop, max_relative_error, param_grads_loop,
                      route_levels, rowwise_affine_loop, scatter_rows_add_at,
@@ -100,10 +100,6 @@ class TestPrimitives:
                 z, wg = T.rowwise_affine(x, w, b, Segments(node))
                 assert (wg is not None) == gathers
                 assert np.abs(z - loop).max() <= 1e-12
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def kernel_values(rng, shape) -> np.ndarray:
