@@ -139,26 +139,23 @@ class Dataset:
     _columns: Columns | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
-    def columns(self, graph: OntologyGraph, keep: bool = True) -> Columns:
+    def columns(self, graph: OntologyGraph) -> Columns:
         """The records as columns over graph: a loaded dataset's own, built
-        as it was read, or else built on first use and kept unless keep is
-        False; the records must not change after that."""
-        if self._columns is not None and self._columns.graph_hash == graph.graph_hash():
-            return self._columns
-        cols = Columns.from_records(self.records, graph)
-        if keep:
-            self._columns = cols
-        return cols
+        as it was read, or else built on first use and kept; the records
+        must not change after that."""
+        if self._columns is None or self._columns.graph_hash != graph.graph_hash():
+            self._columns = Columns.from_records(self.records, graph)
+        return self._columns
 
 
-def columns_of(data, graph: OntologyGraph, keep: bool = True) -> Columns:
+def columns_of(data, graph: OntologyGraph) -> Columns:
     """data as columns over graph: `Columns` as given, a `Dataset`'s own
-    (see `Dataset.columns` for keep), or a Record or a sequence of records
-    converted once."""
+    (`Dataset.columns`, built once and kept), or a Record or a sequence of
+    records converted once."""
     if isinstance(data, Columns):
         return data
     if isinstance(data, Dataset):
-        return data.columns(graph, keep)
+        return data.columns(graph)
     return Columns.from_records([data] if isinstance(data, Record) else list(data), graph)
 
 
@@ -462,9 +459,10 @@ def make_folds(dataset, graph: OntologyGraph, k: int = 5,
                seed: int = 0) -> FoldPlan:
     """Stratified fold plan: a round-robin deal, then levelling swaps.
 
-    dataset is a `Dataset` or anything else `columns_of` takes. The counts
-    kept level are each core node's labeled members and each (core node,
-    outcome, label) stratum; see `_balanced_sets`. Labeled records are
+    dataset is `Columns`, a `Dataset` (whose columns are built once and
+    kept, `Dataset.columns`) or anything else `columns_of` takes. The
+    counts kept level are each core node's labeled members and each (core
+    node, outcome, label) stratum; see `_balanced_sets`. Labeled records are
     shuffled, stably sorted by the sets they belong to, and dealt to folds
     c, c+1, ..., c+k-1, c, ... by one cursor that starts at a random fold c
     and carries over from one key group to the next. A run of records
@@ -484,9 +482,7 @@ def make_folds(dataset, graph: OntologyGraph, k: int = 5,
     """
     if k < 2:
         raise ValidationError(f"k must be >= 2, got {k}")
-    # a plan is made about once per dataset: columns built for it alone
-    # are not kept
-    cols = columns_of(dataset, graph, keep=False)
+    cols = columns_of(dataset, graph)
     has_labels = cols.labeled.any(axis=1)
     ids = cols.ids.tolist()
     labeled = np.array(sorted(np.flatnonzero(has_labels).tolist(), key=ids.__getitem__),

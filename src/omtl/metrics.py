@@ -45,12 +45,6 @@ def _block_midranks(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return 0.5 * (2 * starts + sizes - 1) + 1
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    starts, sizes, block = _tie_blocks(x)
-    return _block_midranks(starts, sizes)[block]
-
-
 class _Ranking:
     """Every figure a scored set's measures read, from one sort of its
     scores (`_tie_blocks`): the positives and the records seen at each
@@ -79,13 +73,14 @@ class _Ranking:
             self.v10 = 1.0 - (pos_below + 0.5 * pos)[block[~is_pos]] / m
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoredSet:
     """Aligned scores and binary labels for one (node, outcome) stratum.
 
     Scores are numbers, never NaN. A set's scores and labels must not
     change after construction: its sort, AUC, thresholds and DeLong
-    components are computed on first use and cached on the set.
+    components are computed on first use and cached on the set. Two sets
+    are == only when they are the same set.
     """
 
     scores: np.ndarray

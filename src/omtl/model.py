@@ -24,14 +24,17 @@ are node-major and nodes are in level order, so each level is a
 contiguous range of pairs, and the representation op visits the levels
 in order. Concept sets are ancestor-closed, so every parent representation
 a pair consumes was computed on an earlier level for the same record; a
-record is never routed through a node outside its own concept set. A node
-with a single parent takes that parent with weight exactly 1, as the
-softmax over one logit would.
+record is never routed through a node outside its own concept set. One
+weight rule covers every routed pair: a node with two or more parents
+mixes them through its parent gate, and any other node below the first
+level takes its one parent with weight exactly 1, as the softmax over one
+logit would (`tensor.Route.weights`).
 
 The indices all of this reads depend only on which rows a batch holds.
 `BatchPlan` builds them for every batch of an epoch at once, with the
 checks a forward pass needs, and a training step's `Batch` is slices of
-its arrays; a forward pass given rows instead plans them as one batch.
+its arrays; a forward pass given anything else plans all of its rows as
+one batch.
 
 Outside the step, a model's hundreds of parameters are handled in array
 passes, not one at a time: `build_model` draws every initial value in one
@@ -206,13 +209,12 @@ class OmtlModel:
         # parent routing: each node's parents' indices, padded with -1 to
         # the largest in-degree; nodes with two or more parents own row
         # gate_row of the padded parent-gate stacks
-        self.n_parents = np.array([len(graph.parents[n]) for n in nodes], dtype=np.intp)
-        self.parents = np.full((len(nodes), self.n_parents.max(initial=0)), -1,
-                               dtype=np.intp)
-        self.parents[np.repeat(np.arange(len(nodes)), self.n_parents),
-                     _ranges(np.zeros_like(self.n_parents), self.n_parents)] = \
+        n_parents = np.array([len(graph.parents[n]) for n in nodes], dtype=np.intp)
+        self.parents = np.full((len(nodes), n_parents.max(initial=0)), -1, dtype=np.intp)
+        self.parents[np.repeat(np.arange(len(nodes)), n_parents),
+                     _ranges(np.zeros_like(n_parents), n_parents)] = \
             [self.node_col[p] for n in nodes for p in graph.parents[n]]
-        gated = [n for n, k in zip(nodes, self.n_parents) if k >= 2]
+        gated = [n for n, k in zip(nodes, n_parents) if k >= 2]
         self.gate_row = np.full(len(nodes), -1, dtype=np.intp)
         self.gate_row[[self.node_col[n] for n in gated]] = np.arange(len(gated))
         self.pgate_w = self.pgate_b = None
@@ -365,11 +367,12 @@ class Batch:
     pair_rows[p] at node seg.of[p], rows ascending within a node. A batch
     whose records express no node has no pairs, and seg is None. route is
     None unless the plan routes through parents; otherwise it holds the
-    `tensor.Route` levels, src, single and gated pairs, and the gated
-    pairs' segments (None when the batch has none). heads is None when no
-    head term counts or none were planned, and otherwise (pair, hseg, y,
-    weight): each kept (pair, head) term's pair, the terms grouped by
-    head, and each term's label and weight.
+    `tensor.Route` levels, src and gated pairs (those of nodes with two or
+    more parents), and the gated pairs' segments (None when the batch has
+    none); every other routed pair takes its first parent whole. heads is
+    None when no head term counts or none were planned, and otherwise
+    (pair, hseg, y, weight): each kept (pair, head) term's pair, the terms
+    grouped by head, and each term's label and weight.
     """
 
     cols: Columns
@@ -476,8 +479,7 @@ class BatchPlan:
 
     def _plan_route(self, node, batch, local, count) -> None:
         """Every batch's parent routing: its levels, each pair's parents'
-        pairs, its single-parent and gated pairs, and the gated pairs
-        grouped by gate."""
+        pairs, and its gated pairs, grouped by gate."""
         model, pairs, depth = self.model, self.pairs, self.model.graph.depth
         # a level is a run of a batch's node runs: the first run of each
         # (batch, level), and each run's bounds within its level
@@ -491,9 +493,6 @@ class BatchPlan:
         par = model.parents[node]
         at = np.searchsorted(key, key[:, None] + (par - node[:, None]) * self.size)
         self.src = np.where(par >= 0, at - self.pairs.lo[batch][:, None], 0)
-        single = np.flatnonzero(model.n_parents[node] == 1)
-        self.single = local[single]
-        self.single_lo = np.searchsorted(single, self.pairs.lo)
         gated = np.flatnonzero(model.gate_row[node] >= 0)
         self.gated = local[gated]
         self.gates = _Runs(model.gate_row[node[gated]], batch[gated], count) \
@@ -527,11 +526,10 @@ class BatchPlan:
                 levels.append((lo, hi, Segments.from_runs(
                     pairs.of[p0 + lo:p0 + hi], self.level_starts[r0:r1],
                     self.level_ends[r0:r1], pairs.members[r0:r1]), lvl > 0))
-        s0, s1 = self.single_lo[b], self.single_lo[b + 1]
         gates, gated, gseg = self.gates, self.gated[:0], None
         if gates is not None and gates.lo[b] < gates.lo[b + 1]:
             gated, gseg = self.gated[gates.lo[b]:gates.lo[b + 1]], gates.segments(b)
-        return levels, self.src[p0:p1], self.single[s0:s1], gated, gseg
+        return levels, self.src[p0:p1], gated, gseg
 
 
 @dataclass(eq=False)
@@ -562,22 +560,23 @@ class ForwardResult:
                                              scheme=scheme).batch(0))
 
 
-def forward(model: OmtlModel, data, mode: str = "eval", dropout_rng=None,
-            rows: np.ndarray | None = None) -> ForwardResult:
+def forward(model: OmtlModel, data, mode: str = "eval",
+            dropout_rng=None) -> ForwardResult:
     """Route a batch through the model's graph.
 
     data is a `Batch` of a `BatchPlan`, or else `Columns` or anything
-    `columns_of` turns into columns (a Dataset, a record or records), of
-    which rows (all rows by default) are planned as one batch. The experts
-    run once over every row; then the expert mixture and the
-    representations run once over the batch's (row, node) pairs, the
-    representations reading parent representations from earlier levels by
-    row when the plan routes through parents.
+    `columns_of` turns into columns (a Dataset, a record or records), all
+    of whose rows are planned as one batch. The experts run once over
+    every row; then the expert mixture and the representations run once
+    over the batch's (row, node) pairs, the representations reading parent
+    representations from earlier levels by row when the plan routes
+    through parents: through the parent gate at a node of two or more
+    parents, and with weight exactly 1 at a node of one.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"unknown forward mode {mode!r}")
     batch = data if isinstance(data, Batch) else \
-        BatchPlan(model, columns_of(data, model.graph), rows).batch(0)
+        BatchPlan(model, columns_of(data, model.graph)).batch(0)
     train = mode == "train"
     if train and model.spec.dropout > 0.0 and dropout_rng is None:
         raise ValidationError("train-mode forward needs a dropout rng")
@@ -593,10 +592,10 @@ def forward(model: OmtlModel, data, mode: str = "eval", dropout_rng=None,
                             batch.seg, model.gate_w, model.gate_b)
     route = None
     if batch.route is not None:
-        levels, src, single, gated, gseg = batch.route
-        route = T.Route(levels, src, single) if gseg is None or model.pgate_w is None \
-            else T.Route(levels, src, single, gated, gate_in[gated], gseg,
-                         model.pgate_w, model.pgate_b)
+        # routing runs only for omtl, so every gated pair has its gate
+        levels, src, gated, gseg = batch.route
+        route = T.Route(levels, src) if gseg is None else \
+            T.Route(levels, src, gated, gate_in[gated], gseg, model.pgate_w, model.pgate_b)
     rep = T.represent(mixed, model.repr_w, model.repr_b, batch.seg, route)
     return ForwardResult(model, batch, rep, x.values, gate_in)
 

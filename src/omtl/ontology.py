@@ -57,7 +57,6 @@ class OntologyGraph:
             self.nodes[n.id] = n
         self.edges: list[tuple[str, str]] = []
         parents: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        children: dict[str, list[str]] = {nid: [] for nid in self.nodes}
         seen = set()
         for parent, child in edges:
             for end in (parent, child):
@@ -68,9 +67,7 @@ class OntologyGraph:
             seen.add((parent, child))
             self.edges.append((parent, child))
             parents[child].append(parent)
-            children[parent].append(child)
         self.parents = {nid: tuple(sorted(ps)) for nid, ps in parents.items()}
-        self.children = {nid: tuple(sorted(cs)) for nid, cs in children.items()}
         self.levels = compute_levels(self)
         self.depth = 1 + max(self.levels.values()) if self.levels else 0
         self.ordered_ids = sorted(self.nodes, key=lambda nid: (self.levels[nid], nid))

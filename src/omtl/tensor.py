@@ -66,17 +66,14 @@ _GATHER_PER_MEMBER = 1024
 
 
 class Tensor:
-    """A (rows, cols) matrix of float64 values."""
+    """A (rows, cols) matrix of float64 values; values of any other number
+    of dimensions are a ShapeMismatch."""
 
     __slots__ = ("values", "const")
 
     def __init__(self, values, const: bool = False):
         arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
+        if arr.ndim != 2:
             raise ShapeMismatch("tensor", arr.shape)
         self.values = arr
         self.const = const
@@ -580,26 +577,29 @@ class Route:
     lseg, routed): pairs lo:hi, grouped by node as lseg (runs local to
     lo), and routed False for the first level, whose pairs read no parent.
     Pair p's k-th parent is the pair src[p, k] of an earlier level (0
-    where p has fewer parents, at weight 0). Pairs in `single` have one
-    parent and take it with weight exactly 1 (a softmax over one logit).
-    Pairs in `gated` weigh their parents by softmax(xg @ w[m] + b[m]),
-    m = gseg.of, over gate stacks padded to src's width with zero weight
-    columns and -inf biases, which the softmax maps to weight exactly 0.
+    where p has fewer parents). One weight rule: a pair takes its first
+    parent, src[p, 0], with weight exactly 1 (a softmax over one logit)
+    and any others with weight 0, unless it is in `gated`; pairs in
+    `gated` weigh their parents by softmax(xg @ w[m] + b[m]), m = gseg.of,
+    over gate stacks padded to src's width with zero weight columns and
+    -inf biases, which the softmax maps to weight exactly 0. So every pair
+    of two or more parents must be gated; a first-level pair's weights
+    are never read.
     """
 
-    __slots__ = ("levels", "src", "single", "gated", "xg", "gseg", "w", "b")
+    __slots__ = ("levels", "src", "gated", "xg", "gseg", "w", "b")
 
-    def __init__(self, levels: list, src: np.ndarray, single: np.ndarray,
+    def __init__(self, levels: list, src: np.ndarray,
                  gated: np.ndarray | None = None, xg: np.ndarray | None = None,
                  gseg: Segments | None = None, w: PaddedBlock | None = None,
                  b: PaddedBlock | None = None):
-        self.levels, self.src, self.single, self.gated = levels, src, single, gated
+        self.levels, self.src, self.gated = levels, src, gated
         self.xg, self.gseg, self.w, self.b = xg, gseg, w, b
 
     def weights(self) -> np.ndarray:
         """Each pair's (pairs, width) parent weights."""
         s = np.zeros(self.src.shape)
-        s[self.single, 0] = 1.0
+        s[:, 0] = 1.0
         if self.w is not None:
             z, _ = rowwise_affine(self.xg, self.w.values, self.b.values, self.gseg)
             s[self.gated] = _softmax_rows(z)

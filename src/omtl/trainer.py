@@ -59,9 +59,9 @@ class _FlatAdam:
 
     def step(self, tape: Tape) -> None:
         g = tape.arena_grads(self.arena)[self.span]
-        # a finite sum has only finite terms; only a sum that is not (a
-        # non-finite entry, or finite ones that overflow) needs the scan
-        if not np.isfinite(g.sum()) and not np.all(np.isfinite(g)):
+        # one entrywise scan: it raises no overflow warning, as a sum of
+        # large finite entries would, and costs less than the sum
+        if not np.isfinite(g).all():
             at = self.span.start + np.flatnonzero(~np.isfinite(g))[0]
             name = next(n for n, p in self.arena.params.items() if at < p.span.stop)
             raise NumericalError(f"non-finite gradient for parameter {name!r}")
@@ -141,16 +141,15 @@ class TrainLog:
 
 def evaluate_loss(model: OmtlModel, graph: OntologyGraph, records,
                   cfg: TrainConfig, scheme: RewardScheme | None,
-                  rows: np.ndarray | None = None,
                   batch: Batch | None = None) -> LossBreakdown:
-    """Eval-mode (dropout-free) loss over records (a record list, or
-    anything else `columns_of` takes), or over their rows when given, as
-    one batch; or over batch, a caller's one-batch plan of them for the
-    same scheme. graph must be the graph the model was built on."""
+    """Eval-mode (dropout-free) loss over all of records (a record list,
+    or anything else `columns_of` takes) as one batch; or over batch, a
+    caller's one-batch plan of them for the same scheme. graph must be the
+    graph the model was built on."""
     if graph is not model.graph and graph.graph_hash() != model.graph_hash:
         raise ValidationError("evaluate_loss: graph is not the model's graph")
     if batch is None:
-        batch = BatchPlan(model, columns_of(records, graph), rows, scheme=scheme).batch(0)
+        batch = BatchPlan(model, columns_of(records, graph), scheme=scheme).batch(0)
     return batch_loss(forward(model, batch), cfg.lam)
 
 

@@ -123,7 +123,7 @@ def gate_weights(model, x: np.ndarray) -> dict[tuple[str, str], np.ndarray]:
         count, _, width = model.pgate_w.shape
         pairs = np.arange(count * n)
         s = T.Route([], np.zeros((count * n, width), dtype=np.intp),
-                    pairs[:0], pairs, np.tile(x, (count, 1)),
+                    pairs, np.tile(x, (count, 1)),
                     Segments(np.repeat(np.arange(count), n)),
                     model.pgate_w, model.pgate_b).weights()
         gated = [nid for nid, row in zip(nodes, model.gate_row) if row >= 0]

@@ -330,9 +330,9 @@ def reference_batch(model, cols, rows: np.ndarray, head_weight: np.ndarray):
     as a forward pass and its loss once built them every step: the pairs
     from `np.nonzero` over the batch's membership, node-major; their
     `Segments`; with routing on, the route's levels, parents' pairs from a
-    (batch, nodes) position matrix, and single and gated pairs; and the
-    kept head terms, every (pair, head) combination whose weight and label
-    are present."""
+    (batch, nodes) position matrix, and gated pairs; and the kept head
+    terms, every (pair, head) combination whose weight and label are
+    present."""
     from omtl.tensor import Segments
 
     member = cols.member[rows]
@@ -350,7 +350,7 @@ def reference_batch(model, cols, rows: np.ndarray, head_weight: np.ndarray):
         out.route = SimpleNamespace(
             levels=route_levels(node, np.searchsorted(node, level_start)),
             src=np.where(par >= 0, pos[pair_rows[:, None], par], 0),
-            single=np.flatnonzero(model.n_parents[node] == 1), gated=gated,
+            gated=gated,
             gseg=Segments(model.gate_row[node[gated]]) if gated.size else None)
     outcomes = list(model.outcomes)
     labels = np.zeros((len(rows), len(outcomes)))

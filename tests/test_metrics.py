@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omtl.errors import ValidationError
-from omtl.metrics import (ScoredSet, _midranks, auc_roc, average_precision,
-                          compare_scored_sets, delong_test, roc_points)
+from omtl.metrics import (ScoredSet, _block_midranks, _tie_blocks, auc_roc,
+                          average_precision, compare_scored_sets, delong_test,
+                          roc_points)
 
 from oracles import (ap_by_thresholds, auc_by_midranks, delong_by_components,
                      midranks_loop, pairwise_auc, permutation_delong_p,
@@ -28,6 +29,13 @@ def random_scored(rng, n, tie_fraction=0.0, prevalence=0.4):
     return ScoredSet(scores=scores, labels=labels)
 
 
+def midranks(x: np.ndarray) -> np.ndarray:
+    """Each value's midrank as `_Ranking` reads them: its tie block's
+    midrank (`_block_midranks`) from the blocks of one sort (`_tie_blocks`)."""
+    starts, sizes, block = _tie_blocks(x)
+    return _block_midranks(starts, sizes)[block]
+
+
 class TestMidranks:
     @pytest.mark.parametrize("values", [
         [], [0.3], [0.3, 0.3], [0.5, 0.1, 0.9, 0.2],
@@ -36,7 +44,7 @@ class TestMidranks:
     ])
     def test_matches_loop_oracle_on_edge_cases(self, values):
         x = np.asarray(values, dtype=float)
-        assert np.array_equal(_midranks(x), midranks_loop(x))
+        assert np.array_equal(midranks(x), midranks_loop(x))
 
     def test_matches_loop_oracle_random_tied_and_untied(self, rng):
         for trial in range(300):
@@ -46,7 +54,7 @@ class TestMidranks:
                 x = np.round(x * 4) / 4  # heavy ties
             elif trial % 3 == 2:
                 x[rng.random(n) < 0.2] = np.nan
-            assert np.array_equal(_midranks(x), midranks_loop(x))
+            assert np.array_equal(midranks(x), midranks_loop(x))
 
 
 class TestAuc:
@@ -243,7 +251,7 @@ class TestCachedBits:
         assert np.array_equal(bits(got[average_precision]),
                               bits(ap_by_thresholds(scores, labels)))
         assert np.array_equal(bits(got[roc_points]), bits(roc_by_thresholds(scores, labels)))
-        assert np.array_equal(_midranks(scores), midranks_loop(scores))
+        assert np.array_equal(midranks(scores), midranks_loop(scores))
 
     @METRIC_SETTINGS
     @given(seed=st.integers(0, 2 ** 32 - 1), n=SIZES, levels=st.integers(0, 4),
@@ -270,6 +278,15 @@ class TestCachedBits:
 
 
 class TestScoredSet:
+    def test_equality_is_identity(self):
+        # equal fields do not make equal sets, and comparing them raises
+        # nothing, though the fields are numpy arrays
+        a = ScoredSet([0.1, 0.2], [0, 1])
+        b = ScoredSet([0.1, 0.2], [0, 1])
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert len({a, b}) == 2
+
     def test_nan_score_rejected(self):
         with pytest.raises(ValidationError, match="NaN"):
             ScoredSet(scores=[0.2, np.nan], labels=[0, 1])

@@ -650,12 +650,11 @@ def check_batch(got, want) -> None:
     assert same_segments(got.seg, want.seg)
     assert (got.route is None) == (want.route is None)
     if got.route is not None:
-        levels, src, single, gated, gseg = got.route
+        levels, src, gated, gseg = got.route
         assert [(lo, hi, routed) for lo, hi, _, routed in levels] == \
             [(lo, hi, routed) for lo, hi, _, routed in want.route.levels]
         assert all(same_segments(a[2], b[2]) for a, b in zip(levels, want.route.levels))
         assert np.array_equal(src, want.route.src)
-        assert np.array_equal(single, want.route.single)
         assert np.array_equal(gated, want.route.gated)
         assert (gseg is None) == (want.route.gseg is None)
         assert gseg is None or same_segments(gseg, want.route.gseg)
@@ -702,7 +701,7 @@ class TestBatchPlan:
                     assert np.array_equal(got.rows, rows)
                     check_batch(got, reference_batch(model, cols, rows, weight))
                     seen.add("no pairs" if got.seg is None else
-                             "gated" if got.route and got.route[4] else "pairs")
+                             "gated" if got.route and got.route[3] else "pairs")
         assert seen == {"no pairs", "gated", "pairs"}
 
     def test_plan_of_every_row_in_batches(self, rng):

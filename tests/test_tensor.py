@@ -69,6 +69,12 @@ class TestPrimitives:
                           one_run(1))
         assert out.item() == pytest.approx(math.log(2), abs=1e-15)
 
+    @pytest.mark.parametrize("values", [[1.0, 2.0], 3.0, np.zeros((1, 2, 2))],
+                             ids=["1-D", "0-D", "3-D"])
+    def test_tensor_of_other_than_two_dims_is_rejected(self, values):
+        with pytest.raises(ShapeMismatch, match="tensor"):
+            Tensor(values)
+
     def test_affine_shape_error_names_primitive(self):
         with pytest.raises(ShapeMismatch, match=r"expert_layer.*\(2, 3\).*\(1, 4, 2\)"):
             T.expert_layer(Tensor(np.zeros((2, 3))), stacked(np.zeros((4, 2))),
@@ -196,8 +202,7 @@ def two_level_route(x: Tensor, w, b) -> T.Route:
     """Four pairs on two levels: pair 3 reads pairs 0, 1 and 2, gated by w
     and b as a parent gate over x's last row."""
     return T.Route(route_levels(np.zeros(4, dtype=np.intp), [0, 3, 4]),
-                   np.array([[0, 0, 0]] * 3 + [[0, 1, 2]]),
-                   np.zeros(0, dtype=np.intp), np.array([3]), x.values[3:],
+                   np.array([[0, 0, 0]] * 3 + [[0, 1, 2]]), np.array([3]), x.values[3:],
                    one_run(1), _block(w, 0.0), _block(b, -np.inf))
 
 
@@ -338,8 +343,7 @@ def composed_graph_check(rng, trials: int = 6) -> None:
     two-parent gate is padded to E's three parents, then reconstructions
     at every pair and one head at each of C, D and E."""
     seg = Segments(PAIR_NODE)
-    route_arrays = (route_levels(PAIR_NODE, [0, 7, 12, 14]), PAIR_SRC, np.array([7, 8]),
-                    np.arange(9, 14))
+    route_arrays = (route_levels(PAIR_NODE, [0, 7, 12, 14]), PAIR_SRC, np.arange(9, 14))
     for trial in range(trials):
         shapes = {"x": (4, 4), "pDw": (4, 2), "pEw": (4, 3), "pDb": (1, 2),
                   "pEb": (1, 3)}

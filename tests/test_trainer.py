@@ -442,7 +442,8 @@ class TestColumnarTraining:
         graph, data = small_benchmark()
         model = tiny_model(graph, "omtl", d=10, de=3, experts=2, seed=1)
         rows = np.array([7, 3, 60, 11, 0, 59])
-        by_rows = evaluate_loss(model, graph, data, tiny_config(), None, rows=rows)
+        by_rows = evaluate_loss(model, graph, data.columns(graph).take(rows),
+                                tiny_config(), None)
         by_records = evaluate_loss(model, graph, [data.records[i] for i in rows],
                                    tiny_config(), None)
         assert by_rows.total == by_records.total
