@@ -401,10 +401,12 @@ class BatchPlan:
     head terms out, for scoring, which reads none.
 
     The checks a forward pass needs run here, once per plan: cols must be
-    over the model's graph and of its feature dim; with routing on, every
-    row must be ancestor-closed (the error names what the first batch
-    holding an unclosed row lacks); with a reward scheme, a row labeling
-    the scheme's outcome must have that head at each of its nodes. A
+    over the model's graph and of its feature dim; routing must be off
+    unless the model is omtl, whose parent gates the route's weight rule
+    needs; with routing on, every row must be ancestor-closed (the error
+    names what the first batch holding an unclosed row lacks); with a
+    reward scheme, a row labeling the scheme's outcome must have that head
+    at each of its nodes. A
     (pair, head) term of the loss counts where its row labels the head's
     outcome and the head has weight: `model.head_masked` without a scheme,
     else the scheme's level weight at each head of its outcome.
@@ -417,6 +419,9 @@ class BatchPlan:
         if cols.X.shape[1] != model.spec.feature_dim:
             raise ValidationError(f"record feature dim {cols.X.shape[1]} != model dim "
                                   f"{model.spec.feature_dim}")
+        if model.hierarchy_enabled and not model.spec.has_parent_gates:
+            raise ValidationError("forward: hierarchy_enabled needs the parent gates of "
+                                  f"the omtl variant, not {model.spec.variant!r}")
         every = rows is None  # every row in order: cols' arrays are read in place
         rows = np.arange(len(cols)) if every else np.asarray(rows)
         size = max(rows.size, 1) if size is None else size

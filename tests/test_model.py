@@ -704,6 +704,17 @@ class TestBatchPlan:
                              "gated" if got.route and got.route[3] else "pairs")
         assert seen == {"no pairs", "gated", "pairs"}
 
+    @pytest.mark.parametrize("variant", ["sb", "moe", "mmoe"])
+    def test_routing_without_parent_gates_is_rejected(self, rng, variant):
+        # the route's weight rule needs a gate at every node of two or
+        # more parents, which only omtl has
+        g = diamond_graph()
+        model = tiny_model(g, variant, d=5, de=3, experts=2)
+        cols = Columns.from_records(mixed_batch(g, rng, 4, d=5), g)
+        model.hierarchy_enabled = True
+        with pytest.raises(ValidationError, match=f"parent gates .* not '{variant}'"):
+            BatchPlan(model, cols)
+
     def test_plan_of_every_row_in_batches(self, rng):
         # a plan of all rows (rows=None) in batches smaller than the cohort:
         # each batch reads its own rows' features, as the same plan over
