@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .fields import MAX_SIZE, config_fields, json_field, json_lines, output_file
+from .fields import (MAX_SIZE, config_fields, has_kind, json_field, json_floats, json_lines,
+                     output_file)
 from .ontology import ConceptNode, OntologyGraph, ancestor_closure
 from .rng import substream
 
@@ -189,14 +190,10 @@ LOAD_CHUNK = 256
 
 
 def load_dataset(path: str, graph: OntologyGraph) -> Dataset:
-    """Read a JSONL record file, validating every line against the graph.
-
-    The lines come LOAD_CHUNK at a time and `_Loader.add` checks each
-    chunk field by field. A chunk that fails is checked again line by
-    line, so an error names the first bad line, as reading one line at a
-    time would. A non-finite feature is reported, by its line, only once
-    every line has passed. The dataset's columns are built as the chunks
-    pass, and each record's features are a row of their `X`."""
+    """Read a JSONL record file, validating every line against the graph:
+    LOAD_CHUNK lines at a time (`_Loader`), and a chunk that fails again
+    line by line, so an error names the first bad line. A non-finite
+    feature is reported, by its line, only once every line has passed."""
     loader = _Loader(path, graph)
     for linenos, objs in json_lines(path, "records", LOAD_CHUNK):
         loader.add(linenos, objs)
@@ -239,45 +236,37 @@ class _Loader:
 
     def _fields(self, objs) -> tuple | None:
         """(ids, features, closure indices, labels) of a chunk's parsed
-        lines, or None if one of them breaks a rule of `_record_from_obj`
-        or repeats an id. Each field's types are checked with one set of
-        the types it holds."""
-        if set(map(type, objs)) != {dict}:
+        lines, or None if one of them breaks a record rule or repeats an
+        id. Each field's kind is checked with one set of the types it
+        holds, and each record rule on the field's values at once."""
+        if not has_kind(objs, "dict"):
             return None
         try:
-            ids = [obj["id"] for obj in objs]
-            features = [obj["features"] for obj in objs]
-            concepts = [obj["concepts"] for obj in objs]
+            fields = [[obj[key] if key != "labels" or key in obj else {} for obj in objs]
+                      for key in RECORD_KINDS]
         except KeyError:
             return None
-        labels = [obj["labels"] if "labels" in obj else {} for obj in objs]
-        if not (set(map(type, ids)) == {str} and set(map(type, features)) == {list}
-                and set(map(type, concepts)) == {list} and set(map(type, labels)) == {dict}):
+        if not all(map(has_kind, fields, RECORD_KINDS.values())):
             return None
+        ids, features, concepts, labels = fields
         dim = len(features[0]) if self.dim is None else self.dim
+        values = list(itertools.chain.from_iterable(map(dict.values, labels)))
         if not (len(set(ids)) == len(ids) and self.seen.isdisjoint(ids)
                 and set(map(len, features)) == {dim}
-                and set(map(type, itertools.chain.from_iterable(features))) <= {int, float}
-                and set(map(type, itertools.chain.from_iterable(concepts))) <= {str}
-                and set(itertools.chain.from_iterable(labels)) <= self.known):
-            return None
-        values = list(itertools.chain.from_iterable(map(dict.values, labels)))
-        if not (set(map(type, values)) <= {int} and set(values) <= {0, 1}):
+                and _known(itertools.chain.from_iterable(labels), self.known)
+                and has_kind(values, LABEL_KIND) and _binary(values)):
             return None
         which = []
         for key in map(tuple, concepts):
             i = self.set_of.get(key)
             if i is None:
-                if not key or not set(key) <= self.graph.nodes.keys():
+                if not (_has_concepts(key) and _known(key, self.graph.nodes.keys())):
                     return None
                 i = self.set_of[key] = len(self.closures)
                 self.closures.append(ancestor_closure(self.graph, key))
             which.append(i)
-        try:
-            x = np.array(features, dtype=np.float64)
-        except OverflowError:  # an integer too large for a float
-            return None
-        return ids, x, which, labels
+        x = json_floats(features, len(features) * dim)
+        return None if x is None else (ids, x.reshape(len(features), dim), which, labels)
 
     def _check_lines(self, linenos: list[int], objs: list) -> None:
         """Raise the error of the chunk's first bad line, checked as
@@ -286,8 +275,7 @@ class _Loader:
         for lineno, obj in zip(linenos, objs):
             where = f"{self.path}:{lineno}"
             rec = _record_from_obj(obj, self.graph, self.known, where)
-            if dim is None:
-                dim = rec.features.size
+            dim = rec.features.size if dim is None else dim
             if rec.features.size != dim:
                 raise ValidationError(f"{where}: feature dimension {rec.features.size} "
                                       f"does not match dataset dimension {dim}")
@@ -314,23 +302,43 @@ class _Loader:
         return data
 
 
+# each field of a record line and its JSON kind, in the order a line's
+# faults are named; a line may leave out "labels", for none
+RECORD_KINDS = {"id": "str", "features": "list[float]", "concepts": "list[str]",
+                "labels": "dict"}
+LABEL_KIND = "int"  # of a label's value
+
+
+# the record rules past the kinds, one predicate each, which the chunk pass
+# applies to a chunk's field at once and the per-line pass to one value
+def _has_concepts(concepts) -> bool:
+    return len(concepts) > 0
+
+
+def _known(names, known) -> bool:
+    return known >= set(names)
+
+
+def _binary(values) -> bool:
+    return {0, 1} >= set(values)
+
+
 def _record_from_obj(raw, graph: OntologyGraph, known_outcomes: set[str],
                      where: str) -> Record:
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: record must be a JSON object")
-    rid = json_field(raw, "id", "str", where)
-    features = json_field(raw, "features", "list[float]", where)
-    concepts = json_field(raw, "concepts", "list[str]", where)
-    labels = json_field(raw, "labels", "dict", where, default={})
-    if not concepts:
+    rid, features, concepts, labels = (
+        json_field(raw, key, kind, where, {} if key == "labels" else MISSING)
+        for key, kind in RECORD_KINDS.items())
+    if not _has_concepts(concepts):
         raise ValidationError(f"{where}: concepts must be nonempty")
     for cid in concepts:
-        if cid not in graph.nodes:
+        if not _known([cid], graph.nodes.keys()):
             raise ValidationError(f"{where}: unknown concept id {cid!r}")
     for name in labels:
-        if name not in known_outcomes:
+        if not _known([name], known_outcomes):
             raise ValidationError(f"{where}: unknown outcome name {name!r}")
-        if json_field(labels, name, "int", f"{where}: labels") not in (0, 1):
+        if not _binary([json_field(labels, name, LABEL_KIND, f"{where}: labels")]):
             raise ValidationError(f"{where}: label for {name!r} must be 0 or 1, "
                                   f"got {labels[name]!r}")
     return Record(id=rid, features=features,

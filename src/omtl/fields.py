@@ -2,16 +2,14 @@
 `json_lines` (JSONL, a chunk of lines at a time) read every input file:
 one that cannot be opened, read, decoded as UTF-8 or parsed (JSON nested
 too deeply included) is a `ValidationError` naming it, and for JSONL the
-line. Loaders read fields through `json_field`, which rejects a value of
-the wrong JSON type or a scalar float that is not finite, and returns
-float fields as floats; the record loader applies the same type rules to
-a whole chunk's fields at once, and the model loader to all of a model's
-parameter entries, and each falls back on `json_field` a line or an entry
-at a time only to name a fault. A loader that reads float arrays checks
-them for finiteness itself, in one pass. `output_file` opens every output,
-and `write_json` writes every JSON output. A configuration whose arrays
-would hold more than `MAX_SIZE` numbers is rejected before any is
-allocated."""
+line. The JSON type rules are stated here alone: `has_kind` (the Python
+types of a field kind) and `json_floats` (JSON numbers to float64 in one
+pass). `json_field` applies them to one field; the record and model
+loaders to a chunk's fields or all parameter entries at once, falling back
+on `json_field` only to name a fault, and check float arrays for
+finiteness themselves. `output_file` opens every output, and `write_json`
+writes every JSON output. A configuration whose arrays would hold more
+than `MAX_SIZE` numbers is rejected before any is allocated."""
 
 from __future__ import annotations
 
@@ -20,6 +18,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import MISSING
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -125,19 +124,14 @@ def write_json(path: str, obj, **dumps_args) -> None:
         else:
             fh.write("{")
             for i, (key, value) in enumerate(obj.items()):
-                fh.write(f"{', ' if i else ''}{_key_text(key)}: ")
+                # a key as json.dumps writes it ("true" for True), not as str()
+                fh.write(f"{', ' if i else ''}{json.dumps({key: 0})[1:-4]}: ")
                 if isinstance(value, dict):
                     _write_items(fh, value)
                 else:
                     fh.write(json.dumps(value))
             fh.write("}")
         fh.write("\n")
-
-
-def _key_text(key) -> str:
-    """key as `json.dumps` writes a dict key ("true" for True, "1.5" for
-    1.5), not as str() would."""
-    return json.dumps({key: 0})[1:-4]
 
 
 def _entries(value) -> int:
@@ -170,18 +164,37 @@ _JSON_KINDS = {"int": {int}, "float": {int, float}, "bool": {bool},
 
 
 @cache
-def _parse_kind(kind: str) -> tuple[set, bool, bool]:
-    """(types allowed for the value or its items, is an array, may be None)
-    of an annotation: X, X | None, list[X] or tuple[X, ...], X in _JSON_KINDS."""
+def _parse_kind(kind: str) -> tuple[set, bool]:
+    """(types allowed for the value or its items, is an array) of an
+    annotation: X, X | None, list[X] or tuple[X, ...], X in _JSON_KINDS."""
     base = kind.removesuffix(" | None")
     array = base.startswith(("list[", "tuple["))
     if array:
         base = base[base.index("[") + 1:-1].removesuffix(", ...")
-    return _JSON_KINDS[base], array, kind.endswith(" | None")
+    return _JSON_KINDS[base] | ({type(None)} if base != kind else set()), array
+
+
+def has_kind(values: list, kind: str) -> bool:
+    """Whether each of values has kind's JSON types (`_parse_kind`), for an
+    array kind each item; one set of types a call, for a chunk's field."""
+    allowed, array = _parse_kind(kind)
+    types = set(map(type, values))
+    if array:
+        return types <= {list} and set(map(type, chain.from_iterable(values))) <= allowed
+    return types <= allowed
+
+
+def json_floats(lists: list, size: int) -> np.ndarray | None:
+    """The size JSON numbers of lists as one float64 array, or None if one
+    is too large for a float."""
+    try:
+        return np.fromiter(chain.from_iterable(lists), np.float64, size)
+    except OverflowError:
+        return None
 
 
 def json_field(obj, key: str, kind: str, where: str, default=MISSING):
-    """obj[key] of a parsed JSON object, checked against kind (`_parse_kind`) and
+    """obj[key] of a parsed JSON object, checked against kind (`has_kind`) and
     as floats for a float kind, finite when scalar; default, when given, stands
     in for a missing key."""
     if not isinstance(obj, dict):
@@ -191,21 +204,21 @@ def json_field(obj, key: str, kind: str, where: str, default=MISSING):
             return default
         raise ValidationError(f"{where}: missing field {key!r}")
     value = obj[key]
-    allowed, array, nullable = _parse_kind(kind)
-    if not (type(value) is list and set(map(type, value)) <= allowed if array
-            else type(value) in allowed or nullable and value is None):
+    if not has_kind([value], kind):
         try:
             shown = json.dumps(value)[:40]
         except RecursionError:
             shown = f"a {type(value).__name__} nested too deeply to show"
         raise ValidationError(f"{where}: field {key!r} must be {kind}, got {shown}")
+    allowed, array = _parse_kind(kind)
     if float not in allowed or value is None:
         return value
-    try:
-        value = np.array(value, dtype=np.float64) if array else float(value)
-    except OverflowError as exc:
-        raise ValidationError(f"{where}: field {key!r} is too large for a float") from exc
-    if not (array or math.isfinite(value)):
+    floats = json_floats([value] if array else [[value]], len(value) if array else 1)
+    if floats is None:
+        raise ValidationError(f"{where}: field {key!r} is too large for a float")
+    if array:
+        return floats
+    if not math.isfinite(value := float(floats[0])):
         raise ValidationError(f"{where}: field {key!r} must be a finite number, got {value}")
     return value
 

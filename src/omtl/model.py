@@ -47,7 +47,6 @@ one at a time only to name the first fault of a faulty file.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -55,7 +54,8 @@ from . import tensor as T
 from .errors import ValidationError
 from .ontology import OntologyGraph
 from .datastore import Columns, columns_of
-from .fields import MAX_SIZE, config_fields, json_field, read_json, write_json
+from .fields import (MAX_SIZE, config_fields, has_kind, json_field, json_floats,
+                     read_json, write_json)
 from .rng import substream
 from .tensor import Arena, Block, Segments, Tensor, _ranges
 
@@ -174,11 +174,9 @@ class OmtlModel:
         self.outcome_map = outcome_map
         self.hierarchy_enabled = spec.has_parent_gates
         self.graph_hash = graph.graph_hash()
-        outcomes = list(graph.outcome_names())
-        for nid in graph.ordered_ids:
-            outcomes += [o for o in outcome_map.get(nid, ()) if o not in outcomes]
-        self.outcomes = tuple(outcomes)
-        self.outcome_col = {o: k for k, o in enumerate(outcomes)}
+        self.outcomes = tuple(dict.fromkeys([*graph.outcome_names(), *(
+            o for nid in graph.ordered_ids for o in outcome_map.get(nid, ()))]))
+        self.outcome_col = {o: k for k, o in enumerate(self.outcomes)}
         self.node_col = {nid: i for i, nid in enumerate(graph.ordered_ids)}
         nodes = graph.ordered_ids
         self.expert_w, self.expert_b = _stack(
@@ -199,7 +197,7 @@ class OmtlModel:
                                      dtype=np.intp)
         self.head_count = np.bincount(self.head_node, minlength=len(nodes))
         self.head_start = np.cumsum(self.head_count) - self.head_count
-        self.has_head = np.zeros((len(nodes), len(outcomes)), dtype=bool)
+        self.has_head = np.zeros((len(nodes), len(self.outcomes)), dtype=bool)
         self.has_head[self.head_node, self.head_outcome] = True
         # masked loss: a head counts at a core node, for that node's own outcomes
         self.head_masked = np.array(
@@ -286,12 +284,9 @@ def build_model(spec: ModelSpec, graph: OntologyGraph, seed: int = 0,
     (the reward-shaping setup); otherwise heads exist only where the graph
     associates outcomes, i.e. at core nodes.
     """
-    outcome_map: dict[str, tuple[str, ...]] = {}
-    for nid in graph.ordered_ids:
-        outcomes = list(graph.nodes[nid].outcomes)
-        if shared_outcome and shared_outcome not in outcomes:
-            outcomes.append(shared_outcome)
-        outcome_map[nid] = tuple(outcomes)
+    shared = (shared_outcome,) if shared_outcome else ()
+    outcome_map = {nid: tuple(dict.fromkeys(graph.nodes[nid].outcomes + shared))
+                   for nid in graph.ordered_ids}
     arena = Arena(param_layout(spec, graph, outcome_map))
     # draws come in the order of the per-node layout that predates the
     # arena, so a seed keeps giving the same initial values
@@ -620,31 +615,36 @@ def model_to_json_obj(model: OmtlModel) -> dict:
             "params": params}
 
 
+# each field of a parameter's entry in a model file and its JSON kind, in
+# the order an entry's faults are named
+PARAM_KINDS = {"shape": "list[int]", "values": "list[float]"}
+
+
+def _shape_fault(shape: list, count: int, need: tuple) -> str | None:
+    """What breaks the entry rules past the kinds, for an entry of count
+    values and shape, a list of ints, where the model needs shape need."""
+    if len(shape) != 2 or shape[0] * shape[1] != count:
+        return f"{count} values do not fill a matrix of shape {shape}"
+    return None if tuple(shape) == need else f"shape {shape}, the model needs {list(need)}"
+
+
 def _read_params(arena: Arena, entries: dict) -> bool:
     """Whether every parameter's entry in a model file is a JSON object
-    whose shape is the parameter's [rows, cols] as ints and whose values
-    are as many int or float numbers, each within float range: checked
-    over all entries at once, and their values then written into arena in
-    one pass."""
-    params = arena.params.values()
+    whose fields have their `PARAM_KINDS`, with no `_shape_fault`, and
+    whose values are within float range: checked over all entries at
+    once, and their values then written into arena in one pass."""
     picked = [entries[name] for name in arena.params]
-    if not set(map(type, picked)) <= {dict}:
+    if not has_kind(picked, "dict"):
         return False
-    shapes = [entry.get("shape") for entry in picked]
-    values = [entry.get("values") for entry in picked]
-    if (shapes != [list(p.values.shape) for p in params]
-            or not set(map(type, chain.from_iterable(shapes))) <= {int}
-            or not set(map(type, values)) <= {list}
-            or list(map(len, values)) != [p.values.size for p in params]):
+    shapes, values = fields = [[entry.get(key) for entry in picked] for key in PARAM_KINDS]
+    needs = [p.values.shape for p in arena.params.values()]
+    if not (all(map(has_kind, fields, PARAM_KINDS.values()))
+            and not any(map(_shape_fault, shapes, map(len, values), needs))):
         return False
-    if not set(map(type, chain.from_iterable(values))) <= {int, float}:
-        return False
-    try:
-        arena.values[...] = np.fromiter(chain.from_iterable(values), np.float64,
-                                        arena.size)
-    except OverflowError:
-        return False
-    return True
+    floats = json_floats(values, arena.size)
+    if floats is not None:
+        arena.values[...] = floats
+    return floats is not None
 
 
 def model_from_json_obj(obj: dict, graph: OntologyGraph) -> OmtlModel:
@@ -680,14 +680,10 @@ def model_from_json_obj(obj: dict, graph: OntologyGraph) -> OmtlModel:
     if not _read_params(arena, entries):
         for name, entry in entries.items():
             at = f"{where}: parameter {name!r}"
-            shape = json_field(entry, "shape", "list[int]", at)
-            values = json_field(entry, "values", "list[float]", at)
-            if len(shape) != 2 or shape[0] * shape[1] != len(values):
-                raise ValidationError(f"{at}: {len(values)} values do not fill "
-                                      f"a matrix of shape {shape}")
-            if tuple(shape) != shapes[name]:
-                raise ValidationError(f"{at}: shape {shape}, the model needs "
-                                      f"{list(shapes[name])}")
+            shape, values = (json_field(entry, key, kind, at)
+                             for key, kind in PARAM_KINDS.items())
+            if fault := _shape_fault(shape, len(values), shapes[name]):
+                raise ValidationError(f"{at}: {fault}")
             arena.params[name].values[...] = values.reshape(shape)
     if not np.isfinite(arena.values).all():
         bad = next(n for n, p in arena.params.items() if not np.isfinite(p.values).all())

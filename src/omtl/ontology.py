@@ -34,7 +34,7 @@ class ConceptNode:
 class GrowthConfig:
     core_ids: tuple[str, ...]
     max_hops: int = 2
-    iterations: int = 0
+    iterations: int = 100
     seed: int = 0
 
 
@@ -74,22 +74,13 @@ class OntologyGraph:
         self.core_ids = tuple(nid for nid in self.ordered_ids if self.nodes[nid].core)
 
     def outcome_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for nid in self.ordered_ids:
-            for o in self.nodes[nid].outcomes:
-                if o not in names:
-                    names.append(o)
-        return tuple(names)
+        return tuple(dict.fromkeys(o for nid in self.ordered_ids
+                                   for o in self.nodes[nid].outcomes))
 
     def to_json_obj(self) -> dict:
-        return {
-            "nodes": [
-                {"id": n.id, "concept": n.concept, "core": n.core,
-                 "outcomes": list(n.outcomes)}
-                for n in self.nodes.values()
-            ],
-            "edges": [{"parent": p, "child": c} for p, c in self.edges],
-        }
+        return {"nodes": [{"id": n.id, "concept": n.concept, "core": n.core,
+                           "outcomes": list(n.outcomes)} for n in self.nodes.values()],
+                "edges": [{"parent": p, "child": c} for p, c in self.edges]}
 
     def graph_hash(self) -> str:
         return self._hash

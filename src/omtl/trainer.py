@@ -29,7 +29,7 @@ from .fields import config_fields
 from .errors import NumericalError, ValidationError
 from .metrics import (EvalReport, ScoredSet, compare_scored_sets, score_metrics,
                       two_class)
-from .model import (VARIANTS, Batch, BatchPlan, ModelSpec, OmtlModel, build_model,
+from .model import (Batch, BatchPlan, ModelSpec, OmtlModel, build_model,
                     forward, reinit_parent_gates)
 from .objective import LossBreakdown, RewardScheme, batch_loss, make_reward_scheme
 from .ontology import OntologyGraph
@@ -103,8 +103,7 @@ class TrainConfig:
     leaky_slope: float = 0.01
 
     def validate(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"unknown variant {self.variant!r}")
+        self.model_spec(1)  # the model's own checks, before any data is read
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
         if not self.lr > 0:
@@ -325,13 +324,9 @@ class CvResult:
                 "auc_per_fold": per_fold,
                 "aps_mean": float(np.mean([m.aps for m in folds])) if folds else None,
             }
-        return {
-            "variant": self.variant,
-            "k": self.plan.k,
-            "aggregate": agg,
-            "pooled": self.pooled_report.to_json_obj(),
-            "folds": [r.to_json_obj() for r in self.fold_reports],
-        }
+        return {"variant": self.variant, "k": self.plan.k, "aggregate": agg,
+                "pooled": self.pooled_report.to_json_obj(),
+                "folds": [r.to_json_obj() for r in self.fold_reports]}
 
 
 def _chunks(records, graph: OntologyGraph):

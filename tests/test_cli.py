@@ -11,9 +11,9 @@ import pytest
 import omtl
 from omtl.cli import dispatch
 from omtl.datastore import SynthConfig, generate_synthetic, save_dataset
-from omtl.ontology import save_graph
+from omtl.ontology import GrowthConfig, grow_from_core, save_graph
 
-from conftest import chain_graph
+from conftest import chain_graph, random_dag
 from test_trainer import multi_parent_cohort
 
 
@@ -599,6 +599,14 @@ BAD_INPUTS = {
         "validate-graph", "--graph", _json_file(w, "cycle.json", LONG_CYCLE)],
     "compare no two-class target": lambda w: _bad_scores_file(
         w, {"ids": ["r0", "r1"], "labels": [1, 1], "scores": [0.4, 0.6]}),
+    "synth seed 2**32": lambda w: _synth_on(
+        w, _json_file(w, "synth.json", {"levels": 2, "records_per_node": 5})) + [
+        "--seed", str(2 ** 32)],
+    "train seed -1": lambda w: _train_on(w, _quick_config(w)) + ["--seed", "-1"],
+    "folds seed 2**32": lambda w: _folds_on(w, w / "data.jsonl") + ["--seed", str(2 ** 32)],
+    "augment seed -1": lambda w: [
+        "augment", "--graph", str(w / "graph.json"), "--core", "n1_0", "--seed", "-1",
+        "--out", str(w / "sub.json")],
     "compare out in a missing directory": lambda w: _compare_on(
         w, _json_file(w, "b.json", {"leaf|event": {
             "ids": ["r0", "r1"], "labels": [0, 1], "scores": [0.4, 0.6]}}),
@@ -620,6 +628,45 @@ def test_bad_input_exits_1_with_one_line(workdir, capsys, case):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("case, seed", [("synth seed 2**32", 2 ** 32),
+                                        ("train seed -1", -1),
+                                        ("folds seed 2**32", 2 ** 32),
+                                        ("augment seed -1", -1)])
+def test_seed_outside_32_bits_is_named(workdir, capsys, case, seed):
+    # a seed is not reduced to 32 bits, where it would repeat another's streams
+    argv = BAD_INPUTS[case](workdir)
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: seed must be in [0, 2**32), got {seed}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_train_config_is_checked_before_the_cohort_is_read(workdir, capsys, command):
+    config = _json_file(workdir, "bad_train.json", {"dropout": 1.5})
+    out = ["--out", str(workdir / "m.json")] if command == "train" else \
+        ["--report", str(workdir / "cv.json")]
+    capsys.readouterr()
+    assert dispatch([command, "--graph", str(workdir / "graph.json"), "--data",
+                     str(workdir / "missing.jsonl"), "--config", config, *out]) == 1
+    assert capsys.readouterr().err == "error: dropout must be in [0, 1), got 1.5\n"
+
+
+def test_augment_defaults_are_the_growth_config_defaults(tmp_path):
+    # a walk from the core of a random DAG: the result depends on hops,
+    # iterations and seed, so the command's defaults must be the library's
+    g = random_dag(np.random.default_rng(4), 30, edge_prob=0.3)
+    core = g.ordered_ids[-1]
+    src, out = tmp_path / "g.json", tmp_path / "sub.json"
+    save_graph(g, str(src))
+    assert dispatch(["augment", "--graph", str(src), "--core", core,
+                     "--out", str(out)]) == 0
+    library = tmp_path / "library.json"
+    save_graph(grow_from_core(g, GrowthConfig(core_ids=(core,))), str(library))
+    assert out.read_bytes() == library.read_bytes()
+    fewer = grow_from_core(g, GrowthConfig(core_ids=(core,), iterations=3))
+    assert len(fewer.nodes) < len(json.loads(library.read_text())["nodes"])
 
 
 @pytest.mark.parametrize("config", [

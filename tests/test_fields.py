@@ -2,12 +2,13 @@ import ast
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import omtl
 from omtl.errors import ValidationError
-from omtl.fields import json_lines
+from omtl.fields import has_kind, json_floats, json_lines
 
 from conftest import JSON
 
@@ -131,3 +132,45 @@ def test_json_lines_reads_lines_as_json_loads_in_order(tmp_path_factory, lines, 
         got.append(str(exc))
     assert got == lines_one_by_one(path)
     assert all(size == chunk for size in sizes[:-1]) and all(sizes)
+
+
+# the Python types json.load produces
+JSON_TYPES = {"int", "float", "str", "bool", "dict", "list", "NoneType"}
+
+
+def json_type_sets(path: Path) -> list[int]:
+    """Lines of path holding a set literal of JSON value types, such as
+    {int, float}."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Set) and all(
+                isinstance(e, ast.Name) and e.id in JSON_TYPES for e in node.elts)]
+
+
+def test_only_fields_names_json_types():
+    # which Python types a JSON kind holds is stated once, in omtl.fields
+    named = {path.name: json_type_sets(path)
+             for path in Path(omtl.__file__).parent.glob("*.py")}
+    assert {name for name, lines in named.items() if lines} == {"fields.py"}
+
+
+@pytest.mark.parametrize("values, kind, has", [
+    ([1, 2.5, -0.0], "float", True), ([1, True], "float", False), ([1, 2], "int", True),
+    ([1.0], "int", False), ([True, False], "bool", True), (["a", None], "str | None", True),
+    ([None], "str", False), ([[1, 2.5], []], "list[float]", True),
+    ([[1, "2"]], "list[float]", False), ([[1], None], "list[float]", False),
+    ([["a"], ["b", "c"]], "tuple[str, ...]", True), ([{}, {"a": 1}], "dict", True),
+    ([[]], "dict", False), ([], "list[int]", True)])
+def test_has_kind_checks_each_value_and_item(values, kind, has):
+    assert has_kind(values, kind) is has
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.lists(st.lists(st.floats() | st.integers(-2 ** 70, 2 ** 70), max_size=5),
+                max_size=5))
+def test_json_floats_reads_numbers_as_float(lists):
+    # the bits of float() of each number, in order, in one flat array
+    flat = [x for row in lists for x in row]
+    got = json_floats(lists, len(flat))
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array([float(x) for x in flat], dtype=np.float64).tobytes()
+    assert json_floats([[1.0], [10 ** 400]], 2) is None

@@ -5,7 +5,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import omtl.model
 from omtl import tensor as T
 from omtl.errors import ValidationError
 from omtl.datastore import Columns, Dataset, Record, SynthConfig, generate_synthetic
@@ -498,6 +500,49 @@ class TestSerialization:
                 assert not np.array_equal(p.values, before[name])
             else:
                 assert np.array_equal(p.values, before[name])
+
+
+# faults of one parameter's entry in a model file, each at a position of
+# its values
+ENTRY_FAULTS = {
+    "not-a-number": lambda entry, at: entry["values"].__setitem__(at, "x"),
+    "bool": lambda entry, at: entry["values"].__setitem__(at, True),
+    "float-shape": lambda entry, at: entry.__setitem__(
+        "shape", [float(n) for n in entry["shape"]]),
+    "short": lambda entry, at: entry["values"].pop(at),
+    "400-digits": lambda entry, at: entry["values"].__setitem__(at, int("9" * 400)),
+    "nan": lambda entry, at: entry["values"].__setitem__(at, float("nan")),
+}
+MODEL_FILE = json.dumps(model_to_json_obj(tiny_model(diamond_graph(), "omtl", d=7, de=3,
+                                                     experts=2, seed=8)))
+
+
+def load_outcome(obj: dict, graph) -> str | bytes:
+    """The error message of loading the model file obj, or the bytes of
+    the loaded arena."""
+    try:
+        return model_from_json_obj(obj, graph).arena.values.tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.data())
+def test_model_loader_fails_as_the_entry_by_entry_loop(data):
+    # up to two faulty entries anywhere in the file: the one-pass read and
+    # the entry-by-entry fallback (forced by failing the one pass) load the
+    # same bits or name the same fault
+    g, obj = diamond_graph(), json.loads(MODEL_FILE)
+    names = data.draw(st.lists(st.sampled_from(sorted(obj["params"])), max_size=2,
+                               unique=True))
+    for name in names:
+        entry = obj["params"][name]
+        at = data.draw(st.integers(0, len(entry["values"]) - 1))
+        ENTRY_FAULTS[data.draw(st.sampled_from(sorted(ENTRY_FAULTS)))](entry, at)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(omtl.model, "_read_params", lambda arena, entries: False)
+        fallback = load_outcome(obj, g)
+    assert load_outcome(obj, g) == fallback
 
 
 def ragged_dags(rng, count: int) -> list[OntologyGraph]:
