@@ -18,15 +18,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .datastore import (Record, SynthConfig, generate_synthetic, load_dataset,
-                        make_folds, save_dataset)
+from .datastore import (SynthConfig, generate_synthetic, load_dataset, make_folds,
+                        save_dataset)
 from .errors import OmtlError, ValidationError
 from .fields import json_field, read_json, write_json
 from .metrics import ScoredSet, compare_scored_sets, score_metrics, two_class
-from .model import VARIANTS, ModelSpec, build_model, forward, load_model, save_model
-from .objective import masked_loss
-from .ontology import (ConceptNode, GrowthConfig, OntologyGraph, ancestor_closure,
-                       grow_from_core, load_graph, save_graph)
+from .model import VARIANTS, build_model, forward, load_model, save_model
+from .ontology import GrowthConfig, grow_from_core, load_graph, save_graph
 from .rng import substream
 from .tensor import Tape
 from .trainer import (TrainConfig, compare_variants, run_cv, score_holdout,
@@ -51,12 +49,17 @@ def _write_outputs(args: argparse.Namespace, outputs: dict, saved=()) -> None:
     written = [*saved, *(path for path in outputs if path)]
     for path in written[len(saved):]:
         _write_json(path, outputs[path])
-    manifest = {"tool_version": __version__, "command": args.command,
-                "seed": getattr(args, "seed", None),
-                "inputs": {name: _file_hash(getattr(args, name))
-                           for name in ("graph", "data", "config", "model")
-                           if getattr(args, name, None)},
-                "outputs": {path: _file_hash(path) for path in written}}
+    manifest = {
+        "tool_version": __version__,
+        "command": args.command,
+        "seed": getattr(args, "seed", None),
+        "inputs": {
+            name: _file_hash(getattr(args, name, None))
+            for name in ("graph", "data", "config", "model")
+            if getattr(args, name, None)
+        },
+        "outputs": {path: _file_hash(path) for path in written},
+    }
     _write_json(written[0] + ".manifest.json", manifest)
     _write_json(written[0] + ".manifest.stamp.json",
                 {"written_at_unix": time.time()})
@@ -200,7 +203,9 @@ def _load_scores_file(path: str) -> dict[str, ScoredSet]:
 def cmd_compare(args) -> int:
     sets_a = _load_scores_file(args.scores_a)
     sets_b = _load_scores_file(args.scores_b)
-    name_a, name_b = ((args.reports or "a").split(",") + ["b"])[:2]
+    names = args.reports.split(",") if args.reports else ["a", "b"]
+    name_a = names[0]
+    name_b = names[1] if len(names) > 1 else "b"
     shared = sorted(two_class(sets_a).keys() & two_class(sets_b).keys())
     if not shared:
         raise ValidationError("the two score files share no (node, outcome) target "
@@ -213,11 +218,16 @@ def cmd_compare(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     # self-contained finite-difference audit of the full pipeline gradient
+    from .datastore import Record
+    from .objective import masked_loss
+    from .ontology import ConceptNode, OntologyGraph, ancestor_closure
+
     rng = substream(args.seed, "gradcheck")
     nodes = [ConceptNode("a", core=False),
              ConceptNode("b", core=True, outcomes=("event",)),
              ConceptNode("c", core=True, outcomes=("event",))]
     graph = OntologyGraph(nodes, [("a", "b"), ("a", "c"), ("b", "c")])
+    from .model import ModelSpec
     spec = ModelSpec(variant="omtl", num_experts=2, feature_dim=7, repr_dim=3,
                      dropout=0.0)
     model = build_model(spec, graph, seed=args.seed)

@@ -190,10 +190,14 @@ LOAD_CHUNK = 256
 
 
 def load_dataset(path: str, graph: OntologyGraph) -> Dataset:
-    """Read a JSONL record file, validating every line against the graph:
-    LOAD_CHUNK lines at a time (`_Loader`), and a chunk that fails again
-    line by line, so an error names the first bad line. A non-finite
-    feature is reported, by its line, only once every line has passed."""
+    """Read a JSONL record file, validating every line against the graph.
+
+    The lines come LOAD_CHUNK at a time and `_Loader.add` checks each
+    chunk field by field. A chunk that fails is checked again line by
+    line, so an error names the first bad line, as reading one line at a
+    time would. A non-finite feature is reported, by its line, only once
+    every line has passed. The dataset's columns are built as the chunks
+    pass, and each record's features are a row of their `X`."""
     loader = _Loader(path, graph)
     for linenos, objs in json_lines(path, "records", LOAD_CHUNK):
         loader.add(linenos, objs)
@@ -236,16 +240,13 @@ class _Loader:
 
     def _fields(self, objs) -> tuple | None:
         """(ids, features, closure indices, labels) of a chunk's parsed
-        lines, or None if one of them breaks a record rule or repeats an
-        id. Each field's kind is checked with one set of the types it
-        holds, and each record rule on the field's values at once."""
+        lines, or None if one of them breaks a rule of `_record_from_obj`
+        or repeats an id. Each field's kind is checked with one set of the
+        types it holds. A missing field reads as {}, which has the kind of
+        labels alone, for none, and fails any other field's."""
         if not has_kind(objs, "dict"):
             return None
-        try:
-            fields = [[obj[key] if key != "labels" or key in obj else {} for obj in objs]
-                      for key in RECORD_KINDS]
-        except KeyError:
-            return None
+        fields = [[obj.get(key, {}) for obj in objs] for key in RECORD_KINDS]
         if not all(map(has_kind, fields, RECORD_KINDS.values())):
             return None
         ids, features, concepts, labels = fields
@@ -253,14 +254,14 @@ class _Loader:
         values = list(itertools.chain.from_iterable(map(dict.values, labels)))
         if not (len(set(ids)) == len(ids) and self.seen.isdisjoint(ids)
                 and set(map(len, features)) == {dim}
-                and _known(itertools.chain.from_iterable(labels), self.known)
-                and has_kind(values, LABEL_KIND) and _binary(values)):
+                and set(itertools.chain.from_iterable(labels)) <= self.known
+                and has_kind(values, LABEL_KIND) and set(values) <= {0, 1}):
             return None
         which = []
         for key in map(tuple, concepts):
             i = self.set_of.get(key)
             if i is None:
-                if not (_has_concepts(key) and _known(key, self.graph.nodes.keys())):
+                if not key or not set(key) <= self.graph.nodes.keys():
                     return None
                 i = self.set_of[key] = len(self.closures)
                 self.closures.append(ancestor_closure(self.graph, key))
@@ -275,7 +276,8 @@ class _Loader:
         for lineno, obj in zip(linenos, objs):
             where = f"{self.path}:{lineno}"
             rec = _record_from_obj(obj, self.graph, self.known, where)
-            dim = rec.features.size if dim is None else dim
+            if dim is None:
+                dim = rec.features.size
             if rec.features.size != dim:
                 raise ValidationError(f"{where}: feature dimension {rec.features.size} "
                                       f"does not match dataset dimension {dim}")
@@ -309,20 +311,6 @@ RECORD_KINDS = {"id": "str", "features": "list[float]", "concepts": "list[str]",
 LABEL_KIND = "int"  # of a label's value
 
 
-# the record rules past the kinds, one predicate each, which the chunk pass
-# applies to a chunk's field at once and the per-line pass to one value
-def _has_concepts(concepts) -> bool:
-    return len(concepts) > 0
-
-
-def _known(names, known) -> bool:
-    return known >= set(names)
-
-
-def _binary(values) -> bool:
-    return {0, 1} >= set(values)
-
-
 def _record_from_obj(raw, graph: OntologyGraph, known_outcomes: set[str],
                      where: str) -> Record:
     if not isinstance(raw, dict):
@@ -330,15 +318,15 @@ def _record_from_obj(raw, graph: OntologyGraph, known_outcomes: set[str],
     rid, features, concepts, labels = (
         json_field(raw, key, kind, where, {} if key == "labels" else MISSING)
         for key, kind in RECORD_KINDS.items())
-    if not _has_concepts(concepts):
+    if not concepts:
         raise ValidationError(f"{where}: concepts must be nonempty")
     for cid in concepts:
-        if not _known([cid], graph.nodes.keys()):
+        if cid not in graph.nodes:
             raise ValidationError(f"{where}: unknown concept id {cid!r}")
     for name in labels:
-        if not _known([name], known_outcomes):
+        if name not in known_outcomes:
             raise ValidationError(f"{where}: unknown outcome name {name!r}")
-        if not _binary([json_field(labels, name, LABEL_KIND, f"{where}: labels")]):
+        if json_field(labels, name, LABEL_KIND, f"{where}: labels") not in (0, 1):
             raise ValidationError(f"{where}: label for {name!r} must be 0 or 1, "
                                   f"got {labels[name]!r}")
     return Record(id=rid, features=features,

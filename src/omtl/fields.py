@@ -124,14 +124,19 @@ def write_json(path: str, obj, **dumps_args) -> None:
         else:
             fh.write("{")
             for i, (key, value) in enumerate(obj.items()):
-                # a key as json.dumps writes it ("true" for True), not as str()
-                fh.write(f"{', ' if i else ''}{json.dumps({key: 0})[1:-4]}: ")
+                fh.write(f"{', ' if i else ''}{_key_text(key)}: ")
                 if isinstance(value, dict):
                     _write_items(fh, value)
                 else:
                     fh.write(json.dumps(value))
             fh.write("}")
         fh.write("\n")
+
+
+def _key_text(key) -> str:
+    """key as `json.dumps` writes a dict key ("true" for True, "1.5" for
+    1.5), not as str() would."""
+    return json.dumps({key: 0})[1:-4]
 
 
 def _entries(value) -> int:
@@ -166,12 +171,12 @@ _JSON_KINDS = {"int": {int}, "float": {int, float}, "bool": {bool},
 @cache
 def _parse_kind(kind: str) -> tuple[set, bool]:
     """(types allowed for the value or its items, is an array) of an
-    annotation: X, X | None, list[X] or tuple[X, ...], X in _JSON_KINDS."""
+    annotation: X, X | None, list[X] or tuple[X, ...], X in _JSON_KINDS.
+    Only a scalar X | None allows None; an array's items never do."""
     base = kind.removesuffix(" | None")
-    array = base.startswith(("list[", "tuple["))
-    if array:
-        base = base[base.index("[") + 1:-1].removesuffix(", ...")
-    return _JSON_KINDS[base] | ({type(None)} if base != kind else set()), array
+    if base.startswith(("list[", "tuple[")):
+        return _JSON_KINDS[base[base.index("[") + 1:-1].removesuffix(", ...")], True
+    return _JSON_KINDS[base] | ({type(None)} if base != kind else set()), False
 
 
 def has_kind(values: list, kind: str) -> bool:
@@ -213,14 +218,13 @@ def json_field(obj, key: str, kind: str, where: str, default=MISSING):
     allowed, array = _parse_kind(kind)
     if float not in allowed or value is None:
         return value
-    floats = json_floats([value] if array else [[value]], len(value) if array else 1)
+    floats = json_floats([value if array else [value]], len(value) if array else 1)
     if floats is None:
         raise ValidationError(f"{where}: field {key!r} is too large for a float")
-    if array:
-        return floats
-    if not math.isfinite(value := float(floats[0])):
-        raise ValidationError(f"{where}: field {key!r} must be a finite number, got {value}")
-    return value
+    if not (array or math.isfinite(floats[0])):
+        raise ValidationError(f"{where}: field {key!r} must be a finite number, "
+                              f"got {float(floats[0])}")
+    return floats if array else float(floats[0])
 
 
 def config_fields(cls, obj, where: str) -> dict:

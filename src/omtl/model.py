@@ -72,18 +72,26 @@ class ModelSpec:
     leaky_slope: float = 0.01
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"unknown variant {self.variant!r}")
-        if self.variant == "sb" and self.num_experts != 1:
-            raise ValidationError("sb uses exactly one expert")
-        if self.variant in ("moe", "mmoe", "omtl") and self.num_experts < 2:
-            raise ValidationError(f"{self.variant} needs more than one expert")
-        if self.feature_dim < 1 or self.repr_dim < 1:
-            raise ValidationError("feature_dim and repr_dim must be >= 1, got "
-                                  f"{self.feature_dim} and {self.repr_dim}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValidationError(f"dropout must be in [0, 1), got {self.dropout}")
+        ModelSpec.check_fields(self.variant, self.num_experts, self.dropout,
+                               (self.feature_dim, self.repr_dim))
         self.check_size()
+
+    @staticmethod
+    def check_fields(variant: str, num_experts: int, dropout: float, dims=None) -> None:
+        """Reject a spec's variant, num_experts, dropout and, when given,
+        dims, its (feature_dim, repr_dim): without dims, the checks a train
+        config can run before the feature dimension is known."""
+        if variant not in VARIANTS:
+            raise ValidationError(f"unknown variant {variant!r}")
+        if variant == "sb" and num_experts != 1:
+            raise ValidationError("sb uses exactly one expert")
+        if variant in ("moe", "mmoe", "omtl") and num_experts < 2:
+            raise ValidationError(f"{variant} needs more than one expert")
+        if dims and min(dims) < 1:
+            raise ValidationError("feature_dim and repr_dim must be >= 1, got "
+                                  f"{dims[0]} and {dims[1]}")
+        if not 0.0 <= dropout < 1.0:
+            raise ValidationError(f"dropout must be in [0, 1), got {dropout}")
 
     def check_size(self, nodes: int = 1, heads: int = 0, parent_links: int = 0) -> None:
         """Reject a model of this spec that would hold more than MAX_SIZE
@@ -174,9 +182,11 @@ class OmtlModel:
         self.outcome_map = outcome_map
         self.hierarchy_enabled = spec.has_parent_gates
         self.graph_hash = graph.graph_hash()
-        self.outcomes = tuple(dict.fromkeys([*graph.outcome_names(), *(
-            o for nid in graph.ordered_ids for o in outcome_map.get(nid, ()))]))
-        self.outcome_col = {o: k for k, o in enumerate(self.outcomes)}
+        outcomes = list(graph.outcome_names())
+        for nid in graph.ordered_ids:
+            outcomes += [o for o in outcome_map.get(nid, ()) if o not in outcomes]
+        self.outcomes = tuple(outcomes)
+        self.outcome_col = {o: k for k, o in enumerate(outcomes)}
         self.node_col = {nid: i for i, nid in enumerate(graph.ordered_ids)}
         nodes = graph.ordered_ids
         self.expert_w, self.expert_b = _stack(
@@ -197,7 +207,7 @@ class OmtlModel:
                                      dtype=np.intp)
         self.head_count = np.bincount(self.head_node, minlength=len(nodes))
         self.head_start = np.cumsum(self.head_count) - self.head_count
-        self.has_head = np.zeros((len(nodes), len(self.outcomes)), dtype=bool)
+        self.has_head = np.zeros((len(nodes), len(outcomes)), dtype=bool)
         self.has_head[self.head_node, self.head_outcome] = True
         # masked loss: a head counts at a core node, for that node's own outcomes
         self.head_masked = np.array(
@@ -284,9 +294,12 @@ def build_model(spec: ModelSpec, graph: OntologyGraph, seed: int = 0,
     (the reward-shaping setup); otherwise heads exist only where the graph
     associates outcomes, i.e. at core nodes.
     """
-    shared = (shared_outcome,) if shared_outcome else ()
-    outcome_map = {nid: tuple(dict.fromkeys(graph.nodes[nid].outcomes + shared))
-                   for nid in graph.ordered_ids}
+    outcome_map: dict[str, tuple[str, ...]] = {}
+    for nid in graph.ordered_ids:
+        outcomes = list(graph.nodes[nid].outcomes)
+        if shared_outcome and shared_outcome not in outcomes:
+            outcomes.append(shared_outcome)
+        outcome_map[nid] = tuple(outcomes)
     arena = Arena(param_layout(spec, graph, outcome_map))
     # draws come in the order of the per-node layout that predates the
     # arena, so a seed keeps giving the same initial values

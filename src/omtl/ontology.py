@@ -74,13 +74,22 @@ class OntologyGraph:
         self.core_ids = tuple(nid for nid in self.ordered_ids if self.nodes[nid].core)
 
     def outcome_names(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(o for nid in self.ordered_ids
-                                   for o in self.nodes[nid].outcomes))
+        names: list[str] = []
+        for nid in self.ordered_ids:
+            for o in self.nodes[nid].outcomes:
+                if o not in names:
+                    names.append(o)
+        return tuple(names)
 
     def to_json_obj(self) -> dict:
-        return {"nodes": [{"id": n.id, "concept": n.concept, "core": n.core,
-                           "outcomes": list(n.outcomes)} for n in self.nodes.values()],
-                "edges": [{"parent": p, "child": c} for p, c in self.edges]}
+        return {
+            "nodes": [
+                {"id": n.id, "concept": n.concept, "core": n.core,
+                 "outcomes": list(n.outcomes)}
+                for n in self.nodes.values()
+            ],
+            "edges": [{"parent": p, "child": c} for p, c in self.edges],
+        }
 
     def graph_hash(self) -> str:
         return self._hash

@@ -103,7 +103,6 @@ class TrainConfig:
     leaky_slope: float = 0.01
 
     def validate(self) -> None:
-        self.model_spec(1)  # the model's own checks, before any data is read
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
         if not self.lr > 0:
@@ -114,6 +113,9 @@ class TrainConfig:
             raise ValidationError("max_epochs and patience must be >= 0")
         if not 0.0 <= self.val_fraction < 0.5:
             raise ValidationError("val_fraction must be in [0, 0.5)")
+        # the model's checks that need no cohort; its dimensions and size
+        # are checked by model_spec, once the cohort's feature_dim is known
+        ModelSpec.check_fields(self.variant, self.experts, self.dropout)
 
     @staticmethod
     def from_json_obj(obj: dict) -> "TrainConfig":
@@ -121,9 +123,13 @@ class TrainConfig:
         cfg.validate()
         return cfg
 
+    @property
+    def experts(self) -> int:
+        """The model's num_experts: one for sb, whatever num_experts says."""
+        return 1 if self.variant == "sb" else self.num_experts
+
     def model_spec(self, feature_dim: int) -> ModelSpec:
-        experts = 1 if self.variant == "sb" else self.num_experts
-        return ModelSpec(variant=self.variant, num_experts=experts,
+        return ModelSpec(variant=self.variant, num_experts=self.experts,
                          feature_dim=feature_dim, repr_dim=self.repr_dim,
                          dropout=self.dropout, leaky_slope=self.leaky_slope)
 
@@ -324,9 +330,13 @@ class CvResult:
                 "auc_per_fold": per_fold,
                 "aps_mean": float(np.mean([m.aps for m in folds])) if folds else None,
             }
-        return {"variant": self.variant, "k": self.plan.k, "aggregate": agg,
-                "pooled": self.pooled_report.to_json_obj(),
-                "folds": [r.to_json_obj() for r in self.fold_reports]}
+        return {
+            "variant": self.variant,
+            "k": self.plan.k,
+            "aggregate": agg,
+            "pooled": self.pooled_report.to_json_obj(),
+            "folds": [r.to_json_obj() for r in self.fold_reports],
+        }
 
 
 def _chunks(records, graph: OntologyGraph):

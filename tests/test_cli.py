@@ -560,6 +560,11 @@ BAD_INPUTS = {
         w, features=[True, False] * 4),
     "record features as strings": lambda w: _edit_first_record(w, features=["1.5"] * 8),
     "record labels null": lambda w: _edit_first_record(w, labels=None),
+    "record features with a null": lambda w: _edit_first_record(
+        w, features=[None] + [0.5] * 7),
+    "model shape with a null": lambda w: _bad_model_file(
+        w, lambda o: _edit_params(o, lambda p: p.update(
+            {"expert.00.b": {**p["expert.00.b"], "shape": [None, 5]}}))),
     "augment out in a missing directory": lambda w: [
         "augment", "--graph", str(w / "graph.json"), "--core", "n1_0",
         "--out", str(w / MISSING_DIR)],
@@ -651,6 +656,19 @@ def test_train_config_is_checked_before_the_cohort_is_read(workdir, capsys, comm
     assert dispatch([command, "--graph", str(workdir / "graph.json"), "--data",
                      str(workdir / "missing.jsonl"), "--config", config, *out]) == 1
     assert capsys.readouterr().err == "error: dropout must be in [0, 1), got 1.5\n"
+
+
+@pytest.mark.parametrize("config, message", [
+    pytest.param({"repr_dim": 0}, "feature_dim and repr_dim must be >= 1, got 8 and 0",
+                 id="repr_dim"),
+    pytest.param({"num_experts": 10 ** 30},
+                 "feature_dim=8 and repr_dim=5 would hold more than", id="num_experts")])
+def test_model_dimension_checks_name_the_cohorts_feature_dim(workdir, capsys, config,
+                                                             message):
+    # the checks that name feature_dim wait for the cohort, whose dimension is 8
+    capsys.readouterr()
+    assert dispatch(_bad_train_config(workdir, config)) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_augment_defaults_are_the_growth_config_defaults(tmp_path):

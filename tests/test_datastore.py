@@ -70,6 +70,17 @@ class TestLoad:
         with pytest.raises(ValidationError, match=":2101:.*finite"):
             load_dataset(write_jsonl(tmp_path, rows), g)
 
+    @pytest.mark.parametrize("field, kind", [("features", "list[float]"),
+                                             ("concepts", "list[str]")])
+    def test_null_item_named_as_a_mistyped_field(self, tmp_path, field, kind):
+        # an array's items may not be null; a null feature is not read as NaN
+        rows = [row("r1", ["a"]), row("r2", ["a", "b"])]
+        rows[1][field][1] = None
+        shown = json.dumps(rows[1][field])
+        with pytest.raises(ValidationError) as err:
+            load_dataset(write_jsonl(tmp_path, rows), chain_graph(3))
+        assert str(err.value).endswith(f":2: field {field!r} must be {kind}, got {shown}")
+
     def test_round_trip(self, tmp_path):
         g = diamond_graph()
         cfg = SynthConfig(levels=2, branching=2, records_per_node=20,

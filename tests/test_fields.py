@@ -158,6 +158,8 @@ def test_only_fields_names_json_types():
     ([1.0], "int", False), ([True, False], "bool", True), (["a", None], "str | None", True),
     ([None], "str", False), ([[1, 2.5], []], "list[float]", True),
     ([[1, "2"]], "list[float]", False), ([[1], None], "list[float]", False),
+    ([[1, None]], "list[float]", False), ([[None, 2]], "list[int]", False),
+    ([["a", None]], "tuple[str, ...]", False),
     ([["a"], ["b", "c"]], "tuple[str, ...]", True), ([{}, {"a": 1}], "dict", True),
     ([[]], "dict", False), ([], "list[int]", True)])
 def test_has_kind_checks_each_value_and_item(values, kind, has):

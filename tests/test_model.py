@@ -453,6 +453,11 @@ class TestSerialization:
                      "shape [1, 9], the model needs [3, 3]", id="wrong-shape"),
         pytest.param(lambda e: e.__setitem__("shape", [3.0, 3.0]),
                      "field 'shape' must be list[int], got [3.0, 3.0]", id="float-shape"),
+        pytest.param(lambda e: e.__setitem__("shape", [None, 3]),
+                     "field 'shape' must be list[int], got [null, 3]", id="null-shape"),
+        pytest.param(lambda e: e["values"].__setitem__(0, None),
+                     "field 'values' must be list[float], got [null, -0.4674558436698804, "
+                     "-0.483385646", id="null-value"),
         pytest.param(lambda e: e["values"].pop(),
                      "8 values do not fill a matrix of shape [3, 3]", id="short"),
         pytest.param(lambda e: e.pop("shape"), "missing field 'shape'", id="no-shape"),
@@ -512,6 +517,8 @@ ENTRY_FAULTS = {
     "short": lambda entry, at: entry["values"].pop(at),
     "400-digits": lambda entry, at: entry["values"].__setitem__(at, int("9" * 400)),
     "nan": lambda entry, at: entry["values"].__setitem__(at, float("nan")),
+    "null": lambda entry, at: entry["values"].__setitem__(at, None),
+    "null-shape": lambda entry, at: entry["shape"].__setitem__(at % 2, None),
 }
 MODEL_FILE = json.dumps(model_to_json_obj(tiny_model(diamond_graph(), "omtl", d=7, de=3,
                                                      experts=2, seed=8)))
