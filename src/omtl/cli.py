@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +30,12 @@ from .ontology import GrowthConfig, grow_from_core, load_graph, save_graph
 from .rng import substream
 from .tensor import Tape
 from .trainer import (TrainConfig, compare_variants, run_cv, score_holdout,
-                      scored_set, train_variant)
+                      scored_set, shaping_scheme, train_variant)
+
+# the output flags of each command that writes more than one file
+OUTPUT_FLAGS = {"synth": ("out_graph", "out_data"), "train": ("out", "log"),
+                "eval": ("report", "roc_out", "scores_out"),
+                "cv": ("report", "scores_out")}
 
 
 def _file_hash(path: str) -> str | None:
@@ -37,6 +44,20 @@ def _file_hash(path: str) -> str | None:
             return hashlib.sha256(fh.read()).hexdigest()
     except OSError:
         return None
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """No two output flags of a command may name one file, which the later
+    write would replace without a word."""
+    flag_of: dict[str, str] = {}
+    for name in OUTPUT_FLAGS.get(args.command, ()):
+        path = getattr(args, name)
+        if not path:
+            continue
+        flag = "--" + name.replace("_", "-")
+        other = flag_of.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ValidationError(f"{other} and {flag} name the same file {path}")
 
 
 def _write_json(path: str, obj) -> None:
@@ -126,6 +147,7 @@ def cmd_folds(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_train_config(args)
     graph = load_graph(args.graph)
+    shaping_scheme(cfg, graph)  # its rules need no cohort: checked before reading it
     data = load_dataset(args.data, graph)
     model, log = train_variant(graph, data, cfg)
     save_model(model, args.out)
@@ -154,8 +176,10 @@ def cmd_eval(args) -> int:
 def cmd_cv(args) -> int:
     cfg = _load_train_config(args)
     graph = load_graph(args.graph)
-    data = load_dataset(args.data, graph)
     variants = args.variants.split(",")
+    if "omtl" in variants:
+        shaping_scheme(replace(cfg, variant="omtl"), graph)
+    data = load_dataset(args.data, graph)
     if len(variants) == 1:
         cfg.variant = variants[0]
         result = run_cv(graph, data, cfg, k=args.k)
@@ -355,6 +379,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         # every loss and gradient is checked for finiteness, so numpy's
         # floating-point warnings would only repeat the error line
         with np.errstate(all="ignore"):
+            _check_outputs(args)
             return args.handler(args)
     except OmtlError as exc:
         print(f"error: {exc}", file=sys.stderr)

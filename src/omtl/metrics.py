@@ -12,6 +12,9 @@ set. So a set that is reported and then compared with several others is
 sorted once, and its components are computed once for all of its
 comparisons. The figures are bit for bit those of one sort per measure
 and components per comparison.
+
+A ROC curve is one (points, 2) float64 array of (fpr, tpr) rows, not a
+list of pairs, and is written to JSON as `[[fpr, tpr], ...]`.
 """
 
 from __future__ import annotations
@@ -79,8 +82,10 @@ class ScoredSet:
 
     Scores are numbers, never NaN. A set's scores and labels must not
     change after construction: its sort, AUC, thresholds and DeLong
-    components are computed on first use and cached on the set. Two sets
-    are == only when they are the same set.
+    components are computed on first use and cached on the set. Labels
+    given as an int64 array are kept as given, without a copy, as scores
+    given as a float64 array are. Two sets are == only when they are the
+    same set.
     """
 
     scores: np.ndarray
@@ -100,7 +105,7 @@ class ScoredSet:
         # NaN has no place in an order: the sort cannot rank it
         if np.isnan(self.scores).any():
             raise ValidationError("scores must not be NaN")
-        self.labels = labels.astype(np.int64)
+        self.labels = labels.astype(np.int64, copy=False)
         self._n_pos = int(self.labels.sum())
         self._ranking = None
 
@@ -150,11 +155,15 @@ def average_precision(s: ScoredSet) -> float:
     return float((step * precision).sum())
 
 
-def roc_points(s: ScoredSet) -> list[tuple[float, float]]:
-    """(fpr, tpr) pairs from (0,0) to (1,1), one per distinct threshold."""
+def roc_points(s: ScoredSet) -> np.ndarray:
+    """(fpr, tpr) rows from (0, 0) to (1, 1), one per distinct threshold,
+    as a (points, 2) float64 array."""
     m, n = _require_both_classes(s)
     tp, seen = s.ranking.tp, s.ranking.seen
-    return [(0.0, 0.0)] + list(zip(((seen - tp) / n).tolist(), (tp / m).tolist()))
+    pts = np.zeros((tp.size + 1, 2))
+    np.divide(seen - tp, n, out=pts[1:, 0])
+    np.divide(tp, m, out=pts[1:, 1])
+    return pts
 
 
 def _sample_var(x: np.ndarray) -> float:
@@ -198,17 +207,21 @@ def delong_test(a: ScoredSet, b: ScoredSet) -> tuple[float, float, float, float,
 # report assembly
 
 
-@dataclass
+@dataclass(eq=False)
 class TargetMetrics:
+    """One target's measures; roc is its `roc_points` array, or an empty
+    (0, 2) array when no curve was asked for. Two are == only when they
+    are the same object."""
+
     auc: float | None
     aps: float | None
     n: int
     n_pos: int
-    roc: list[tuple[float, float]] = field(default_factory=list)
+    roc: np.ndarray
 
     def to_json_obj(self) -> dict:
         return {"auc": self.auc, "aps": self.aps, "n": self.n,
-                "n_pos": self.n_pos, "roc": [list(p) for p in self.roc]}
+                "n_pos": self.n_pos, "roc": self.roc.tolist()}
 
 
 @dataclass
@@ -238,7 +251,7 @@ def two_class(sets: dict) -> dict:
 def score_metrics(s: ScoredSet, with_roc: bool = True) -> TargetMetrics:
     return TargetMetrics(
         auc=auc_roc(s), aps=average_precision(s), n=s.n, n_pos=s.n_pos,
-        roc=roc_points(s) if with_roc else [])
+        roc=roc_points(s) if with_roc else np.empty((0, 2)))
 
 
 def compare_scored_sets(a: ScoredSet, b: ScoredSet, name_a: str, name_b: str) -> dict:

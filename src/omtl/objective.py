@@ -67,14 +67,19 @@ class RewardScheme:
     weights: dict[str, float]
 
 
+def check_reward_f(f: float) -> None:
+    """The reward exponent's range, [-1, 1]."""
+    if not -1.0 <= f <= 1.0:
+        raise ValidationError(f"reward exponent f must be in [-1, 1], got {f}")
+
+
 def reward_weights(graph: OntologyGraph, f: float) -> dict[str, float]:
     """((level+1)/depth)^f per node, rescaled so the mean weight is 1.
 
     Levels are shifted to 1-based so f = -1 stays finite at the roots;
     f = 0 gives every node weight exactly 1.
     """
-    if not -1.0 <= f <= 1.0:
-        raise ValidationError(f"reward exponent f must be in [-1, 1], got {f}")
+    check_reward_f(f)
     raw = {nid: ((graph.levels[nid] + 1) / graph.depth) ** f
            for nid in graph.ordered_ids}
     mean = sum(raw.values()) / len(raw)

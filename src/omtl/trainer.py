@@ -31,7 +31,8 @@ from .metrics import (EvalReport, ScoredSet, compare_scored_sets, score_metrics,
                       two_class)
 from .model import (Batch, BatchPlan, ModelSpec, OmtlModel, build_model,
                     forward, reinit_parent_gates)
-from .objective import LossBreakdown, RewardScheme, batch_loss, make_reward_scheme
+from .objective import (LossBreakdown, RewardScheme, batch_loss, check_reward_f,
+                        make_reward_scheme)
 from .ontology import OntologyGraph
 from .rng import substream
 from .tensor import Arena, Tape
@@ -113,6 +114,8 @@ class TrainConfig:
             raise ValidationError("max_epochs and patience must be >= 0")
         if not 0.0 <= self.val_fraction < 0.5:
             raise ValidationError("val_fraction must be in [0, 0.5)")
+        if self.reward_f is not None:
+            check_reward_f(self.reward_f)
         # the model's checks that need no cohort; its dimensions and size
         # are checked by model_spec, once the cohort's feature_dim is known
         ModelSpec.check_fields(self.variant, self.experts, self.dropout)
@@ -262,8 +265,11 @@ def _train_phase(model: OmtlModel, cols: Columns, split: Split, cfg: TrainConfig
         arena.trainable = slice(0, arena.size)
 
 
-def _shaping_scheme(cfg: TrainConfig, graph: OntologyGraph) -> RewardScheme | None:
-    if cfg.reward_f is None:
+def shaping_scheme(cfg: TrainConfig, graph: OntologyGraph) -> RewardScheme | None:
+    """The reward scheme omtl's phase 2 trains with, None without reward_f
+    or for another variant. It needs no cohort, so a caller can check it
+    before reading one."""
+    if cfg.reward_f is None or cfg.variant != "omtl":
         return None
     outcomes = graph.outcome_names()
     if len(outcomes) != 1:
@@ -279,7 +285,7 @@ def train_variant(graph: OntologyGraph, data,
     phase for sb, moe and mmoe; for omtl, phase 1 and then, when
     cfg.hierarchy_finetune is set, phase 2."""
     cfg.validate()
-    scheme = _shaping_scheme(cfg, graph) if cfg.variant == "omtl" else None
+    scheme = shaping_scheme(cfg, graph)
     cols = columns_of(data, graph)
     model = build_model(cfg.model_spec(cols.X.shape[1]), graph, seed=cfg.seed,
                         shared_outcome=scheme.outcome if scheme else None)

@@ -658,6 +658,67 @@ def test_train_config_is_checked_before_the_cohort_is_read(workdir, capsys, comm
     assert capsys.readouterr().err == "error: dropout must be in [0, 1), got 1.5\n"
 
 
+def _on_missing_data(workdir, command: str, config: dict, *flags: str) -> list[str]:
+    out = ["--out", str(workdir / "m.json")] if command == "train" else \
+        ["--report", str(workdir / "cv.json")]
+    return [command, "--graph", str(workdir / "graph.json"), "--data",
+            str(workdir / "missing.jsonl"), "--config",
+            _json_file(workdir, "train.json", config), *out, *flags]
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+@pytest.mark.parametrize("config, message", [
+    pytest.param({"reward_f": 5}, "reward exponent f must be in [-1, 1], got 5.0",
+                 id="range"),
+    pytest.param({"reward_f": 0.5}, "reward shaping needs a single shared outcome; "
+                 "graph declares ['mortality', 'phenotype']", id="one-outcome")])
+def test_reward_f_is_checked_before_the_cohort_is_read(workdir, capsys, command,
+                                                       config, message):
+    capsys.readouterr()
+    assert dispatch(_on_missing_data(workdir, command, config)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, flags, shaped", [
+    ("train", ["--variant", "sb"], False),
+    ("cv", ["--variants", "sb,mmoe"], False),
+    ("cv", ["--variants", "sb,omtl"], True)])
+def test_one_outcome_rule_binds_omtl_only(workdir, capsys, command, flags, shaped):
+    # reward shaping is omtl's phase 2: without omtl, the cohort is read first
+    capsys.readouterr()
+    assert dispatch(_on_missing_data(workdir, command, {"reward_f": 0.5}, *flags)) == 1
+    err = capsys.readouterr().err
+    assert ("reward shaping needs a single shared outcome" in err) == shaped
+    assert ("cannot read records" in err) == (not shaped)
+
+
+SHARED_OUTPUTS = {
+    "synth": (lambda w: _synth_on(w, _json_file(w, "synth.json", {"levels": 2}),
+                                  out_data="g2.json"), "--out-graph", "--out-data"),
+    "train": (lambda w: _train_on(w, _quick_config(w), out="m.json", log="m.json"),
+              "--out", "--log"),
+    "eval": (lambda w: _eval_on(w, w / "m.json", report="r.json")
+             + ["--roc-out", str(w / "r.json")], "--report", "--roc-out"),
+    "cv": (lambda w: ["cv", "--graph", str(w / "graph.json"), "--data",
+                      str(w / "data.jsonl"), "--report", str(w / "cv.json"),
+                      "--scores-out", f"{w}/./cv.json"], "--report", "--scores-out"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHARED_OUTPUTS))
+def test_two_outputs_naming_one_file_exit_1(workdir, capsys, command):
+    # checked before any work: nothing is written, not even the first output
+    make_argv, first, second = SHARED_OUTPUTS[command]
+    argv = make_argv(workdir)
+    before = sorted(workdir.iterdir())
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {first} and {second} name the same file ")
+    assert len(err.splitlines()) == 1
+    assert sorted(workdir.iterdir()) == before
+
+
 @pytest.mark.parametrize("config, message", [
     pytest.param({"repr_dim": 0}, "feature_dim and repr_dim must be >= 1, got 8 and 0",
                  id="repr_dim"),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omtl.errors import ValidationError
-from omtl.metrics import (ScoredSet, _block_midranks, _tie_blocks, auc_roc,
-                          average_precision, compare_scored_sets, delong_test,
-                          roc_points)
+from omtl.metrics import (EvalReport, ScoredSet, _block_midranks, _tie_blocks,
+                          auc_roc, average_precision, compare_scored_sets,
+                          delong_test, roc_points, score_metrics)
 
 from oracles import (ap_by_thresholds, auc_by_midranks, delong_by_components,
                      midranks_loop, pairwise_auc, permutation_delong_p,
@@ -129,12 +130,35 @@ class TestRocPoints:
     def test_endpoints_and_monotonicity(self, rng):
         s = random_scored(rng, 30, tie_fraction=0.3)
         pts = roc_points(s)
-        assert pts[0] == (0.0, 0.0)
-        assert pts[-1] == (1.0, 1.0)
-        fprs = [p[0] for p in pts]
-        tprs = [p[1] for p in pts]
+        assert pts.shape == (len(pts), 2) and pts.dtype == np.float64
+        assert tuple(pts[0]) == (0.0, 0.0)
+        assert tuple(pts[-1]) == (1.0, 1.0)
+        fprs, tprs = pts[:, 0].tolist(), pts[:, 1].tolist()
         assert fprs == sorted(fprs)
         assert tprs == sorted(tprs)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_report_json_is_that_of_the_pairs(self, seed):
+        # the array's JSON text is the list-of-pairs form's, heavy ties included
+        rng = np.random.default_rng(seed)
+        s = random_scored(rng, int(rng.integers(2, 300)), tie_fraction=0.9)
+        pairs = roc_by_thresholds(s.scores, s.labels)
+        tm = score_metrics(s)
+        assert json.dumps(tm.to_json_obj()["roc"]) == json.dumps([list(p) for p in pairs])
+
+    def test_without_roc_writes_an_empty_curve(self, rng):
+        tm = score_metrics(random_scored(rng, 20), with_roc=False)
+        assert tm.roc.shape == (0, 2)
+        assert json.dumps(tm.to_json_obj()["roc"]) == "[]"
+
+    def test_comparing_reports_does_not_raise(self, rng):
+        # equality is identity: fields are numpy arrays, which == cannot reduce
+        s = random_scored(rng, 20)
+        a, b = score_metrics(s), score_metrics(s)
+        assert a == a and a != b
+        ra = EvalReport(per_target={("n", "o"): a})
+        rb = EvalReport(per_target={("n", "o"): b})
+        assert ra == EvalReport(per_target={("n", "o"): a}) and ra != rb
 
 
 class TestDeLong:
@@ -286,6 +310,11 @@ class TestScoredSet:
         assert a == a and not a != a
         assert a != b and not a == b
         assert len({a, b}) == 2
+
+    def test_int64_labels_are_kept_without_a_copy(self):
+        labels = np.array([0, 1], dtype=np.int64)
+        assert ScoredSet([0.1, 0.2], labels).labels is labels
+        assert ScoredSet([0.1, 0.2], [0, 1]).labels.dtype == np.int64
 
     def test_nan_score_rejected(self):
         with pytest.raises(ValidationError, match="NaN"):
