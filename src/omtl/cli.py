@@ -32,10 +32,14 @@ from .tensor import Tape
 from .trainer import (TrainConfig, compare_variants, run_cv, score_holdout,
                       scored_set, shaping_scheme, train_variant)
 
-# the output flags of each command that writes more than one file
-OUTPUT_FLAGS = {"synth": ("out_graph", "out_data"), "train": ("out", "log"),
+# the output flags of each command that writes, its first output first:
+# the manifest and its stamp are named after that one
+OUTPUT_FLAGS = {"augment": ("out",), "synth": ("out_graph", "out_data"),
+                "folds": ("out",), "train": ("out", "log"),
                 "eval": ("report", "roc_out", "scores_out"),
-                "cv": ("report", "scores_out")}
+                "cv": ("report", "scores_out"), "compare": ("out",)}
+INPUT_FLAGS = ("graph", "data", "model", "config", "scores_a", "scores_b")
+MANIFEST_SUFFIXES = {"manifest": ".manifest.json", "manifest stamp": ".manifest.stamp.json"}
 
 
 def _file_hash(path: str) -> str | None:
@@ -47,14 +51,20 @@ def _file_hash(path: str) -> str | None:
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    """No two output flags of a command may name one file, which the later
-    write would replace without a word."""
-    flag_of: dict[str, str] = {}
-    for name in OUTPUT_FLAGS.get(args.command, ()):
-        path = getattr(args, name)
-        if not path:
-            continue
-        flag = "--" + name.replace("_", "-")
+    """Every file a command writes must be one no input flag and no other
+    write names: its output flags, and the manifest and its stamp named
+    after the first output. A later write would replace the file without a
+    word."""
+    outputs = [("--" + name.replace("_", "-"), getattr(args, name))
+               for name in OUTPUT_FLAGS.get(args.command, ()) if getattr(args, name)]
+    if not outputs:
+        return
+    first_flag, first = outputs[0]
+    outputs += [(f"the {what} of {first_flag}", first + suffix)
+                for what, suffix in MANIFEST_SUFFIXES.items()]
+    flag_of = {os.path.realpath(path): "--" + name.replace("_", "-")
+               for name in INPUT_FLAGS if (path := getattr(args, name, None))}
+    for flag, path in outputs:
         other = flag_of.setdefault(os.path.realpath(path), flag)
         if other != flag:
             raise ValidationError(f"{other} and {flag} name the same file {path}")
@@ -81,8 +91,8 @@ def _write_outputs(args: argparse.Namespace, outputs: dict, saved=()) -> None:
         },
         "outputs": {path: _file_hash(path) for path in written},
     }
-    _write_json(written[0] + ".manifest.json", manifest)
-    _write_json(written[0] + ".manifest.stamp.json",
+    _write_json(written[0] + MANIFEST_SUFFIXES["manifest"], manifest)
+    _write_json(written[0] + MANIFEST_SUFFIXES["manifest stamp"],
                 {"written_at_unix": time.time()})
 
 

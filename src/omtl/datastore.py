@@ -108,8 +108,9 @@ class Columns:
     def __len__(self) -> int:
         return self.ids.size
 
-    def take(self, rows: np.ndarray) -> "Columns":
-        """The columns of rows, in that order."""
+    def take(self, rows: np.ndarray | slice) -> "Columns":
+        """The columns of rows, in that order: copies for an index array,
+        views of these arrays for a slice."""
         return Columns(self.ids[rows], self.X[rows], self.member[rows],
                        self.labels[rows], self.labeled[rows], self.unclosed[rows],
                        self.nodes, self.outcomes, self.graph_hash)

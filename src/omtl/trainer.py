@@ -346,12 +346,13 @@ class CvResult:
 
 
 def _chunks(records, graph: OntologyGraph):
-    """records as `Columns` of at most SCORE_CHUNK rows each. A record list
-    is converted a chunk at a time, so scoring it never holds a second copy
-    of all its features."""
+    """records as `Columns` of at most SCORE_CHUNK rows each. Columns and a
+    Dataset's columns are cut into row ranges read in place; a record list
+    is converted a chunk at a time. So scoring never holds a second copy of
+    all the features."""
     if isinstance(records, (Columns, Dataset)):
         cols = columns_of(records, graph)
-        return (cols.take(np.arange(start, min(start + SCORE_CHUNK, len(cols))))
+        return (cols.take(slice(start, start + SCORE_CHUNK))
                 for start in range(0, len(cols), SCORE_CHUNK))
     records = list(records)
     return (Columns.from_records(records[start:start + SCORE_CHUNK], graph)
@@ -364,9 +365,19 @@ def score_holdout(model: OmtlModel, graph: OntologyGraph,
     node's own outcome) over the held-out records (a record list, Columns
     or a Dataset) that express its node and label its outcome; returns
     (record id, label, score) triples by (node, outcome). Scores are
-    sigmoids of the head logits, clipped into open (0, 1)."""
+    sigmoids of the head logits, clipped into open (0, 1).
+
+    Records are scored SCORE_CHUNK at a time. A chunk takes one forward
+    pass and one head product over every (pair, head) term; one mask then
+    keeps the terms of supervised heads whose row labels the head's
+    outcome, and each head takes its run of them as list slices. So the
+    triples come chunk by chunk, then by head in `model.head_keys` order,
+    then by row, and keys in the order a chunk first holds their node: a
+    supervised head gets its key, perhaps with no triples, from the first
+    chunk that expresses its node."""
     collected: dict[tuple[str, str], list[tuple[str, int, float]]] = {}
     lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    supervised = model.head_masked.astype(bool)
     for cols in _chunks(records, graph):
         batch = BatchPlan(model, cols, heads=False).batch(0)
         if batch.seg is None:
@@ -378,14 +389,19 @@ def score_holdout(model: OmtlModel, graph: OntologyGraph,
         z, _ = T.rowwise_affine(forward(model, batch).rep.values[pair],
                                 model.head_w.values, model.head_b.values, hseg)
         scores = np.clip(T._sigmoid_values(z[:, 0]), lo, hi)
-        for h, s, e in hseg.runs():
-            if model.head_masked[h]:
-                rows, k = batch.pair_rows[pair[s:e]], model.head_outcome[h]
-                keep = np.flatnonzero(batch.labeled[rows, k])
-                rows = rows[keep]
-                collected.setdefault(model.head_keys[h], []).extend(zip(
-                    cols.ids[rows].tolist(), batch.labels[rows, k].astype(int).tolist(),
-                    scores[s:e][keep].tolist()))
+        rows, k = batch.pair_rows[pair], model.head_outcome[head]
+        keep = supervised[head] & batch.labeled[rows, k]
+        rows, k = rows[keep], k[keep]
+        triples = list(zip(cols.ids[rows].tolist(),
+                           batch.labels[rows, k].astype(int).tolist(),
+                           scores[keep].tolist()))
+        # a supervised head's run of kept terms: the kept terms before its
+        # run's start up to those before its end
+        before = np.concatenate(([0], np.cumsum(keep)))
+        runs = supervised[hseg.members]
+        for h, a, b in zip(hseg.members[runs].tolist(), before[hseg.starts[runs]].tolist(),
+                           before[hseg.ends[runs]].tolist()):
+            collected.setdefault(model.head_keys[h], []).extend(triples[a:b])
     return collected
 
 

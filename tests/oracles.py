@@ -546,3 +546,43 @@ def per_record_folds(records, graph, k: int, seed: int) -> dict[str, int]:
         if rec.id not in assignment:
             assignment[rec.id] = int(rng.integers(k))
     return assignment
+
+
+def score_holdout_per_head(model, cols, chunk: int) -> dict:
+    """The (record id, label, score) triples `trainer.score_holdout` gives
+    for cols, chunk rows at a time, each head's selected in a pass of its
+    own: for each head run of a chunk's head product whose head the masked
+    loss supervises, the run's rows that label the head's outcome. Labels
+    are read by outcome name. It shares the package's forward pass and head
+    product, whose bits it does not restate, and its chunks are copies."""
+    from omtl import tensor as T
+    from omtl.model import BatchPlan, forward
+
+    collected: dict = {}
+    lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    for start in range(0, len(cols), chunk):
+        rows = np.arange(start, min(start + chunk, len(cols)))
+        part = cols.take(rows)
+        batch = BatchPlan(model, part, heads=False).batch(0)
+        if batch.seg is None:
+            continue
+        pair, head = head_pairs(model, batch.seg)
+        if not pair.size:
+            continue
+        hseg = T.Segments(head)
+        z, _ = T.rowwise_affine(forward(model, batch).rep.values[pair],
+                                model.head_w.values, model.head_b.values, hseg)
+        scores = np.clip(T._sigmoid_values(z[:, 0]), lo, hi)
+        for h, s, e in hseg.runs():
+            if not model.head_masked[h]:
+                continue
+            triples = collected.setdefault(model.head_keys[h], [])
+            outcome = model.head_keys[h][1]
+            if outcome not in cols.outcomes:
+                continue
+            k = cols.outcomes.index(outcome)
+            for p, score in zip(pair[s:e].tolist(), scores[s:e].tolist()):
+                row = start + int(batch.pair_rows[p])
+                if cols.labeled[row, k]:
+                    triples.append((cols.ids[row], int(cols.labels[row, k]), score))
+    return collected

@@ -692,6 +692,20 @@ def test_one_outcome_rule_binds_omtl_only(workdir, capsys, command, flags, shape
     assert ("cannot read records" in err) == (not shaped)
 
 
+def _cv_on(workdir, scores_out) -> list[str]:
+    return ["cv", "--graph", str(workdir / "graph.json"), "--data",
+            str(workdir / "data.jsonl"), "--report", str(workdir / "cv.json"),
+            "--scores-out", str(workdir / scores_out)]
+
+
+def _copy_of_data(workdir, name: str):
+    path = workdir / name
+    path.write_bytes((workdir / "data.jsonl").read_bytes())
+    return path
+
+
+# a command whose outputs name a file twice, or name one of its inputs: its
+# argv, and the flags of the two names, in the order the message gives them
 SHARED_OUTPUTS = {
     "synth": (lambda w: _synth_on(w, _json_file(w, "synth.json", {"levels": 2}),
                                   out_data="g2.json"), "--out-graph", "--out-data"),
@@ -702,21 +716,51 @@ SHARED_OUTPUTS = {
     "cv": (lambda w: ["cv", "--graph", str(w / "graph.json"), "--data",
                       str(w / "data.jsonl"), "--report", str(w / "cv.json"),
                       "--scores-out", f"{w}/./cv.json"], "--report", "--scores-out"),
+    # outputs over inputs
+    "folds-over-data": (lambda w: _folds_on(w, w / "data.jsonl", out="data.jsonl"),
+                        "--data", "--out"),
+    "folds-over-graph": (lambda w: _folds_on(w, w / "data.jsonl", out="graph.json"),
+                         "--graph", "--out"),
+    "augment-over-graph": (lambda w: ["augment", "--graph", str(w / "graph.json"),
+                                      "--core", "n1_0", "--out", str(w / "graph.json")],
+                           "--graph", "--out"),
+    "synth-over-config": (lambda w: _synth_on(w, _json_file(w, "synth.json", {}),
+                                              out_data="synth.json"),
+                          "--config", "--out-data"),
+    "train-over-config": (lambda w: _train_on(w, _quick_config(w), out="train.json"),
+                          "--config", "--out"),
+    "eval-over-model": (lambda w: _eval_on(w, _json_file(w, "m.json", {}), report="m.json"),
+                        "--model", "--report"),
+    "cv-over-data": (lambda w: _cv_on(w, "data.jsonl"), "--data", "--scores-out"),
+    "compare-over-scores-a": (lambda w: _compare_on(w, _json_file(w, "b.json", {}),
+                                                    out="a.json"), "--scores-a", "--out"),
+    "compare-over-scores-b": (lambda w: _compare_on(w, _json_file(w, "b.json", {}),
+                                                    out="b.json"), "--scores-b", "--out"),
+    # the manifest and its stamp, named after the first output
+    "train-log-over-manifest": (lambda w: _train_on(w, _quick_config(w), out="m.json",
+                                                    log="m.json.manifest.json"),
+                                "--log", "the manifest of --out"),
+    "cv-scores-over-stamp": (lambda w: _cv_on(w, "cv.json.manifest.stamp.json"),
+                             "--scores-out", "the manifest stamp of --report"),
+    "folds-manifest-over-data": (
+        lambda w: _folds_on(w, _copy_of_data(w, "f.json.manifest.json"), out="f.json"),
+        "--data", "the manifest of --out"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(SHARED_OUTPUTS))
 def test_two_outputs_naming_one_file_exit_1(workdir, capsys, command):
-    # checked before any work: nothing is written, not even the first output
+    # checked before any work: no file is written, not even the first
+    # output, and no input is changed
     make_argv, first, second = SHARED_OUTPUTS[command]
     argv = make_argv(workdir)
-    before = sorted(workdir.iterdir())
+    before = {path.name: path.read_bytes() for path in workdir.iterdir()}
     capsys.readouterr()
     assert dispatch(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {first} and {second} name the same file ")
     assert len(err.splitlines()) == 1
-    assert sorted(workdir.iterdir()) == before
+    assert {path.name: path.read_bytes() for path in workdir.iterdir()} == before
 
 
 @pytest.mark.parametrize("config, message", [

@@ -3,25 +3,30 @@ import hashlib
 import json
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omtl import trainer
-from omtl.datastore import (Dataset, Record, SynthConfig, columns_of, generate_synthetic,
-                            make_folds)
+from omtl.datastore import (Columns, Dataset, Record, SynthConfig, columns_of,
+                            generate_synthetic, make_folds)
 from omtl.errors import NumericalError, ValidationError
 from omtl.model import forward, load_model, reinit_parent_gates, save_model
 from omtl.objective import make_reward_scheme, masked_loss
-from omtl.ontology import ConceptNode, OntologyGraph
+from omtl.ontology import ConceptNode, OntologyGraph, ancestor_closure
 from omtl.tensor import Tape
 from omtl.trainer import (SCORE_CHUNK, TrainConfig, TrainLog, evaluate_loss, run_cv,
                           score_holdout, train_variant)
 
 from conftest import chain_graph, diamond_graph, make_record, tiny_model
+from oracles import score_holdout_per_head
 
 # the parameters phase 2 freezes
 EXPERT_PREFIXES = ("expert.", "expert_gate.")
+# a 40-node tree: 27 core leaves, each with a head per outcome, 54 in all
+WIDE_TREE = dict(levels=4, branching=3, low_data_records=20)
 
 
 def small_benchmark(seed=0, records=40, d=10):
@@ -339,22 +344,33 @@ class TestColumnarTraining:
                                                         seed=0))
         assert log.final_param_hash == digest
 
-    @pytest.mark.parametrize("variant, hierarchy, digest", [
-        pytest.param("omtl", True, "2fc74e809425b1ce1062bc4863522a194ac1ff7f806c897e9e85a50838305b14",
+    @pytest.mark.parametrize("variant, hierarchy, wide, digest", [
+        pytest.param("omtl", True, False, "2fc74e809425b1ce1062bc4863522a194ac1ff7f806c897e9e85a50838305b14",
                      id="omtl"),
-        pytest.param("mmoe", False, "76adf2812f7149a166fb43fe4bea410758052027732a3bce94c3f9a393cf2356",
+        pytest.param("mmoe", False, False, "76adf2812f7149a166fb43fe4bea410758052027732a3bce94c3f9a393cf2356",
                      id="mmoe"),
-        pytest.param("sb", False, "400e040f27de7e9f263c0d8fb0707eb5afd6fed8c461aa9fafeba112d2835658",
-                     id="sb")])
-    def test_scores_are_pinned(self, variant, hierarchy, digest):
+        pytest.param("sb", False, False, "400e040f27de7e9f263c0d8fb0707eb5afd6fed8c461aa9fafeba112d2835658",
+                     id="sb"),
+        pytest.param("omtl", True, True, "c36588ea990919547bd0bfa055aaf29f7a583f4e6335ffcc1f821a5bb2068503",
+                     id="omtl-wide"),
+        pytest.param("mmoe", False, True, "dbc151eafcda0c35b10df6d8502391d8f6f44477d1acf5d646ecdf905d3d33c7",
+                     id="mmoe-wide"),
+        pytest.param("sb", False, True, "d329a5e135cdc4bd6891e02430759b508c4f767170df31a8a505a17b3468b254",
+                     id="sb-wide")])
+    def test_scores_are_pinned(self, variant, hierarchy, wide, digest):
         # sha256 of the (record id, label, score) triples of every scored
-        # target, over a cohort of several scoring chunks; a change that
+        # target, over a cohort of several scoring chunks, on the 7-node
+        # tree (8 heads) and on a 40-node one (54 heads); a change that
         # moves a score must update it and say why
-        graph, data = generate_synthetic(SynthConfig(seed=0, records_per_node=60))
-        _, held = generate_synthetic(SynthConfig(seed=1, records_per_node=400))
+        shape = WIDE_TREE if wide else {}
+        graph, data = generate_synthetic(SynthConfig(
+            seed=0, records_per_node=30 if wide else 60, **shape))
+        _, held = generate_synthetic(SynthConfig(
+            seed=1, records_per_node=60 if wide else 400, **shape))
         model, _ = train_variant(graph, data, TrainConfig(variant=variant, max_epochs=2,
                                                           seed=0))
         assert model.hierarchy_enabled == hierarchy
+        assert len(model.head_keys) == (54 if wide else 8)
         assert len(held.records) > 2 * SCORE_CHUNK
         collected = score_holdout(model, graph, held.records)
         blob = json.dumps([["|".join(key), collected[key]] for key in sorted(collected)])
@@ -518,6 +534,16 @@ class TestCv:
         assert len(data.records) > SCORE_CHUNK
         model = tiny_model(graph, "omtl", d=6, de=3, experts=2, seed=2)
         chunked = score_holdout(model, graph, data.records)
+        # the columns' chunks are row ranges read in place, never written:
+        # the same rows, the same triples in the same order
+        cols = columns_of(data, graph)
+        x = cols.X.copy()
+        chunks = list(trainer._chunks(cols, graph))
+        assert len(chunks) == -(-len(cols) // SCORE_CHUNK) > 1
+        assert all(np.shares_memory(chunk.X, cols.X) for chunk in chunks)
+        assert np.concatenate([chunk.ids for chunk in chunks]).tolist() == cols.ids.tolist()
+        assert list(score_holdout(model, graph, cols).items()) == list(chunked.items())
+        assert np.array_equal(cols.X, x)
         alone: dict = {}
         for rec in data.records:
             for key, triples in score_holdout(model, graph, [rec]).items():
@@ -527,6 +553,58 @@ class TestCv:
             got, want = sorted(chunked[key]), sorted(alone[key])
             assert [t[:2] for t in got] == [t[:2] for t in want]
             assert max(abs(a[2] - b[2]) for a, b in zip(got, want)) <= 1e-12
+
+
+def _scoring_records(graph: OntologyGraph, rng: np.random.Generator, n: int,
+                     d: int) -> list[Record]:
+    """n records over graph, each drawn as one of: no concepts (but
+    labeled), unlabeled, partially labeled (each outcome with probability
+    one half) or fully labeled, over the ancestor closure of a random node."""
+    outcomes = graph.outcome_names()
+    records = []
+    for i in range(n):
+        kind = int(rng.integers(4))
+        anchor = graph.ordered_ids[rng.integers(len(graph.ordered_ids))]
+        labels = {o: int(rng.random() < 0.4) for o in outcomes
+                  if kind != 1 and (kind != 2 or rng.random() < 0.5)}
+        records.append(Record(
+            id=f"r{i:03d}", features=rng.normal(size=d), labels=labels,
+            concepts=frozenset() if kind == 0 else ancestor_closure(graph, [anchor])))
+    return records
+
+
+SCORING_GRAPHS = {
+    "tree": generate_synthetic(SynthConfig(levels=3, branching=2, records_per_node=1,
+                                           low_data_records=1, feature_dim=5))[0],
+    "multi-parent": multi_parent_cohort(n=0)[0],
+}
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(cohort=st.sampled_from(sorted(SCORING_GRAPHS)),
+       variant=st.sampled_from(["omtl", "mmoe", "sb"]),
+       hierarchy=st.booleans(),
+       shared=st.sampled_from([None, "own", "absent"]),
+       n=st.integers(0, 120), seed=st.integers(0, 2 ** 32 - 1),
+       chunk=st.sampled_from([1, 7, 64]), as_columns=st.booleans())
+def test_score_holdout_matches_the_per_head_oracle(cohort, variant, hierarchy, shared,
+                                                   n, seed, chunk, as_columns):
+    # one mask over a chunk's terms gives each head the triples, in the
+    # order, and the keys, in the order, that a pass per head gives: over
+    # reward-shaped heads at every node ("own", unsupervised off the core),
+    # an outcome the cohort lacks ("absent", whose labels are remapped),
+    # rows without concepts or labels, and chunks that keep no term
+    graph = SCORING_GRAPHS[cohort]
+    d = 5
+    rng = np.random.default_rng(seed)
+    records = _scoring_records(graph, rng, n, d)
+    model = tiny_model(graph, variant, d=d, de=3, experts=2, seed=seed % 1000,
+                       shared_outcome=graph.outcome_names()[0] if shared == "own" else shared)
+    model.hierarchy_enabled = hierarchy and variant == "omtl"
+    cols = Columns.from_records(records, graph)
+    with mock.patch.object(trainer, "SCORE_CHUNK", chunk):
+        got = score_holdout(model, graph, cols if as_columns else records)
+    assert list(got.items()) == list(score_holdout_per_head(model, cols, chunk).items())
 
 
 class TestMixedBatchLoss:
