@@ -140,7 +140,7 @@ def cmd_synth(args) -> int:
     save_graph(graph, args.out_graph)
     save_dataset(data, args.out_data)
     _write_outputs(args, {}, saved=[args.out_graph, args.out_data])
-    labeled = sum(1 for r in data.records if r.labeled)
+    labeled = sum(1 for r in data.records if r.labels)
     print(f"synthetic cohort: {len(data.records)} records "
           f"({labeled} labeled), {len(graph.nodes)} nodes", file=sys.stderr)
     return 0
@@ -252,8 +252,9 @@ def cmd_compare(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     # self-contained finite-difference audit of the full pipeline gradient
-    from .datastore import Record
-    from .objective import masked_loss
+    from .datastore import Columns
+    from .model import BatchPlan, ModelSpec
+    from .objective import batch_loss
     from .ontology import ConceptNode, OntologyGraph, ancestor_closure
 
     rng = substream(args.seed, "gradcheck")
@@ -261,24 +262,23 @@ def cmd_gradcheck(args) -> int:
              ConceptNode("b", core=True, outcomes=("event",)),
              ConceptNode("c", core=True, outcomes=("event",))]
     graph = OntologyGraph(nodes, [("a", "b"), ("a", "c"), ("b", "c")])
-    from .model import ModelSpec
     spec = ModelSpec(variant="omtl", num_experts=2, feature_dim=7, repr_dim=3,
                      dropout=0.0)
     model = build_model(spec, graph, seed=args.seed)
     # one record per anchor, the b-anchored one unlabeled: node b's rows mix
     # labeled and unlabeled records and c gathers a subset of b's rows
-    batch = [Record(id=f"r_{anchor}", features=rng.normal(size=7),
-                    concepts=ancestor_closure(graph, [anchor]), labels=labels)
-             for anchor, labels in (("a", {"event": 0}), ("b", {}),
-                                    ("c", {"event": 1}))]
+    anchors = ("a", "b", "c")
+    cols = Columns.build([f"r_{a}" for a in anchors],
+                         np.array([rng.normal(size=7) for _ in anchors]),
+                         [ancestor_closure(graph, [a]) for a in anchors], [0, 1, 2],
+                         [{"event": 0}, {}, {"event": 1}], graph)
+    batch = BatchPlan(model, cols).batch(0)
 
-    def loss_value() -> float:
-        result = forward(model, batch, mode="train", dropout_rng=None)
-        return masked_loss(result, lam=0.1).total
+    def loss():
+        return batch_loss(forward(model, batch, "train"), 0.1)
 
     with Tape() as tape:
-        result = forward(model, batch, mode="train", dropout_rng=None)
-        breakdown = masked_loss(result, lam=0.1)
+        breakdown = loss()
     tape.backward(breakdown.loss)
     grads = tape.gradients(model.params)
 
@@ -289,9 +289,9 @@ def cmd_gradcheck(args) -> int:
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + h
-            up = loss_value()
+            up = loss().total
             flat[i] = keep - h
-            down = loss_value()
+            down = loss().total
             flat[i] = keep
             numeric = (up - down) / (2 * h)
             analytic = grads[name].ravel()[i]

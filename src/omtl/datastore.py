@@ -36,10 +36,6 @@ class Record:
     concepts: frozenset[str]
     labels: dict[str, int]
 
-    @property
-    def labeled(self) -> bool:
-        return bool(self.labels)
-
 
 @dataclass(frozen=True, eq=False)
 class Columns:

@@ -32,9 +32,10 @@ logit would (`tensor.Route.weights`).
 
 The indices all of this reads depend only on which rows a batch holds.
 `BatchPlan` builds them for every batch of an epoch at once, with the
-checks a forward pass needs, and a training step's `Batch` is slices of
-its arrays; a forward pass given anything else plans all of its rows as
-one batch.
+checks a forward pass needs, and a forward pass takes one `Batch` of a
+plan, which is slices of its arrays. The batch is also planned for a
+loss: its head terms are those of the masked loss, or of a reward scheme
+(`BatchPlan(..., scheme=...)`).
 
 Outside the step, a model's hundreds of parameters are handled in array
 passes, not one at a time: `build_model` draws every initial value in one
@@ -46,14 +47,14 @@ one at a time only to name the first fault of a faulty file.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ValidationError
-from .ontology import OntologyGraph
-from .datastore import Columns, columns_of
+from .ontology import OntologyGraph, check_names
+from .datastore import Columns
 from .fields import (MAX_SIZE, config_fields, has_kind, json_field, json_floats,
                      read_json, write_json)
 from .rng import substream
@@ -386,7 +387,6 @@ class Batch:
     cols: Columns
     rows: np.ndarray
     whole: bool  # the batch is every row of cols, in order
-    scheme: object
     labels: np.ndarray
     labeled: np.ndarray
     pair_rows: np.ndarray
@@ -414,16 +414,17 @@ class BatchPlan:
     needs; with routing on, every row must be ancestor-closed (the error
     names what the first batch holding an unclosed row lacks); with a
     reward scheme, a row labeling the scheme's outcome must have that head
-    at each of its nodes. A
-    (pair, head) term of the loss counts where its row labels the head's
-    outcome and the head has weight: `model.head_masked` without a scheme,
-    else the scheme's level weight at each head of its outcome.
+    at each of its nodes. A (pair, head) term of the loss counts where its
+    row labels the head's outcome and the head has weight:
+    `model.head_masked` without a scheme, else the scheme's level weight at
+    each head of its outcome.
     """
 
     def __init__(self, model: OmtlModel, cols: Columns, rows: np.ndarray | None = None,
                  size: int | None = None, scheme=None, heads: bool = True):
         if cols.graph_hash != model.graph_hash:
-            raise ValidationError("forward: columns were built over another graph")
+            raise ValidationError("forward: columns were built over another graph, "
+                                  "not the model's graph")
         if cols.X.shape[1] != model.spec.feature_dim:
             raise ValidationError(f"record feature dim {cols.X.shape[1]} != model dim "
                                   f"{model.spec.feature_dim}")
@@ -437,7 +438,6 @@ class BatchPlan:
             b = np.flatnonzero(cols.unclosed[rows])[0] // size
             raise cols.closure_error(rows[b * size:(b + 1) * size], model.graph)
         self.model, self.cols, self.rows, self.size = model, cols, rows, size
-        self.scheme = scheme
         self.count = -(-rows.size // size)
         count = max(self.count, 1)  # a plan of no rows has one batch, empty
         # a batch reads the features in place only when it holds them all
@@ -454,13 +454,13 @@ class BatchPlan:
         self.labels, self.labeled = _label_arrays(model, cols, None if every else rows)
         self.terms = None  # scoring reads no head terms, so need not plan them
         if heads:
-            self._plan_heads(pos, node, batch, local, count)
+            self._plan_heads(pos, node, batch, local, count, scheme)
         self.routed = model.hierarchy_enabled and model.parents.shape[1] > 0
         if self.routed:
             self._plan_route(node, batch, local, count)
 
-    def _head_weight(self, labeled, pos, node) -> np.ndarray:
-        model, scheme = self.model, self.scheme
+    def _head_weight(self, labeled, pos, node, scheme) -> np.ndarray:
+        model = self.model
         if scheme is None:
             return model.head_masked
         k = model.outcome_col.get(scheme.outcome)
@@ -474,13 +474,13 @@ class BatchPlan:
         node_w = np.array([scheme.weights[n] for n in model.graph.ordered_ids])
         return np.where(model.head_outcome == k, node_w[model.head_node], 0.0)
 
-    def _plan_heads(self, pos, node, batch, local, count) -> None:
+    def _plan_heads(self, pos, node, batch, local, count, scheme) -> None:
         """The kept head terms of every batch: each (pair, head) combination
         of a pair with a head of its node, grouped by head within a batch,
         kept where its weight and its row's label are present."""
         model, pairs = self.model, self.pairs
         labels, labeled = self.labels, self.labeled
-        weight = self._head_weight(labeled, pos, node)
+        weight = self._head_weight(labeled, pos, node, scheme)
         pair, head = model.head_pairs(pairs.all)
         outcome = model.head_outcome[head]
         w = labeled[pos[pair], outcome] * weight[head]
@@ -517,9 +517,8 @@ class BatchPlan:
     def batch(self, b: int) -> Batch:
         pairs, at = self.pairs, slice(b * self.size, (b + 1) * self.size)
         p0, p1 = pairs.lo[b], pairs.lo[b + 1]
-        batch = Batch(self.cols, self.rows[at], self.whole, self.scheme,
-                      self.labels[at], self.labeled[at], self.pair_rows[p0:p1],
-                      None, None, None)
+        batch = Batch(self.cols, self.rows[at], self.whole, self.labels[at],
+                      self.labeled[at], self.pair_rows[p0:p1], None, None, None)
         if p0 < p1:
             batch.seg, batch.route = pairs.segments(b), self._route(b, p0, p1)
             t0, t1 = (0, 0) if self.terms is None else self.terms.lo[b:b + 2]
@@ -563,33 +562,20 @@ class ForwardResult:
         once, for the expert gates when they run, else here."""
         return self.gate_in if self.gate_in is not None else self.x[self.batch.pair_rows]
 
-    def planned_for(self, scheme) -> "ForwardResult":
-        """This pass, with its batch's head terms planned for scheme (None
-        for the masked loss)."""
-        if self.batch.scheme is scheme:
-            return self
-        b = self.batch
-        return replace(self, batch=BatchPlan(self.model, b.cols, b.rows,
-                                             scheme=scheme).batch(0))
 
-
-def forward(model: OmtlModel, data, mode: str = "eval",
+def forward(model: OmtlModel, batch: Batch, mode: str = "eval",
             dropout_rng=None) -> ForwardResult:
-    """Route a batch through the model's graph.
+    """Route a batch of a `BatchPlan` through the model's graph.
 
-    data is a `Batch` of a `BatchPlan`, or else `Columns` or anything
-    `columns_of` turns into columns (a Dataset, a record or records), all
-    of whose rows are planned as one batch. The experts run once over
-    every row; then the expert mixture and the representations run once
-    over the batch's (row, node) pairs, the representations reading parent
-    representations from earlier levels by row when the plan routes
-    through parents: through the parent gate at a node of two or more
-    parents, and with weight exactly 1 at a node of one.
+    The experts run once over every row; then the expert mixture and the
+    representations run once over the batch's (row, node) pairs, the
+    representations reading parent representations from earlier levels by
+    row when the plan routes through parents: through the parent gate at a
+    node of two or more parents, and with weight exactly 1 at a node of
+    one.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"unknown forward mode {mode!r}")
-    batch = data if isinstance(data, Batch) else \
-        BatchPlan(model, columns_of(data, model.graph)).batch(0)
     train = mode == "train"
     if train and model.spec.dropout > 0.0 and dropout_rng is None:
         raise ValidationError("train-mode forward needs a dropout rng")
@@ -677,8 +663,7 @@ def model_from_json_obj(obj: dict, graph: OntologyGraph) -> OmtlModel:
         names = json_field(outcomes, nid, "list[str]", f"{where}: outcome_map")
         if nid not in graph.nodes:
             raise ValidationError(f"{where}: outcome_map names unknown node {nid!r}")
-        if len(set(names)) != len(names):
-            raise ValidationError(f"{where}: outcome_map repeats an outcome of {nid!r}")
+        check_names(nid, names, f"{where}: outcome_map of {nid!r}")
         outcome_map[nid] = tuple(names)
     shapes = dict(param_layout(spec, graph, outcome_map))
     entries = json_field(obj, "params", "dict", where)

@@ -13,10 +13,12 @@ Cross-entropy is evaluated from the head logits as softplus(z) - y*z,
 which equals -[y*log(p) + (1-y)*log(1-p)] for p = sigmoid(z) but stays
 finite for any logit.
 
-A loss is one tape op, `tensor.multitask_loss`, over all (row, node)
-pairs of a forward pass, whatever the depth or width of the graph: the
-reconstructions, the outcome heads (left out when no term has weight) and
-L1 + lambda * L2.
+Either loss is `batch_loss` of a forward pass over a batch planned for
+it (`model.BatchPlan(..., scheme=...)`, None for the masked loss), which
+holds the head terms and weights that loss counts. It is one tape op,
+`tensor.multitask_loss`, over all (row, node) pairs of the pass, whatever
+the depth or width of the graph: the reconstructions, the outcome heads
+(left out when no term has weight) and L1 + lambda * L2.
 """
 
 from __future__ import annotations
@@ -111,15 +113,3 @@ def batch_loss(result, lam: float) -> LossBreakdown:
                          (model, batch.seg.members, node_sums,
                           None if heads is None else heads[1].members, head_sums, inv))
 
-
-def masked_loss(result, lam: float) -> LossBreakdown:
-    """L1 over expressed core nodes with labeled outcomes, L2 over all
-    expressed nodes, averaged over the forwarded records; a fully unlabeled
-    record contributes L2 only."""
-    return batch_loss(result.planned_for(None), lam)
-
-
-def shaped_loss(result, lam: float, scheme: RewardScheme) -> LossBreakdown:
-    """Reward-shaped variant: supervised loss at every expressed node for
-    the scheme's shared outcome, each node weighted by its level weight."""
-    return batch_loss(result.planned_for(scheme), lam)

@@ -4,9 +4,12 @@ Graphs are JSON files of the form
     {"nodes": [{"id": str, "concept": str, "core": bool, "outcomes": [str]}],
      "edges": [{"parent": str, "child": str}]}
 where "concept", "core", "outcomes" and "edges" may be left out.
-Levels are longest-path-from-roots, so a child always sits strictly below
-every parent. Iteration order is (level, id), which fixes the routing
-order used by the model's forward pass.
+Every graph keeps one name rule (`check_names`), and so does a model
+file's outcome map: a node's outcome names are not empty, not repeated
+and hold neither '.' nor '|', and node ids hold no '|'. Levels are
+longest-path-from-roots, so a child always sits strictly below every
+parent. Iteration order is (level, id), which fixes the routing order
+used by the model's forward pass.
 """
 
 from __future__ import annotations
@@ -47,13 +50,12 @@ class OntologyGraph:
     def __init__(self, nodes: list[ConceptNode], edges: list[tuple[str, str]]):
         self.nodes: dict[str, ConceptNode] = {}
         for n in nodes:
+            check_names(n.id, n.outcomes, f"node {n.id!r}")
             if n.id in self.nodes:
                 raise ValidationError(f"duplicate node id {n.id!r}")
             if n.outcomes and not n.core:
                 raise ValidationError(
                     f"node {n.id!r} carries outcomes but is not a core node")
-            if len(set(n.outcomes)) != len(n.outcomes):
-                raise ValidationError(f"node {n.id!r} repeats an outcome name")
             self.nodes[n.id] = n
         self.edges: list[tuple[str, str]] = []
         parents: dict[str, list[str]] = {nid: [] for nid in self.nodes}
@@ -101,6 +103,22 @@ class OntologyGraph:
         return hashlib.sha256(blob).hexdigest()
 
 
+def check_names(nid: str, outcomes, at: str) -> None:
+    """The name rule, at node nid with outcomes: an outcome name is not
+    empty, holds neither '.' nor '|' and is not repeated, and a node id
+    holds no '|'. A head parameter is named node.outcome and a report
+    target node|outcome, so under this rule no two heads share either."""
+    if "|" in nid:
+        raise ValidationError(f"{at}: node id {nid!r} holds '|'")
+    for o in outcomes:
+        if not o:
+            raise ValidationError(f"{at}: outcome names must not be empty")
+        if "." in o or "|" in o:
+            raise ValidationError(f"{at}: outcome name {o!r} holds '.' or '|'")
+    if len(set(outcomes)) != len(outcomes):
+        raise ValidationError(f"{at}: repeats an outcome name")
+
+
 # a longer cycle is named by its length and its first this many nodes
 _CYCLE_SHOWN = 8
 
@@ -133,10 +151,10 @@ def graph_from_json_obj(obj) -> OntologyGraph:
     for i, raw in enumerate(json_field(obj, "nodes", "list[dict]", where)):
         at = f"{where}: node {i}"
         outcomes = json_field(raw, "outcomes", "list[str]", at, default=[])
-        if not all(outcomes):
-            raise ValidationError(f"{at}: outcome names must not be empty")
+        nid = json_field(raw, "id", "str", at)
+        check_names(nid, outcomes, at)  # here, to name the node's place in the file
         nodes.append(ConceptNode(
-            id=json_field(raw, "id", "str", at),
+            id=nid,
             concept=json_field(raw, "concept", "str", at, default=""),
             core=json_field(raw, "core", "bool", at, default=False),
             outcomes=tuple(outcomes),

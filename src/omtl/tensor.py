@@ -29,8 +29,8 @@ ontology:
 
 Constness decides gradient flow, in one place (`_result`): an op whose
 inputs are all const has a const output and records nothing, and a tape
-never accumulates into a const tensor. Record features, labels and masks
-are const. A parameter, block or padded block is const exactly when its
+never accumulates into a const tensor. Features, labels and masks are
+const. A parameter, block or padded block is const exactly when its
 span of the arena lies outside the arena's `trainable` slice, which a
 training phase narrows to the span it trains; so the tape does no
 gradient work on paths nothing can learn from. Beyond that rule, an op

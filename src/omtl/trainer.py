@@ -15,6 +15,11 @@ plan and runs the tape. Early stopping watches total loss on the held-out
 slice, which both omtl phases share and which is planned once per phase,
 and always restores the best snapshot seen (one copy of the arena). A loss
 that is not finite, in a step or on the slice, is a NumericalError.
+
+Every loss is `objective.batch_loss` of a forward pass over a batch
+planned for the phase's scheme: a step's in train mode, and otherwise
+through `evaluate_loss`, the one eval loss, which the monitor calls with
+its planned slice and other callers with records.
 """
 
 from __future__ import annotations
@@ -150,12 +155,11 @@ class TrainLog:
 def evaluate_loss(model: OmtlModel, graph: OntologyGraph, records,
                   cfg: TrainConfig, scheme: RewardScheme | None,
                   batch: Batch | None = None) -> LossBreakdown:
-    """Eval-mode (dropout-free) loss over all of records (a record list,
-    or anything else `columns_of` takes) as one batch; or over batch, a
-    caller's one-batch plan of them for the same scheme. graph must be the
-    graph the model was built on."""
-    if graph is not model.graph and graph.graph_hash() != model.graph_hash:
-        raise ValidationError("evaluate_loss: graph is not the model's graph")
+    """The one eval loss: eval-mode (dropout-free) `batch_loss` over all
+    of records (a record list, or anything else `columns_of` takes over
+    graph) as one batch planned for scheme; or over batch, a caller's
+    one-batch plan of them for the same scheme. The plan rejects columns
+    built over a graph other than the model's."""
     if batch is None:
         batch = BatchPlan(model, columns_of(records, graph), scheme=scheme).batch(0)
     return batch_loss(forward(model, batch), cfg.lam)

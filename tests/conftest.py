@@ -11,8 +11,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 sys.path.insert(0, str(Path(__file__).parent))  # for oracles.py
 
 from omtl import tensor as T
-from omtl.datastore import Record
-from omtl.model import ModelSpec, build_model
+from omtl.datastore import Record, columns_of
+from omtl.model import Batch, BatchPlan, ModelSpec, build_model
 from omtl.ontology import ConceptNode, OntologyGraph, ancestor_closure
 from omtl.tensor import Arena, Parameter, Segments, Tensor
 
@@ -97,6 +97,12 @@ def tiny_model(graph, variant="omtl", d=7, de=3, experts=2, seed=0,
     spec = ModelSpec(variant=variant, num_experts=1 if variant == "sb" else experts,
                      feature_dim=d, repr_dim=de, dropout=dropout)
     return build_model(spec, graph, seed=seed, shared_outcome=shared_outcome)
+
+
+def one_batch(model, recs, scheme=None) -> Batch:
+    """A record, or records, as the one batch of a plan for the model,
+    with the head terms of scheme's loss (the masked loss's for None)."""
+    return BatchPlan(model, columns_of(recs, model.graph), scheme=scheme).batch(0)
 
 
 def gate_weights(model, x: np.ndarray) -> dict[tuple[str, str], np.ndarray]:

@@ -17,13 +17,13 @@ import pytest
 from omtl.datastore import SynthConfig, generate_synthetic, make_folds
 from omtl.metrics import ScoredSet, auc_roc, average_precision, delong_test
 from omtl.model import ModelSpec, build_model, forward
-from omtl.objective import make_reward_scheme, masked_loss, reward_weights, shaped_loss
+from omtl.objective import batch_loss, make_reward_scheme, reward_weights
 from omtl.ontology import ConceptNode, OntologyGraph
 from omtl.tensor import Tape
 from omtl.trainer import TrainConfig, _FlatAdam, compare_variants, train_variant
 
 from conftest import (arena_params, chain_graph, diamond_graph, gate_weights,
-                      make_record, random_dag, sq_loss, tiny_model)
+                      make_record, one_batch, random_dag, sq_loss, tiny_model)
 from oracles import (ReferenceAdam, finite_difference_gradients,
                      max_relative_error, node_views, pairwise_auc,
                      permutation_delong_p, threshold_sweep_ap)
@@ -77,15 +77,15 @@ def test_criterion_1_gradient_correctness():
         graph = random_dag(rng, int(rng.integers(3, 7)), edge_prob=0.45)
         model = tiny_model(graph, "omtl", d=7, de=3, experts=2, seed=seed)
         anchor = graph.ordered_ids[-1]  # deepest node exercises the gates H
-        rec = make_record(graph, rng, d=7, anchor=anchor, label=1)
+        batch = one_batch(model, make_record(graph, rng, d=7, anchor=anchor, label=1))
 
         def loss_value() -> float:
-            result = forward(model, rec, mode="train")
-            return masked_loss(result, lam=0.1).total
+            result = forward(model, batch, mode="train")
+            return batch_loss(result, lam=0.1).total
 
         with Tape() as tape:
-            result = forward(model, rec, mode="train")
-            breakdown = masked_loss(result, lam=0.1)
+            result = forward(model, batch, mode="train")
+            breakdown = batch_loss(result, lam=0.1)
         tape.backward(breakdown.loss)
         analytic = tape.gradients(model.params)
         numeric = finite_difference_gradients(loss_value, model.params, h=1e-5)
@@ -124,8 +124,8 @@ def test_criterion_3_mmoe_reduction():
     worst = 0.0
     for i in range(1000):
         rec = make_record(graph, rng, d=7, label=1, rid=f"r{i}")
-        ra = node_views(forward(omtl, rec, mode="eval"))
-        rb = node_views(forward(mmoe, rec, mode="eval"))
+        ra = node_views(forward(omtl, one_batch(omtl, rec), mode="eval"))
+        rb = node_views(forward(mmoe, one_batch(mmoe, rec), mode="eval"))
         for nid in ra.reps:
             worst = max(worst, np.abs(ra.reps[nid] - rb.reps[nid]).max())
         for key in ra.logits:
@@ -146,8 +146,8 @@ def test_criterion_4_routing_and_masking():
         rec = make_record(graph, rng, d=7, anchor=anchor,
                           label=1 if labeled else None, rid=f"r{i}")
         with Tape() as tape:
-            result = forward(model, rec, mode="train")
-            breakdown = masked_loss(result, lam=0.2)
+            result = forward(model, one_batch(model, rec), mode="train")
+            breakdown = batch_loss(result, lam=0.2)
         tape.backward(breakdown.loss)
         grads = tape.gradients(model.params)
 
@@ -219,9 +219,9 @@ def test_criterion_6_reward_shaping():
     for i in range(20):
         rec = make_record(all_core, rng, d=7, anchor="c", label=int(rng.integers(2)),
                           rid=f"r{i}")
-        result = forward(model, rec, mode="train")
-        a = masked_loss(result, lam=0.3)
-        b = shaped_loss(result, lam=0.3, scheme=scheme0)
+        a = batch_loss(forward(model, one_batch(model, rec), mode="train"), lam=0.3)
+        b = batch_loss(forward(model, one_batch(model, rec, scheme0), mode="train"),
+                       lam=0.3)
         exact = exact and a.total == b.total and a.l1 == b.l1
 
     chain = chain_graph(3)

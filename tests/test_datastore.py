@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,24 @@ from omtl.trainer import TrainConfig, score_holdout, train_variant
 from conftest import JSON, chain_graph, diamond_graph, field, random_dag
 from oracles import per_record_folds, strata
 from test_trainer import multi_parent_cohort
+
+
+def record_names(path: Path) -> list[int]:
+    """Lines of path that name Record: as a name, an attribute, an import
+    or a quoted annotation."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Name) and node.id == "Record")
+            or (isinstance(node, ast.Attribute) and node.attr == "Record")
+            or (isinstance(node, ast.alias) and node.name == "Record")
+            or (isinstance(node, ast.Constant) and node.value == "Record")]
+
+
+def test_only_datastore_names_record():
+    # records live at the IO edge: every other module reads a cohort as
+    # columns and addresses its records by row
+    named = {path.name: record_names(path)
+             for path in Path(omtl.datastore.__file__).parent.glob("*.py")}
+    assert {name for name, lines in named.items() if lines} == {"datastore.py"}
 
 
 def write_jsonl(tmp_path, rows, name="data.jsonl"):
@@ -38,7 +58,7 @@ class TestLoad:
     def test_empty_labels_accepted_as_unlabeled(self, tmp_path):
         g = chain_graph(3)
         ds = load_dataset(write_jsonl(tmp_path, [row("r1", ["a"])]), g)
-        assert not ds.records[0].labeled
+        assert not ds.records[0].labels
 
     def test_non_binary_label_rejected_with_line(self, tmp_path):
         g = chain_graph(3)
@@ -453,7 +473,7 @@ class TestSynthetic:
     def test_default_prevalence_hits_target(self):
         cfg = SynthConfig(seed=0)
         graph, ds = generate_synthetic(cfg)
-        labeled = [r for r in ds.records if r.labeled]
+        labeled = [r for r in ds.records if r.labels]
         prev = sum(r.labels["mortality"] for r in labeled) / len(labeled)
         assert abs(prev - 0.15) <= 0.02
 
@@ -468,7 +488,7 @@ class TestSynthetic:
             for c in r.concepts:
                 assert set(graph.parents[c]) <= r.concepts
             deepest = max(graph.levels[c] for c in r.concepts)
-            assert r.labeled == (deepest == 2)
+            assert bool(r.labels) == (deepest == 2)
 
     def test_low_data_node_has_fewer_records(self):
         cfg = SynthConfig(levels=2, branching=2, records_per_node=50,

@@ -14,14 +14,14 @@ from omtl.datastore import Columns, Dataset, Record, SynthConfig, generate_synth
 from omtl.model import (BatchPlan, ModelSpec, build_model, forward,
                         load_model, model_from_json_obj, model_to_json_obj,
                         reinit_parent_gates, save_model)
-from omtl.objective import make_reward_scheme, masked_loss
+from omtl.objective import batch_loss, make_reward_scheme
 from omtl.ontology import ConceptNode, OntologyGraph, ancestor_closure
 from omtl.rng import substream
 from omtl.tensor import Tape
 from omtl.trainer import TrainConfig, score_holdout, train_variant
 
 from conftest import (chain_graph, diamond_graph, gate_weights, make_record,
-                      random_dag, same_bits, tiny_model)
+                      one_batch, random_dag, same_bits, tiny_model)
 from oracles import (finite_difference_gradients, max_relative_error,
                      node_block_forward, node_views, reference_batch)
 
@@ -63,7 +63,7 @@ def recon_sums(result) -> dict[str, float]:
     rows, as the loss computes it."""
     n = result.batch.rows.size
     return {nid: err * n
-            for nid, err in masked_loss(result, lam=1.0).per_node_recon.items()}
+            for nid, err in batch_loss(result, lam=1.0).per_node_recon.items()}
 
 
 def records_at(graph, x, anchor):
@@ -155,11 +155,11 @@ class TestBuild:
         assert not np.shares_memory(twin.arena.values, model.arena.values)
         assert twin.hierarchy_enabled and twin.arena.trainable == model.arena.trainable
         rec = make_record(model.graph, rng, d=7, anchor="d", label=1)
-        before = forward(model, rec).rep.values
-        assert np.array_equal(forward(twin, rec).rep.values, before)
+        before = forward(model, one_batch(model, rec)).rep.values
+        assert np.array_equal(forward(twin, one_batch(twin, rec)).rep.values, before)
         twin.arena.values += 0.1
-        assert not np.array_equal(forward(twin, rec).rep.values, before)
-        assert np.array_equal(forward(model, rec).rep.values, before)
+        assert not np.array_equal(forward(twin, one_batch(twin, rec)).rep.values, before)
+        assert np.array_equal(forward(model, one_batch(model, rec)).rep.values, before)
 
 
     @pytest.mark.parametrize("clone", [
@@ -193,7 +193,7 @@ class TestMixExperts:
         g = chain_graph(2)
         model = tiny_model(g, "sb", d=5, de=3)
         x = rng.normal(size=(1, 5))
-        rep = node_views(forward(model, records_at(g, x, "a"))).reps["a"]
+        rep = node_views(forward(model, one_batch(model, records_at(g, x, "a")))).reps["a"]
         assert np.array_equal(rep,
                               repr_layer(model, "a", eval_experts(model, x)[0]))
 
@@ -203,7 +203,7 @@ class TestMixExperts:
         model.params["expert_gate.a.w"].values[:] = 0.0
         model.params["expert_gate.a.b"].values[:] = 0.0
         x = rng.normal(size=(1, 5))
-        rep = node_views(forward(model, records_at(g, x, "a"))).reps["a"]
+        rep = node_views(forward(model, one_batch(model, records_at(g, x, "a")))).reps["a"]
         mean = np.mean(eval_experts(model, x), axis=0)
         assert np.allclose(rep, repr_layer(model, "a", mean), atol=1e-15)
 
@@ -211,7 +211,7 @@ class TestMixExperts:
         g = chain_graph(2)
         model = tiny_model(g, "mmoe", d=6, de=4, experts=3)
         x = rng.normal(size=(2, 6))
-        rep = node_views(forward(model, records_at(g, x, "b"))).reps["b"]
+        rep = node_views(forward(model, one_batch(model, records_at(g, x, "b")))).reps["b"]
         experts = eval_experts(model, x)
         logits = x @ model.params["expert_gate.b.w"].values \
             + model.params["expert_gate.b.b"].values
@@ -230,23 +230,23 @@ class TestNodeRepresentation:
         model = tiny_model(g, "omtl", d=5, de=3, experts=2)
         x = rng.normal(size=(1, 5))
         recs = records_at(g, x, "b")
-        with_h = node_views(forward(model, recs)).reps["b"]
+        with_h = node_views(forward(model, one_batch(model, recs))).reps["b"]
         model.hierarchy_enabled = False
-        without = node_views(forward(model, recs)).reps["b"]
+        without = node_views(forward(model, one_batch(model, recs))).reps["b"]
         assert not np.allclose(with_h, without)
         assert np.array_equal(without,
                               repr_layer(model, "b", eval_mix(model, "b", x)))
         # and the disabled path never needs the parent at all
         alone = Record(id="alone", features=x[0], concepts=frozenset({"b"}),
                        labels={})
-        again = node_views(forward(model, alone)).reps["b"]
+        again = node_views(forward(model, one_batch(model, alone))).reps["b"]
         assert np.array_equal(again, without)
 
     def test_single_parent_softmax_is_identity_mix(self, rng):
         g = chain_graph(2)
         model = tiny_model(g, "omtl", d=5, de=3, experts=2)
         x = rng.normal(size=(1, 5))
-        reps = node_views(forward(model, records_at(g, x, "b"))).reps
+        reps = node_views(forward(model, one_batch(model, records_at(g, x, "b")))).reps
         # softmax over one entry is exactly 1
         pre = eval_mix(model, "b", x) + reps["a"]
         assert np.allclose(reps["b"], repr_layer(model, "b", pre), atol=1e-12)
@@ -257,7 +257,7 @@ class TestNodeRepresentation:
         model.params["parent_gate.d.w"].values[:] = 0.0
         model.params["parent_gate.d.b"].values[:] = np.array([[10.0, -10.0]])
         x = rng.normal(size=(1, 7))
-        reps = node_views(forward(model, records_at(g, x, "d"))).reps
+        reps = node_views(forward(model, one_batch(model, records_at(g, x, "d")))).reps
         p_b = reps["b"]
         p_c = reps["c"]
         # gate weight on parent b is 1/(1+e^-20); recompute by loop
@@ -271,7 +271,7 @@ class TestNodeRepresentation:
         rec = Record(id="r", features=rng.normal(size=7),
                      concepts=frozenset({"a", "d"}), labels={})
         with pytest.raises(ValidationError, match="missing parent"):
-            forward(model, rec)
+            forward(model, one_batch(model, rec))
 
 
 class TestForward:
@@ -279,15 +279,15 @@ class TestForward:
         g = chain_graph(3)
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="a")
-        result = forward(model, rec)
+        result = forward(model, one_batch(model, rec))
         assert set(node_views(result).reps) == {"a"}
-        assert set(masked_loss(result, lam=1.0).per_node_recon) == {"a"}
+        assert set(batch_loss(result, lam=1.0).per_node_recon) == {"a"}
 
     def test_chain_routing_child_consumes_parent(self, rng):
         g = chain_graph(3)
         model = tiny_model(g, "omtl", d=7, de=3, experts=2)
         rec = make_record(g, rng, d=7, anchor="c", label=1)
-        reps = node_views(forward(model, rec, mode="eval")).reps
+        reps = node_views(forward(model, one_batch(model, rec), mode="eval")).reps
         # recompute c's representation from the emitted parent output; the
         # gate over c's single parent is exactly 1
         x = rec.features.reshape(1, -1)
@@ -299,10 +299,10 @@ class TestForward:
             g = random_dag(rng, int(rng.integers(2, 15)))
             model = tiny_model(g, "omtl")
             rec = make_record(g, rng, d=7)
-            result = forward(model, rec)
+            result = forward(model, one_batch(model, rec))
             reps = node_views(result).reps
             assert set(reps) == set(rec.concepts)
-            assert set(masked_loss(result, lam=1.0).per_node_recon) == set(rec.concepts)
+            assert set(batch_loss(result, lam=1.0).per_node_recon) == set(rec.concepts)
             # dependency order respected: every expressed parent of an
             # expressed node is available, by closure
             for nid in reps:
@@ -335,11 +335,11 @@ class TestForward:
                 for i, (anchor, label) in enumerate(
                     [("d", 1), ("a", None), ("b", 0), ("d", None),
                      ("c", 1), ("d", 0), ("b", None)])]
-        batch = forward(model, recs, mode="eval")
+        batch = forward(model, one_batch(model, recs), mode="eval")
         views = node_views(batch)
         single_recon = dict.fromkeys(g.nodes, 0.0)
         for i, rec in enumerate(recs):
-            single = forward(model, rec, mode="eval")
+            single = forward(model, one_batch(model, rec), mode="eval")
             one = node_views(single)
             expressed = {nid for nid, rows in views.rows.items() if i in rows}
             assert expressed == set(one.reps) == set(rec.concepts)
@@ -366,9 +366,9 @@ class TestForward:
         # count, so only a checked gather can tell they do not line up
         for batch in ([closed_d, broken, closed_b], [broken, closed_b, closed_d]):
             with pytest.raises(ValidationError, match="missing parent"):
-                forward(model, batch)
+                forward(model, one_batch(model, batch))
         model.hierarchy_enabled = False
-        forward(model, [closed_d, broken, closed_b])
+        forward(model, one_batch(model, [closed_d, broken, closed_b]))
 
 
 class TestMmoeReduction:
@@ -382,8 +382,8 @@ class TestMmoeReduction:
         omtl.hierarchy_enabled = False
         for i in range(50):
             rec = make_record(g, rng, d=7, label=1, rid=f"r{i}")
-            ra = node_views(forward(omtl, rec, mode="eval"))
-            rb = node_views(forward(mmoe, rec, mode="eval"))
+            ra = node_views(forward(omtl, one_batch(omtl, rec), mode="eval"))
+            rb = node_views(forward(mmoe, one_batch(mmoe, rec), mode="eval"))
             for nid in ra.reps:
                 assert np.array_equal(ra.reps[nid], rb.reps[nid])
             for key in ra.logits:
@@ -396,8 +396,8 @@ class TestRoutingGradientSparsity:
         model = tiny_model(g, "omtl", d=7, de=3, experts=2)
         rec = make_record(g, rng, d=7, anchor="b", label=1)  # expresses a, b
         with Tape() as tape:
-            result = forward(model, rec, mode="train")
-            breakdown = masked_loss(result, lam=0.5)
+            result = forward(model, one_batch(model, rec), mode="train")
+            breakdown = batch_loss(result, lam=0.5)
         tape.backward(breakdown.loss)
         grads = tape.gradients(model.params)
         for name, grad in grads.items():
@@ -575,7 +575,7 @@ def check_against_oracle(model, g, recs) -> None:
     """forward on the batch recs within 1e-12 of the per-node oracle, one
     record at a time; reconstructions through the loss, per record in a
     batch of one and summed over a node's rows in larger batches."""
-    result = forward(model, recs)
+    result = forward(model, one_batch(model, recs))
     views = node_views(result)
     values = {n: q.values for n, q in model.params.items()}
     oracle_recon = dict.fromkeys(g.nodes, 0.0)
@@ -627,11 +627,13 @@ def check_parent_gate_gradients(model, g, recs) -> None:
     gates = {n: q for n, q in model.params.items()
              if n.startswith("parent_gate.") and len(g.parents[n.split(".")[1]]) >= 2}
 
+    batch = one_batch(model, recs)
+
     def loss() -> float:
-        return masked_loss(forward(model, recs, mode="train"), lam=0.3).total
+        return batch_loss(forward(model, batch, mode="train"), lam=0.3).total
 
     with Tape() as tape:
-        breakdown = masked_loss(forward(model, recs, mode="train"), lam=0.3)
+        breakdown = batch_loss(forward(model, batch, mode="train"), lam=0.3)
     tape.backward(breakdown.loss)
     analytic = tape.gradients(gates)
     assert all(np.abs(a).max() > 0 for a in analytic.values())
@@ -677,7 +679,8 @@ class TestLevelBatching:
                     for j, a in enumerate(np.repeat(anchors, 3))]
             expressed = set().union(*(r.concepts for r in recs))
             with Tape() as tape:
-                breakdown = masked_loss(forward(model, recs, mode="train"), lam=0.3)
+                result = forward(model, one_batch(model, recs), mode="train")
+                breakdown = batch_loss(result, lam=0.3)
             tape.backward(breakdown.loss)
             grads = tape.arena_grads(model.arena)
             for name, q in model.params.items():
@@ -801,9 +804,9 @@ class TestBatchPlan:
         recs[order[-1]].concepts = frozenset({"b"})
         model = tiny_model(g, "omtl", d=5)
         with pytest.raises(ValidationError) as first:
-            forward(model, [recs[j] for j in order[:4]])
+            forward(model, one_batch(model, [recs[j] for j in order[:4]]))
         with pytest.raises(ValidationError) as epoch:
-            forward(model, recs)
+            forward(model, one_batch(model, recs))
         assert "'c'" in str(first.value) and "'b'" in str(epoch.value)
         with pytest.raises(ValidationError) as trained:
             train_variant(g, Dataset(recs, 5, ("event",)), cfg)

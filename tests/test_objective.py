@@ -5,12 +5,11 @@ import pytest
 
 from omtl.errors import ValidationError
 from omtl.model import forward
-from omtl.objective import (make_reward_scheme, masked_loss, reward_weights,
-                            shaped_loss)
+from omtl.objective import batch_loss, make_reward_scheme, reward_weights
 from omtl.ontology import ConceptNode, OntologyGraph
 from omtl.tensor import Tape
 
-from conftest import chain_graph, diamond_graph, make_record, tiny_model
+from conftest import chain_graph, diamond_graph, make_record, one_batch, tiny_model
 from oracles import node_views
 
 
@@ -26,8 +25,8 @@ class TestMaskedLoss:
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="c", label=None)
         with Tape() as tape:
-            result = forward(model, rec, mode="train")
-            breakdown = masked_loss(result, lam=0.3)
+            result = forward(model, one_batch(model, rec), mode="train")
+            breakdown = batch_loss(result, lam=0.3)
         tape.backward(breakdown.loss)
         assert breakdown.l1 == 0.0
         assert breakdown.l2 > 0.0
@@ -43,8 +42,8 @@ class TestMaskedLoss:
         # a reconstruction layer that outputs the (nonnegative) input itself
         model.params["recon.a.w"].values[:] = 0.0
         model.params["recon.a.b"].values[:] = rec.features
-        result = forward(model, rec, mode="train")
-        breakdown = masked_loss(result, lam=1.0)
+        result = forward(model, one_batch(model, rec), mode="train")
+        breakdown = batch_loss(result, lam=1.0)
         assert breakdown.per_node_recon["a"] == 0.0
 
     def test_two_core_nodes_at_half_probability(self, rng):
@@ -53,9 +52,9 @@ class TestMaskedLoss:
         rec = make_record(g, rng, d=7, anchor="b", label=1)
         for name in [n for n in model.params if n.startswith("head.")]:
             model.params[name].values[:] = 0.0  # logit 0, sigmoid 0.5
-        result = forward(model, rec, mode="train")
+        result = forward(model, one_batch(model, rec), mode="train")
         assert len(node_views(result).logits) == 2
-        breakdown = masked_loss(result, lam=0.0)
+        breakdown = batch_loss(result, lam=0.0)
         assert breakdown.l1 == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_additivity_exact(self, rng):
@@ -66,7 +65,8 @@ class TestMaskedLoss:
         recs = [make_record(g, rng, d=7, anchor="c", label=i % 2, rid=f"r{i}")
                 for i in range(20)]
         for n in range(1, 21):
-            breakdown = masked_loss(forward(model, recs[:n], mode="train"), lam=0.37)
+            result = forward(model, one_batch(model, recs[:n]), mode="train")
+            breakdown = batch_loss(result, lam=0.37)
             assert breakdown.total == breakdown.l1 + 0.37 * breakdown.l2
             assert breakdown.total == breakdown.loss.item(), n
             assert breakdown.l1 >= 0 and breakdown.l2 >= 0
@@ -75,17 +75,17 @@ class TestMaskedLoss:
         g = chain_graph(2)
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="a")
-        result = forward(model, rec, mode="train")
+        result = forward(model, one_batch(model, rec), mode="train")
         with pytest.raises(ValidationError, match="lambda"):
-            masked_loss(result, lam=-1.0)
+            batch_loss(result, lam=-1.0)
 
     def test_lambda_scales_only_l2(self, rng):
         g = chain_graph(3)
         model = tiny_model(g, "omtl")
         rec = make_record(g, rng, d=7, anchor="c", label=1)
-        result = forward(model, rec, mode="train")
-        b1 = masked_loss(result, lam=0.2)
-        b2 = masked_loss(result, lam=0.6)
+        result = forward(model, one_batch(model, rec), mode="train")
+        b1 = batch_loss(result, lam=0.2)
+        b2 = batch_loss(result, lam=0.6)
         assert b2.l1 == b1.l1
         assert b2.l2 == b1.l2
         assert (b2.total - b2.l1) == pytest.approx(3 * (b1.total - b1.l1), rel=1e-12)
@@ -95,11 +95,11 @@ class TestMaskedLoss:
         model = tiny_model(g, "omtl")
         for label in (0, 1):
             rec = make_record(g, rng, d=7, anchor="b", label=label)
-            result = forward(model, rec, mode="train")
+            result = forward(model, one_batch(model, rec), mode="train")
             z = node_views(result).logits[("b", "event")].item()
             p = 1.0 / (1.0 + math.exp(-z))
             expect = -(label * math.log(p) + (1 - label) * math.log(1 - p))
-            got = masked_loss(result, lam=0.0).l1
+            got = batch_loss(result, lam=0.0).l1
             assert got == pytest.approx(expect, rel=1e-10)
 
 
@@ -145,9 +145,9 @@ class TestShapedLoss:
         model = tiny_model(g, "omtl")
         scheme = make_reward_scheme(g, 0.0, "event")
         rec = make_record(g, rng, d=7, anchor="c", label=1)
-        result = forward(model, rec, mode="train")
-        a = masked_loss(result, lam=0.25)
-        b = shaped_loss(result, lam=0.25, scheme=scheme)
+        a = batch_loss(forward(model, one_batch(model, rec), mode="train"), lam=0.25)
+        b = batch_loss(forward(model, one_batch(model, rec, scheme), mode="train"),
+                       lam=0.25)
         assert a.total == b.total
         assert a.l1 == b.l1
         assert a.per_outcome == b.per_outcome
@@ -158,8 +158,8 @@ class TestShapedLoss:
         scheme = make_reward_scheme(g, 1.0, "event")
         rec = make_record(g, rng, d=7, anchor="a")
         rec.labels["event"] = 1
-        result = forward(model, rec, mode="train")
-        breakdown = shaped_loss(result, lam=0.0, scheme=scheme)
+        result = forward(model, one_batch(model, rec, scheme), mode="train")
+        breakdown = batch_loss(result, lam=0.0)
         assert set(breakdown.per_outcome) == {("a", "event")}
         z = node_views(result).logits[("a", "event")].item()
         bce = math.log1p(math.exp(z)) - z
@@ -174,8 +174,8 @@ class TestShapedLoss:
         for nid, z in (("a", 0.4), ("b", -1.1)):  # logits z at any representation
             model.params[f"head.{nid}.event.w"].values[:] = 0.0
             model.params[f"head.{nid}.event.b"].values[:] = z
-        result = forward(model, rec, mode="train")
-        breakdown = shaped_loss(result, lam=0.0, scheme=scheme)
+        result = forward(model, one_batch(model, rec, scheme), mode="train")
+        breakdown = batch_loss(result, lam=0.0)
         # label 0: term = softplus(z); weights (1/2)/(3/4), 1/(3/4)
         expect = (scheme.weights["a"] * math.log1p(math.exp(0.4))
                   + scheme.weights["b"] * math.log1p(math.exp(-1.1)))
@@ -186,17 +186,16 @@ class TestShapedLoss:
         model = tiny_model(g, "omtl")  # heads at core leaf only
         scheme = make_reward_scheme(g, 1.0, "event")
         rec = make_record(g, rng, d=7, anchor="c", label=1)
-        result = forward(model, rec, mode="train")
         with pytest.raises(ValidationError, match="no head"):
-            shaped_loss(result, lam=0.0, scheme=scheme)
+            one_batch(model, rec, scheme)
 
     def test_unlabeled_record_contributes_l2_only(self, rng):
         g = chain_graph(3)
         model = tiny_model(g, "omtl", shared_outcome="event")
         scheme = make_reward_scheme(g, 1.0, "event")
         rec = make_record(g, rng, d=7, anchor="c", label=None)
-        result = forward(model, rec, mode="train")
-        breakdown = shaped_loss(result, lam=0.5, scheme=scheme)
+        result = forward(model, one_batch(model, rec, scheme), mode="train")
+        breakdown = batch_loss(result, lam=0.5)
         assert breakdown.l1 == 0.0
         assert breakdown.l2 > 0.0
 
@@ -208,9 +207,9 @@ class TestShapedLoss:
         labeled.labels["event"] = 1
         unlabeled = make_record(g, rng, d=7, anchor="c", rid="unlab")
         batch = [labeled, unlabeled]
-        result = forward(model, batch, mode="train")
-        breakdown = shaped_loss(result, lam=0.2, scheme=scheme)
+        result = forward(model, one_batch(model, batch, scheme), mode="train")
+        breakdown = batch_loss(result, lam=0.2)
         assert set(breakdown.per_outcome) == {("a", "event"), ("b", "event")}
-        singles = [shaped_loss(forward(model, rec, mode="train"), lam=0.2,
-                               scheme=scheme).total for rec in batch]
+        singles = [batch_loss(forward(model, one_batch(model, rec, scheme), mode="train"),
+                              lam=0.2).total for rec in batch]
         assert breakdown.total == pytest.approx(np.mean(singles), abs=1e-12)

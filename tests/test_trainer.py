@@ -14,13 +14,13 @@ from omtl.datastore import (Columns, Dataset, Record, SynthConfig, columns_of,
                             generate_synthetic, make_folds)
 from omtl.errors import NumericalError, ValidationError
 from omtl.model import forward, load_model, reinit_parent_gates, save_model
-from omtl.objective import make_reward_scheme, masked_loss
+from omtl.objective import batch_loss, make_reward_scheme
 from omtl.ontology import ConceptNode, OntologyGraph, ancestor_closure
 from omtl.tensor import Tape
 from omtl.trainer import (SCORE_CHUNK, TrainConfig, TrainLog, evaluate_loss, run_cv,
                           score_holdout, train_variant)
 
-from conftest import chain_graph, diamond_graph, make_record, tiny_model
+from conftest import chain_graph, diamond_graph, make_record, one_batch, tiny_model
 from oracles import score_holdout_per_head
 
 # the parameters phase 2 freezes
@@ -109,8 +109,8 @@ class TestPhase1:
         rec = make_record(graph, rng, d=7, anchor="c", label=1)
         from omtl.tensor import Tape
         with Tape() as tape:
-            result = forward(model, rec, mode="train")
-            breakdown = masked_loss(result, lam=0.0)
+            result = forward(model, one_batch(model, rec), mode="train")
+            breakdown = batch_loss(result, lam=0.0)
         tape.backward(breakdown.loss)
         grads = tape.gradients(model.params)
         for name in model.params:
@@ -475,7 +475,7 @@ class TestCv:
         for key, s in result.pooled.items():
             tested.update(s.ids)
         labeled_ids = {r.id for r in data.records
-                       if r.labeled and any(graph.nodes[c].core
+                       if r.labels and any(graph.nodes[c].core
                                             for c in r.concepts)}
         assert tested == labeled_ids
 
@@ -635,7 +635,7 @@ class TestMixedBatchLoss:
         grads = {n: np.zeros_like(p.values) for n, p in model.params.items()}
         for rec in batch:
             with Tape() as single_tape:
-                single = masked_loss(forward(model, rec), cfg.lam)
+                single = batch_loss(forward(model, one_batch(model, rec)), cfg.lam)
             single_tape.backward(single.loss)
             total += single.total / len(batch)
             for name, p in model.params.items():
