@@ -238,7 +238,7 @@ class _Loader:
     def _fields(self, objs) -> tuple | None:
         """(ids, features, closure indices, labels) of a chunk's parsed
         lines, or None if one of them breaks a rule of `_record_from_obj`
-        or repeats an id. Each field's kind is checked with one set of the
+        or of `_clash`. Each field's kind is checked with one set of the
         types it holds. A missing field reads as {}, which has the kind of
         labels alone, for none, and fails any other field's."""
         if not has_kind(objs, "dict"):
@@ -247,13 +247,12 @@ class _Loader:
         if not all(map(has_kind, fields, RECORD_KINDS.values())):
             return None
         ids, features, concepts, labels = fields
-        dim = len(features[0]) if self.dim is None else self.dim
         values = list(itertools.chain.from_iterable(map(dict.values, labels)))
-        if not (len(set(ids)) == len(ids) and self.seen.isdisjoint(ids)
-                and set(map(len, features)) == {dim}
-                and set(itertools.chain.from_iterable(labels)) <= self.known
-                and has_kind(values, LABEL_KIND) and set(values) <= {0, 1}):
+        if not (set(itertools.chain.from_iterable(labels)) <= self.known
+                and has_kind(values, LABEL_KIND) and set(values) <= {0, 1}
+                and self._clash(ids, list(map(len, features))) is None):
             return None
+        dim = len(features[0])
         which = []
         for key in map(tuple, concepts):
             i = self.set_of.get(key)
@@ -266,21 +265,38 @@ class _Loader:
         x = json_floats(features, len(features) * dim)
         return None if x is None else (ids, x.reshape(len(features), dim), which, labels)
 
+    def _clash(self, ids: list[str], dims: list[int]) -> tuple[int, str] | None:
+        """The index and fault of the first of a chunk's lines, of ids ids
+        and feature dimensions dims, that breaks a rule between lines: its
+        dimension is not the dataset's (the first line's), or a line before
+        it, in this chunk or an earlier one, holds its id. None if none does."""
+        dim = self.dim if self.dim is not None or not dims else dims[0]
+        if len(set(ids)) == len(ids) and self.seen.isdisjoint(ids) and set(dims) <= {dim}:
+            return None
+        seen = set(self.seen)
+        for i, (rid, n) in enumerate(zip(ids, dims)):
+            if n != dim:
+                return i, f"feature dimension {n} does not match dataset dimension {dim}"
+            if rid in seen:
+                return i, f"duplicate record id {rid!r}"
+            seen.add(rid)
+
     def _check_lines(self, linenos: list[int], objs: list) -> None:
         """Raise the error of the chunk's first bad line, checked as
         `_record_from_obj` checks one line, after the chunks before it."""
-        seen, dim = set(self.seen), self.dim
+        recs, fault = [], None
         for lineno, obj in zip(linenos, objs):
-            where = f"{self.path}:{lineno}"
-            rec = _record_from_obj(obj, self.graph, self.known, where)
-            if dim is None:
-                dim = rec.features.size
-            if rec.features.size != dim:
-                raise ValidationError(f"{where}: feature dimension {rec.features.size} "
-                                      f"does not match dataset dimension {dim}")
-            if rec.id in seen:
-                raise ValidationError(f"{where}: duplicate record id {rec.id!r}")
-            seen.add(rec.id)
+            try:
+                recs.append(_record_from_obj(obj, self.graph, self.known,
+                                             f"{self.path}:{lineno}"))
+            except ValidationError as e:
+                fault = e
+                break
+        clash = self._clash([r.id for r in recs], [r.features.size for r in recs])
+        if clash is not None:
+            raise ValidationError(f"{self.path}:{linenos[clash[0]]}: {clash[1]}")
+        if fault is not None:
+            raise fault
         raise AssertionError(f"{self.path}: the lines from {linenos[0]} on failed "
                              f"as a chunk but pass one by one")
 

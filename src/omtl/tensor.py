@@ -42,6 +42,14 @@ product and every sum of the one it replaces, each sum in the same order.
 fewer than 8 columns keep the order of `np.add.at` and of numpy's row
 reductions; `np.add.reduceat` used as a scatter, numpy's pairwise sums
 over 8 or more entries, and a BLAS product of another shape do not.
+For 2-D operands `np.dot` makes the same BLAS call as `np.matmul`,
+except with a 1x1 operand: `np.dot` multiplies by it as a scalar, so
+[[0.0]] times [[-0.0]] is -0.0 through `np.dot` and 0.0 through BLAS.
+Called as the method `np.ndarray.dot`, np.dot's routine also skips its
+array-function dispatch: a small product costs less than half an
+`np.matmul` call.
+`np.einsum("ij,iej->ie")` sums each product over j as the per-e
+`np.einsum("ij,ij->i")` does.
 """
 
 from __future__ import annotations
@@ -57,11 +65,15 @@ _ACTIVE_TAPE: list["Tape"] = []
 
 # A pair op's batched product reads a copy of each row's weights, rows *
 # r * c floats in all; once that exceeds this many floats per member, one
-# BLAS product per member is cheaper. Timed per layer shape of the model
-# on one core, the per-member products overtake the batched product at
-# 600-2,500 floats per member. The two paths differ in the last bit, so a
-# new threshold moves trained bits and scores: it is not a free speed
-# knob, and re-fitting it re-pins the hashes with a stated reason.
+# BLAS product per member is cheaper. Timed forward and backward per layer
+# shape of the model over 35 members on one core of a 2-vCPU shared x86-64
+# VM (numpy 2.4.6, OpenBLAS), with the per-member products through
+# np.ndarray.dot (0.4-0.5 us a call, against 0.9-1.0 us through np.matmul),
+# the per-member path overtakes the batched product at 300-600 floats per
+# member (600-1,650 through np.matmul). The two paths differ in the last
+# bit, so a new threshold moves trained bits and scores: it is not a free
+# speed knob, and it stays until a re-fit re-pins the hashes with a stated
+# reason.
 _GATHER_PER_MEMBER = 1024
 
 
@@ -418,6 +430,13 @@ def _per_member(rows: int, w: np.ndarray, seg: Segments) -> bool:
     return rows * w.shape[1] * w.shape[2] >= _GATHER_PER_MEMBER * seg.members.size
 
 
+def _member_product(*sides: int):
+    """The product for one member's rows whose weights have the widths
+    sides: np.dot as the method np.ndarray.dot, or np.matmul where a side
+    of 1 lets an operand be 1x1 (the kernel rule)."""
+    return np.matmul if 1 in sides else np.ndarray.dot
+
+
 def rowwise_affine(h: np.ndarray, w: np.ndarray, b: np.ndarray,
                    seg: Segments) -> tuple[np.ndarray, np.ndarray | None]:
     """z[p] = h[p] @ w[m] + b[m] for each row p and its member m = seg.of[p],
@@ -427,9 +446,10 @@ def rowwise_affine(h: np.ndarray, w: np.ndarray, b: np.ndarray,
     when it ran one BLAS product per member instead (`_per_member`).
     """
     if _per_member(h.shape[0], w, seg):
+        dot = _member_product(w.shape[1])
         z = np.empty((h.shape[0], w.shape[2]))
         for m, s, e in seg.runs():
-            np.matmul(h[s:e], w[m], out=z[s:e])
+            dot(h[s:e], w[m], out=z[s:e])
         z += b[seg.of, 0]
         return z, None
     wg = w[seg.of]
@@ -456,16 +476,19 @@ def _affine_grads(t: Tape, hv: np.ndarray, w, b, seg: Segments, gz: np.ndarray,
     per-member path makes one pass over the members for both."""
     gh = gw = None
     if _per_member(hv.shape[0], w, seg):
+        _, r, c = w.shape
         if inputs:
-            wv = w.values
-            gh = np.empty((gz.shape[0], wv.shape[1]))
+            wt, dot_h = w.values.transpose(0, 2, 1), _member_product(c)
+            gh = np.empty((gz.shape[0], r))
         if params and not w.const:
-            gw = np.empty((seg.members.size, hv.shape[1], gz.shape[1]))
+            ht, dot_w = hv.T, _member_product(r, c)
+            gw = np.empty((seg.members.size, r, c))
         for i, (m, s, e) in enumerate(seg.runs()):
+            g = gz[s:e]
             if gh is not None:
-                np.matmul(gz[s:e], wv[m].T, out=gh[s:e])
+                dot_h(g, wt[m], out=gh[s:e])
             if gw is not None:
-                np.matmul(hv[s:e].T, gz[s:e], out=gw[i])
+                dot_w(ht[:, s:e], g, out=gw[i])
     else:
         if inputs:
             gh = np.matmul(gz[:, None, :], wg.transpose(0, 2, 1))[:, 0, :]
@@ -561,9 +584,7 @@ def expert_mix(x: Tensor, xr: np.ndarray | None, experts: Tensor, n_exp: int,
                 t._accum(experts, _scatter_rows(experts.shape[0], rows, gh),
                          own=True)
             if w is not None and not (x.const and w.const and b.const):
-                gs = np.empty_like(s)
-                for e in range(n_exp):
-                    gs[:, e] = np.einsum("ij,ij->i", g, hr[:, e])
+                gs = np.einsum("ij,iej->ie", g, hr)
                 _rowwise_grads(t, x, xr, rows, w, b, seg,
                                _softmax_grad(s, gs), wg)
         t._ops.append((out, backward))

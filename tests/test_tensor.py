@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from omtl import tensor as T
 from omtl.errors import NumericalError, ShapeMismatch
@@ -116,10 +116,16 @@ def kernel_values(rng, shape) -> np.ndarray:
     return v
 
 
-def kernel_segments(rng, rows: int) -> Segments:
-    """rows rows over up to 8 members, each member's rows one run."""
-    members = rng.choice(8, size=rng.integers(1, 9), replace=False)
-    return Segments(np.sort(rng.choice(members, size=rows)))
+def kernel_segments(rng, rows: int, single_rows: bool = False) -> Segments:
+    """rows rows over up to 8 members, each member's rows one run. With
+    single_rows, every member but one, drawn, holds exactly one row."""
+    if not single_rows:
+        members = rng.choice(8, size=rng.integers(1, 9), replace=False)
+        return Segments(np.sort(rng.choice(members, size=rows)))
+    members = np.sort(rng.choice(8, size=min(rows, 8), replace=False))
+    counts = np.ones(members.size, dtype=np.intp)
+    counts[rng.integers(members.size)] += rows - members.size
+    return Segments(np.repeat(members, counts))
 
 
 # the kernels of the pair ops against the formulas they replace, bit for
@@ -129,6 +135,9 @@ KERNEL_SETTINGS = settings(derandomize=True, database=None, max_examples=400,
 SEEDS = st.integers(0, 2 ** 32 - 1)
 ROWS = st.integers(0, 300)
 WIDTHS = st.integers(1, 9)
+# the model's layers are also 41 wide: the gate's rows, the reconstruction's
+# columns
+AFFINE_WIDTHS = st.one_of(WIDTHS, st.just(41))
 
 
 class TestKernels:
@@ -155,12 +164,16 @@ class TestKernels:
         assert same_bits(T._softmax_grad(s, gs), softmax_grad_numpy(s, gs))
 
     @KERNEL_SETTINGS
-    @given(seed=SEEDS, n=st.integers(1, 300), r=WIDTHS, c=WIDTHS,
-           per_member=st.booleans(), inputs=st.booleans())
+    @given(seed=SEEDS, n=st.integers(1, 300), r=AFFINE_WIDTHS, c=AFFINE_WIDTHS,
+           per_member=st.booleans(), inputs=st.booleans(), single_rows=st.booleans())
+    # np.dot would multiply this 1x1 product as a scalar, giving -0.0 for
+    # the 0.0 of the BLAS call
+    @example(seed=0, n=1, r=1, c=1, per_member=True, inputs=True, single_rows=False)
     def test_affine_and_its_gradients_are_the_member_loops(self, seed, n, r, c,
-                                                           per_member, inputs):
+                                                           per_member, inputs,
+                                                           single_rows):
         rng = np.random.default_rng(seed)
-        seg = kernel_segments(rng, n)
+        seg = kernel_segments(rng, n, single_rows)
         h, gz = kernel_values(rng, (n, r)), kernel_values(rng, (n, c))
         w = stacked(*kernel_values(rng, (8, r, c)))
         b = stacked(*kernel_values(rng, (8, 1, c)))
@@ -183,6 +196,34 @@ class TestKernels:
             full[seg.members] += expect  # as the tape adds into its zeros
             got = tape.arena_grads(block.arena)[block.span].reshape(block.shape)
             assert same_bits(got, full)
+
+    @KERNEL_SETTINGS
+    @given(seed=SEEDS, n=st.integers(1, 300), n_exp=st.integers(1, 4), de=AFFINE_WIDTHS)
+    def test_expert_weight_gradient_is_the_expert_loop(self, seed, n, n_exp, de):
+        # the gradient w.r.t. each pair's expert weights s[p, e] is
+        # g[p] . h_e[rows[p]], one einsum over every expert
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 10))
+        x = Tensor(kernel_values(rng, (n, d)))
+        experts = Tensor(kernel_values(rng, (n, n_exp * de)))
+        rows = np.sort(rng.integers(n, size=n))
+        seg = kernel_segments(rng, n)
+        w = stacked(*kernel_values(rng, (8, d, n_exp)))
+        b = stacked(*kernel_values(rng, (8, 1, n_exp)))
+        g = kernel_values(rng, (n, de))
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "_softmax_grad",
+                       lambda s, gs: seen.append(gs) or softmax_grad_numpy(s, gs))
+            with Tape() as tape:
+                T.expert_mix(x, x.values[rows], experts, n_exp, rows, seg, w, b)
+            (_, backward), = tape._ops
+            backward(g, tape)
+        hr = experts.values[rows].reshape(n, n_exp, de)
+        expect = np.empty((n, n_exp))
+        for e in range(n_exp):
+            expect[:, e] = np.einsum("ij,ij->i", g, hr[:, e])
+        assert len(seen) == 1 and same_bits(seen[0], expect)
 
 
 def level_case(name: str, cols: int, run):
